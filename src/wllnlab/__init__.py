@@ -23,6 +23,7 @@ from .distributions import (
     heavy_series_partial,
 )
 from .extract import (
+    ExtractConfigError,
     ExtractionFailure,
     ExtractionPlan,
     TruncationLevel,

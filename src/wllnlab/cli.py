@@ -19,7 +19,13 @@ import sys
 
 from . import correctors as corr
 from . import tails as tails_mod
-from .extract import ExtractionFailure, ExtractionPlan, greedy_extract, verify_plan
+from .extract import (
+    ExtractConfigError,
+    ExtractionFailure,
+    ExtractionPlan,
+    greedy_extract,
+    verify_plan,
+)
 from .models import SequenceModel, model_from_spec
 from .verify import (
     PATTERNS,
@@ -252,6 +258,8 @@ def cmd_extract(cfg: dict, out: str) -> int:
             mode=cfg["mode"], eps_floor=cfg["eps_floor"],
             search_cap=cfg["search_cap"], seed=int(cfg["seed"]),
             R=int(cfg["sample_R"]), min_index=int(cfg["min_index"]))
+    except ExtractConfigError as exc:
+        raise UsageError(str(exc))
     except ExtractionFailure as exc:
         write_json(os.path.join(out, "extract_failure.json"), {
             "step": exc.step, "epsilon": exc.eps, "search_cap": exc.search_cap,
@@ -270,8 +278,11 @@ def cmd_extract(cfg: dict, out: str) -> int:
 
 def _resolve_indices(cfg: dict, n_grid) -> list:
     if cfg["plan_path"]:
-        with open(cfg["plan_path"], encoding="utf-8") as fh:
-            return [int(k) for k in json.load(fh)["indices"]]
+        try:
+            with open(cfg["plan_path"], encoding="utf-8") as fh:
+                return [int(k) for k in json.load(fh)["indices"]]
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise UsageError(f"cannot read plan {cfg['plan_path']}: {exc}")
     if cfg["indices"] is not None:
         return [int(k) for k in cfg["indices"]]
     return list(range(1, max(n_grid) + 1))

@@ -17,6 +17,15 @@ single-draw tail-vanishing model, the latent-shift factorization, or the
 comonotone coupling); sample mode uses common-random-number Monte Carlo
 estimates with 99% half-widths and accepts only when |estimate| +
 half-width clears the threshold.
+
+The scan costs time linear in the candidates it examines.  Steps are
+numbered from 1, so the predecessor accepted at step j is indices[j - 1]
+and the exact shortcuts reach their maximising predecessor in O(1).  Sample
+mode estimates all predecessors of a candidate at one level in a single
+vectorised call.  The sample bank holds one row per index, shape
+(horizon, R), C-contiguous, and is reduced along axis 1: that layout makes
+the batched estimates bit-identical to one-row-at-a-time reductions, so a
+plan does not depend on how estimates are grouped.
 """
 
 from __future__ import annotations
@@ -69,6 +78,11 @@ class ExtractionFailure(Exception):
             f"candidate pool exhausted at step {step}: threshold {eps:.3e}, "
             f"best candidate {best_candidate} violated by {best_violation:.3e} "
             f"(search_cap {search_cap})")
+
+
+class ExtractConfigError(ValueError):
+    """An extraction setting outside its documented range; raised before
+    any candidate is examined or any path sampled."""
 
 
 def _is_independent(model: SequenceModel) -> bool:
@@ -171,17 +185,23 @@ def exact_centered_inner_product(model: SequenceModel, j: int, k: int,
 # -------------------------------------------------------------------------
 
 class _SampleBank:
-    """R seeded paths up to a fixed horizon, shared by every estimate."""
+    """R seeded paths up to a fixed horizon, shared by every estimate.
+
+    ``values`` has shape (horizon, R), C-contiguous: row i - 1 holds f_i on
+    every replication.  Estimates reduce gathered rows along axis 1, which
+    sums each row exactly as a one-row reduction does; reducing along axis
+    0 of an (R, P) block would not.
+    """
 
     def __init__(self, model: SequenceModel, horizon: int, R: int, seed: int):
         if R < 100:
-            raise ValueError("sample mode requires R >= 100")
+            raise ExtractConfigError("sample mode requires R >= 100")
         self.R = int(R)
         self.seed = int(seed)
         idx = np.arange(1, horizon + 1, dtype=np.int64)
         paths = [model.sample_at(idx, seed, replication=r)
                  for r in range(self.R)]
-        self.values = np.stack([p.values for p in paths])
+        self.values = np.stack([p.values for p in paths], axis=1)
         self.factors = [p.factor_value for p in paths]
 
     def _centering(self, D: CorrectorSeries, N: int) -> np.ndarray:
@@ -189,13 +209,15 @@ class _SampleBank:
             return np.full(self.R, D.value(N))
         return np.array([D.value(N, factor=f) for f in self.factors])
 
-    def estimate(self, j: int, k: int, N: float, D: CorrectorSeries):
+    def estimate(self, js, k: int, N: float, D: CorrectorSeries):
+        """Estimates and 99% half-widths of the centered inner products of
+        f_k with each f_j, j in ``js``, as two arrays aligned with ``js``."""
         d = self._centering(D, int(N))
-        x = truncate_array(self.values[:, j - 1], N) - d
-        y = truncate_array(self.values[:, k - 1], N) - d
+        x = truncate_array(self.values[np.asarray(js, dtype=np.int64) - 1], N) - d
+        y = truncate_array(self.values[k - 1], N) - d
         prod = x * y
-        est = float(np.mean(prod))
-        hw = _Z99 * float(np.std(prod, ddof=1)) / math.sqrt(self.R)
+        est = np.mean(prod, axis=1)
+        hw = _Z99 * np.std(prod, axis=1, ddof=1) / math.sqrt(self.R)
         return est, hw
 
 
@@ -207,7 +229,8 @@ def centered_inner_product(model: SequenceModel, j: int, k: int, N: float,
         return exact_centered_inner_product(model, j, k, N, D), 0.0
     if mode == "sample":
         bank = _SampleBank(model, max(j, k), R, seed)
-        return bank.estimate(j, k, N, D)
+        est, hw = bank.estimate([j], k, N, D)
+        return float(est[0]), float(hw[0])
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -294,29 +317,30 @@ class _FastExact:
             if cur is None or v > cur[0]:
                 self._max_centered[N] = (v, step)
 
-    def max_over_predecessors(self, pred_indices, pred_steps, k, N):
-        """Returns (value, j_step) with |value| = max over predecessors."""
+    def max_over_predecessors(self, pred_indices, k, N):
+        """Returns (value, j_step) with |value| = max over predecessors;
+        the predecessor accepted at step j is ``pred_indices[j - 1]``."""
         if self.kind == "independent":
             # every accepted index has been noted for every grid level
             jstar = self._max_centered[N][1]
-            idx = pred_indices[pred_steps.index(jstar)]
+            idx = pred_indices[jstar - 1]
             return exact_centered_inner_product(self.model, idx, k, N, self.D), jstar
         if self.kind == "latent":
-            st = pred_steps[-1]
+            st = len(pred_indices)
             idx = pred_indices[-1]
             return exact_centered_inner_product(self.model, idx, k, N, self.D), st
         if self.kind == "tailvan":
             # mu_j is monotone in j, so the extremes are at the first and
             # last predecessor
             best = None
-            for pos in (0, len(pred_indices) - 1):
+            for st in (1, len(pred_indices)):
                 v = exact_centered_inner_product(
-                    self.model, pred_indices[pos], k, N, self.D)
+                    self.model, pred_indices[st - 1], k, N, self.D)
                 if best is None or abs(v) > abs(best[0]):
-                    best = (v, pred_steps[pos])
+                    best = (v, st)
             return best
         best = None
-        for idx, st in zip(pred_indices, pred_steps):
+        for st, idx in enumerate(pred_indices, 1):
             v = exact_centered_inner_product(self.model, idx, k, N, self.D)
             if best is None or abs(v) > abs(best[0]):
                 best = (v, st)
@@ -331,9 +355,16 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
                    min_index: int = 1) -> ExtractionPlan:
     """``min_index`` restricts the candidate pool to indices >= min_index;
     the zero-corrector route starts the search deep enough along the
-    sequence that the truncated energies have already decayed."""
+    sequence that the truncated energies have already decayed.
+
+    Per examined candidate and level, exact mode costs O(1) oracle calls on
+    independent, latent-shift and tail-vanishing models (one per
+    predecessor under the comonotone coupling; see ``_FastExact``), and
+    sample mode one vectorised estimate over all predecessors."""
+    if mode not in ("exact", "sample"):
+        raise ExtractConfigError(f"unknown mode {mode!r}")
     if target_length < 1:
-        raise ValueError("target_length must be >= 1")
+        raise ExtractConfigError("target_length must be >= 1")
     n_grid = tuple(sorted(int(N) for N in n_grid))
     if eps_floor is None:
         eps_floor = 0.0 if mode == "exact" else 1e-2
@@ -341,7 +372,7 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
         search_cap = min(model.index_cap,
                          min_index - 1 + target_length + 2 * max(n_grid) + 64)
     if search_cap > model.index_cap:
-        raise ValueError("search_cap exceeds the model's index_cap")
+        raise ExtractConfigError("search_cap exceeds the model's index_cap")
 
     bank = _SampleBank(model, search_cap, R, seed) if mode == "sample" else None
     fast = _FastExact(model, D) if mode == "exact" else None
@@ -355,39 +386,45 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
         thresholds[step] = eps
         levels = admissible_levels(step, n_grid)
         start = max(int(min_index), (indices[-1] + 1) if indices else 1)
+        pred_steps = range(1, step)
         best_candidate, best_violation = None, math.inf
         chosen = None
         for k in range(start, search_cap + 1):
             worst = 0.0
-            records = {}
+            records = []
             feasible = True
-            pred_steps = list(range(1, step))
             for N in levels:
                 if not indices:
                     break
                 if mode == "exact":
-                    val, jstar = fast.max_over_predecessors(
-                        indices, pred_steps, k, N)
+                    val, jstar = fast.max_over_predecessors(indices, k, N)
                     amount = abs(val)
-                    records[(jstar, step, N)] = val
+                    records.append(((jstar, step, N), val))
                 else:
-                    amount = 0.0
-                    for jstep, jidx in zip(pred_steps, indices):
-                        est, hw = bank.estimate(jidx, k, N, D)
-                        records[(jstep, step, N)] = (est, hw)
-                        amount = max(amount, abs(est) + hw)
+                    est, hw = bank.estimate(indices, k, N, D)
+                    amount = float(np.max(np.abs(est) + hw))
+                    records.append((N, est, hw))
                 worst = max(worst, amount)
                 if amount > eps:
                     feasible = False
                     break
             if feasible:
                 chosen = k
-                if mode == "exact" and step <= detail_steps and indices:
-                    for N in levels:
-                        for jstep, jidx in zip(pred_steps, indices):
-                            records[(jstep, step, N)] = \
-                                exact_centered_inner_product(model, jidx, k, N, D)
-                achieved.update(records)
+                if mode == "sample":
+                    for N, est, hw in records:
+                        for jstep, e, h in zip(pred_steps, est.tolist(),
+                                               hw.tolist()):
+                            achieved[(jstep, step, N)] = (e, h)
+                else:
+                    # shortcut entries go in first and keep their place when
+                    # the detail loop overwrites them: verify_plan reports
+                    # violations in this order
+                    achieved.update(records)
+                    if step <= detail_steps:
+                        for N in levels:
+                            for jstep, jidx in zip(pred_steps, indices):
+                                achieved[(jstep, step, N)] = \
+                                    exact_centered_inner_product(model, jidx, k, N, D)
                 break
             if worst < best_violation:
                 best_violation, best_candidate = worst, k
@@ -404,29 +441,34 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
                           R if mode == "sample" else 0)
 
 
+def _constraint_amount(plan: ExtractionPlan, stored) -> float:
+    return abs(stored) if plan.mode == "exact" else abs(stored[0]) + stored[1]
+
+
 def verify_plan(plan: ExtractionPlan, model: SequenceModel,
                 D: CorrectorSeries) -> dict:
     """Recompute every stored inner product from scratch and check the
-    recorded constraints; the direct routine, not the search shortcuts."""
-    bank = None
-    if plan.mode == "sample":
-        bank = _SampleBank(model, plan.search_cap, plan.sample_R, plan.seed)
+    recorded constraints; the direct routine, not the search shortcuts.
+    Sample mode makes one estimate per (step, level) over all the
+    predecessors recorded there."""
     max_diff = 0.0
-    violations = []
-    for (jstep, nstep, N), stored in plan.achieved.items():
-        jidx = plan.indices[jstep - 1]
-        kidx = plan.indices[nstep - 1]
-        eps = plan.thresholds[nstep]
-        if plan.mode == "exact":
-            fresh = exact_centered_inner_product(model, jidx, kidx, N, D)
+    if plan.mode == "exact":
+        for (jstep, nstep, N), stored in plan.achieved.items():
+            fresh = exact_centered_inner_product(
+                model, plan.indices[jstep - 1], plan.indices[nstep - 1], N, D)
             max_diff = max(max_diff, abs(fresh - stored))
-            if abs(stored) > eps:
-                violations.append((jstep, nstep, N))
-        else:
-            est, hw = bank.estimate(jidx, kidx, N, D)
-            max_diff = max(max_diff, abs(est - stored[0]))
-            if abs(stored[0]) + stored[1] > eps:
-                violations.append((jstep, nstep, N))
+    else:
+        bank = _SampleBank(model, plan.search_cap, plan.sample_R, plan.seed)
+        groups: dict = {}
+        for jstep, nstep, N in plan.achieved:
+            groups.setdefault((nstep, N), []).append(jstep)
+        for (nstep, N), jsteps in groups.items():
+            est, _ = bank.estimate([plan.indices[j - 1] for j in jsteps],
+                                   plan.indices[nstep - 1], N, D)
+            stored = np.array([plan.achieved[(j, nstep, N)][0] for j in jsteps])
+            max_diff = max(max_diff, float(np.max(np.abs(est - stored))))
+    violations = [key for key, stored in plan.achieved.items()
+                  if _constraint_amount(plan, stored) > plan.thresholds[key[1]]]
     return {"checked": len(plan.achieved), "max_abs_diff": max_diff,
             "violations": violations, "ok": not violations}
 
@@ -442,8 +484,7 @@ def check_plan_subsequence(plan: ExtractionPlan, keep_steps) -> dict:
         if jstep not in keep or nstep not in keep:
             continue
         checked += 1
-        amount = abs(stored) if plan.mode == "exact" else abs(stored[0]) + stored[1]
-        if amount > plan.thresholds[nstep]:
+        if _constraint_amount(plan, stored) > plan.thresholds[nstep]:
             violations.append((jstep, nstep, N))
     return {"checked": checked, "violations": violations, "ok": not violations}
 

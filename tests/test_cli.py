@@ -126,6 +126,34 @@ def test_extract_success_and_failure(tmp_path):
     assert failure["best_violation"] > 0
 
 
+@pytest.mark.parametrize("bad", [
+    {"mode": "bogus"},
+    {"mode": "sample", "sample_R": 50},
+    {"target_length": 0},
+    {"search_cap": 10**10},
+], ids=["unknown-mode", "sample-R-below-100", "zero-target-length",
+        "search-cap-above-index-cap"])
+def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
+    cfg = write_cfg(tmp_path, "bad.json",
+                    {"model": TAIL_MODEL, "target_length": 8,
+                     "n_grid": [2, 4, 8], **bad})
+    assert main(["extract", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["verify", "hereditary"])
+def test_missing_plan_path_is_usage_error(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"model": TAIL_MODEL, "n_grid": [16],
+                     "plan_path": str(tmp_path / "no-such-plan.json")})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "no-such-plan.json" in err
+
+
 def test_verify_violation_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "v.json",
                     {"model": LATENT_MODEL, "epsilon": 0.5,

@@ -18,9 +18,13 @@ from wllnlab.distributions import (
     Pareto1,
     UnsupportedOracleError,
 )
+from wllnlab.cli import _DEMO_MODELS
 from wllnlab.extract import (
+    ExtractConfigError,
     ExtractionFailure,
+    ExtractionPlan,
     TruncationLevel,
+    _FastExact,
     admissible_levels,
     centered_inner_product,
     check_plan_subsequence,
@@ -38,6 +42,7 @@ from wllnlab.models import (
     IIDModel,
     LatentShiftModel,
     TailVanishingModel,
+    model_from_spec,
 )
 
 LATENT = LatentShiftModel(FiniteDiscrete([(-1.0, 0.5), (1.0, 0.5)]),
@@ -281,3 +286,159 @@ def test_conditional_corrector_needs_latent_model():
     D = corrector_weak_l2(LATENT, (8,))
     with pytest.raises(UnsupportedOracleError):
         exact_centered_inner_product(m, 1, 2, 8.0, D)
+
+
+def test_unknown_mode_rejected_before_any_work():
+    m = IIDModel(Pareto1())
+    with pytest.raises(ExtractConfigError, match="unknown mode"):
+        greedy_extract(m, 1, (2,), zero_corrector((2,)), mode="bogus")
+
+
+# -------------------------------------------------------------------------
+# scalar reference: the scan and the re-check one predecessor at a time,
+# against which the vectorised search must agree bit for bit
+# -------------------------------------------------------------------------
+
+_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+
+
+def _reference_bank(model, horizon, R, seed):
+    """(R, horizon) paths and their factor values, drawn as the search
+    draws them."""
+    idx = np.arange(1, horizon + 1, dtype=np.int64)
+    paths = [model.sample_at(idx, seed, replication=r) for r in range(R)]
+    return np.stack([p.values for p in paths]), [p.factor_value for p in paths]
+
+
+def _reference_estimate(bank, j, k, N, D):
+    values, factors = bank
+    R = values.shape[0]
+    if D.kind != "conditional":
+        d = np.full(R, D.value(int(N)))
+    else:
+        d = np.array([D.value(int(N), factor=f) for f in factors])
+    prod = ((truncate_array(values[:, j - 1], N) - d)
+            * (truncate_array(values[:, k - 1], N) - d))
+    return (float(np.mean(prod)),
+            _Z99 * float(np.std(prod, ddof=1)) / math.sqrt(R))
+
+
+def _reference_max_over_predecessors(fast, pred_indices, pred_steps, k, N):
+    ip = exact_centered_inner_product
+    if fast.kind == "independent":
+        jstar = fast._max_centered[N][1]
+        idx = pred_indices[pred_steps.index(jstar)]
+        return ip(fast.model, idx, k, N, fast.D), jstar
+    if fast.kind == "latent":
+        return ip(fast.model, pred_indices[-1], k, N, fast.D), pred_steps[-1]
+    positions = ((0, len(pred_indices) - 1) if fast.kind == "tailvan"
+                 else range(len(pred_indices)))
+    best = None
+    for pos in positions:
+        v = ip(fast.model, pred_indices[pos], k, N, fast.D)
+        if best is None or abs(v) > abs(best[0]):
+            best = (v, pred_steps[pos])
+    return best
+
+
+def _reference_greedy(model, target_length, n_grid, D, mode, eps_floor=None,
+                      seed=0, R=400, detail_steps=16, min_index=1):
+    n_grid = tuple(sorted(int(N) for N in n_grid))
+    if eps_floor is None:
+        eps_floor = 0.0 if mode == "exact" else 1e-2
+    search_cap = min(model.index_cap,
+                     min_index - 1 + target_length + 2 * max(n_grid) + 64)
+    bank = _reference_bank(model, search_cap, R, seed) if mode == "sample" else None
+    fast = _FastExact(model, D) if mode == "exact" else None
+    indices, thresholds, achieved = [], {}, {}
+    for step in range(1, target_length + 1):
+        eps = step_epsilon(step, eps_floor)
+        thresholds[step] = eps
+        levels = admissible_levels(step, n_grid)
+        start = max(int(min_index), (indices[-1] + 1) if indices else 1)
+        chosen = None
+        for k in range(start, search_cap + 1):
+            records = {}
+            feasible = True
+            pred_steps = list(range(1, step))
+            for N in levels:
+                if not indices:
+                    break
+                if mode == "exact":
+                    val, jstar = _reference_max_over_predecessors(
+                        fast, indices, pred_steps, k, N)
+                    amount = abs(val)
+                    records[(jstar, step, N)] = val
+                else:
+                    amount = 0.0
+                    for jstep, jidx in zip(pred_steps, indices):
+                        est, hw = _reference_estimate(bank, jidx, k, N, D)
+                        records[(jstep, step, N)] = (est, hw)
+                        amount = max(amount, abs(est) + hw)
+                if amount > eps:
+                    feasible = False
+                    break
+            if feasible:
+                chosen = k
+                if mode == "exact" and step <= detail_steps and indices:
+                    for N in levels:
+                        for jstep, jidx in zip(pred_steps, indices):
+                            records[(jstep, step, N)] = \
+                                exact_centered_inner_product(model, jidx, k, N, D)
+                achieved.update(records)
+                break
+        assert chosen is not None, f"reference scan exhausted at step {step}"
+        indices.append(chosen)
+        if fast is not None:
+            fast.note_accept(step, chosen, n_grid)
+    return ExtractionPlan(tuple(indices), n_grid, thresholds, achieved, mode,
+                          int(seed), float(eps_floor), int(search_cap),
+                          int(detail_steps), D.provenance,
+                          R if mode == "sample" else 0)
+
+
+def _reference_verify(plan, model, D):
+    bank = None
+    if plan.mode == "sample":
+        bank = _reference_bank(model, plan.search_cap, plan.sample_R, plan.seed)
+    max_diff = 0.0
+    violations = []
+    for (jstep, nstep, N), stored in plan.achieved.items():
+        jidx = plan.indices[jstep - 1]
+        kidx = plan.indices[nstep - 1]
+        eps = plan.thresholds[nstep]
+        if plan.mode == "exact":
+            fresh = exact_centered_inner_product(model, jidx, kidx, N, D)
+            max_diff = max(max_diff, abs(fresh - stored))
+            if abs(stored) > eps:
+                violations.append((jstep, nstep, N))
+        else:
+            est, hw = _reference_estimate(bank, jidx, kidx, N, D)
+            max_diff = max(max_diff, abs(est - stored[0]))
+            if abs(stored[0]) + stored[1] > eps:
+                violations.append((jstep, nstep, N))
+    return {"checked": len(plan.achieved), "max_abs_diff": max_diff,
+            "violations": violations, "ok": not violations}
+
+
+@pytest.mark.parametrize("name, length, grid, mode, kwargs", [
+    ("counterexample", 48, (64, 256), "sample", {"seed": 1}),
+    ("counterexample", 48, (64, 256), "sample", {"seed": 2}),
+    ("latent-shift", 24, (64, 256), "sample", {"seed": 5, "eps_floor": 2.0}),
+    ("counterexample", 512, (64, 256, 1024, 4096), "exact", {}),
+    ("example41", 512, (64, 256, 1024, 4096), "exact", {"min_index": 10**12}),
+    ("latent-shift", 512, (64, 256, 1024, 4096), "exact", {}),
+], ids=["counterexample-sample-seed1", "counterexample-sample-seed2",
+        "latent-shift-sample-conditional", "counterexample-exact",
+        "example41-exact", "latent-shift-exact"])
+def test_search_matches_scalar_reference(name, length, grid, mode, kwargs):
+    m = model_from_spec(_DEMO_MODELS[name])
+    D = corrector_weak_l2(m, grid)
+    if name == "latent-shift":
+        assert D.kind == "conditional"
+    plan = greedy_extract(m, length, grid, D, mode=mode, **kwargs)
+    ref = _reference_greedy(m, length, grid, D, mode, **kwargs)
+    assert len(plan.indices) == length
+    assert plan.to_json() == ref.to_json()
+    assert list(plan.achieved) == list(ref.achieved)
+    assert verify_plan(plan, m, D) == _reference_verify(plan, m, D)
