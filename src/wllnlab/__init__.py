@@ -51,10 +51,9 @@ from .models import (
     dist_to_spec,
     marginal_tail_prob,
     model_from_spec,
-    sample_path,
     truncated_moment,
 )
-from .streams import path_rng
+from .streams import Positions
 from .tails import (
     TailProfile,
     Verdict,

@@ -6,7 +6,9 @@ included) plus the master seed; ``rerun --manifest`` replays it and must
 reproduce byte-identical CSV/JSON artifacts.
 
 Exit codes: 0 success, 2 expected-condition mismatch, 3 extraction failure,
-4 verification violation, 64 usage error.
+4 verification violation, 64 usage error (including a config value of the
+wrong type, an oracle the model does not have, and an index past the
+model's index_cap).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -22,11 +25,11 @@ from . import tails as tails_mod
 from .extract import (
     ExtractConfigError,
     ExtractionFailure,
-    ExtractionPlan,
     greedy_extract,
     verify_plan,
 )
-from .models import SequenceModel, model_from_spec
+from .distributions import UnsupportedOracleError
+from .models import CapacityError, SequenceModel, model_from_spec
 from .verify import (
     PATTERNS,
     hereditary_suite,
@@ -121,6 +124,14 @@ _DEFAULTS = {
 }
 
 
+# numeric config keys and the type of the value, or of each list item
+_NUMBERS = {"seed": int, "target_length": int, "search_cap": int,
+            "min_index": int, "sample_R": int, "reps": int, "eps_floor": float,
+            "epsilon": float, "pass_threshold": float, "m_grid": float,
+            "n_range": int, "n_grid": int, "feller_grid": int, "indices": int}
+_NUMBER_LISTS = {"m_grid", "n_range", "n_grid", "feller_grid", "indices"}
+
+
 def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
     cfg = dict(_DEFAULTS[command])
     incoming = dict(file_cfg)
@@ -135,6 +146,17 @@ def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
         if key not in cfg:
             raise UsageError(f"flag --{key} not applicable to {command}")
         cfg[key] = val
+    for key, kind in _NUMBERS.items():
+        val = cfg.get(key)
+        many = key in _NUMBER_LISTS
+        try:
+            if val is not None and many != isinstance(val, list):
+                raise TypeError
+            if val is not None:
+                cfg[key] = [kind(v) for v in val] if many else kind(val)
+        except (TypeError, ValueError):
+            raise UsageError(f"config key {key!r} must hold {kind.__name__} "
+                             f"values, not {val!r}")
     cfg["schema_version"] = SCHEMA_VERSION
     return cfg
 
@@ -261,10 +283,11 @@ def cmd_extract(cfg: dict, out: str) -> int:
     except ExtractConfigError as exc:
         raise UsageError(str(exc))
     except ExtractionFailure as exc:
+        # an exhausted window leaves no finite violation, and JSON has no inf
+        best = exc.best_violation if math.isfinite(exc.best_violation) else None
         write_json(os.path.join(out, "extract_failure.json"), {
             "step": exc.step, "epsilon": exc.eps, "search_cap": exc.search_cap,
-            "best_candidate": exc.best_candidate,
-            "best_violation": exc.best_violation})
+            "best_candidate": exc.best_candidate, "best_violation": best})
         print(f"extraction failed at step {exc.step}: "
               f"best candidate {exc.best_candidate} violated by "
               f"{exc.best_violation:.3g} (threshold {exc.eps:.3g})")
@@ -587,7 +610,7 @@ def main(argv=None) -> int:
         cfg = resolve_config(args.command, cfg_file, overrides)
         write_manifest(out, args.command, cfg)
         return _COMMANDS[args.command](cfg, out)
-    except UsageError as exc:
+    except (UsageError, UnsupportedOracleError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,7 +15,7 @@ A corrector series assigns to each level N a centering value D_N with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .models import (
     IIDModel,
     IndependentArrayModel,
     LatentShiftModel,
-    SamplePath,
     SequenceModel,
     TailVanishingModel,
 )
@@ -62,6 +61,20 @@ class CorrectorSeries:
         if abs(best - factor) > 1e-9:
             raise KeyError(f"factor {factor} not in corrector table")
         return float(table[best])
+
+    def realized(self, levels, factors=None) -> np.ndarray:
+        """D_N for N in ``levels`` on every path: shape (len(levels),) for
+        the constant kinds, (len(factors), len(levels)) for the conditional
+        kind, looked up once per distinct factor value."""
+        if self.kind != "conditional":
+            return np.array([self.value(N) for N in levels])
+        if factors is None:
+            raise ValueError(
+                "conditional corrector needs a model exposing the factor")
+        atoms, which = np.unique(factors, return_inverse=True)
+        table = np.array([[self.value(N, factor=float(b)) for N in levels]
+                          for b in atoms])
+        return table[which.ravel()]
 
     def second_moment(self, N: int, factor_probs: dict | None = None) -> float:
         """E(D_N^2); conditional kind averages over the factor law."""

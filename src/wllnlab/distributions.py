@@ -25,7 +25,6 @@ residual stays below 1e-15 there.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -138,9 +137,15 @@ class FiniteDiscrete(Distribution):
         return self._abs_vals[self._abs_vals < M]
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._cum, u, side="right")
-        idx = np.clip(idx, 0, len(self._values) - 1)
-        return self._values[idx]
+        if len(self._cum) > 8:
+            idx = np.searchsorted(self._cum, u, side="right")
+            return self._values[np.minimum(idx, len(self._values) - 1)]
+        # that search counts the cumulative masses <= u; with few atoms one
+        # comparison pass per atom counts them several times faster
+        idx = np.zeros(np.shape(u), dtype=np.uint8)
+        for c in self._cum[:-1]:
+            idx += (u >= c).view(np.uint8)
+        return self._values[idx.astype(np.intp)]
 
     def tau_envelope(self):
         b = self.max_abs_value

@@ -31,7 +31,7 @@ plan does not depend on how estimates are grouped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -198,21 +198,20 @@ class _SampleBank:
             raise ExtractConfigError("sample mode requires R >= 100")
         self.R = int(R)
         self.seed = int(seed)
-        idx = np.arange(1, horizon + 1, dtype=np.int64)
-        paths = [model.sample_at(idx, seed, replication=r)
-                 for r in range(self.R)]
-        self.values = np.stack([p.values for p in paths], axis=1)
-        self.factors = [p.factor_value for p in paths]
-
-    def _centering(self, D: CorrectorSeries, N: int) -> np.ndarray:
-        if D.kind != "conditional":
-            return np.full(self.R, D.value(N))
-        return np.array([D.value(N, factor=f) for f in self.factors])
+        self.values = np.empty((horizon, self.R))
+        factors, r0 = [], 0
+        for vals, f in model.sample_blocks(np.arange(1, horizon + 1), seed,
+                                           self.R):
+            self.values[:, r0:r0 + len(vals)] = vals.T
+            factors.append(f)
+            r0 += len(vals)
+        self.factors = None if factors[0] is None else np.concatenate(factors)
 
     def estimate(self, js, k: int, N: float, D: CorrectorSeries):
         """Estimates and 99% half-widths of the centered inner products of
         f_k with each f_j, j in ``js``, as two arrays aligned with ``js``."""
-        d = self._centering(D, int(N))
+        # (R,) for a conditional corrector, a scalar otherwise
+        d = D.realized([int(N)], self.factors)[..., 0]
         x = truncate_array(self.values[np.asarray(js, dtype=np.int64) - 1], N) - d
         y = truncate_array(self.values[k - 1], N) - d
         prod = x * y
@@ -373,6 +372,9 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
                          min_index - 1 + target_length + 2 * max(n_grid) + 64)
     if search_cap > model.index_cap:
         raise ExtractConfigError("search_cap exceeds the model's index_cap")
+    if search_cap < max(int(min_index), 1):
+        raise ExtractConfigError("empty search window: search_cap is below "
+                                 "the first candidate index")
 
     bank = _SampleBank(model, search_cap, R, seed) if mode == "sample" else None
     fast = _FastExact(model, D) if mode == "exact" else None

@@ -21,7 +21,7 @@ in the package can be audited against an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,12 @@ from .distributions import (
     UnsupportedOracleError,
     convolve,
 )
-from .streams import path_rng
+from .streams import Positions
+
+
+# values per chunk of replications in ``sample_blocks``: about 1 MiB per
+# (B, n) array, whatever R and n are
+_BLOCK_VALUES = 1 << 17
 
 
 class CapacityError(Exception):
@@ -51,6 +56,11 @@ class SamplePath:
 class SequenceModel:
     kind = "abstract"
     index_cap: int = 0
+    #: whether a path carries a factor (g, B or the shared uniform), drawn
+    #: at stream position 0, and whether coordinate k draws its own
+    #: uniform at position k
+    has_factor = False
+    coordinate_noise = True
 
     def marginal_dist(self, n: int) -> Distribution:
         raise NotImplementedError
@@ -59,32 +69,71 @@ class SequenceModel:
         if not 1 <= n <= self.index_cap:
             raise CapacityError(f"index {n} outside 1..{self.index_cap}")
 
-    def _check_length(self, length: int) -> None:
-        if length < 1:
-            raise ValueError("length must be positive")
-        if length > self.index_cap:
-            raise CapacityError(f"length {length} exceeds index_cap {self.index_cap}")
+    def sample_block(self, indices, seed: int, r0: int, r1: int):
+        """Realize (f_i)_{i in indices} on replications r0, ..., r1 - 1.
 
-    def sample_path(self, length: int, seed: int, replication: int = 0) -> SamplePath:
+        Returns ``(values, factors)``: ``values`` has shape
+        (r1 - r0, len(indices)) and ``factors`` holds each path's factor,
+        shape (r1 - r0,), or is None for models without one.  The uniform
+        behind f_k on replication r is position k of stream (seed, r) and
+        the factor's is position 0 (see ``streams``), so a value does not
+        depend on which other indices or replications are requested:
+        sampling ``idx[s]`` gives the columns ``s`` of sampling ``idx``.
+        """
+        return next(self._blocks(indices, seed, r0, r1, r1 - r0))
+
+    def sample_blocks(self, indices, seed: int, R: int):
+        """``sample_block`` over replications 0, ..., R - 1 in chunks of at
+        most ``_BLOCK_VALUES`` values, in replication order."""
+        return self._blocks(indices, seed, 0, R, None)
+
+    def _blocks(self, indices, seed, r0, r1, step):
+        if not 0 <= r0 < r1:
+            raise ValueError("need replications 0 <= r0 < r1")
+        idx = self._checked_indices(indices)
+        coords = idx if self.coordinate_noise else idx[:0]
+        positions = Positions(np.concatenate(([0], coords)) if self.has_factor
+                              else coords)
+        per_index = self._per_index(idx)
+        step = step or max(1, _BLOCK_VALUES // len(idx))
+        for a in range(r0, r1, step):
+            u = positions.uniforms(seed, a, min(r1, a + step))
+            if self.has_factor:
+                yield self._realize(per_index, u[:, 1:], u[:, 0])
+            else:
+                yield self._realize(per_index, u, None)
+
+    def _per_index(self, idx: np.ndarray):
+        """What ``_realize`` needs of the indices, computed once per call."""
+        return idx
+
+    def _realize(self, per_index, u: np.ndarray, u0):
+        """(values, factors) from coordinate uniforms ``u`` (B, n; B by 0
+        without coordinate noise) and factor uniforms ``u0`` (B,; None
+        without a factor)."""
         raise NotImplementedError
 
     def sample_at(self, indices, seed: int, replication: int = 0) -> SamplePath:
-        """Realize (f_{i})_{i in indices} for one path.
+        """Realize (f_i)_{i in indices} for one path: the one-row case of
+        ``sample_block``.  f_k depends only on (seed, replication, k), so
+        ``sample_at(idx[s]).values == sample_at(idx).values[s]`` for every
+        selection ``s`` of the index set."""
+        values, factors = self.sample_block(indices, seed, replication,
+                                            replication + 1)
+        factor = None if factors is None else float(factors[0])
+        return SamplePath(seed, replication, values[0], factor_value=factor)
 
-        The dependence structure (shared factor, shared uniform, single g)
-        is honored exactly; coordinate-level noise is drawn by position
-        within the request, so the same (seed, replication) pair always
-        regenerates identical values for the same index set.
-        """
-        raise NotImplementedError
+    def sample_path(self, length: int, seed: int, replication: int = 0) -> SamplePath:
+        """``sample_at`` on the prefix 1, ..., length."""
+        return self.sample_at(np.arange(1, length + 1), seed, replication)
 
     def _checked_indices(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             raise ValueError("empty index set")
-        if idx.min() < 1 or np.any(np.diff(idx) <= 0):
+        if idx[0] < 1 or (idx[1:] <= idx[:-1]).any():
             raise ValueError("indices must be strictly increasing and >= 1")
-        if idx.max() > self.index_cap:
+        if idx[-1] > self.index_cap:
             raise CapacityError(
                 f"indices outside 1..{self.index_cap}")
         return idx
@@ -128,15 +177,8 @@ class IIDModel(SequenceModel):
         self._check_index(n)
         return self.dist
 
-    def sample_path(self, length, seed, replication=0):
-        self._check_length(length)
-        rng = path_rng(seed, replication)
-        return SamplePath(seed, replication, self.dist.sample(rng, length))
-
-    def sample_at(self, indices, seed, replication=0):
-        idx = self._checked_indices(indices)
-        rng = path_rng(seed, replication)
-        return SamplePath(seed, replication, self.dist.sample(rng, len(idx)))
+    def _realize(self, idx, u, u0):
+        return self.dist.quantile_array(u), None
 
     def pointwise_sup_index(self, n_range):
         return int(n_range[0])
@@ -170,20 +212,11 @@ class IndependentArrayModel(SequenceModel):
         self._check_index(n)
         return self.dists[n - 1]
 
-    def sample_path(self, length, seed, replication=0):
-        self._check_length(length)
-        rng = path_rng(seed, replication)
-        u = rng.random(length)
-        vals = np.array([self.dists[i].quantile(u[i]) for i in range(length)])
-        return SamplePath(seed, replication, vals)
-
-    def sample_at(self, indices, seed, replication=0):
-        idx = self._checked_indices(indices)
-        rng = path_rng(seed, replication)
-        u = rng.random(len(idx))
-        vals = np.array([self.dists[i - 1].quantile(ui)
-                         for i, ui in zip(idx, u)])
-        return SamplePath(seed, replication, vals)
+    def _realize(self, idx, u, u0):
+        vals = np.empty_like(u)
+        for col, i in enumerate(idx):
+            vals[:, col] = self.dists[i - 1].quantile_array(u[:, col])
+        return vals, None
 
     def to_spec(self):
         return {"kind": "independent_array",
@@ -231,6 +264,8 @@ class TailVanishingModel(SequenceModel):
     """
 
     kind = "tail_vanishing"
+    has_factor = True
+    coordinate_noise = False
 
     def __init__(self, g_dist: Distribution, index_cap: int = 10**9):
         self.g_dist = g_dist
@@ -240,20 +275,12 @@ class TailVanishingModel(SequenceModel):
         self._check_index(n)
         return _TailRestricted(self.g_dist, n)
 
-    def sample_path(self, length, seed, replication=0):
-        self._check_length(length)
-        rng = path_rng(seed, replication)
-        g = float(self.g_dist.sample(rng, 1)[0])
-        n = np.arange(1, length + 1)
-        vals = np.where(np.abs(g) > n, g, 0.0)
-        return SamplePath(seed, replication, vals, factor_value=g)
+    def _per_index(self, idx):
+        return idx.astype(float)
 
-    def sample_at(self, indices, seed, replication=0):
-        idx = self._checked_indices(indices)
-        rng = path_rng(seed, replication)
-        g = float(self.g_dist.sample(rng, 1)[0])
-        vals = np.where(np.abs(g) > idx, g, 0.0)
-        return SamplePath(seed, replication, vals, factor_value=g)
+    def _realize(self, levels, u, u0):
+        g = self.g_dist.quantile_array(u0)
+        return np.where(np.abs(g)[:, None] > levels, g[:, None], 0.0), g
 
     def pointwise_sup_index(self, n_range):
         return int(min(n_range))
@@ -294,68 +321,53 @@ class Example41Model(SequenceModel):
 
     def __init__(self, rho, index_cap: int = 10**7,
                  joint_law: str = "independent", symmetric: bool = True,
-                 rho_sup_is_one: bool | None = None, rho_spec=None):
+                 rho_sup_is_one: bool | None = None, rho_spec=None,
+                 rho_vec=None):
         if joint_law not in ("independent", "comonotone"):
             raise ValueError(f"unknown joint_law {joint_law!r}")
         self._rho = rho  # callable index -> rho_n in (0, 1)
+        # optional vectorised form: int64 index array -> rho array
+        self._rho_vec = rho_vec
         self.joint_law = joint_law
+        self.has_factor = joint_law == "comonotone"
+        self.coordinate_noise = not self.has_factor
         self.symmetric = bool(symmetric)
         self.index_cap = int(index_cap)
         self.rho_sup_is_one = rho_sup_is_one
         self._rho_spec = rho_spec
-        self._rho_idx: np.ndarray | None = None
-        self._rho_vals: np.ndarray | None = None
 
     def rho(self, n: int) -> float:
         return float(self._rho(n))
 
-    def rho_values(self, idx: np.ndarray) -> np.ndarray:
-        # probes reuse one index set across thousands of replications
-        if self._rho_idx is None or not np.array_equal(self._rho_idx, idx):
-            self._rho_idx = idx.copy()
-            self._rho_vals = np.array([self._rho(int(n)) for n in idx])
-        return self._rho_vals
-
-    def rho_array(self, length: int) -> np.ndarray:
-        return self.rho_values(np.arange(1, length + 1, dtype=np.int64))
+    def rho_array(self, idx) -> np.ndarray:
+        idx = np.asarray(idx, dtype=np.int64)
+        if self._rho_vec is not None:
+            return self._rho_vec(idx)
+        return np.array([self._rho(int(n)) for n in idx], dtype=float)
 
     def marginal_dist(self, n):
         self._check_index(n)
         return HeavyLogLaw(self.rho(n), symmetric=self.symmetric)
 
-    def _realize(self, rho: np.ndarray, rng) -> tuple[np.ndarray, float | None]:
-        proto = HeavyLogLaw(0.0, symmetric=self.symmetric)
-        if self.joint_law == "independent":
-            u = rng.random(len(rho))
-            factor = None
-        else:
-            shared = float(rng.random())
-            u = np.full(len(rho), shared)
-            factor = shared
+    def _per_index(self, idx):
+        return self.rho_array(idx)
+
+    def _realize(self, rho, u, u0):
+        if self.has_factor:
+            u = np.broadcast_to(u0[:, None], (len(u0), len(rho)))
         # map u through each coordinate's quantile; the conditional law
-        # shared by all coordinates makes this a single table lookup
-        vals = np.zeros(len(rho))
-        nz = u >= rho
-        if np.any(nz):
-            v = (u[nz] - rho[nz]) / (1.0 - rho[nz])
-            vals[nz] = proto.quantile_array(v)
-        return vals, factor
-
-    def sample_path(self, length, seed, replication=0):
-        self._check_length(length)
-        rng = path_rng(seed, replication)
-        vals, factor = self._realize(self.rho_array(length), rng)
-        return SamplePath(seed, replication, vals, factor_value=factor)
-
-    def sample_at(self, indices, seed, replication=0):
-        idx = self._checked_indices(indices)
-        rng = path_rng(seed, replication)
-        vals, factor = self._realize(self.rho_values(idx), rng)
-        return SamplePath(seed, replication, vals, factor_value=factor)
+        # shared by all coordinates makes this one table lookup for the
+        # few coordinates off the zero atom
+        vals = np.zeros(u.shape)
+        nz = np.flatnonzero(u >= rho)
+        if nz.size:
+            r = rho[nz % len(rho)]
+            v = (u.ravel()[nz] - r) / (1.0 - r)
+            vals.ravel()[nz] = HeavyLogLaw(0.0, self.symmetric).quantile_array(v)
+        return vals, u0
 
     def pointwise_sup_index(self, n_range):
-        rhos = [self.rho(n) for n in n_range]
-        return int(n_range[int(np.argmin(rhos))])
+        return int(n_range[int(np.argmin(self.rho_array(n_range)))])
 
     def tau_sup_envelope(self):
         from .distributions import example41_constant_c
@@ -399,6 +411,7 @@ class LatentShiftModel(SequenceModel):
     """
 
     kind = "latent_shift"
+    has_factor = True
 
     def __init__(self, factor_dist: FiniteDiscrete, noise_dist: FiniteDiscrete,
                  index_cap: int = 10**9):
@@ -411,19 +424,11 @@ class LatentShiftModel(SequenceModel):
         self._check_index(n)
         return self._marginal
 
-    def sample_path(self, length, seed, replication=0):
-        self._check_length(length)
-        rng = path_rng(seed, replication)
-        b = float(self.factor_dist.sample(rng, 1)[0])
-        eta = self.noise_dist.sample(rng, length)
-        return SamplePath(seed, replication, b + eta, factor_value=b)
-
-    def sample_at(self, indices, seed, replication=0):
-        idx = self._checked_indices(indices)
-        rng = path_rng(seed, replication)
-        b = float(self.factor_dist.sample(rng, 1)[0])
-        eta = self.noise_dist.sample(rng, len(idx))
-        return SamplePath(seed, replication, b + eta, factor_value=b)
+    def _realize(self, idx, u, u0):
+        b = self.factor_dist.quantile_array(u0)
+        vals = self.noise_dist.quantile_array(u)
+        vals += b[:, None]
+        return vals, b
 
     def pointwise_sup_index(self, n_range):
         return int(n_range[0])
@@ -453,11 +458,6 @@ class LatentShiftModel(SequenceModel):
 # -------------------------------------------------------------------------
 # module-level operations
 # -------------------------------------------------------------------------
-
-def sample_path(model: SequenceModel, length: int, seed: int,
-                replication: int = 0) -> SamplePath:
-    return model.sample_path(length, seed, replication)
-
 
 def marginal_tail_prob(model: SequenceModel, n: int, M: float) -> float:
     if M <= 0:
@@ -520,21 +520,27 @@ def dist_to_spec(dist: Distribution) -> dict:
 
 
 def _rho_from_spec(spec: dict):
+    """(scalar rho, vectorised rho, sup rho == 1, canonical spec).  The
+    oracles use the scalar form; sampling uses the vectorised one, whose
+    numpy log may differ from libm's in the last bit."""
     spec = dict(spec)
     family = spec.pop("family", None)
     if family == "constant":
         value = float(spec.pop("value"))
         _reject_unknown(spec, "rho spec")
-        return (lambda n: value), False, {"family": "constant", "value": value}
+        return (lambda n: value), (lambda idx: np.full(len(idx), value)), \
+            False, {"family": "constant", "value": value}
     if family == "one-minus-one-over-log":
         _reject_unknown(spec, "rho spec")
-        return (lambda n: 1.0 - 1.0 / math.log(n + 2)), True, {
-            "family": "one-minus-one-over-log"}
+        return (lambda n: 1.0 - 1.0 / math.log(n + 2)), \
+            (lambda idx: 1.0 - 1.0 / np.log(idx + 2.0)), True, {
+                "family": "one-minus-one-over-log"}
     if family == "explicit":
         values = [float(v) for v in spec.pop("values")]
         _reject_unknown(spec, "rho spec")
-        return (lambda n: values[n - 1]), None, {"family": "explicit",
-                                                 "values": values}
+        table = np.array(values)
+        return (lambda n: values[n - 1]), (lambda idx: table[idx - 1]), \
+            None, {"family": "explicit", "values": values}
     raise ValueError(f"unknown rho family {family!r}")
 
 
@@ -564,12 +570,13 @@ def model_from_spec(spec: dict) -> SequenceModel:
         _reject_unknown(params, "tail_vanishing params")
         return TailVanishingModel(g, index_cap or 10**9)
     if kind == "example41":
-        rho_fn, sup_one, rho_spec = _rho_from_spec(params.pop("rho"))
+        rho_fn, rho_vec, sup_one, rho_spec = _rho_from_spec(params.pop("rho"))
         symmetric = params.pop("symmetric", True)
         _reject_unknown(params, "example41 params")
         return Example41Model(rho_fn, index_cap or 10**7,
                               joint_law or "independent", symmetric,
-                              rho_sup_is_one=sup_one, rho_spec=rho_spec)
+                              rho_sup_is_one=sup_one, rho_spec=rho_spec,
+                              rho_vec=rho_vec)
     if kind == "latent_shift":
         factor = dist_from_spec(params.pop("factor"))
         noise = dist_from_spec(params.pop("noise"))

@@ -12,9 +12,14 @@ falsifiable finite-sample reading:
   the pass threshold
 * ``inconclusive``          -- anything else
 
-All replications share common random numbers (derived streams keyed only by
-the master seed and replication number), so estimates at different epsilon
-or for different thinning patterns ride on the same paths.
+Every replication r reads f_k from position k of the Philox stream keyed by
+(seed, r) (see ``streams``), so f_k is a pure function of (seed, r, k).  The
+probes share one loop over ``SequenceModel.sample_blocks``: replications
+come in chunks of a fixed number of values, so memory stays fixed at any R
+and N, and each chunk is reduced with array operations only.  The
+hereditary suite samples one base block per chunk and reads every thinning
+pattern as a column selection of it, so the patterns probe subsequences of
+the very paths the full sequence is probed on.
 """
 
 from __future__ import annotations
@@ -25,9 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correctors import CorrectorSeries
-from .extract import ExtractionPlan, truncate_array
 from .models import SequenceModel
-from .streams import path_rng
+from .streams import Positions
 
 _Z99 = 2.5758293035489004
 
@@ -85,60 +89,91 @@ def _verdict(n_grid, p_hat, ci, pass_threshold, increase_margin):
     return "inconclusive"
 
 
-def wlln_probe(model: SequenceModel, indices, D: CorrectorSeries,
-               epsilon: float, n_grid, R: int, seed: int,
-               pass_threshold: float = 0.05, increase_margin: float = 0.0,
-               compute_l2: bool = False) -> ConvergenceReport:
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if R < 1:
-        raise ValueError("R must be positive")
-    n_grid = tuple(sorted(int(N) for N in n_grid))
-    idx = np.asarray(indices, dtype=int)
+def _grid(n_grid) -> tuple:
+    grid = tuple(sorted({int(N) for N in n_grid}))
+    if not grid or grid[0] < 1:
+        raise ValueError("the N grid must be non-empty and positive")
+    return grid
+
+
+def _probe_indices(indices, n_grid) -> np.ndarray:
+    idx = np.asarray(indices, dtype=np.int64)
     if np.any(np.diff(idx) <= 0):
         raise ValueError("indices must be strictly increasing")
     if len(idx) < n_grid[-1]:
         raise ValueError("index sequence shorter than the largest grid point")
-    sel = idx[: n_grid[-1]]
+    return idx
 
-    exceed = {N: 0 for N in n_grid}
-    sq_sum = {N: [] for N in n_grid} if compute_l2 else None
-    needs_factor = D.kind == "conditional"
-    for r in range(R):
-        path = model.sample_at(sel, seed, replication=r)
-        vals = path.values
-        cs = np.cumsum(vals)
-        for N in n_grid:
-            if needs_factor:
-                if path.factor_value is None:
-                    raise ValueError(
-                        "conditional corrector needs a model exposing the factor")
-                d = D.value(N, factor=path.factor_value)
-            else:
-                d = D.value(N)
-            if abs(cs[N - 1] / N - d) > epsilon:
-                exceed[N] += 1
-            if compute_l2:
-                head = vals[:N]
-                t = float(np.sum(truncate_array(head, float(N)))) - N * d
-                sq_sum[N].append((t / N) ** 2)
 
-    p_hat = {N: exceed[N] / R for N in n_grid}
-    ci = {N: wilson_interval(exceed[N], R) for N in n_grid}
-    verdict = _verdict(n_grid, p_hat, ci, pass_threshold, increase_margin)
-    report = ConvergenceReport(n_grid, float(epsilon), R, p_hat, ci, verdict,
-                               int(seed))
-    if compute_l2:
-        report.l2_hat = {N: float(np.mean(sq_sum[N])) for N in n_grid}
-        report.l2_se = {N: float(np.std(sq_sum[N], ddof=1)) / math.sqrt(R)
-                        for N in n_grid}
-        p_se = {N: math.sqrt(max(p_hat[N] * (1 - p_hat[N]), 1.0 / R) / R)
-                for N in n_grid}
-        report.markov_ok = all(
-            p_hat[N] <= report.l2_hat[N] / epsilon ** 2
-            + 3.0 * (p_se[N] + report.l2_se[N] / epsilon ** 2)
-            for N in n_grid)
-    return report
+def _band_sums(vals: np.ndarray, grid, inside: bool) -> np.ndarray:
+    """(B, G) sums of f over the first N columns where |f| <= N (inside)
+    or |f| > N (outside), N in ``grid``."""
+    sums = []
+    for N in grid:
+        keep = np.abs(vals[:, :N]) <= N
+        sums.append(np.sum(vals[:, :N], axis=1, where=keep if inside else ~keep))
+    return np.column_stack(sums)
+
+
+class _Exceedance:
+    """Counts of |(1/N) S_N - D_N| > eps per grid point, and optionally the
+    L2-criterion terms, accumulated one block of replications at a time;
+    ``vals`` has exactly ``n_grid[-1]`` columns."""
+
+    def __init__(self, D: CorrectorSeries, epsilon: float, n_grid,
+                 compute_l2: bool = False):
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        self.D, self.epsilon, self.n_grid = D, epsilon, n_grid
+        self.levels = np.array(n_grid, dtype=float)
+        self.exceed = np.zeros(len(n_grid), dtype=np.int64)
+        self.sq = [] if compute_l2 else None
+
+    def add(self, vals: np.ndarray, factors) -> None:
+        d = self.D.realized(self.n_grid, factors)
+        # S_N: sums over the segments between grid points, then running sums
+        sums = np.cumsum(np.add.reduceat(vals, (0,) + self.n_grid[:-1], axis=1),
+                         axis=1)
+        self.exceed += np.count_nonzero(
+            np.abs(sums / self.levels - d) > self.epsilon, axis=0)
+        if self.sq is not None:
+            t = _band_sums(vals, self.n_grid, inside=True) - self.levels * d
+            self.sq.append((t / self.levels) ** 2)
+
+    def report(self, R: int, seed: int, pass_threshold: float,
+               increase_margin: float = 0.0) -> ConvergenceReport:
+        grid, eps = self.n_grid, self.epsilon
+        p_hat = {N: int(c) / R for N, c in zip(grid, self.exceed)}
+        ci = {N: wilson_interval(int(c), R) for N, c in zip(grid, self.exceed)}
+        report = ConvergenceReport(
+            grid, float(eps), R, p_hat, ci,
+            _verdict(grid, p_hat, ci, pass_threshold, increase_margin), int(seed))
+        if self.sq is not None:
+            sq = np.concatenate(self.sq)
+            report.l2_hat = dict(zip(grid, np.mean(sq, axis=0).tolist()))
+            report.l2_se = dict(zip(grid, (np.std(sq, axis=0, ddof=1)
+                                           / math.sqrt(R)).tolist()))
+            report.markov_ok = all(
+                p_hat[N] <= report.l2_hat[N] / eps ** 2
+                + 3.0 * (_se(p_hat[N], R) + report.l2_se[N] / eps ** 2)
+                for N in grid)
+        return report
+
+
+def _se(p: float, R: int) -> float:
+    return math.sqrt(max(p * (1 - p), 1.0 / R) / R)
+
+
+def wlln_probe(model: SequenceModel, indices, D: CorrectorSeries,
+               epsilon: float, n_grid, R: int, seed: int,
+               pass_threshold: float = 0.05, increase_margin: float = 0.0,
+               compute_l2: bool = False) -> ConvergenceReport:
+    n_grid = _grid(n_grid)
+    sel = _probe_indices(indices, n_grid)[: n_grid[-1]]
+    acc = _Exceedance(D, float(epsilon), n_grid, compute_l2)
+    for vals, factors in model.sample_blocks(sel, seed, R):
+        acc.add(vals, factors)
+    return acc.report(R, seed, pass_threshold, increase_margin)
 
 
 def l2_probe(model: SequenceModel, indices, D: CorrectorSeries, n_grid,
@@ -171,31 +206,25 @@ class GapReport:
 def truncation_gap_probe(model: SequenceModel, indices, n_grid, R: int,
                          seed: int, epsilon: float = 0.25) -> GapReport:
     """Estimates P(|(1/N) sum_{n<=N} f_{k_n} 1{|f_{k_n}| > N}| > eps) and
-    compares with the exact union bound N * max_{n<=N} P(|f_{k_n}| > N)."""
+    compares with the exact union bound N * max_{n<=N} P(|f_{k_n}| > N),
+    read at the model's dominating index when it has one."""
     if R < 100:
         raise ValueError("R must be at least 100")
-    n_grid = tuple(sorted(int(N) for N in n_grid))
-    idx = np.asarray(indices, dtype=int)
-    if len(idx) < n_grid[-1]:
-        raise ValueError("index sequence shorter than the largest grid point")
-    sel = idx[: n_grid[-1]]
-
-    exceed = {N: 0 for N in n_grid}
-    for r in range(R):
-        path = model.sample_at(sel, seed, replication=r)
-        vals = path.values
-        for N in n_grid:
-            head = vals[:N]
-            gap = np.sum(head[np.abs(head) > N]) / N
-            if abs(gap) > epsilon:
-                exceed[N] += 1
-    p_hat = {N: exceed[N] / R for N in n_grid}
+    n_grid = _grid(n_grid)
+    idx = _probe_indices(indices, n_grid)
+    levels = np.array(n_grid, dtype=float)
+    exceed = np.zeros(len(n_grid), dtype=np.int64)
+    for vals, _ in model.sample_blocks(idx[: n_grid[-1]], seed, R):
+        gap = _band_sums(vals, n_grid, inside=False) / levels
+        exceed += np.count_nonzero(np.abs(gap) > epsilon, axis=0)
+    p_hat = {N: int(c) / R for N, c in zip(n_grid, exceed)}
     bound = {}
     for N in n_grid:
+        top = model.pointwise_sup_index(idx[:N])
+        ks = idx[:N] if top is None else [top]
         bound[N] = N * max(model.marginal_dist(int(k)).survival(float(N))
-                           for k in idx[:N])
-    se = {N: math.sqrt(max(p_hat[N] * (1 - p_hat[N]), 1.0 / R) / R)
-          for N in n_grid}
+                           for k in ks)
+    se = {N: _se(p_hat[N], R) for N in n_grid}
     dominated = all(p_hat[N] <= bound[N] + 3.0 * se[N] for N in n_grid)
     return GapReport(n_grid, float(epsilon), R, p_hat, bound, se,
                      dominated, int(seed))
@@ -208,20 +237,26 @@ def truncation_gap_probe(model: SequenceModel, indices, n_grid, R: int,
 PATTERNS = ("every-2nd", "every-3rd", "random-thinning", "prefix-shift")
 
 
+def _thinning(n: int, pattern: str, seed: int):
+    """The positions, out of n, that ``pattern`` keeps: a slice or a mask."""
+    if pattern == "every-2nd":
+        return slice(None, None, 2)
+    if pattern == "every-3rd":
+        return slice(None, None, 3)
+    if pattern == "random-thinning":
+        # a stream off the replication range
+        r = 2**32 + 17
+        keep = Positions(np.arange(n)).uniforms(seed, r, r + 1)[0] < 0.5
+        keep[0] = True
+        return keep
+    if pattern == "prefix-shift":
+        return slice(1, None)
+    raise ValueError(f"unknown pattern {pattern!r}")
+
+
 def thin_indices(indices, pattern: str, seed: int = 0) -> np.ndarray:
     idx = np.asarray(indices, dtype=int)
-    if pattern == "every-2nd":
-        return idx[::2]
-    if pattern == "every-3rd":
-        return idx[::3]
-    if pattern == "random-thinning":
-        rng = path_rng(seed, replication=2**32 + 17)  # off the replication range
-        keep = rng.random(len(idx)) < 0.5
-        keep[0] = True
-        return idx[keep]
-    if pattern == "prefix-shift":
-        return idx[1:]
-    raise ValueError(f"unknown pattern {pattern!r}")
+    return idx[_thinning(len(idx), pattern, seed)]
 
 
 @dataclass
@@ -240,21 +275,35 @@ def hereditary_suite(model: SequenceModel, indices, D: CorrectorSeries,
                      patterns=PATTERNS,
                      pass_threshold: float = 0.05) -> HereditaryReport:
     """Runs the WLLN probe on derived subsequences with the SAME corrector
-    series, indexed by the new position count."""
-    n_grid = tuple(sorted(int(N) for N in n_grid))
-    reports = {}
+    series, indexed by the new position count.  Every pattern reads its
+    columns from one base block per chunk of replications, so each report
+    equals ``wlln_probe`` on ``thin_indices(indices, pattern, seed)``."""
+    n_grid = _grid(n_grid)
+    idx = np.asarray(indices, dtype=np.int64)
+    probes = {}
     notes = []
     for pattern in patterns:
-        sub = thin_indices(indices, pattern, seed)
-        grid = tuple(N for N in n_grid if N <= len(sub))
+        keep = _thinning(len(idx), pattern, seed)
+        cols = np.arange(len(idx))[keep]
+        grid = tuple(N for N in n_grid if N <= len(cols))
         if grid != n_grid:
             notes.append(f"{pattern}: grid truncated to {grid} "
-                         f"(subsequence length {len(sub)})")
+                         f"(subsequence length {len(cols)})")
         if not grid:
             notes.append(f"{pattern}: subsequence too short for any grid point")
             continue
-        reports[pattern] = wlln_probe(model, sub, D, epsilon, grid, R, seed,
-                                      pass_threshold=pass_threshold)
+        last = int(cols[grid[-1] - 1])
+        # a slice reads a view of the base block; a mask gathers columns
+        keep = slice(keep.start, last + 1, keep.step) \
+            if isinstance(keep, slice) else cols[: grid[-1]]
+        probes[pattern] = (last, keep, _Exceedance(D, float(epsilon), grid))
+    if probes:
+        width = max(last for last, _, _ in probes.values()) + 1
+        for vals, factors in model.sample_blocks(idx[:width], seed, R):
+            for _, keep, acc in probes.values():
+                acc.add(vals[:, keep], factors)
+    reports = {p: acc.report(R, seed, pass_threshold)
+               for p, (_, _, acc) in probes.items()}
     all_ok = bool(reports) and all(r.verdict == "consistent-with-wlln"
                                    for r in reports.values())
     return HereditaryReport(reports, all_ok, notes)

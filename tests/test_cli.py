@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifact layout, and manifest replay."""
 
 import csv
+import hashlib
 import json
 import os
 import time
@@ -131,8 +132,9 @@ def test_extract_success_and_failure(tmp_path):
     {"mode": "sample", "sample_R": 50},
     {"target_length": 0},
     {"search_cap": 10**10},
+    {"search_cap": 0},
 ], ids=["unknown-mode", "sample-R-below-100", "zero-target-length",
-        "search-cap-above-index-cap"])
+        "search-cap-above-index-cap", "empty-search-window"])
 def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
     cfg = write_cfg(tmp_path, "bad.json",
                     {"model": TAIL_MODEL, "target_length": 8,
@@ -141,6 +143,39 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, payload", [
+    ("extract", {"model": TAIL_MODEL, "target_length": "x", "n_grid": [4]}),
+    ("extract", {"model": {**EXAMPLE41_MODEL, "params": {
+        "rho": {"family": "constant", "value": 0.5}, "symmetric": False}},
+        "corrector": "weak_l2", "n_grid": [8]}),
+    ("verify", {"model": {**IID_MODEL, "index_cap": 100}, "n_grid": [256],
+                "reps": 10}),
+], ids=["non-numeric-value", "unsupported-oracle", "index-cap-below-grid"])
+def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
+    cfg = write_cfg(tmp_path, "c.json", payload)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_exhausted_window_failure_is_strict_json(tmp_path):
+    # the window ends before step 5 has a candidate: no finite violation
+    zero = {"kind": "iid",
+            "params": {"dist": {"family": "finite", "atoms": [[0.0, 1.0]]}}}
+    cfg = write_cfg(tmp_path, "c.json", {"model": zero, "target_length": 8,
+                                         "n_grid": [2, 4, 8], "search_cap": 4})
+    out = tmp_path / "o"
+    assert main(["extract", "--config", cfg, "--out", str(out)]) == 3
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    text = (out / "extract_failure.json").read_text()
+    failure = json.loads(text, parse_constant=reject)
+    assert failure["best_candidate"] is None and failure["best_violation"] is None
 
 
 @pytest.mark.parametrize("command", ["verify", "hereditary"])
@@ -210,3 +245,88 @@ def test_demo_input_validation(tmp_path):
     assert main(["demo", "nope", "--out", str(tmp_path / "y")]) == 64
     assert main(["demo", "counterexample", "--out", str(tmp_path / "x"),
                  "--reps", "0"]) == 64
+
+
+# SHA-256 of every file the seed-7 demos write at the default replication
+# count.  tails.csv, verdicts.json, corrector.json, plan.json and
+# plan_check.json come from exact oracles only; the Monte Carlo reports and
+# summary.txt follow the random streams.
+SEED7_DIGESTS = {
+    "counterexample": {
+        "corrector.json":
+            "c57a5d9fe061dd83df1cd7c9fb49d22b09cd7e231d7778f9363a56771ac1484c",
+        "gap_report.json":
+            "db6a274fa3fa34538042c4164c2923a9b08ae49d4977b3dbfe0cf94e2fa23adb",
+        "hereditary.json":
+            "bc1a22645989563147d5b7259da83bdef3007473377ad3d2cbf48309704b8454",
+        "manifest.json":
+            "5f841189ecab1fa02c759a38bcc2b4a50d226e4b2f67533ce2c9a711d65a7321",
+        "plan.json":
+            "f683be8730c673d3134c09de761e4bb18eadecc69510fdbfb650c10107fb76fd",
+        "plan_check.json":
+            "803d652e99d5a5dd9c558cbaf4a2b502be6440b110f2887543d8dd40296cdd9f",
+        "report.json":
+            "61adbb2ed0774ee9da5d34ff34e1fca7e74279c22236d394fff60c5a9ea606af",
+        "summary.txt":
+            "e4f93d4e35183858c4b13ed92224e0781fe6c01f75cc5b115169f501f98e7f32",
+        "tails.csv":
+            "6205a96398b2b26efcd7b53d8d26e2f852b967ee7c952e3a4ee40614440c98da",
+        "verdicts.json":
+            "a4e49c1e7a19c0cd98cfd0761c6ae680cd8c272cc4f6df9b8f807ef719b7db62",
+    },
+    "example41": {
+        "corrector.json":
+            "251cd5d92aa378f2aae6f17840192fa225c9e066aa9ddf843745b648c22d34fb",
+        "gap_report.json":
+            "143a1db92406de92e953c13cb7539af1f3328db5b1a41ac6b33751bb384afd63",
+        "hereditary.json":
+            "3b81ba4f34d6e27ec4f5788abf88890064dd72e66ebb398c236f5b0696b84a8b",
+        "manifest.json":
+            "d8904aa91571b2293f24d44fcb05c35567ddbb9e50698668336604410fe4d0bd",
+        "plan.json":
+            "e13aa7320889d3d6107534b347fe67e03ced5967f7355483693ae2e28d0c5d69",
+        "plan_check.json":
+            "803d652e99d5a5dd9c558cbaf4a2b502be6440b110f2887543d8dd40296cdd9f",
+        "report.json":
+            "7cdb8bef62e26966bf8a50df427a9c93dd1ed2b838865fce87f96753850734b6",
+        "summary.txt":
+            "321a36fd1a07037c09a006c3a007d4ff746ab202df3ba5000e550efbc4d7d369",
+        "tails.csv":
+            "bacbfeb231a2a7a96758e230cd68b7677056fc50f9d7b5137c243881585f92f2",
+        "verdicts.json":
+            "94ac08eb50fc5d3f3124dfdb56aec8380d7b11b9bfd9a599e382c37dc5c055ec",
+    },
+    "latent-shift": {
+        "corrector.json":
+            "2d7245d14402a47568953a45c5dc81eec6e3ea080a19edcfbe35b9985611abd9",
+        "gap_report.json":
+            "172a40c77e0807e4ac059ca4938982a9ed6abe5cd8dbf414112567bc78f29300",
+        "hereditary.json":
+            "f130c6c33b080fb6b57cd89d5ac078658ea5c5dcd74ec22963cf49cbd3fdb4f0",
+        "manifest.json":
+            "8c6188b28373e2eecc1ad7347485b9f5a6e3d388182e38ee13b5a0376dcd6564",
+        "plan.json":
+            "6ba66cf23613d2b297805e8b8ed0985b94e2e1c237b0d511189607982b9397f6",
+        "plan_check.json":
+            "803d652e99d5a5dd9c558cbaf4a2b502be6440b110f2887543d8dd40296cdd9f",
+        "report.json":
+            "09bb93ac3a77cd46992ad7118b0c377e6f789b56d14729a63ea0baa2cc154ba0",
+        "report_zero_corrector.json":
+            "c1726da364b75ef7272104e72b2038605acbb2ca28ac809c9c4bb63a54efd005",
+        "summary.txt":
+            "b7914b4bb53807d3fe920d0778c2b0688ac1cd80a72b5a2407f46e07f1ee9217",
+        "tails.csv":
+            "5c6a27fc270370cf25e2558aa6a1bc70f52cdbd3ce4db5b8b8e9708bcf512233",
+        "verdicts.json":
+            "f816fdf609a5f55601d61a5fab8386e7aeeb1ac9b19a0c5f3138a54a764c0a6b",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEED7_DIGESTS))
+def test_seed7_demo_artifacts_pinned(tmp_path, name):
+    out = tmp_path / name
+    assert main(["demo", name, "--seed", "7", "--out", str(out)]) == 0
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+           for f in sorted(os.listdir(out))}
+    assert got == SEED7_DIGESTS[name]

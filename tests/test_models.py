@@ -239,3 +239,82 @@ def test_independent_array_marginals():
     path = m.sample_path(8, seed=0)
     assert np.all(path.values[0::2] == 0.0)
     assert set(np.abs(path.values[1::2])) == {2.0}
+
+
+# -------------------------------------------------------------------------
+# index-addressable sampling: f_k on replication r depends on (seed, r, k)
+# only, so any thinning of an index set reads the same values
+# -------------------------------------------------------------------------
+
+def stream_models():
+    models = make_models()
+    models["independent_array"] = IndependentArrayModel(
+        [TWO_POINT, Pareto1(), FiniteDiscrete([(0.0, 0.5), (7.0, 0.5)])] * 40)
+    models["example41-comonotone"] = Example41Model(
+        lambda n: 0.3 + 0.001 * n, joint_law="comonotone")
+    return models
+
+
+SELECTIONS = {"every-2nd": slice(None, None, 2), "every-3rd": slice(None, None, 3),
+              "prefix-shift": slice(1, None),
+              "scattered": np.array([0, 1, 5, 6, 7, 40, 99, 119])}
+
+
+@pytest.mark.parametrize("name", sorted(stream_models()))
+def test_thinned_equals_sliced(name):
+    model = stream_models()[name]
+    idx = np.arange(1, 121)
+    for r in (0, 3):
+        full = model.sample_at(idx, seed=21, replication=r)
+        for sel in SELECTIONS.values():
+            thin = model.sample_at(idx[sel], seed=21, replication=r)
+            assert np.array_equal(thin.values, full.values[sel])
+            assert thin.factor_value == full.factor_value
+    values, factors = model.sample_block(idx, 21, 2, 6)
+    for i, r in enumerate(range(2, 6)):
+        path = model.sample_at(idx, seed=21, replication=r)
+        assert np.array_equal(values[i], path.values)
+        assert (factors is None) == (path.factor_value is None)
+        if factors is not None:
+            assert factors[i] == path.factor_value
+
+
+def test_sample_blocks_chunk_the_replications(monkeypatch):
+    import wllnlab.models as models_mod
+
+    model = make_models()["latent_shift"]
+    idx = np.arange(1, 101)
+    whole, whole_f = model.sample_block(idx, 4, 0, 37)
+    monkeypatch.setattr(models_mod, "_BLOCK_VALUES", 300)
+    blocks = list(model.sample_blocks(idx, 4, 37))
+    assert [len(v) for v, _ in blocks] == [3] * 12 + [1]
+    assert np.array_equal(np.concatenate([v for v, _ in blocks]), whole)
+    assert np.array_equal(np.concatenate([f for _, f in blocks]), whole_f)
+
+
+def test_sparse_indices_cost_follows_their_count():
+    # positions 10^15 apart: one re-position each, not a walk over the span
+    import time
+
+    m = model_from_spec({"kind": "example41",
+                         "params": {"rho": {"family": "constant", "value": 0.0}},
+                         "index_cap": 10**15})
+    sparse = [1, 10**12, 10**15 - 1]
+    m.sample_at(sparse, seed=3)
+    t0 = time.perf_counter()
+    path = m.sample_at(sparse, seed=3, replication=1)
+    assert time.perf_counter() - t0 < 0.25
+    near = m.sample_at([10**12 - 1, 10**12, 10**12 + 1], seed=3, replication=1)
+    assert path.values[1] == near.values[1] != 0.0
+
+
+def test_vectorised_rho_matches_scalar_rho():
+    for rho in ({"family": "constant", "value": 0.25},
+                {"family": "one-minus-one-over-log"},
+                {"family": "explicit", "values": [0.1, 0.9, 0.4]}):
+        m = model_from_spec({"kind": "example41", "params": {"rho": rho},
+                             "index_cap": 3})
+        idx = np.array([1, 2, 3])
+        assert m.rho_array(idx) == pytest.approx([m.rho(int(n)) for n in idx],
+                                                 rel=1e-15)
+        assert m.pointwise_sup_index(idx) == min(idx, key=m.rho)

@@ -212,3 +212,89 @@ class TestHereditary:
         suite = hereditary_suite(LATENT, range(1, 2049), D, 0.5, (64, 512),
                                  200, seed=1)
         assert suite.all_consistent
+
+
+# -------------------------------------------------------------------------
+# one block loop: thinning reads columns of the sampled block, chunking and
+# the dominating-index shortcut change nothing
+# -------------------------------------------------------------------------
+
+def demo_model(name):
+    from wllnlab.cli import _DEMO_MODELS
+    from wllnlab.models import model_from_spec
+
+    return model_from_spec(_DEMO_MODELS[name])
+
+
+DEMO_STARTS = {"counterexample": 1, "example41": 10**12, "latent-shift": 1}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_STARTS))
+def test_hereditary_patterns_are_subsequences_of_one_block(name):
+    model = demo_model(name)
+    idx = np.arange(DEMO_STARTS[name], DEMO_STARTS[name] + 1536)
+    grid = (64, 512)
+    D = corrector_weak_l2(model, grid)
+    suite = hereditary_suite(model, idx, D, 0.5, grid, 100, seed=3)
+    assert set(suite.reports) == set(PATTERNS)
+    for pattern in PATTERNS:
+        direct = wlln_probe(model, thin_indices(idx, pattern, seed=3), D, 0.5,
+                            grid, 100, seed=3)
+        assert suite.reports[pattern].to_json() == direct.to_json(), pattern
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_STARTS))
+def test_chunk_budget_does_not_change_reports(monkeypatch, name):
+    import wllnlab.models as models_mod
+
+    model = demo_model(name)
+    idx = np.arange(DEMO_STARTS[name], DEMO_STARTS[name] + 1024)
+    grid = (16, 128, 1024)
+    D = corrector_weak_l2(model, grid)
+
+    def reports():
+        return (wlln_probe(model, idx, D, 0.25, grid, 150, 8,
+                           compute_l2=True).to_json(),
+                truncation_gap_probe(model, idx, grid, 150, 8).to_json(),
+                hereditary_suite(model, idx, D, 0.25, (16, 128), 150,
+                                 8).to_json())
+
+    default = reports()
+    monkeypatch.setattr(models_mod, "_BLOCK_VALUES", 3000)
+    assert reports() == default
+
+
+def test_probe_memory_is_fixed_in_R_and_N():
+    import tracemalloc
+
+    model = demo_model("latent-shift")
+    grid = (64, 256, 1024, 4096, 16384, 65536)
+    D = corrector_weak_l2(model, grid)
+    tracemalloc.start()
+    try:
+        report = wlln_probe(model, range(1, 65537), D, 0.5, grid, 500, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict == "consistent-with-wlln"
+    # one (500, 65536) block of doubles would take 250 MiB
+    assert peak < 16 * 2**20, peak
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_STARTS))
+def test_union_bound_equals_the_oracle_loop(name):
+    model = demo_model(name)
+    idx = np.arange(DEMO_STARTS[name], DEMO_STARTS[name] + 4096)
+    grid = (64, 256, 1024, 4096)
+    gap = truncation_gap_probe(model, idx, grid, 100, seed=0)
+    for N in grid:
+        loop = N * max(model.marginal_dist(int(k)).survival(float(N))
+                       for k in idx[:N])
+        assert gap.union_bound[N] == loop
+
+
+def test_union_bound_falls_back_without_a_dominating_index():
+    m = alternating_block_model()
+    gap = truncation_gap_probe(m, range(1, 65), (8, 32), 100, seed=0)
+    assert m.pointwise_sup_index(range(1, 9)) is None
+    assert gap.union_bound == {8: 0.0, 32: 0.0}
