@@ -154,7 +154,7 @@ def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
                 raise TypeError
             if val is not None:
                 cfg[key] = [kind(v) for v in val] if many else kind(val)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise UsageError(f"config key {key!r} must hold {kind.__name__} "
                              f"values, not {val!r}")
     cfg["schema_version"] = SCHEMA_VERSION

@@ -137,15 +137,14 @@ class FiniteDiscrete(Distribution):
         return self._abs_vals[self._abs_vals < M]
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        if len(self._cum) > 8:
-            idx = np.searchsorted(self._cum, u, side="right")
-            return self._values[np.minimum(idx, len(self._values) - 1)]
-        # that search counts the cumulative masses <= u; with few atoms one
-        # comparison pass per atom counts them several times faster
-        idx = np.zeros(np.shape(u), dtype=np.uint8)
+        # the atom index is the count of cumulative masses below the last
+        # that are <= u; one comparison pass per atom counts it about six
+        # times faster than a binary search per value on the few-atom
+        # tables the models use, at a cost that grows with the atom count
+        idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(len(self._cum)))
         for c in self._cum[:-1]:
-            idx += (u >= c).view(np.uint8)
-        return self._values[idx.astype(np.intp)]
+            idx += u >= c
+        return self._values[idx]
 
     def tau_envelope(self):
         b = self.max_abs_value

@@ -184,6 +184,12 @@ def exact_centered_inner_product(model: SequenceModel, j: int, k: int,
 # sampled centered inner products (common random numbers)
 # -------------------------------------------------------------------------
 
+# the bank reads replications 2^63, 2^63 + 1, ... of the seed's streams,
+# which no Monte Carlo probe reads: checking a sample-mode plan with
+# ``wlln_probe`` uses paths the selection was not tuned on
+_BANK_REPLICATIONS = 2**63
+
+
 class _SampleBank:
     """R seeded paths up to a fixed horizon, shared by every estimate.
 
@@ -201,7 +207,7 @@ class _SampleBank:
         self.values = np.empty((horizon, self.R))
         factors, r0 = [], 0
         for vals, f in model.sample_blocks(np.arange(1, horizon + 1), seed,
-                                           self.R):
+                                           self.R, first=_BANK_REPLICATIONS):
             self.values[:, r0:r0 + len(vals)] = vals.T
             factors.append(f)
             r0 += len(vals)
@@ -250,9 +256,6 @@ class ExtractionPlan:
     detail_steps: int
     corrector_ref: str
     sample_R: int = 0
-
-    def eps_for_step(self, n: int) -> float:
-        return self.thresholds[n]
 
     def to_json(self) -> dict:
         entries = []

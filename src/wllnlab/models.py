@@ -82,10 +82,10 @@ class SequenceModel:
         """
         return next(self._blocks(indices, seed, r0, r1, r1 - r0))
 
-    def sample_blocks(self, indices, seed: int, R: int):
-        """``sample_block`` over replications 0, ..., R - 1 in chunks of at
-        most ``_BLOCK_VALUES`` values, in replication order."""
-        return self._blocks(indices, seed, 0, R, None)
+    def sample_blocks(self, indices, seed: int, R: int, first: int = 0):
+        """``sample_block`` over replications first, ..., first + R - 1 in
+        chunks of at most ``_BLOCK_VALUES`` values, in replication order."""
+        return self._blocks(indices, seed, first, first + R, None)
 
     def _blocks(self, indices, seed, r0, r1, step):
         if not 0 <= r0 < r1:
@@ -275,12 +275,9 @@ class TailVanishingModel(SequenceModel):
         self._check_index(n)
         return _TailRestricted(self.g_dist, n)
 
-    def _per_index(self, idx):
-        return idx.astype(float)
-
-    def _realize(self, levels, u, u0):
+    def _realize(self, idx, u, u0):
         g = self.g_dist.quantile_array(u0)
-        return np.where(np.abs(g)[:, None] > levels, g[:, None], 0.0), g
+        return np.where(np.abs(g)[:, None] > idx, g[:, None], 0.0), g
 
     def pointwise_sup_index(self, n_range):
         return int(min(n_range))

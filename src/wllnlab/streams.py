@@ -17,22 +17,10 @@ the number of positions, not their span.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 # a re-position costs about as much as drawing this many values
 _MERGE_GAP = 256
-
-# one generator per thread, because building one costs more than a short
-# draw; every draw first sets its whole state, so no caller sees another's
-_threads = threading.local()
-
-
-def _generator() -> np.random.Generator:
-    if not hasattr(_threads, "generator"):
-        _threads.generator = np.random.Generator(np.random.Philox(0))
-    return _threads.generator
 
 
 class Positions:
@@ -48,12 +36,16 @@ class Positions:
                              "increasing and >= 0")
         self.size = len(pos)
         cuts = ((gaps > _MERGE_GAP).nonzero()[0] + 1).tolist()
-        # (first column, end column, first position, offsets or None)
+        # (first column, end column, Philox block of the first position,
+        # values to draw from the start of that block, which of them to
+        # keep); a contiguous run keeps a slice, which copies at a small
+        # fraction of the cost of drawing, where a gather costs as much
         self._runs = []
         for a, b in zip([0] + cuts, cuts + [len(pos)]):
-            start = int(pos[a])
-            dense = int(pos[b - 1]) - start == b - a - 1
-            self._runs.append((a, b, start, None if dense else pos[a:b] - start))
+            rel = pos[a:b] - pos[a] // 4 * 4
+            span = int(rel[-1]) + 1
+            keep = slice(int(rel[0]), span) if span - rel[0] == b - a else rel
+            self._runs.append((a, b, int(pos[a]) // 4, span, keep))
 
     def uniforms(self, seed: int, r0: int, r1: int) -> np.ndarray:
         """(r1 - r0, size) doubles: row i holds the stream of replication
@@ -69,21 +61,14 @@ class Positions:
                  "state": {"counter": counter, "key": key},
                  "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
                  "has_uint32": 0, "uinteger": 0}
-        gen = _generator()
+        gen = np.random.Generator(np.random.Philox(0))
         bitgen = gen.bit_generator
         for row, r in enumerate(range(r0, r1)):
             key[1] = r
-            for a, b, start, offsets in self._runs:
+            for a, b, block, span, keep in self._runs:
                 # an empty buffer makes the next draw encrypt counter + 1,
                 # the block holding positions 4 * counter .. 4 * counter + 3
-                counter[0] = start // 4
+                counter[0] = block
                 bitgen.state = state
-                skip = start % 4
-                if offsets is None:
-                    if skip:
-                        gen.random(skip)
-                    gen.random(out=out[row, a:b])
-                else:
-                    span = gen.random(skip + int(offsets[-1]) + 1)
-                    out[row, a:b] = span[skip + offsets]
+                out[row, a:b] = gen.random(span)[keep]
         return out

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correctors import CorrectorSeries
+from .extract import truncate_array
 from .models import SequenceModel
 from .streams import Positions
 
@@ -105,14 +106,16 @@ def _probe_indices(indices, n_grid) -> np.ndarray:
     return idx
 
 
-def _band_sums(vals: np.ndarray, grid, inside: bool) -> np.ndarray:
-    """(B, G) sums of f over the first N columns where |f| <= N (inside)
-    or |f| > N (outside), N in ``grid``."""
-    sums = []
-    for N in grid:
-        keep = np.abs(vals[:, :N]) <= N
-        sums.append(np.sum(vals[:, :N], axis=1, where=keep if inside else ~keep))
-    return np.column_stack(sums)
+def _partial_sums(vals: np.ndarray, grid) -> np.ndarray:
+    """(B, G) sums S_N of the first N columns, N in ``grid``: sums over the
+    segments between grid points, then running sums."""
+    return np.cumsum(np.add.reduceat(vals, (0,) + grid[:-1], axis=1), axis=1)
+
+
+def _truncated_sums(vals: np.ndarray, grid) -> np.ndarray:
+    """(B, G) sums of f 1{|f| <= N} over the first N columns, N in ``grid``."""
+    return np.column_stack([truncate_array(vals[:, :N], N).sum(axis=1)
+                            for N in grid])
 
 
 class _Exceedance:
@@ -131,13 +134,11 @@ class _Exceedance:
 
     def add(self, vals: np.ndarray, factors) -> None:
         d = self.D.realized(self.n_grid, factors)
-        # S_N: sums over the segments between grid points, then running sums
-        sums = np.cumsum(np.add.reduceat(vals, (0,) + self.n_grid[:-1], axis=1),
-                         axis=1)
+        sums = _partial_sums(vals, self.n_grid)
         self.exceed += np.count_nonzero(
             np.abs(sums / self.levels - d) > self.epsilon, axis=0)
         if self.sq is not None:
-            t = _band_sums(vals, self.n_grid, inside=True) - self.levels * d
+            t = _truncated_sums(vals, self.n_grid) - self.levels * d
             self.sq.append((t / self.levels) ** 2)
 
     def report(self, R: int, seed: int, pass_threshold: float,
@@ -215,8 +216,8 @@ def truncation_gap_probe(model: SequenceModel, indices, n_grid, R: int,
     levels = np.array(n_grid, dtype=float)
     exceed = np.zeros(len(n_grid), dtype=np.int64)
     for vals, _ in model.sample_blocks(idx[: n_grid[-1]], seed, R):
-        gap = _band_sums(vals, n_grid, inside=False) / levels
-        exceed += np.count_nonzero(np.abs(gap) > epsilon, axis=0)
+        outside = _partial_sums(vals, n_grid) - _truncated_sums(vals, n_grid)
+        exceed += np.count_nonzero(np.abs(outside / levels) > epsilon, axis=0)
     p_hat = {N: int(c) / R for N, c in zip(n_grid, exceed)}
     bound = {}
     for N in n_grid:

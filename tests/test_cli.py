@@ -147,12 +147,16 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("command, payload", [
     ("extract", {"model": TAIL_MODEL, "target_length": "x", "n_grid": [4]}),
+    # json reads 1e999 as inf, which int() cannot convert
+    ("extract", {"model": TAIL_MODEL, "target_length": float("inf"),
+                 "n_grid": [4]}),
     ("extract", {"model": {**EXAMPLE41_MODEL, "params": {
         "rho": {"family": "constant", "value": 0.5}, "symmetric": False}},
         "corrector": "weak_l2", "n_grid": [8]}),
     ("verify", {"model": {**IID_MODEL, "index_cap": 100}, "n_grid": [256],
                 "reps": 10}),
-], ids=["non-numeric-value", "unsupported-oracle", "index-cap-below-grid"])
+], ids=["non-numeric-value", "infinite-value", "unsupported-oracle",
+        "index-cap-below-grid"])
 def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64

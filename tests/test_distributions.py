@@ -95,6 +95,16 @@ class TestFiniteDiscrete:
             lo, hi = wilson_interval(int(np.sum(samples == v)), len(samples))
             assert lo <= p <= hi
 
+    def test_quantile_counts_cumulative_masses(self):
+        # atom i for cum[i - 1] <= u < cum[i], at the cut points too, and
+        # for tables too long for a one-byte atom index
+        for n in (1, 2, 3, 300):
+            d = FiniteDiscrete([(float(v), 1.0 / n) for v in range(n)])
+            u = np.concatenate([np.random.default_rng(n).random(2000),
+                                d._cum, [0.0]])
+            ref = np.minimum(np.searchsorted(d._cum, u, side="right"), n - 1)
+            assert np.array_equal(d.quantile_array(u), d._values[ref])
+
 
 class TestPareto1:
     def test_survival(self):

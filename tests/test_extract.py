@@ -20,11 +20,13 @@ from wllnlab.distributions import (
 )
 from wllnlab.cli import _DEMO_MODELS
 from wllnlab.extract import (
+    _BANK_REPLICATIONS,
     ExtractConfigError,
     ExtractionFailure,
     ExtractionPlan,
     TruncationLevel,
     _FastExact,
+    _SampleBank,
     admissible_levels,
     centered_inner_product,
     check_plan_subsequence,
@@ -207,6 +209,23 @@ class TestGreedyExtract:
         rep = verify_plan(plan, m, zero_corrector(grid))
         assert rep["ok"]
 
+    def test_sample_bank_is_off_the_probe_streams(self):
+        # a sample-mode plan is checked out of sample: replication r of a
+        # probe on the same seed does not read the paths the search read
+        m = IIDModel(FiniteDiscrete([(-0.05, 0.5), (0.05, 0.5)]))
+        grid = (2, 4)
+        plan = greedy_extract(m, 4, grid, zero_corrector(grid),
+                              mode="sample", search_cap=32, R=400, seed=3)
+        bank = _SampleBank(m, plan.search_cap, plan.sample_R, plan.seed)
+        rows = bank.values[np.array(plan.indices) - 1].T
+        probe = np.stack([m.sample_at(plan.indices, plan.seed, r).values
+                          for r in range(plan.sample_R)])
+        own = np.stack([m.sample_at(plan.indices, plan.seed,
+                                    _BANK_REPLICATIONS + r).values
+                        for r in range(plan.sample_R)])
+        assert np.array_equal(rows, own)
+        assert (rows != probe).any(axis=1).mean() > 0.8
+
 
 @pytest.fixture(scope="module")
 def tail_plan():
@@ -306,7 +325,8 @@ def _reference_bank(model, horizon, R, seed):
     """(R, horizon) paths and their factor values, drawn as the search
     draws them."""
     idx = np.arange(1, horizon + 1, dtype=np.int64)
-    paths = [model.sample_at(idx, seed, replication=r) for r in range(R)]
+    paths = [model.sample_at(idx, seed, replication=_BANK_REPLICATIONS + r)
+             for r in range(R)]
     return np.stack([p.values for p in paths]), [p.factor_value for p in paths]
 
 

@@ -55,32 +55,3 @@ def test_rejects_bad_positions_and_keys():
     with pytest.raises(ValueError):
         Positions([1]).uniforms(0, -1, 1)
 
-
-def test_threads_read_the_same_streams():
-    # each thread re-positions its own generator; a shared one would mix
-    # the streams of concurrent draws
-    import sys
-    import threading
-
-    pos = Positions(np.arange(3000))
-    expected = {seed: pos.uniforms(seed, 0, 3) for seed in range(6)}
-    mismatches, done = [], []
-
-    def work(seed):
-        for _ in range(30):
-            if not np.array_equal(pos.uniforms(seed, 0, 3), expected[seed]):
-                mismatches.append(seed)
-        done.append(seed)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(s,)) for s in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(done) == list(range(6)) and not mismatches
