@@ -72,6 +72,7 @@ from .verify import (
     ConvergenceReport,
     GapReport,
     HereditaryReport,
+    ProbeInputError,
     hereditary_suite,
     l2_probe,
     thin_indices,

@@ -7,8 +7,8 @@ reproduce byte-identical CSV/JSON artifacts.
 
 Exit codes: 0 success, 2 expected-condition mismatch, 3 extraction failure,
 4 verification violation, 64 usage error (including a config value of the
-wrong type, an oracle the model does not have, and an index past the
-model's index_cap).
+wrong type, a probe input out of range, an oracle the model does not have,
+and an index past the model's index_cap).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .distributions import UnsupportedOracleError
 from .models import CapacityError, SequenceModel, model_from_spec
 from .verify import (
     PATTERNS,
+    ProbeInputError,
     hereditary_suite,
     truncation_gap_probe,
     wlln_probe,
@@ -157,6 +158,8 @@ def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
         except (TypeError, ValueError, OverflowError):
             raise UsageError(f"config key {key!r} must hold {kind.__name__} "
                              f"values, not {val!r}")
+    if "n_grid" in cfg and not (cfg["n_grid"] and min(cfg["n_grid"]) >= 1):
+        raise UsageError("n_grid must be a non-empty list of levels >= 1")
     cfg["schema_version"] = SCHEMA_VERSION
     return cfg
 
@@ -610,7 +613,8 @@ def main(argv=None) -> int:
         cfg = resolve_config(args.command, cfg_file, overrides)
         write_manifest(out, args.command, cfg)
         return _COMMANDS[args.command](cfg, out)
-    except (UsageError, UnsupportedOracleError, CapacityError) as exc:
+    except (UsageError, ProbeInputError, UnsupportedOracleError,
+            CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -62,6 +62,14 @@ class CorrectorSeries:
             raise KeyError(f"factor {factor} not in corrector table")
         return float(table[best])
 
+    def constant(self, N: int) -> float:
+        """D_N of a non-random series; a conditional series has none, and
+        only the latent-shift oracles can take it."""
+        if self.kind == "conditional":
+            raise UnsupportedOracleError(
+                "conditional correctors are only supported on latent-shift models")
+        return float(self.values[N])
+
     def realized(self, levels, factors=None) -> np.ndarray:
         """D_N for N in ``levels`` on every path: shape (len(levels),) for
         the constant kinds, (len(factors), len(levels)) for the conditional

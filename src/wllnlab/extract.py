@@ -18,11 +18,20 @@ comonotone coupling); sample mode uses common-random-number Monte Carlo
 estimates with 99% half-widths and accepts only when |estimate| +
 half-width clears the threshold.
 
-The scan costs time linear in the candidates it examines.  Steps are
-numbered from 1, so the predecessor accepted at step j is indices[j - 1]
-and the exact shortcuts reach their maximising predecessor in O(1).  Sample
-mode estimates all predecessors of a candidate at one level in a single
-vectorised call.  The sample bank holds one row per index, shape
+The scan costs time linear in the candidates it examines; steps are
+numbered from 1, so the predecessor accepted at step j is indices[j - 1].
+Exact mode makes one oracle pass per examined index: ``moment_row`` gives
+its truncated moments at every grid level, a pair's inner product is float
+arithmetic on two rows, and the model's ``argmax_predecessor`` keeps, per
+level, the few accepted steps at which the largest |inner product| with a
+later index can sit.  The comonotone coupling has no row form and is
+scanned pair by pair.  ``verify_plan`` builds the plan's rows once and
+recomputes every recorded entry level by level in numpy, in the scalar
+oracle's order of operations, so the values are bit for bit those of
+``exact_centered_inner_product``.
+
+Sample mode estimates all predecessors of a candidate at one level in a
+single vectorised call.  The sample bank holds one row per index, shape
 (horizon, R), C-contiguous, and is reduced along axis 1: that layout makes
 the batched estimates bit-identical to one-row-at-a-time reductions, so a
 plan does not depend on how estimates are grouped.
@@ -30,21 +39,14 @@ plan does not depend on how estimates are grouped.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correctors import CorrectorSeries
-from .distributions import UnsupportedOracleError, example41_constant_c
-from .models import (
-    Example41Model,
-    IIDModel,
-    IndependentArrayModel,
-    LatentShiftModel,
-    SequenceModel,
-    TailVanishingModel,
-)
+from .models import LatentShiftModel, SequenceModel
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -85,99 +87,17 @@ class ExtractConfigError(ValueError):
     any candidate is examined or any path sampled."""
 
 
-def _is_independent(model: SequenceModel) -> bool:
-    if isinstance(model, (IIDModel, IndependentArrayModel)):
-        return True
-    return isinstance(model, Example41Model) and model.joint_law == "independent"
-
-
-def _constant_value(D: CorrectorSeries, N: int) -> float:
-    if D.kind == "conditional":
-        raise UnsupportedOracleError(
-            "conditional correctors are only supported on latent-shift models")
-    return D.value(N)
-
-
 # -------------------------------------------------------------------------
 # exact centered inner products
 # -------------------------------------------------------------------------
 
-def _comonotone_intervals(model: Example41Model, i: int, N: float):
-    """u-intervals of the shared uniform mapping to nonzero values <= N."""
-    rho = model.rho(i)
-    two_c = 2.0 * example41_constant_c()
-    out = []
-    lo = rho
-    for k in range(2, int(math.floor(N)) + 1):
-        q = (1.0 - rho) * two_c / (k * k * math.log(k))
-        if model.symmetric:
-            out.append((lo, lo + q / 2.0, float(k)))
-            out.append((lo + q / 2.0, lo + q, float(-k)))
-        else:
-            out.append((lo, lo + q, float(k)))
-        lo += q
-    return out
-
-
-def _comonotone_product(model: Example41Model, j: int, k: int, N: float) -> float:
-    """E[f_j^t f_k^t] under the shared-uniform coupling, by exact overlap
-    integration of the two quantile partitions."""
-    a = _comonotone_intervals(model, j, N)
-    b = _comonotone_intervals(model, k, N)
-    total = 0.0
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        lo = max(a[ia][0], b[ib][0])
-        hi = min(a[ia][1], b[ib][1])
-        if hi > lo:
-            total += (hi - lo) * a[ia][2] * b[ib][2]
-        if a[ia][1] <= b[ib][1]:
-            ia += 1
-        else:
-            ib += 1
-    return total
-
-
 def exact_centered_inner_product(model: SequenceModel, j: int, k: int,
                                  N: float, D: CorrectorSeries) -> float:
     """E[(f_j^{[-N,N]} - D_N)(f_k^{[-N,N]} - D_N)] via the model's joint
-    oracle."""
-    Nlev = int(N)
-    if isinstance(model, LatentShiftModel):
-        total = 0.0
-        for b, p in model.factor_dist.atoms:
-            d = D.value(Nlev, factor=b) if D.kind == "conditional" else D.value(Nlev)
-            m1 = model.conditional_trunc_moment(b, N, 1)
-            if j == k:
-                m2 = model.conditional_trunc_moment(b, N, 2)
-                total += p * (m2 - 2.0 * d * m1 + d * d)
-            else:
-                total += p * (m1 - d) ** 2
-        return total
-    d = _constant_value(D, Nlev)
-    if _is_independent(model):
-        mu_j = model.marginal_dist(j).trunc_moment(N, 1)
-        if j == k:
-            m2 = model.marginal_dist(j).trunc_moment(N, 2)
-            return m2 - 2.0 * d * mu_j + d * d
-        mu_k = model.marginal_dist(k).trunc_moment(N, 1)
-        return (mu_j - d) * (mu_k - d)
-    if isinstance(model, TailVanishingModel):
-        g = model.g_dist
-        cross = g.band_moment(float(max(j, k)), N, 2)
-        mu_j = g.band_moment(float(j), N, 1)
-        mu_k = g.band_moment(float(k), N, 1)
-        return cross - d * (mu_j + mu_k) + d * d
-    if isinstance(model, Example41Model):  # comonotone
-        mu_j = model.marginal_dist(j).trunc_moment(N, 1)
-        if j == k:
-            m2 = model.marginal_dist(j).trunc_moment(N, 2)
-            return m2 - 2.0 * d * mu_j + d * d
-        mu_k = model.marginal_dist(k).trunc_moment(N, 1)
-        cross = _comonotone_product(model, j, k, N)
-        return cross - d * (mu_j + mu_k) + d * d
-    raise UnsupportedOracleError(
-        f"model kind {model.kind!r} has no exact joint-moment oracle")
+    oracle: a marginal moment on the diagonal, the pair oracle off it."""
+    if j == k:
+        return model.centered_square(j, N, D)
+    return model.pair_inner_product(min(j, k), max(j, k), N, D)
 
 
 # -------------------------------------------------------------------------
@@ -291,62 +211,58 @@ def admissible_levels(n: int, n_grid) -> list:
     return [N for N in n_grid if math.log(N) <= float(n) * n]
 
 
-class _FastExact:
-    """Per-model shortcuts for max_j |ip(j, candidate, N)| over predecessors.
-
-    Exploits that for every hosted joint oracle the dependence on the
-    predecessor j is monotone or absent, so the maximum is attained at a
-    known predecessor; the recorded value is always a genuine inner product
-    at that predecessor, re-verifiable by the direct routine.
+class _ExactScan:
+    """Exact mode's largest inner product of a candidate with its
+    predecessors.  After each acceptance the model's ``argmax_predecessor``
+    names, per level, the steps ``lead`` that can hold the largest
+    |inner product| with any later index, and only their moment rows are
+    kept: a candidate costs one moment row and float arithmetic on a few
+    rows.  A joint law without a row form (the comonotone coupling) is
+    scanned pair by pair with the pair oracle.
     """
 
-    def __init__(self, model, D):
-        self.model = model
-        self.D = D
-        self.kind = ("latent" if isinstance(model, LatentShiftModel) else
-                     "independent" if _is_independent(model) else
-                     "tailvan" if isinstance(model, TailVanishingModel) else
-                     "generic")
-        self._max_centered: dict = {}   # N -> (max |mu_j - d|, j_step)
+    def __init__(self, model, D, n_grid):
+        self.model, self.D, self.n_grid = model, D, n_grid
+        self.rows, self.lead = {}, None     # rows: step -> moment row
+        self.last = (None, None)            # last candidate and its row
 
-    def note_accept(self, step: int, index: int, all_levels) -> None:
-        if self.kind != "independent":
-            return
-        for N in all_levels:
-            d = _constant_value(self.D, int(N))
-            v = abs(self.model.marginal_dist(index).trunc_moment(float(N), 1) - d)
-            cur = self._max_centered.get(N)
-            if cur is None or v > cur[0]:
-                self._max_centered[N] = (v, step)
+    def row(self, k):
+        if self.last[0] != k:
+            self.last = (k, self.model.moment_row(k, self.n_grid, self.D))
+        return self.last[1]
 
-    def max_over_predecessors(self, pred_indices, k, N):
-        """Returns (value, j_step) with |value| = max over predecessors;
-        the predecessor accepted at step j is ``pred_indices[j - 1]``."""
-        if self.kind == "independent":
-            # every accepted index has been noted for every grid level
-            jstar = self._max_centered[N][1]
-            idx = pred_indices[jstar - 1]
-            return exact_centered_inner_product(self.model, idx, k, N, self.D), jstar
-        if self.kind == "latent":
-            st = len(pred_indices)
-            idx = pred_indices[-1]
-            return exact_centered_inner_product(self.model, idx, k, N, self.D), st
-        if self.kind == "tailvan":
-            # mu_j is monotone in j, so the extremes are at the first and
-            # last predecessor
-            best = None
-            for st in (1, len(pred_indices)):
-                v = exact_centered_inner_product(
-                    self.model, pred_indices[st - 1], k, N, self.D)
+    def worst(self, indices, k, levels):
+        """(value, step) of the largest predecessor inner product of f_k for
+        each of ``levels``, a prefix of the grid; lazily, level by level,
+        from the pair oracle."""
+        row = self.row(k)
+        if row is None:
+            return (self._pair_scan(indices, k, N) for N in levels)
+        product, rows, out = self.model.row_inner_product, self.rows, []
+        for level in range(len(levels)):
+            mine, best = row[level], None
+            for st in self.lead[level]:
+                v = product(rows[st][level], mine)
                 if best is None or abs(v) > abs(best[0]):
                     best = (v, st)
-            return best
+            out.append(best)
+        return out
+
+    def _pair_scan(self, indices, k, N):
         best = None
-        for st, idx in enumerate(pred_indices, 1):
-            v = exact_centered_inner_product(self.model, idx, k, N, self.D)
+        for st, j in enumerate(indices, 1):
+            v = self.model.pair_inner_product(j, k, N, self.D)
             if best is None or abs(v) > abs(best[0]):
                 best = (v, st)
         return best
+
+    def accept(self, step, k):
+        row = self.row(k)
+        if row is None:
+            return
+        self.rows[step] = row
+        self.lead = self.model.argmax_predecessor(self.rows, step, self.lead)
+        self.rows = {st: self.rows[st] for steps in self.lead for st in steps}
 
 
 def greedy_extract(model: SequenceModel, target_length: int, n_grid,
@@ -359,10 +275,11 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
     the zero-corrector route starts the search deep enough along the
     sequence that the truncated energies have already decayed.
 
-    Per examined candidate and level, exact mode costs O(1) oracle calls on
-    independent, latent-shift and tail-vanishing models (one per
-    predecessor under the comonotone coupling; see ``_FastExact``), and
-    sample mode one vectorised estimate over all predecessors."""
+    Per examined candidate, exact mode computes one moment row and checks
+    every level with arithmetic on a few accepted rows (under the
+    comonotone coupling, one pair oracle call per predecessor and level;
+    see ``_ExactScan``); sample mode makes one vectorised estimate over all
+    predecessors per level."""
     if mode not in ("exact", "sample"):
         raise ExtractConfigError(f"unknown mode {mode!r}")
     if target_length < 1:
@@ -380,7 +297,7 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
                                  "the first candidate index")
 
     bank = _SampleBank(model, search_cap, R, seed) if mode == "sample" else None
-    fast = _FastExact(model, D) if mode == "exact" else None
+    scan = _ExactScan(model, D, n_grid) if mode == "exact" else None
 
     indices: list[int] = []
     thresholds: dict[int, float] = {}
@@ -389,7 +306,7 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
     for step in range(1, target_length + 1):
         eps = step_epsilon(step, eps_floor)
         thresholds[step] = eps
-        levels = admissible_levels(step, n_grid)
+        levels = admissible_levels(step, n_grid) if indices else []
         start = max(int(min_index), (indices[-1] + 1) if indices else 1)
         pred_steps = range(1, step)
         best_candidate, best_violation = None, math.inf
@@ -398,15 +315,15 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
             worst = 0.0
             records = []
             feasible = True
-            for N in levels:
-                if not indices:
-                    break
+            found = scan.worst(indices, k, levels) if scan is not None \
+                else (bank.estimate(indices, k, N, D) for N in levels)
+            for N, got in zip(levels, found):
                 if mode == "exact":
-                    val, jstar = fast.max_over_predecessors(indices, k, N)
+                    val, jstar = got
                     amount = abs(val)
                     records.append(((jstar, step, N), val))
                 else:
-                    est, hw = bank.estimate(indices, k, N, D)
+                    est, hw = got
                     amount = float(np.max(np.abs(est) + hw))
                     records.append((N, est, hw))
                 worst = max(worst, amount)
@@ -437,8 +354,8 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
             raise ExtractionFailure(step, eps, search_cap,
                                     best_candidate, best_violation)
         indices.append(chosen)
-        if fast is not None:
-            fast.note_accept(step, chosen, n_grid)
+        if scan is not None:
+            scan.accept(step, chosen)
 
     return ExtractionPlan(tuple(indices), n_grid, thresholds, achieved,
                           mode, int(seed), float(eps_floor), int(search_cap),
@@ -450,18 +367,43 @@ def _constraint_amount(plan: ExtractionPlan, stored) -> float:
     return abs(stored) if plan.mode == "exact" else abs(stored[0]) + stored[1]
 
 
+def _exact_values(plan: ExtractionPlan, model: SequenceModel,
+                  D: CorrectorSeries) -> np.ndarray:
+    """Fresh exact values of the plan's entries, aligned with
+    ``plan.achieved``: one moment row per plan index, then every entry's
+    pair arithmetic at once, bit for bit what the scalar oracle gives."""
+    first = model.moment_row(plan.indices[0], plan.n_grid, D)
+    if first is None:
+        idx = plan.indices
+        return np.array([model.pair_inner_product(idx[j - 1], idx[n - 1], N, D)
+                         for j, n, N in plan.achieved])
+    flat = itertools.chain.from_iterable
+    rows = itertools.chain([first], (model.moment_row(i, plan.n_grid, D)
+                                     for i in plan.indices[1:]))
+    # streamed into one array, so no list of every row is ever held
+    rows = np.fromiter(flat(flat(rows)), float).reshape(
+        len(plan.indices), len(first), len(first[0]))
+    keys = np.fromiter(flat(plan.achieved), np.int64,
+                       3 * len(plan.achieved)).reshape(-1, 3)
+    lev = np.searchsorted(plan.n_grid, keys[:, 2])
+    return model.row_inner_product(rows[keys[:, 0] - 1, lev].T,
+                                   rows[keys[:, 1] - 1, lev].T)
+
+
 def verify_plan(plan: ExtractionPlan, model: SequenceModel,
                 D: CorrectorSeries) -> dict:
     """Recompute every stored inner product from scratch and check the
-    recorded constraints; the direct routine, not the search shortcuts.
-    Sample mode makes one estimate per (step, level) over all the
-    predecessors recorded there."""
+    recorded constraints: every pair the plan records, not only the
+    maximising predecessors the search relies on.  Exact mode builds the
+    plan's moment rows once; sample mode makes one estimate per (step,
+    level) over all the predecessors recorded there."""
     max_diff = 0.0
     if plan.mode == "exact":
-        for (jstep, nstep, N), stored in plan.achieved.items():
-            fresh = exact_centered_inner_product(
-                model, plan.indices[jstep - 1], plan.indices[nstep - 1], N, D)
-            max_diff = max(max_diff, abs(fresh - stored))
+        stored = np.fromiter(plan.achieved.values(), float, len(plan.achieved))
+        amounts = np.abs(stored)
+        if plan.achieved:
+            max_diff = float(np.max(np.abs(_exact_values(plan, model, D)
+                                           - stored)))
     else:
         bank = _SampleBank(model, plan.search_cap, plan.sample_R, plan.seed)
         groups: dict = {}
@@ -472,8 +414,12 @@ def verify_plan(plan: ExtractionPlan, model: SequenceModel,
                                    plan.indices[nstep - 1], N, D)
             stored = np.array([plan.achieved[(j, nstep, N)][0] for j in jsteps])
             max_diff = max(max_diff, float(np.max(np.abs(est - stored))))
-    violations = [key for key, stored in plan.achieved.items()
-                  if _constraint_amount(plan, stored) > plan.thresholds[key[1]]]
+        pairs = np.array(list(plan.achieved.values()), dtype=float)
+        pairs = pairs.reshape(-1, 2)    # (estimate, half-width) per entry
+        amounts = np.abs(pairs[:, 0]) + pairs[:, 1]
+    thresholds = np.array([plan.thresholds[n] for _, n, _ in plan.achieved])
+    violations = [key for key, bad in zip(plan.achieved, amounts > thresholds)
+                  if bad]
     return {"checked": len(plan.achieved), "max_abs_diff": max_diff,
             "violations": violations, "ok": not violations}
 

@@ -32,6 +32,7 @@ from .distributions import (
     Pareto1,
     UnsupportedOracleError,
     convolve,
+    example41_constant_c,
 )
 from .streams import Positions
 
@@ -137,6 +138,46 @@ class SequenceModel:
             raise CapacityError(
                 f"indices outside 1..{self.index_cap}")
         return idx
+
+    # exact joint moments: for every hosted joint law but the comonotone
+    # coupling, E[(f_j^{[N]} - D_N)(f_k^{[N]} - D_N)], j < k, is arithmetic
+    # on two per-index moment rows, so a scan makes one oracle pass per index
+
+    def moment_row(self, i: int, levels, D) -> list | None:
+        """Per level N in ``levels``, the moments of f_i the pair oracle
+        needs under the centering D; None without a row form.  Without a
+        path factor each coordinate reads its own uniform, so coordinates
+        are independent and the one moment is E(f_i 1{|f_i| <= N}) - D_N."""
+        dist = self.marginal_dist(i)
+        return [[dist.trunc_moment(N, 1) - D.constant(int(N))] for N in levels]
+
+    def row_inner_product(self, row_j, row_k):
+        """The inner product for j < k from the two rows' moments at one
+        level, floats or arrays (elementwise), in the operation order of
+        the scalar oracle: any grouping of pairs gives the same bits."""
+        return row_j[0] * row_k[0]
+
+    def argmax_predecessor(self, rows, n: int, lead) -> list:
+        """Per level, the steps among which the predecessor of largest
+        |inner product| with any later index lies (the first of equal
+        maxima wins), from ``lead``, the answer for steps 1..n-1 (None if
+        n == 1), and ``rows``, the rows of step n and the steps in ``lead``.
+        Here |ip(j, k)| = |mu_j - D_N| |mu_k - D_N|: the largest wins."""
+        new = rows[n]
+        if lead is None:
+            return [(n,)] * len(new)
+        return [(n,) if abs(new[level][0]) > abs(rows[s[0]][level][0]) else s
+                for level, s in enumerate(lead)]
+
+    def pair_inner_product(self, j: int, k: int, N: float, D) -> float:
+        """E[(f_j^{[N]} - D_N)(f_k^{[N]} - D_N)] for j < k."""
+        return self.row_inner_product(*(self.moment_row(i, (N,), D)[0]
+                                        for i in (j, k)))
+
+    def centered_square(self, i: int, N: float, D) -> float:
+        """E[(f_i^{[N]} - D_N)^2], marginal under a non-random D."""
+        d, dist = D.constant(int(N)), self.marginal_dist(i)
+        return dist.trunc_moment(N, 2) - 2.0 * d * dist.trunc_moment(N, 1) + d * d
 
     # index in n_range whose tail functional dominates pointwise, if the
     # family is pointwise ordered; None otherwise
@@ -279,6 +320,34 @@ class TailVanishingModel(SequenceModel):
         g = self.g_dist.quantile_array(u0)
         return np.where(np.abs(g)[:, None] > idx, g[:, None], 0.0), g
 
+    def moment_row(self, i, levels, D):
+        # f_j f_k = g^2 1{|g| > max(j, k)}: a pair's cross moment is the
+        # second band moment of its later index
+        self._check_index(i)
+        g, a = self.g_dist, float(i)
+        return [[g.band_moment(a, N, 1), g.band_moment(a, N, 2),
+                 D.constant(int(N))] for N in levels]
+
+    def row_inner_product(self, row_j, row_k):
+        d = row_k[2]
+        return row_k[1] - d * (row_j[0] + row_k[0]) + d * d
+
+    def argmax_predecessor(self, rows, n, lead):
+        # ip(j, k) is affine in the band mean mu_j, so it peaks at the
+        # earliest largest or the latest smallest mu_j.  The first and the
+        # last step go first: for g of one sign mu_j is monotone in j and
+        # they attain both extremes, so the others never win a tie
+        new, out = rows[n], []
+        if lead is None:
+            return [(1, 1)] * len(new)
+        for level, steps in enumerate(lead):
+            hi, lo = steps[2:] or (1, n - 1)
+            mu = new[level][0]
+            hi = n if mu > rows[hi][level][0] else hi
+            lo = n if mu <= rows[lo][level][0] else lo
+            out.append((1, n) if (hi, lo) == (1, n) else (1, n, hi, lo))
+        return out
+
     def pointwise_sup_index(self, n_range):
         return int(min(n_range))
 
@@ -363,12 +432,56 @@ class Example41Model(SequenceModel):
             vals.ravel()[nz] = HeavyLogLaw(0.0, self.symmetric).quantile_array(v)
         return vals, u0
 
+    def moment_row(self, i, levels, D):
+        # the comonotone coupling has no row form
+        return None if self.has_factor else super().moment_row(i, levels, D)
+
+    def pair_inner_product(self, j, k, N, D):
+        if not self.has_factor:
+            return super().pair_inner_product(j, k, N, D)
+        d = D.constant(int(N))
+        mu_j = self.marginal_dist(j).trunc_moment(N, 1)
+        mu_k = self.marginal_dist(k).trunc_moment(N, 1)
+        return self._comonotone_product(j, k, N) - d * (mu_j + mu_k) + d * d
+
+    def _comonotone_intervals(self, i: int, N: float):
+        """u-intervals of the shared uniform mapping to nonzero values <= N."""
+        rho = self.rho(i)
+        two_c = 2.0 * example41_constant_c()
+        out = []
+        lo = rho
+        for k in range(2, int(math.floor(N)) + 1):
+            q = (1.0 - rho) * two_c / (k * k * math.log(k))
+            if self.symmetric:
+                out.append((lo, lo + q / 2.0, float(k)))
+                out.append((lo + q / 2.0, lo + q, float(-k)))
+            else:
+                out.append((lo, lo + q, float(k)))
+            lo += q
+        return out
+
+    def _comonotone_product(self, j: int, k: int, N: float) -> float:
+        """E[f_j^t f_k^t] under the shared-uniform coupling, by exact overlap
+        integration of the two quantile partitions."""
+        a = self._comonotone_intervals(j, N)
+        b = self._comonotone_intervals(k, N)
+        total = 0.0
+        ia = ib = 0
+        while ia < len(a) and ib < len(b):
+            lo = max(a[ia][0], b[ib][0])
+            hi = min(a[ia][1], b[ib][1])
+            if hi > lo:
+                total += (hi - lo) * a[ia][2] * b[ib][2]
+            if a[ia][1] <= b[ib][1]:
+                ia += 1
+            else:
+                ib += 1
+        return total
+
     def pointwise_sup_index(self, n_range):
         return int(n_range[int(np.argmin(self.rho_array(n_range)))])
 
     def tau_sup_envelope(self):
-        from .distributions import example41_constant_c
-
         two_c = 2.0 * example41_constant_c()
 
         def env(M):
@@ -416,6 +529,7 @@ class LatentShiftModel(SequenceModel):
         self.noise_dist = noise_dist
         self.index_cap = int(index_cap)
         self._marginal = convolve(factor_dist, noise_dist)
+        self._row = (None, None, None)   # (D, levels, row) of moment_row
 
     def marginal_dist(self, n):
         self._check_index(n)
@@ -443,6 +557,37 @@ class LatentShiftModel(SequenceModel):
             v = b + e
             if abs(v) <= N:
                 total += p * v ** order
+        return total
+
+    def moment_row(self, i, levels, D):
+        # given B the coordinates are iid, so every pair j != k has the same
+        # inner product: the row is that value, and the last one is reused
+        self._check_index(i)
+        if self._row[0] is not D or self._row[1] != tuple(levels):
+            self._row = (D, tuple(levels),
+                         [[self._factor_average(N, D, False)] for N in levels])
+        return self._row[2]
+
+    def row_inner_product(self, row_j, row_k):
+        return row_k[0]
+
+    def argmax_predecessor(self, rows, n, lead):
+        return [(n,)] * len(rows[n])
+
+    def centered_square(self, i, N, D):
+        self._check_index(i)
+        return self._factor_average(N, D, True)
+
+    def _factor_average(self, N, D, diagonal: bool) -> float:
+        total = 0.0    # a running sum: sum() compensates on Python >= 3.12
+        for b, p in self.factor_dist.atoms:
+            d = D.value(int(N), factor=b)
+            m1 = self.conditional_trunc_moment(b, N, 1)
+            if diagonal:
+                m2 = self.conditional_trunc_moment(b, N, 2)
+                total += p * (m2 - 2.0 * d * m1 + d * d)
+            else:
+                total += p * (m1 - d) ** 2
         return total
 
     def to_spec(self):

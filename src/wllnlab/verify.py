@@ -90,19 +90,33 @@ def _verdict(n_grid, p_hat, ci, pass_threshold, increase_margin):
     return "inconclusive"
 
 
+class ProbeInputError(ValueError):
+    """A probe argument outside its documented range; raised before any
+    path is sampled."""
+
+
 def _grid(n_grid) -> tuple:
     grid = tuple(sorted({int(N) for N in n_grid}))
     if not grid or grid[0] < 1:
-        raise ValueError("the N grid must be non-empty and positive")
+        raise ProbeInputError("the N grid must be non-empty and positive")
     return grid
 
 
-def _probe_indices(indices, n_grid) -> np.ndarray:
+def _epsilon(epsilon) -> float:
+    if not epsilon > 0:
+        raise ProbeInputError("epsilon must be positive")
+    return float(epsilon)
+
+
+def _probe_indices(indices, length: int = 0) -> np.ndarray:
+    """The indices as an array, checked to be strictly increasing from 1
+    and at least ``length`` long."""
     idx = np.asarray(indices, dtype=np.int64)
-    if np.any(np.diff(idx) <= 0):
-        raise ValueError("indices must be strictly increasing")
-    if len(idx) < n_grid[-1]:
-        raise ValueError("index sequence shorter than the largest grid point")
+    if np.any(np.diff(idx) <= 0) or (idx.size and idx[0] < 1):
+        raise ProbeInputError("indices must be strictly increasing and >= 1")
+    if len(idx) < length:
+        raise ProbeInputError(
+            "index sequence shorter than the largest grid point")
     return idx
 
 
@@ -125,9 +139,7 @@ class _Exceedance:
 
     def __init__(self, D: CorrectorSeries, epsilon: float, n_grid,
                  compute_l2: bool = False):
-        if epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        self.D, self.epsilon, self.n_grid = D, epsilon, n_grid
+        self.D, self.epsilon, self.n_grid = D, _epsilon(epsilon), n_grid
         self.levels = np.array(n_grid, dtype=float)
         self.exceed = np.zeros(len(n_grid), dtype=np.int64)
         self.sq = [] if compute_l2 else None
@@ -170,8 +182,8 @@ def wlln_probe(model: SequenceModel, indices, D: CorrectorSeries,
                pass_threshold: float = 0.05, increase_margin: float = 0.0,
                compute_l2: bool = False) -> ConvergenceReport:
     n_grid = _grid(n_grid)
-    sel = _probe_indices(indices, n_grid)[: n_grid[-1]]
-    acc = _Exceedance(D, float(epsilon), n_grid, compute_l2)
+    sel = _probe_indices(indices, n_grid[-1])[: n_grid[-1]]
+    acc = _Exceedance(D, epsilon, n_grid, compute_l2)
     for vals, factors in model.sample_blocks(sel, seed, R):
         acc.add(vals, factors)
     return acc.report(R, seed, pass_threshold, increase_margin)
@@ -210,9 +222,10 @@ def truncation_gap_probe(model: SequenceModel, indices, n_grid, R: int,
     compares with the exact union bound N * max_{n<=N} P(|f_{k_n}| > N),
     read at the model's dominating index when it has one."""
     if R < 100:
-        raise ValueError("R must be at least 100")
+        raise ProbeInputError("R must be at least 100")
+    epsilon = _epsilon(epsilon)
     n_grid = _grid(n_grid)
-    idx = _probe_indices(indices, n_grid)
+    idx = _probe_indices(indices, n_grid[-1])
     levels = np.array(n_grid, dtype=float)
     exceed = np.zeros(len(n_grid), dtype=np.int64)
     for vals, _ in model.sample_blocks(idx[: n_grid[-1]], seed, R):
@@ -227,7 +240,7 @@ def truncation_gap_probe(model: SequenceModel, indices, n_grid, R: int,
                            for k in ks)
     se = {N: _se(p_hat[N], R) for N in n_grid}
     dominated = all(p_hat[N] <= bound[N] + 3.0 * se[N] for N in n_grid)
-    return GapReport(n_grid, float(epsilon), R, p_hat, bound, se,
+    return GapReport(n_grid, epsilon, R, p_hat, bound, se,
                      dominated, int(seed))
 
 
@@ -278,9 +291,12 @@ def hereditary_suite(model: SequenceModel, indices, D: CorrectorSeries,
     """Runs the WLLN probe on derived subsequences with the SAME corrector
     series, indexed by the new position count.  Every pattern reads its
     columns from one base block per chunk of replications, so each report
-    equals ``wlln_probe`` on ``thin_indices(indices, pattern, seed)``."""
+    equals ``wlln_probe`` on ``thin_indices(indices, pattern, seed)``.
+    A pattern too short for every grid point is skipped with a note; when
+    every pattern is, nothing would be probed, and that is an input error."""
+    epsilon = _epsilon(epsilon)
     n_grid = _grid(n_grid)
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = _probe_indices(indices)
     probes = {}
     notes = []
     for pattern in patterns:
@@ -297,14 +313,15 @@ def hereditary_suite(model: SequenceModel, indices, D: CorrectorSeries,
         # a slice reads a view of the base block; a mask gathers columns
         keep = slice(keep.start, last + 1, keep.step) \
             if isinstance(keep, slice) else cols[: grid[-1]]
-        probes[pattern] = (last, keep, _Exceedance(D, float(epsilon), grid))
-    if probes:
-        width = max(last for last, _, _ in probes.values()) + 1
-        for vals, factors in model.sample_blocks(idx[:width], seed, R):
-            for _, keep, acc in probes.values():
-                acc.add(vals[:, keep], factors)
+        probes[pattern] = (last, keep, _Exceedance(D, epsilon, grid))
+    if not probes:
+        raise ProbeInputError("no thinning pattern leaves a subsequence as "
+                              f"long as the smallest grid point {n_grid[0]}")
+    width = max(last for last, _, _ in probes.values()) + 1
+    for vals, factors in model.sample_blocks(idx[:width], seed, R):
+        for _, keep, acc in probes.values():
+            acc.add(vals[:, keep], factors)
     reports = {p: acc.report(R, seed, pass_threshold)
                for p, (_, _, acc) in probes.items()}
-    all_ok = bool(reports) and all(r.verdict == "consistent-with-wlln"
-                                   for r in reports.values())
+    all_ok = all(r.verdict == "consistent-with-wlln" for r in reports.values())
     return HereditaryReport(reports, all_ok, notes)

@@ -165,6 +165,52 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("verify", {"indices": [1, 2, 3], "n_grid": [64]}),
+    ("verify", {"epsilon": -1}),
+    ("verify", {"epsilon": 0}),
+    ("verify", {"n_grid": [0]}),
+    ("verify", {"indices": [3, 2, 1]}),
+    ("verify", {"gap_probe": True, "epsilon": -1}),
+    ("hereditary", {"n_grid": [0]}),
+    ("hereditary", {"indices": [3, 2, 1]}),
+    ("hereditary", {"epsilon": -1}),
+    ("hereditary", {"indices": [1, 2, 3], "n_grid": [64]}),
+    ("extract", {"n_grid": []}),
+    ("extract", {"n_grid": [0]}),
+    ("extract", {"n_grid": [-4]}),
+], ids=["verify-indices-too-short", "verify-negative-epsilon",
+        "verify-zero-epsilon", "verify-zero-level", "verify-decreasing-indices",
+        "verify-gap-probe-negative-epsilon", "hereditary-zero-level",
+        "hereditary-decreasing-indices", "hereditary-negative-epsilon",
+        "hereditary-no-pattern-long-enough", "extract-empty-grid",
+        "extract-zero-level", "extract-negative-level"])
+def test_probe_and_grid_inputs_are_usage_errors(tmp_path, capsys, command,
+                                                payload):
+    runs = {} if command == "extract" else {"reps": 10}
+    cfg = write_cfg(tmp_path, "c.json", {"model": TAIL_MODEL, **runs, **payload})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    # nothing is written but the manifest, which a bad grid stops too
+    assert set(os.listdir(out)) <= {"manifest.json"}
+
+
+def test_hereditary_runs_what_is_long_enough(tmp_path):
+    # every-3rd keeps 22 of 64 indices, short of the grid's 32: skipped with
+    # a note, while the other patterns run
+    cfg = write_cfg(tmp_path, "h.json",
+                    {"model": TAIL_MODEL, "n_grid": [32], "reps": 100,
+                     "indices": list(range(1, 65))})
+    out = tmp_path / "h"
+    assert main(["hereditary", "--config", cfg, "--out", str(out)]) == 0
+    suite = json.loads((out / "hereditary.json").read_text())
+    assert "every-3rd" not in suite["patterns"]
+    assert any(n.startswith("every-3rd:") for n in suite["notes"])
+
+
 def test_exhausted_window_failure_is_strict_json(tmp_path):
     # the window ends before step 5 has a candidate: no finite violation
     zero = {"kind": "iid",

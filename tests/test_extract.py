@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wllnlab.correctors import (
+    CorrectorSeries,
     corrector_iid,
     corrector_independent,
     corrector_weak_l2,
@@ -17,6 +18,7 @@ from wllnlab.distributions import (
     FiniteDiscrete,
     Pareto1,
     UnsupportedOracleError,
+    example41_constant_c,
 )
 from wllnlab.cli import _DEMO_MODELS
 from wllnlab.extract import (
@@ -25,8 +27,8 @@ from wllnlab.extract import (
     ExtractionFailure,
     ExtractionPlan,
     TruncationLevel,
-    _FastExact,
     _SampleBank,
+    _exact_values,
     admissible_levels,
     centered_inner_product,
     check_plan_subsequence,
@@ -42,7 +44,9 @@ from wllnlab.extract import (
 from wllnlab.models import (
     Example41Model,
     IIDModel,
+    IndependentArrayModel,
     LatentShiftModel,
+    SequenceModel,
     TailVanishingModel,
     model_from_spec,
 )
@@ -315,10 +319,162 @@ def test_unknown_mode_rejected_before_any_work():
 
 # -------------------------------------------------------------------------
 # scalar reference: the scan and the re-check one predecessor at a time,
-# against which the vectorised search must agree bit for bit
+# against which the row-based search must agree bit for bit.  The exact
+# oracle is the per-model isinstance ladder and predecessor shortcuts the
+# package used before the joint moments moved onto the models, kept here
+# unchanged apart from names so the reference imports nothing from the scan
 # -------------------------------------------------------------------------
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+
+
+def _is_independent(model: SequenceModel) -> bool:
+    if isinstance(model, (IIDModel, IndependentArrayModel)):
+        return True
+    return isinstance(model, Example41Model) and model.joint_law == "independent"
+
+
+def _constant_value(D: CorrectorSeries, N: int) -> float:
+    if D.kind == "conditional":
+        raise UnsupportedOracleError(
+            "conditional correctors are only supported on latent-shift models")
+    return D.value(N)
+
+
+def _comonotone_intervals(model: Example41Model, i: int, N: float):
+    """u-intervals of the shared uniform mapping to nonzero values <= N."""
+    rho = model.rho(i)
+    two_c = 2.0 * example41_constant_c()
+    out = []
+    lo = rho
+    for k in range(2, int(math.floor(N)) + 1):
+        q = (1.0 - rho) * two_c / (k * k * math.log(k))
+        if model.symmetric:
+            out.append((lo, lo + q / 2.0, float(k)))
+            out.append((lo + q / 2.0, lo + q, float(-k)))
+        else:
+            out.append((lo, lo + q, float(k)))
+        lo += q
+    return out
+
+
+def _comonotone_product(model: Example41Model, j: int, k: int, N: float) -> float:
+    """E[f_j^t f_k^t] under the shared-uniform coupling, by exact overlap
+    integration of the two quantile partitions."""
+    a = _comonotone_intervals(model, j, N)
+    b = _comonotone_intervals(model, k, N)
+    total = 0.0
+    ia = ib = 0
+    while ia < len(a) and ib < len(b):
+        lo = max(a[ia][0], b[ib][0])
+        hi = min(a[ia][1], b[ib][1])
+        if hi > lo:
+            total += (hi - lo) * a[ia][2] * b[ib][2]
+        if a[ia][1] <= b[ib][1]:
+            ia += 1
+        else:
+            ib += 1
+    return total
+
+
+def _reference_inner_product(model: SequenceModel, j: int, k: int,
+                             N: float, D: CorrectorSeries) -> float:
+    """E[(f_j^{[-N,N]} - D_N)(f_k^{[-N,N]} - D_N)] via the model's joint
+    oracle."""
+    Nlev = int(N)
+    if isinstance(model, LatentShiftModel):
+        total = 0.0
+        for b, p in model.factor_dist.atoms:
+            d = D.value(Nlev, factor=b) if D.kind == "conditional" else D.value(Nlev)
+            m1 = model.conditional_trunc_moment(b, N, 1)
+            if j == k:
+                m2 = model.conditional_trunc_moment(b, N, 2)
+                total += p * (m2 - 2.0 * d * m1 + d * d)
+            else:
+                total += p * (m1 - d) ** 2
+        return total
+    d = _constant_value(D, Nlev)
+    if _is_independent(model):
+        mu_j = model.marginal_dist(j).trunc_moment(N, 1)
+        if j == k:
+            m2 = model.marginal_dist(j).trunc_moment(N, 2)
+            return m2 - 2.0 * d * mu_j + d * d
+        mu_k = model.marginal_dist(k).trunc_moment(N, 1)
+        return (mu_j - d) * (mu_k - d)
+    if isinstance(model, TailVanishingModel):
+        g = model.g_dist
+        cross = g.band_moment(float(max(j, k)), N, 2)
+        mu_j = g.band_moment(float(j), N, 1)
+        mu_k = g.band_moment(float(k), N, 1)
+        return cross - d * (mu_j + mu_k) + d * d
+    if isinstance(model, Example41Model):  # comonotone
+        mu_j = model.marginal_dist(j).trunc_moment(N, 1)
+        if j == k:
+            m2 = model.marginal_dist(j).trunc_moment(N, 2)
+            return m2 - 2.0 * d * mu_j + d * d
+        mu_k = model.marginal_dist(k).trunc_moment(N, 1)
+        cross = _comonotone_product(model, j, k, N)
+        return cross - d * (mu_j + mu_k) + d * d
+    raise UnsupportedOracleError(
+        f"model kind {model.kind!r} has no exact joint-moment oracle")
+
+
+class _ReferenceFastExact:
+    """Per-model shortcuts for max_j |ip(j, candidate, N)| over predecessors.
+
+    Exploits that for every hosted joint oracle the dependence on the
+    predecessor j is monotone or absent, so the maximum is attained at a
+    known predecessor; the recorded value is always a genuine inner product
+    at that predecessor, re-verifiable by the direct routine.
+    """
+
+    def __init__(self, model, D):
+        self.model = model
+        self.D = D
+        self.kind = ("latent" if isinstance(model, LatentShiftModel) else
+                     "independent" if _is_independent(model) else
+                     "tailvan" if isinstance(model, TailVanishingModel) else
+                     "generic")
+        self._max_centered: dict = {}   # N -> (max |mu_j - d|, j_step)
+
+    def note_accept(self, step: int, index: int, all_levels) -> None:
+        if self.kind != "independent":
+            return
+        for N in all_levels:
+            d = _constant_value(self.D, int(N))
+            v = abs(self.model.marginal_dist(index).trunc_moment(float(N), 1) - d)
+            cur = self._max_centered.get(N)
+            if cur is None or v > cur[0]:
+                self._max_centered[N] = (v, step)
+
+    def max_over_predecessors(self, pred_indices, k, N):
+        """Returns (value, j_step) with |value| = max over predecessors;
+        the predecessor accepted at step j is ``pred_indices[j - 1]``."""
+        if self.kind == "independent":
+            # every accepted index has been noted for every grid level
+            jstar = self._max_centered[N][1]
+            idx = pred_indices[jstar - 1]
+            return _reference_inner_product(self.model, idx, k, N, self.D), jstar
+        if self.kind == "latent":
+            st = len(pred_indices)
+            idx = pred_indices[-1]
+            return _reference_inner_product(self.model, idx, k, N, self.D), st
+        if self.kind == "tailvan":
+            # mu_j is monotone in j, so the extremes are at the first and
+            # last predecessor
+            best = None
+            for st in (1, len(pred_indices)):
+                v = _reference_inner_product(
+                    self.model, pred_indices[st - 1], k, N, self.D)
+                if best is None or abs(v) > abs(best[0]):
+                    best = (v, st)
+            return best
+        best = None
+        for st, idx in enumerate(pred_indices, 1):
+            v = _reference_inner_product(self.model, idx, k, N, self.D)
+            if best is None or abs(v) > abs(best[0]):
+                best = (v, st)
+        return best
 
 
 def _reference_bank(model, horizon, R, seed):
@@ -344,7 +500,7 @@ def _reference_estimate(bank, j, k, N, D):
 
 
 def _reference_max_over_predecessors(fast, pred_indices, pred_steps, k, N):
-    ip = exact_centered_inner_product
+    ip = _reference_inner_product
     if fast.kind == "independent":
         jstar = fast._max_centered[N][1]
         idx = pred_indices[pred_steps.index(jstar)]
@@ -369,7 +525,7 @@ def _reference_greedy(model, target_length, n_grid, D, mode, eps_floor=None,
     search_cap = min(model.index_cap,
                      min_index - 1 + target_length + 2 * max(n_grid) + 64)
     bank = _reference_bank(model, search_cap, R, seed) if mode == "sample" else None
-    fast = _FastExact(model, D) if mode == "exact" else None
+    fast = _ReferenceFastExact(model, D) if mode == "exact" else None
     indices, thresholds, achieved = [], {}, {}
     for step in range(1, target_length + 1):
         eps = step_epsilon(step, eps_floor)
@@ -404,7 +560,7 @@ def _reference_greedy(model, target_length, n_grid, D, mode, eps_floor=None,
                     for N in levels:
                         for jstep, jidx in zip(pred_steps, indices):
                             records[(jstep, step, N)] = \
-                                exact_centered_inner_product(model, jidx, k, N, D)
+                                _reference_inner_product(model, jidx, k, N, D)
                 achieved.update(records)
                 break
         assert chosen is not None, f"reference scan exhausted at step {step}"
@@ -428,7 +584,7 @@ def _reference_verify(plan, model, D):
         kidx = plan.indices[nstep - 1]
         eps = plan.thresholds[nstep]
         if plan.mode == "exact":
-            fresh = exact_centered_inner_product(model, jidx, kidx, N, D)
+            fresh = _reference_inner_product(model, jidx, kidx, N, D)
             max_diff = max(max_diff, abs(fresh - stored))
             if abs(stored) > eps:
                 violations.append((jstep, nstep, N))
@@ -441,6 +597,37 @@ def _reference_verify(plan, model, D):
             "violations": violations, "ok": not violations}
 
 
+def _explicit_rho_comonotone():
+    # zero masses between 1 - 1e-3 and 1 - 1e-9: covariances small enough
+    # for a plan under a floor, and uneven enough that candidates fail
+    rng = np.random.default_rng(3)
+    rho = (1.0 - 10.0 ** -(3.0 + 6.0 * rng.random(120))).tolist()
+    return {"kind": "example41", "joint_law": "comonotone", "index_cap": 120,
+            "params": {"rho": {"family": "explicit", "values": rho},
+                       "symmetric": True}}
+
+
+def _uneven_means_array():
+    # truncated means of random sign and size, the first one tiny, so the
+    # predecessor of largest |mean| moves as the plan grows
+    rng = np.random.default_rng(11)
+    sizes = 10.0 ** -(0.3 + 2.7 * rng.random(400))
+    means = sizes * rng.choice([-1.0, 1.0], 400)
+    means[0] = 1e-4
+    return {"kind": "independent_array", "params": {"dists": [
+        {"family": "finite", "atoms": [[0.0, 0.5], [float(2.0 * mu), 0.5]]}
+        for mu in means]}}
+
+
+_REFERENCE_MODELS = {
+    **_DEMO_MODELS,
+    "comonotone": _explicit_rho_comonotone(),
+    "iid": {"kind": "iid", "params": {"dist": {
+        "family": "finite", "atoms": [[1.0, 0.25], [5.0, 0.75]]}}},
+    "independent-array": _uneven_means_array(),
+}
+
+
 @pytest.mark.parametrize("name, length, grid, mode, kwargs", [
     ("counterexample", 48, (64, 256), "sample", {"seed": 1}),
     ("counterexample", 48, (64, 256), "sample", {"seed": 2}),
@@ -448,12 +635,18 @@ def _reference_verify(plan, model, D):
     ("counterexample", 512, (64, 256, 1024, 4096), "exact", {}),
     ("example41", 512, (64, 256, 1024, 4096), "exact", {"min_index": 10**12}),
     ("latent-shift", 512, (64, 256, 1024, 4096), "exact", {}),
+    ("comonotone", 24, (64, 256), "exact", {"eps_floor": 1e-7}),
+    ("iid", 64, (2, 8, 64), "exact", {}),
+    ("independent-array", 48, (2, 8, 64), "exact", {"eps_floor": 1e-3}),
 ], ids=["counterexample-sample-seed1", "counterexample-sample-seed2",
         "latent-shift-sample-conditional", "counterexample-exact",
-        "example41-exact", "latent-shift-exact"])
+        "example41-exact", "latent-shift-exact", "example41-comonotone-exact",
+        "iid-exact", "independent-array-exact"])
 def test_search_matches_scalar_reference(name, length, grid, mode, kwargs):
-    m = model_from_spec(_DEMO_MODELS[name])
-    D = corrector_weak_l2(m, grid)
+    m = model_from_spec(_REFERENCE_MODELS[name])
+    # the array's means do not settle, so it has no weak-L2 corrector
+    D = zero_corrector(grid) if name == "independent-array" \
+        else corrector_weak_l2(m, grid)
     if name == "latent-shift":
         assert D.kind == "conditional"
     plan = greedy_extract(m, length, grid, D, mode=mode, **kwargs)
@@ -462,3 +655,62 @@ def test_search_matches_scalar_reference(name, length, grid, mode, kwargs):
     assert plan.to_json() == ref.to_json()
     assert list(plan.achieved) == list(ref.achieved)
     assert verify_plan(plan, m, D) == _reference_verify(plan, m, D)
+
+
+@pytest.mark.parametrize("name", ["counterexample", "example41",
+                                  "latent-shift"])
+def test_recheck_is_bitwise_the_scalar_oracle(name):
+    m = model_from_spec(_DEMO_MODELS[name])
+    grid = (64, 256, 1024, 4096)
+    D = corrector_weak_l2(m, grid)
+    plan = greedy_extract(m, 512, grid, D,
+                          min_index=10**12 if name == "example41" else 1)
+    fresh = _exact_values(plan, m, D)
+    scalar = np.array([exact_centered_inner_product(
+        m, plan.indices[j - 1], plan.indices[n - 1], N, D)
+        for j, n, N in plan.achieved])
+    assert len(fresh) == len(plan.achieved) > 512
+    assert np.array_equal(fresh.view(np.int64), scalar.view(np.int64))
+
+
+def test_single_draw_scan_finds_extremes_off_the_ends():
+    # g takes -5, 60 or 0, so the band mean mu_j = E(g 1{j < |g| <= 64}) is
+    # about 0 for j < 5, 0.2 for 5 <= j < 60 and 0 beyond: not monotone.
+    # Steps 1-3 accept 1, 5 and 60, and at step 4 only the middle
+    # predecessor 5 breaks the threshold, which the first and the last
+    # predecessor alone would not show
+    m = TailVanishingModel(FiniteDiscrete(
+        [(-5.0, 0.04), (60.0, 1.0 / 300.0), (0.0, 1.0 - 0.04 - 1.0 / 300.0)]))
+    grid = (2, 50, 64)
+    D = CorrectorSeries(grid, "constant", {2: 0.0, 50: 0.0, 64: 3e-4}, "test")
+    with pytest.raises(ExtractionFailure) as exc:
+        greedy_extract(m, 4, grid, D, detail_steps=0)
+    middle = exact_centered_inner_product(m, 5, 61, 64, D)
+    assert exc.value.step == 4
+    assert exc.value.best_candidate == 61
+    assert exc.value.best_violation == abs(middle) > exc.value.eps
+
+
+@pytest.mark.parametrize("model", [
+    TailVanishingModel(Pareto1()),
+    Example41Model(lambda n: 0.5 + 0.4 / n, symmetric=False),
+    IndependentArrayModel([FiniteDiscrete([(-1.0, 0.5), (0.5 + n / 7.0, 0.5)])
+                           for n in range(1, 41)]),
+], ids=["tail-vanishing", "example41-one-sided", "independent-array"])
+def test_row_arithmetic_is_bitwise_the_scalar_oracle(model):
+    # a nonzero centering, so every operation of the pair formula counts,
+    # against the scalar oracle and the reference ladder alike
+    grid = (2, 8, 64)
+    D = CorrectorSeries(grid, "constant", {2: 0.37, 8: -1.3, 64: 0.0625},
+                        "test")
+    indices = tuple(range(1, 41, 3))
+    pairs = {(j, n, N): 0.0 for n in range(2, len(indices) + 1)
+             for j in range(1, n) for N in grid}
+    plan = ExtractionPlan(indices, grid, {}, pairs, "exact", 0, 0.0, 40, 0,
+                          D.provenance)
+    fresh = _exact_values(plan, model, D)
+    for oracle in (exact_centered_inner_product, _reference_inner_product):
+        scalar = np.array([oracle(model, indices[j - 1], indices[n - 1], N, D)
+                           for j, n, N in pairs])
+        assert np.array_equal(fresh.view(np.int64), scalar.view(np.int64))
+    assert np.count_nonzero(fresh) > len(pairs) // 2

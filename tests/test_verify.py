@@ -17,6 +17,7 @@ from wllnlab.models import (
 )
 from wllnlab.verify import (
     PATTERNS,
+    ProbeInputError,
     hereditary_suite,
     l2_probe,
     thin_indices,
@@ -205,6 +206,17 @@ class TestHereditary:
                                  seed=0)
         assert suite.reports["every-2nd"].verdict == "violation"
         assert not suite.all_consistent
+
+    def test_input_checks_come_before_any_pattern(self):
+        # a bad epsilon is reported even when no pattern would have run,
+        # and a suite that would run nothing is an input error
+        D = zero_corrector((64,))
+        with pytest.raises(ProbeInputError, match="epsilon"):
+            hereditary_suite(ZERO_MODEL, range(1, 4), D, -1.0, (64,), 10, 0)
+        with pytest.raises(ProbeInputError, match="no thinning pattern"):
+            hereditary_suite(ZERO_MODEL, range(1, 4), D, 0.25, (64,), 10, 0)
+        with pytest.raises(ProbeInputError, match="increasing"):
+            hereditary_suite(ZERO_MODEL, [3, 2, 1], D, 0.25, (1,), 10, 0)
 
     def test_latent_shift_hereditary_with_conditional_corrector(self):
         # indices long enough that every-3rd thinning still covers the grid
