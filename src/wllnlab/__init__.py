@@ -26,14 +26,11 @@ from .extract import (
     ExtractConfigError,
     ExtractionFailure,
     ExtractionPlan,
-    TruncationLevel,
-    centered_inner_product,
     check_plan_subsequence,
     cross_product_budget,
     exact_centered_inner_product,
     greedy_extract,
     sum_of_squares_check,
-    truncate,
     truncate_array,
     verify_plan,
 )
@@ -46,12 +43,8 @@ from .models import (
     SamplePath,
     SequenceModel,
     TailVanishingModel,
-    conditional_truncated_mean,
     dist_from_spec,
-    dist_to_spec,
-    marginal_tail_prob,
     model_from_spec,
-    truncated_moment,
 )
 from .streams import Positions
 from .tails import (
@@ -64,8 +57,6 @@ from .tails import (
     check_limsup_condition,
     check_weak_l1,
     feller_identity_residual,
-    sigma_n,
-    tau_n,
     tau_sup_integral,
 )
 from .verify import (
@@ -74,7 +65,6 @@ from .verify import (
     HereditaryReport,
     ProbeInputError,
     hereditary_suite,
-    l2_probe,
     thin_indices,
     truncation_gap_probe,
     wilson_interval,

@@ -131,6 +131,23 @@ _NUMBERS = {"seed": int, "target_length": int, "search_cap": int,
             "epsilon": float, "pass_threshold": float, "m_grid": float,
             "n_range": int, "n_grid": int, "feller_grid": int, "indices": int}
 _NUMBER_LISTS = {"m_grid", "n_range", "n_grid", "feller_grid", "indices"}
+# config keys, the condition a resolved value must meet, and its wording
+_CHECKS = (
+    ("n_grid", lambda g: g and min(g) >= 1, "a non-empty list of levels >= 1"),
+    ("m_grid", lambda g: g and all(0 < M < math.inf for M in g),
+     "a non-empty list of finite levels > 0"),
+    ("feller_grid", lambda g: all(N >= 1 for N in g), "a list of levels >= 1"),
+    ("n_range", lambda r: len(r) == 2 and 1 <= r[0] <= r[1],
+     "[lo, hi] with 1 <= lo <= hi"),
+    ("reps", lambda R: R >= 1, ">= 1"),
+    ("seed", lambda s: 0 <= s < 2**64, "an integer in [0, 2^64)"),
+    ("compute_l2", lambda b: isinstance(b, bool), "true or false"),
+    ("gap_probe", lambda b: isinstance(b, bool), "true or false"),
+    ("patterns",
+     lambda ps: isinstance(ps, list) and all(p in PATTERNS for p in ps),
+     "a list of thinning patterns out of " + ", ".join(PATTERNS)),
+    ("expect", lambda e: isinstance(e, dict), "an object of condition: status"),
+)
 
 
 def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
@@ -149,17 +166,20 @@ def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
         cfg[key] = val
     for key, kind in _NUMBERS.items():
         val = cfg.get(key)
+        # a key may be null only where its default is
+        if key not in cfg or (val is None and _DEFAULTS[command][key] is None):
+            continue
         many = key in _NUMBER_LISTS
         try:
-            if val is not None and many != isinstance(val, list):
+            if many != isinstance(val, list):
                 raise TypeError
-            if val is not None:
-                cfg[key] = [kind(v) for v in val] if many else kind(val)
+            cfg[key] = [kind(v) for v in val] if many else kind(val)
         except (TypeError, ValueError, OverflowError):
             raise UsageError(f"config key {key!r} must hold {kind.__name__} "
                              f"values, not {val!r}")
-    if "n_grid" in cfg and not (cfg["n_grid"] and min(cfg["n_grid"]) >= 1):
-        raise UsageError("n_grid must be a non-empty list of levels >= 1")
+    for key, ok, what in _CHECKS:
+        if key in cfg and not ok(cfg[key]):
+            raise UsageError(f"{key} must be {what}")
     cfg["schema_version"] = SCHEMA_VERSION
     return cfg
 
@@ -235,34 +255,34 @@ def _jsonable(obj):
     return obj
 
 
-def cmd_tails(cfg: dict, out: str) -> int:
-    model = _require_model(cfg)
-    m_grid = [float(M) for M in cfg["m_grid"]]
-    if not m_grid:
-        raise UsageError("m_grid must be non-empty")
-    lo, hi = (int(v) for v in cfg["n_range"])
-    if lo < 1 or hi < lo:
-        raise UsageError("n_range must be [lo, hi] with 1 <= lo <= hi")
-    n_range = range(lo, hi + 1)
-
-    profile = tails_mod.build_tail_profile(model, m_grid, n_range)
+def _tails_stage(model: SequenceModel, cfg: dict, out: str,
+                 conditions) -> dict:
+    """tails.csv and verdicts.json (``conditions`` and, given a feller_grid,
+    the Feller pair); returns the verdict block."""
+    n_range = range(cfg["n_range"][0], cfg["n_range"][1] + 1)
+    profile = tails_mod.build_tail_profile(model, cfg["m_grid"], n_range)
     write_csv(os.path.join(out, "tails.csv"),
               ("n", "M", "tau", "sigma", "feller_residual"), profile.rows())
-
-    verdicts = {
-        "weak_l1": tails_mod.check_weak_l1(profile, model),
-        "liminf": tails_mod.check_liminf_condition(profile, model),
-        "limsup": tails_mod.check_limsup_condition(profile, model),
-        "energy": tails_mod.check_energy_vanishing(model, m_grid, n_range),
+    checks = {
+        "weak_l1": lambda: tails_mod.check_weak_l1(profile, model),
+        "liminf": lambda: tails_mod.check_liminf_condition(profile, model),
+        "limsup": lambda: tails_mod.check_limsup_condition(profile, model),
+        "energy": lambda: tails_mod.check_energy_vanishing(
+            model, cfg["m_grid"], n_range),
     }
-    block = {name: _verdict_json(v) for name, v in verdicts.items()}
+    block = {name: _verdict_json(checks[name]()) for name in conditions}
     if cfg["feller_grid"]:
         first, second = tails_mod.check_feller_necessary(model, cfg["feller_grid"])
         block["feller_tail_sum"] = _verdict_json(first)
         block["feller_square_sum"] = _verdict_json(second)
     write_json(os.path.join(out, "verdicts.json"), block)
+    return block
 
-    for cond, wanted in sorted(dict(cfg["expect"]).items()):
+
+def cmd_tails(cfg: dict, out: str) -> int:
+    block = _tails_stage(_require_model(cfg), cfg, out,
+                         ("weak_l1", "liminf", "limsup", "energy"))
+    for cond, wanted in sorted(cfg["expect"].items()):
         if cond not in block:
             raise UsageError(f"--expect names unknown condition {cond!r}")
         got = block[cond]["status"]
@@ -273,90 +293,85 @@ def cmd_tails(cfg: dict, out: str) -> int:
     return EXIT_OK
 
 
-def cmd_extract(cfg: dict, out: str) -> int:
-    model = _require_model(cfg)
-    n_grid = [int(N) for N in cfg["n_grid"]]
-    D = build_corrector(cfg["corrector"], model, n_grid)
-    try:
-        plan = greedy_extract(
-            model, int(cfg["target_length"]), n_grid, D,
-            mode=cfg["mode"], eps_floor=cfg["eps_floor"],
-            search_cap=cfg["search_cap"], seed=int(cfg["seed"]),
-            R=int(cfg["sample_R"]), min_index=int(cfg["min_index"]))
-    except ExtractConfigError as exc:
-        raise UsageError(str(exc))
-    except ExtractionFailure as exc:
-        # an exhausted window leaves no finite violation, and JSON has no inf
-        best = exc.best_violation if math.isfinite(exc.best_violation) else None
-        write_json(os.path.join(out, "extract_failure.json"), {
-            "step": exc.step, "epsilon": exc.eps, "search_cap": exc.search_cap,
-            "best_candidate": exc.best_candidate, "best_violation": best})
-        print(f"extraction failed at step {exc.step}: "
-              f"best candidate {exc.best_candidate} violated by "
-              f"{exc.best_violation:.3g} (threshold {exc.eps:.3g})")
-        return EXIT_EXTRACT
+def _extract_stage(model: SequenceModel, cfg: dict, out: str):
+    """plan.json, corrector.json and plan_check.json; returns (plan, D,
+    check).  An ``ExtractionFailure`` goes to ``main``."""
+    D = build_corrector(cfg["corrector"], model, cfg["n_grid"])
+    plan = greedy_extract(model, cfg["target_length"], cfg["n_grid"], D,
+                          mode=cfg["mode"], eps_floor=cfg["eps_floor"],
+                          search_cap=cfg["search_cap"], seed=cfg["seed"],
+                          R=cfg["sample_R"], min_index=cfg["min_index"])
     write_json(os.path.join(out, "plan.json"), plan.to_json())
     write_json(os.path.join(out, "corrector.json"), D.to_json())
     check = verify_plan(plan, model, D)
     write_json(os.path.join(out, "plan_check.json"), _jsonable(check))
+    return plan, D, check
+
+
+def cmd_extract(cfg: dict, out: str) -> int:
+    check = _extract_stage(_require_model(cfg), cfg, out)[2]
     return EXIT_OK if check["ok"] else EXIT_VIOLATION
 
 
-def _resolve_indices(cfg: dict, n_grid) -> list:
+def _probe_inputs(cfg: dict):
+    """(model, indices, corrector) of a verify or hereditary config; the
+    indices come from ``plan_path`` or ``indices``, else are 1..max(n_grid)."""
+    model = _require_model(cfg)
+    indices = cfg["indices"]
     if cfg["plan_path"]:
         try:
             with open(cfg["plan_path"], encoding="utf-8") as fh:
-                return [int(k) for k in json.load(fh)["indices"]]
+                indices = [int(k) for k in json.load(fh)["indices"]]
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise UsageError(f"cannot read plan {cfg['plan_path']}: {exc}")
-    if cfg["indices"] is not None:
-        return [int(k) for k in cfg["indices"]]
-    return list(range(1, max(n_grid) + 1))
+    elif indices is None:
+        indices = list(range(1, max(cfg["n_grid"]) + 1))
+    return model, indices, build_corrector(cfg["corrector"], model,
+                                           cfg["n_grid"])
+
+
+def _probe_stage(model: SequenceModel, indices, D, cfg: dict, out: str,
+                 gap_reps: int, with_csv: bool):
+    """report.json, report.csv if ``with_csv``, and gap_report.json from
+    ``gap_reps`` replications if ``cfg["gap_probe"]``; returns (report, gap)."""
+    report = wlln_probe(model, indices, D, cfg["epsilon"], cfg["n_grid"],
+                        cfg["reps"], cfg["seed"],
+                        pass_threshold=cfg["pass_threshold"],
+                        compute_l2=cfg["compute_l2"])
+    write_json(os.path.join(out, "report.json"), report.to_json())
+    if with_csv:
+        rows = []
+        for N in report.n_grid:
+            lo, hi = report.ci[N]
+            l2 = report.l2_hat[N] if report.l2_hat is not None else ""
+            rows.append((N, report.p_hat[N], lo, hi, l2))
+        write_csv(os.path.join(out, "report.csv"),
+                  ("N", "p_hat", "ci_lo", "ci_hi", "l2_hat"), rows)
+    gap = None
+    if cfg["gap_probe"]:
+        gap = truncation_gap_probe(model, indices, cfg["n_grid"], gap_reps,
+                                   cfg["seed"], epsilon=cfg["epsilon"])
+        write_json(os.path.join(out, "gap_report.json"), gap.to_json())
+    return report, gap
 
 
 def cmd_verify(cfg: dict, out: str) -> int:
-    model = _require_model(cfg)
-    if int(cfg["reps"]) < 1:
-        raise UsageError("reps must be >= 1")
-    n_grid = [int(N) for N in cfg["n_grid"]]
-    indices = _resolve_indices(cfg, n_grid)
-    D = build_corrector(cfg["corrector"], model, n_grid)
-    report = wlln_probe(model, indices, D, float(cfg["epsilon"]), n_grid,
-                        int(cfg["reps"]), int(cfg["seed"]),
-                        pass_threshold=float(cfg["pass_threshold"]),
-                        compute_l2=bool(cfg["compute_l2"]))
-    write_json(os.path.join(out, "report.json"), report.to_json())
-    rows = []
-    for N in report.n_grid:
-        lo, hi = report.ci[N]
-        l2 = report.l2_hat[N] if report.l2_hat is not None else ""
-        rows.append((N, report.p_hat[N], lo, hi, l2))
-    write_csv(os.path.join(out, "report.csv"),
-              ("N", "p_hat", "ci_lo", "ci_hi", "l2_hat"), rows)
-    if cfg["gap_probe"]:
-        gap = truncation_gap_probe(model, indices, n_grid,
-                                   max(int(cfg["reps"]), 100), int(cfg["seed"]),
-                                   epsilon=float(cfg["epsilon"]))
-        write_json(os.path.join(out, "gap_report.json"), gap.to_json())
+    report, _ = _probe_stage(*_probe_inputs(cfg), cfg, out,
+                             max(cfg["reps"], 100), True)
     return EXIT_VIOLATION if report.verdict == "violation" else EXIT_OK
 
 
-def cmd_hereditary(cfg: dict, out: str) -> int:
-    model = _require_model(cfg)
-    if int(cfg["reps"]) < 1:
-        raise UsageError("reps must be >= 1")
-    n_grid = [int(N) for N in cfg["n_grid"]]
-    indices = _resolve_indices(cfg, n_grid)
-    D = build_corrector(cfg["corrector"], model, n_grid)
-    patterns = list(cfg["patterns"])
-    for p in patterns:
-        if p not in PATTERNS:
-            raise UsageError(f"unknown thinning pattern {p!r}")
-    suite = hereditary_suite(model, indices, D, float(cfg["epsilon"]), n_grid,
-                             int(cfg["reps"]), int(cfg["seed"]),
-                             patterns=patterns,
-                             pass_threshold=float(cfg["pass_threshold"]))
+def _hereditary_stage(model: SequenceModel, indices, D, cfg: dict, out: str):
+    """hereditary.json; returns the suite."""
+    suite = hereditary_suite(model, indices, D, cfg["epsilon"], cfg["n_grid"],
+                             cfg["reps"], cfg["seed"], patterns=cfg["patterns"],
+                             pass_threshold=cfg["pass_threshold"])
     write_json(os.path.join(out, "hereditary.json"), suite.to_json())
+    return suite
+
+
+def cmd_hereditary(cfg: dict, out: str) -> int:
+    suite = _hereditary_stage(*_probe_inputs(cfg), cfg, out)
     bad = any(r.verdict == "violation" for r in suite.reports.values())
     return EXIT_VIOLATION if bad else EXIT_OK
 
@@ -401,63 +416,35 @@ def cmd_demo(cfg: dict, out: str) -> int:
         raise UsageError(f"unknown demo {name!r}; "
                          f"choose from {sorted(_DEMO_MODELS)}")
     model = model_from_spec(_DEMO_MODELS[name])
-    seed = int(cfg["seed"])
-    reps = int(cfg["reps"])
-    if reps < 1:
-        raise UsageError("reps must be >= 1")
-    n_grid = [64, 256, 1024, 4096]
+    seed, reps = cfg["seed"], cfg["reps"]
     epsilon = 0.5 if name == "latent-shift" else 0.25
-    m_grid = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
-    n_range = range(1, 33)
+    side_reps = max(reps // 4, 100)
 
-    # tails
-    profile = tails_mod.build_tail_profile(model, m_grid, n_range)
-    write_csv(os.path.join(out, "tails.csv"),
-              ("n", "M", "tau", "sigma", "feller_residual"), profile.rows())
-    verdicts = {
-        "weak_l1": tails_mod.check_weak_l1(profile, model),
-        "limsup": tails_mod.check_limsup_condition(profile, model),
-        "energy": tails_mod.check_energy_vanishing(model, m_grid, n_range),
-    }
-    write_json(os.path.join(out, "verdicts.json"),
-               {k: _verdict_json(v) for k, v in verdicts.items()})
+    def stage_cfg(command, **keys):
+        # the subcommand's defaults but for ``keys``
+        return resolve_config(command, {"seed": seed, **keys}, {})
 
-    # correctors
-    D = corr.corrector_weak_l2(model, n_grid)
-    write_json(os.path.join(out, "corrector.json"), D.to_json())
-
-    # extraction
-    min_index = 10**12 if name == "example41" else 1
-    try:
-        plan = greedy_extract(model, max(n_grid), n_grid, D, mode="exact",
-                              seed=seed, min_index=min_index)
-    except ExtractionFailure as exc:
-        print(f"extraction failed at step {exc.step}")
-        return EXIT_EXTRACT
-    write_json(os.path.join(out, "plan.json"), plan.to_json())
-    check = verify_plan(plan, model, D)
-    write_json(os.path.join(out, "plan_check.json"), _jsonable(check))
-
-    # verification
-    report = wlln_probe(model, plan.indices, D, epsilon, n_grid, reps, seed)
-    write_json(os.path.join(out, "report.json"), report.to_json())
-    gap = truncation_gap_probe(model, plan.indices, n_grid,
-                               max(reps // 4, 100), seed, epsilon=epsilon)
-    write_json(os.path.join(out, "gap_report.json"), gap.to_json())
-
-    # hereditary behavior (lighter replication budget)
+    verdicts = _tails_stage(model, stage_cfg("tails"), out,
+                            ("weak_l1", "limsup", "energy"))
+    status = {cond: v["status"] for cond, v in verdicts.items()}
+    plan, D, check = _extract_stage(model, stage_cfg(
+        "extract", target_length=4096, corrector="weak_l2",
+        min_index=10**12 if name == "example41" else 1), out)
+    report, gap = _probe_stage(model, plan.indices, D, stage_cfg(
+        "verify", reps=reps, epsilon=epsilon, gap_probe=True), out,
+        side_reps, False)
     # thinned grids stop at 1024, where heavy-tailed exceedance is still a
     # few percent, so the consistency bar is coarser than the main probe's
-    suite = hereditary_suite(model, plan.indices, D, epsilon,
-                             [64, 256, 1024], max(reps // 4, 100), seed,
-                             pass_threshold=0.1)
-    write_json(os.path.join(out, "hereditary.json"), suite.to_json())
+    suite = _hereditary_stage(model, plan.indices, D, stage_cfg(
+        "hereditary", reps=side_reps, epsilon=epsilon, pass_threshold=0.1),
+        out)
+    n_grid = report.n_grid
 
     items = [
         ("model", model.kind),
-        ("weak-L1 condition", verdicts["weak_l1"].status),
-        ("limsup condition", verdicts["limsup"].status),
-        ("energy condition", verdicts["energy"].status),
+        ("weak-L1 condition", status["weak_l1"]),
+        ("limsup condition", status["limsup"]),
+        ("energy condition", status["energy"]),
         ("corrector", D.provenance + (" (all zero)" if D.is_zero() else "")),
         ("plan indices", f"{plan.indices[0]}..{plan.indices[-1]} "
                          f"({len(plan.indices)} steps)"),
@@ -471,12 +458,12 @@ def cmd_demo(cfg: dict, out: str) -> int:
     expected_ok = (check["ok"] and gap.dominated and suite.all_consistent
                    and report.verdict == "consistent-with-wlln")
     if name == "counterexample":
-        expected_ok = expected_ok and verdicts["weak_l1"].status == "fails" \
-            and verdicts["limsup"].status == "holds" \
-            and verdicts["energy"].status == "holds" and D.is_zero()
+        expected_ok = expected_ok and status["weak_l1"] == "fails" \
+            and status["limsup"] == "holds" \
+            and status["energy"] == "holds" and D.is_zero()
     elif name == "example41":
-        expected_ok = expected_ok and verdicts["weak_l1"].status == "holds-on-grid" \
-            and verdicts["energy"].status == "holds" and D.is_zero()
+        expected_ok = expected_ok and status["weak_l1"] == "holds-on-grid" \
+            and status["energy"] == "holds" and D.is_zero()
     else:  # latent-shift: the zero corrector must visibly break the law
         wrong = wlln_probe(model, plan.indices, corr.zero_corrector(n_grid),
                            epsilon, n_grid, reps, seed)
@@ -614,9 +601,17 @@ def main(argv=None) -> int:
         write_manifest(out, args.command, cfg)
         return _COMMANDS[args.command](cfg, out)
     except (UsageError, ProbeInputError, UnsupportedOracleError,
-            CapacityError) as exc:
+            CapacityError, ExtractConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ExtractionFailure as exc:
+        # an exhausted window leaves no finite violation, and JSON has no inf
+        best = exc.best_violation if math.isfinite(exc.best_violation) else None
+        write_json(os.path.join(out, "extract_failure.json"), {
+            "step": exc.step, "epsilon": exc.eps, "search_cap": exc.search_cap,
+            "best_candidate": exc.best_candidate, "best_violation": best})
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_EXTRACT
 
 
 if __name__ == "__main__":

@@ -16,18 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distributions import Distribution, UnsupportedOracleError
-from .models import (
-    Example41Model,
-    IIDModel,
-    IndependentArrayModel,
-    LatentShiftModel,
-    SequenceModel,
-    TailVanishingModel,
-)
+
+if TYPE_CHECKING:   # annotations only: the exact centerings live on the models
+    from .models import SequenceModel
 
 
 @dataclass
@@ -141,44 +137,11 @@ def corrector_independent(model: SequenceModel, n_grid,
 
 def corrector_weak_l2(model: SequenceModel, n_grid) -> CorrectorSeries:
     """Exact weak-L2 limits of the truncated coordinates, where the model
-    structure pins them down."""
+    structure pins them down (``SequenceModel.weak_l2_centering``)."""
     n_grid = tuple(int(N) for N in n_grid)
-    if isinstance(model, IIDModel):
-        series = corrector_iid(model.dist, n_grid)
-        series.provenance = "weak-l2/iid"
-        return series
-    if isinstance(model, TailVanishingModel):
-        # truncated moments vanish once the index passes the level, so the
-        # weak limit is zero at every level
-        return zero_corrector(n_grid, "weak-l2/tail-vanishing")
-    if isinstance(model, Example41Model):
-        if model.symmetric:
-            return zero_corrector(n_grid, "weak-l2/symmetric-marginals")
-        raise UnsupportedOracleError(
-            "one-sided heavy-log marginals have no model-pinned weak-L2 limit")
-    if isinstance(model, LatentShiftModel):
-        values = {
-            N: {b: model.conditional_trunc_moment(b, float(N), 1)
-                for b, _ in model.factor_dist.atoms}
-            for N in n_grid
-        }
-        return CorrectorSeries(n_grid, "conditional", values,
-                               "weak-l2/conditional-truncated-mean "
-                               "(test family: bounded functions of the factor)")
-    if isinstance(model, IndependentArrayModel):
-        values = {}
-        for N in n_grid:
-            means = [model.marginal_dist(n).trunc_moment(float(N), 1)
-                     for n in range(1, model.index_cap + 1)]
-            tail = means[len(means) // 2:]
-            if max(tail) - min(tail) > 1e-9:
-                raise UnsupportedOracleError(
-                    "truncated means do not stabilize over the array")
-            values[N] = tail[-1]
-        return CorrectorSeries(n_grid, "constant", values,
-                               "weak-l2/stabilized-truncated-mean")
-    raise UnsupportedOracleError(
-        f"model kind {model.kind!r} unsupported for weak-L2 correctors")
+    values = {N: model.weak_l2_centering(N) for N in n_grid}
+    kind = "constant" if model.factor_law is None else "conditional"
+    return CorrectorSeries(n_grid, kind, values, model.weak_l2_provenance)
 
 
 def corrector_cesaro_estimate(path_family, n_grid,

@@ -59,12 +59,6 @@ class Distribution:
     def quantile_array(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def quantile(self, u: float) -> float:
-        return float(self.quantile_array(np.asarray([u]))[0])
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.quantile_array(rng.random(size))
-
     # breakpoints of the survival step function on [0, M]; None means the
     # survival is not a step function (continuous laws)
     def survival_breakpoints(self, M: float) -> np.ndarray | None:

@@ -46,27 +46,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correctors import CorrectorSeries
-from .models import LatentShiftModel, SequenceModel
+from .models import SequenceModel
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
-def truncate(x: float, N: float) -> float:
-    """f^{[-N,N]}: the value if it lies in the band, else zero (not clipping)."""
-    return x if abs(x) <= N else 0.0
-
-
 def truncate_array(x: np.ndarray, N: float) -> np.ndarray:
+    """f^{[-N,N]}: zero outside the band [-N, N], not clipped to it."""
     return np.where(np.abs(x) <= N, x, 0.0)
-
-
-@dataclass
-class TruncationLevel:
-    N: float
-
-    def __post_init__(self):
-        if self.N <= 0:
-            raise ValueError("truncation level must be positive")
 
 
 class ExtractionFailure(Exception):
@@ -144,19 +131,6 @@ class _SampleBank:
         est = np.mean(prod, axis=1)
         hw = _Z99 * np.std(prod, axis=1, ddof=1) / math.sqrt(self.R)
         return est, hw
-
-
-def centered_inner_product(model: SequenceModel, j: int, k: int, N: float,
-                           D: CorrectorSeries, mode: str = "exact",
-                           R: int = 400, seed: int = 0):
-    """Returns (value, half_width); half_width is 0.0 in exact mode."""
-    if mode == "exact":
-        return exact_centered_inner_product(model, j, k, N, D), 0.0
-    if mode == "sample":
-        bank = _SampleBank(model, max(j, k), R, seed)
-        est, hw = bank.estimate([j], k, N, D)
-        return float(est[0]), float(hw[0])
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # -------------------------------------------------------------------------
@@ -502,11 +476,7 @@ def sum_of_squares_check(model: SequenceModel, D: CorrectorSeries, N: int,
         exact_centered_inner_product(model, i, i, float(N), D) for i in window)
     sum_sq = math.fsum(model.marginal_dist(i).trunc_moment(float(N), 2)
                        for i in window)
-    factor_probs = None
-    if isinstance(model, LatentShiftModel):
-        factor_probs = dict(model.factor_dist.atoms)
-    d2 = D.second_moment(N, factor_probs) if D.kind == "conditional" \
-        else D.second_moment(N)
+    d2 = D.second_moment(N, model.factor_law)
     sig = _sigma_sup(model, window, float(N))
     split_bound = 2.0 * sum_sq + 2.0 * N * d2
     sigma_bound = 4.0 * N * N * sig

@@ -62,9 +62,21 @@ class SequenceModel:
     #: uniform at position k
     has_factor = False
     coordinate_noise = True
+    #: {factor value: probability} when the weak-L2 centering is a function
+    #: of the path factor, else None
+    factor_law: dict | None = None
+    #: how ``weak_l2_centering`` pins D_N down, recorded in ``corrector.json``
+    weak_l2_provenance = ""
 
     def marginal_dist(self, n: int) -> Distribution:
         raise NotImplementedError
+
+    def weak_l2_centering(self, N: int):
+        """D_N, the weak-L2 limit of the truncated coordinates where the
+        model structure pins it down: a float, or a map from factor value
+        to float when it is a function of the factor (see ``factor_law``)."""
+        raise UnsupportedOracleError(
+            f"model kind {self.kind!r} unsupported for weak-L2 correctors")
 
     def _check_index(self, n: int) -> None:
         if not 1 <= n <= self.index_cap:
@@ -200,8 +212,6 @@ class SequenceModel:
         """Optional (description, indices) witnessing small truncated energy."""
         return None
 
-    def to_spec(self) -> dict:
-        raise NotImplementedError
 
 
 # -------------------------------------------------------------------------
@@ -209,6 +219,7 @@ class SequenceModel:
 
 class IIDModel(SequenceModel):
     kind = "iid"
+    weak_l2_provenance = "weak-l2/iid"
 
     def __init__(self, dist: Distribution, index_cap: int = 10**9):
         self.dist = dist
@@ -220,6 +231,9 @@ class IIDModel(SequenceModel):
 
     def _realize(self, idx, u, u0):
         return self.dist.quantile_array(u), None
+
+    def weak_l2_centering(self, N):
+        return self.dist.trunc_moment(float(N), 1)
 
     def pointwise_sup_index(self, n_range):
         return int(n_range[0])
@@ -235,13 +249,11 @@ class IIDModel(SequenceModel):
         # is an envelope for the limit
         return self.dist.tau_envelope()
 
-    def to_spec(self):
-        return {"kind": "iid", "params": {"dist": dist_to_spec(self.dist)},
-                "index_cap": self.index_cap}
 
 
 class IndependentArrayModel(SequenceModel):
     kind = "independent_array"
+    weak_l2_provenance = "weak-l2/stabilized-truncated-mean"
 
     def __init__(self, dists):
         self.dists = list(dists)
@@ -259,9 +271,14 @@ class IndependentArrayModel(SequenceModel):
             vals[:, col] = self.dists[i - 1].quantile_array(u[:, col])
         return vals, None
 
-    def to_spec(self):
-        return {"kind": "independent_array",
-                "params": {"dists": [dist_to_spec(d) for d in self.dists]}}
+    def weak_l2_centering(self, N):
+        means = [d.trunc_moment(float(N), 1) for d in self.dists]
+        tail = means[len(means) // 2:]
+        if max(tail) - min(tail) > 1e-9:
+            raise UnsupportedOracleError(
+                "truncated means do not stabilize over the array")
+        return tail[-1]
+
 
 
 class _TailRestricted(Distribution):
@@ -307,6 +324,7 @@ class TailVanishingModel(SequenceModel):
     kind = "tail_vanishing"
     has_factor = True
     coordinate_noise = False
+    weak_l2_provenance = "weak-l2/tail-vanishing"
 
     def __init__(self, g_dist: Distribution, index_cap: int = 10**9):
         self.g_dist = g_dist
@@ -319,6 +337,11 @@ class TailVanishingModel(SequenceModel):
     def _realize(self, idx, u, u0):
         g = self.g_dist.quantile_array(u0)
         return np.where(np.abs(g)[:, None] > idx, g[:, None], 0.0), g
+
+    def weak_l2_centering(self, N):
+        # truncated moments vanish once the index passes the level, so the
+        # weak limit is zero at every level
+        return 0.0
 
     def moment_row(self, i, levels, D):
         # f_j f_k = g^2 1{|g| > max(j, k)}: a pair's cross moment is the
@@ -369,10 +392,6 @@ class TailVanishingModel(SequenceModel):
         return (f"E(f_n^2 1{{|f_n|<=M}}) = 0 exactly for n >= {n0}",
                 [n for n in n_range if n >= n0] or [n0])
 
-    def to_spec(self):
-        return {"kind": "tail_vanishing",
-                "params": {"g": dist_to_spec(self.g_dist)},
-                "index_cap": self.index_cap}
 
 
 class Example41Model(SequenceModel):
@@ -384,11 +403,11 @@ class Example41Model(SequenceModel):
     """
 
     kind = "example41"
+    weak_l2_provenance = "weak-l2/symmetric-marginals"
 
     def __init__(self, rho, index_cap: int = 10**7,
                  joint_law: str = "independent", symmetric: bool = True,
-                 rho_sup_is_one: bool | None = None, rho_spec=None,
-                 rho_vec=None):
+                 rho_sup_is_one: bool | None = None, rho_vec=None):
         if joint_law not in ("independent", "comonotone"):
             raise ValueError(f"unknown joint_law {joint_law!r}")
         self._rho = rho  # callable index -> rho_n in (0, 1)
@@ -400,7 +419,6 @@ class Example41Model(SequenceModel):
         self.symmetric = bool(symmetric)
         self.index_cap = int(index_cap)
         self.rho_sup_is_one = rho_sup_is_one
-        self._rho_spec = rho_spec
 
     def rho(self, n: int) -> float:
         return float(self._rho(n))
@@ -431,6 +449,12 @@ class Example41Model(SequenceModel):
             v = (u.ravel()[nz] - r) / (1.0 - r)
             vals.ravel()[nz] = HeavyLogLaw(0.0, self.symmetric).quantile_array(v)
         return vals, u0
+
+    def weak_l2_centering(self, N):
+        if not self.symmetric:
+            raise UnsupportedOracleError(
+                "one-sided heavy-log marginals have no model-pinned weak-L2 limit")
+        return 0.0
 
     def moment_row(self, i, levels, D):
         # the comonotone coupling has no row form
@@ -506,12 +530,6 @@ class Example41Model(SequenceModel):
         return ("E(f_n^2 1{|f_n|<=M}) <= 2cM(1-rho_n)/log 2 -> 0 along "
                 "indices with rho_n -> 1", ranked[: min(8, len(ranked))])
 
-    def to_spec(self):
-        return {"kind": "example41",
-                "params": {"rho": self._rho_spec or {"family": "unspecified"},
-                           "symmetric": self.symmetric},
-                "joint_law": self.joint_law,
-                "index_cap": self.index_cap}
 
 
 class LatentShiftModel(SequenceModel):
@@ -522,11 +540,14 @@ class LatentShiftModel(SequenceModel):
 
     kind = "latent_shift"
     has_factor = True
+    weak_l2_provenance = ("weak-l2/conditional-truncated-mean "
+                          "(test family: bounded functions of the factor)")
 
     def __init__(self, factor_dist: FiniteDiscrete, noise_dist: FiniteDiscrete,
                  index_cap: int = 10**9):
         self.factor_dist = factor_dist
         self.noise_dist = noise_dist
+        self.factor_law = dict(factor_dist.atoms)
         self.index_cap = int(index_cap)
         self._marginal = convolve(factor_dist, noise_dist)
         self._row = (None, None, None)   # (D, levels, row) of moment_row
@@ -559,6 +580,10 @@ class LatentShiftModel(SequenceModel):
                 total += p * v ** order
         return total
 
+    def weak_l2_centering(self, N):
+        return {b: self.conditional_trunc_moment(b, float(N), 1)
+                for b in self.factor_law}
+
     def moment_row(self, i, levels, D):
         # given B the coordinates are iid, so every pair j != k has the same
         # inner product: the row is that value, and the last one is reused
@@ -590,42 +615,6 @@ class LatentShiftModel(SequenceModel):
                 total += p * (m1 - d) ** 2
         return total
 
-    def to_spec(self):
-        return {"kind": "latent_shift",
-                "params": {"factor": dist_to_spec(self.factor_dist),
-                           "noise": dist_to_spec(self.noise_dist)},
-                "index_cap": self.index_cap}
-
-
-# -------------------------------------------------------------------------
-# module-level operations
-# -------------------------------------------------------------------------
-
-def marginal_tail_prob(model: SequenceModel, n: int, M: float) -> float:
-    if M <= 0:
-        raise ValueError("M must be positive")
-    return model.marginal_dist(n).survival(M)
-
-
-def truncated_moment(model: SequenceModel, n: int, M: float, order: int) -> float:
-    if M <= 0:
-        raise ValueError("M must be positive")
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    return model.marginal_dist(n).trunc_moment(M, order)
-
-
-def conditional_truncated_mean(model: SequenceModel, N: float):
-    """Map from factor value to E(f 1{|f| <= N} | factor); constant map for
-    iid models, where the factor is trivial."""
-    if isinstance(model, LatentShiftModel):
-        return {b: model.conditional_trunc_moment(b, N, 1)
-                for b, _ in model.factor_dist.atoms}
-    if isinstance(model, IIDModel):
-        return {None: model.dist.trunc_moment(N, 1)}
-    raise UnsupportedOracleError(
-        f"model kind {model.kind!r} has no conditional-independence structure"
-    )
 
 
 # -------------------------------------------------------------------------
@@ -651,39 +640,33 @@ def dist_from_spec(spec: dict) -> Distribution:
     raise ValueError(f"unknown distribution family {family!r}")
 
 
-def dist_to_spec(dist: Distribution) -> dict:
-    if isinstance(dist, FiniteDiscrete):
-        return {"family": "finite", "atoms": [[v, p] for v, p in dist.atoms]}
-    if isinstance(dist, Pareto1):
-        return {"family": "pareto1", "scale": dist.scale}
-    if isinstance(dist, HeavyLogLaw):
-        return {"family": "heavy_log", "rho": dist.rho, "symmetric": dist.symmetric}
-    raise ValueError(f"cannot serialize {type(dist).__name__}")
-
-
 def _rho_from_spec(spec: dict):
-    """(scalar rho, vectorised rho, sup rho == 1, canonical spec).  The
-    oracles use the scalar form; sampling uses the vectorised one, whose
-    numpy log may differ from libm's in the last bit."""
+    """(scalar rho, vectorised rho, sup rho == 1, number of indices with a
+    rho or None for all).  The oracles use the scalar form; sampling uses
+    the vectorised one, whose numpy log may differ from libm's in the last
+    bit."""
     spec = dict(spec)
     family = spec.pop("family", None)
-    if family == "constant":
-        value = float(spec.pop("value"))
-        _reject_unknown(spec, "rho spec")
-        return (lambda n: value), (lambda idx: np.full(len(idx), value)), \
-            False, {"family": "constant", "value": value}
     if family == "one-minus-one-over-log":
         _reject_unknown(spec, "rho spec")
         return (lambda n: 1.0 - 1.0 / math.log(n + 2)), \
-            (lambda idx: 1.0 - 1.0 / np.log(idx + 2.0)), True, {
-                "family": "one-minus-one-over-log"}
-    if family == "explicit":
+            (lambda idx: 1.0 - 1.0 / np.log(idx + 2.0)), True, None
+    if family == "constant":
+        values = [float(spec.pop("value"))]
+    elif family == "explicit":
         values = [float(v) for v in spec.pop("values")]
-        _reject_unknown(spec, "rho spec")
-        table = np.array(values)
-        return (lambda n: values[n - 1]), (lambda idx: table[idx - 1]), \
-            None, {"family": "explicit", "values": values}
-    raise ValueError(f"unknown rho family {family!r}")
+    else:
+        raise ValueError(f"unknown rho family {family!r}")
+    _reject_unknown(spec, "rho spec")
+    if not values or not all(0.0 <= v <= 1.0 for v in values):
+        raise ValueError(f"rho needs values in [0, 1], not {values}")
+    if family == "constant":
+        value = values[0]
+        return (lambda n: value), (lambda idx: np.full(len(idx), value)), \
+            False, None
+    table = np.array(values)
+    return (lambda n: values[n - 1]), (lambda idx: table[idx - 1]), None, \
+        len(values)
 
 
 def _reject_unknown(leftover: dict, where: str) -> None:
@@ -712,13 +695,15 @@ def model_from_spec(spec: dict) -> SequenceModel:
         _reject_unknown(params, "tail_vanishing params")
         return TailVanishingModel(g, index_cap or 10**9)
     if kind == "example41":
-        rho_fn, rho_vec, sup_one, rho_spec = _rho_from_spec(params.pop("rho"))
+        rho_fn, rho_vec, sup_one, rho_cap = _rho_from_spec(params.pop("rho"))
         symmetric = params.pop("symmetric", True)
         _reject_unknown(params, "example41 params")
-        return Example41Model(rho_fn, index_cap or 10**7,
+        if rho_cap and (index_cap or 0) > rho_cap:
+            raise ValueError(f"index_cap {index_cap} exceeds the "
+                             f"{rho_cap} explicit rho values")
+        return Example41Model(rho_fn, index_cap or rho_cap or 10**7,
                               joint_law or "independent", symmetric,
-                              rho_sup_is_one=sup_one, rho_spec=rho_spec,
-                              rho_vec=rho_vec)
+                              rho_sup_is_one=sup_one, rho_vec=rho_vec)
     if kind == "latent_shift":
         factor = dist_from_spec(params.pop("factor"))
         noise = dist_from_spec(params.pop("noise"))

@@ -34,18 +34,6 @@ class Verdict:
     data: dict = field(default_factory=dict)
 
 
-def tau_n(model: SequenceModel, n: int, M: float) -> float:
-    if M <= 0:
-        raise ValueError("M must be positive")
-    return M * model.marginal_dist(n).survival(M)
-
-
-def sigma_n(model: SequenceModel, n: int, M: float) -> float:
-    if M <= 0:
-        raise ValueError("M must be positive")
-    return model.marginal_dist(n).trunc_moment(M, 2) / M
-
-
 def feller_identity_residual(model: SequenceModel, n: int, M: float) -> float:
     """sigma_n(M) - [(2/M) int_0^M tau_n(t) dt - tau_n(M)], with the integral
     taken exactly over the piecewise-linear integrand."""
@@ -104,8 +92,8 @@ class TailProfile:
 def build_tail_profile(model: SequenceModel, m_grid, n_range) -> TailProfile:
     m_grid = tuple(sorted(float(M) for M in m_grid))
     n_range = tuple(sorted(int(n) for n in n_range))
-    if not m_grid:
-        raise ValueError("empty M grid")
+    if not m_grid or m_grid[0] <= 0:
+        raise ValueError("the M grid must be non-empty and positive")
     if not n_range:
         raise ValueError("empty index window")
     tau, sigma, res = {}, {}, {}

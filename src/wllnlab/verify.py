@@ -181,20 +181,14 @@ def wlln_probe(model: SequenceModel, indices, D: CorrectorSeries,
                epsilon: float, n_grid, R: int, seed: int,
                pass_threshold: float = 0.05, increase_margin: float = 0.0,
                compute_l2: bool = False) -> ConvergenceReport:
+    """The exceedance probe; ``compute_l2`` adds the L2-criterion estimate
+    N^-2 E(sum (f^{[-N,N]} - D_N))^2 and the Markov cross-check."""
     n_grid = _grid(n_grid)
     sel = _probe_indices(indices, n_grid[-1])[: n_grid[-1]]
     acc = _Exceedance(D, epsilon, n_grid, compute_l2)
     for vals, factors in model.sample_blocks(sel, seed, R):
         acc.add(vals, factors)
     return acc.report(R, seed, pass_threshold, increase_margin)
-
-
-def l2_probe(model: SequenceModel, indices, D: CorrectorSeries, n_grid,
-             R: int, seed: int, epsilon: float = 0.25) -> ConvergenceReport:
-    """wlln_probe augmented with the L2-criterion estimate
-    N^-2 E(sum (f^{[-N,N]} - D_N))^2 and the Markov cross-check."""
-    return wlln_probe(model, indices, D, epsilon, n_grid, R, seed,
-                      compute_l2=True)
 
 
 @dataclass

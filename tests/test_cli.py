@@ -23,6 +23,11 @@ EXAMPLE41_MODEL = {"kind": "example41",
                    "params": {"rho": {"family": "one-minus-one-over-log"},
                               "symmetric": True}}
 
+# rho for indices 1..3 only
+TABLE_MODEL = {"kind": "example41",
+               "params": {"rho": {"family": "explicit",
+                                  "values": [0.5, 0.6, 0.7]}}}
+
 IID_MODEL = {"kind": "iid",
              "params": {"dist": {"family": "finite",
                                  "atoms": [[1.0, 0.25], [5.0, 0.75]]}}}
@@ -155,8 +160,18 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
         "corrector": "weak_l2", "n_grid": [8]}),
     ("verify", {"model": {**IID_MODEL, "index_cap": 100}, "n_grid": [256],
                 "reps": 10}),
+    ("tails", {"model": TABLE_MODEL, "n_range": [1, 8]}),
+    ("verify", {"model": TABLE_MODEL, "indices": [1, 2, 3, 4], "n_grid": [4],
+                "reps": 10}),
+    ("extract", {"model": {**TABLE_MODEL, "index_cap": 10}, "n_grid": [4]}),
+    ("tails", {"model": {**EXAMPLE41_MODEL, "params": {
+        "rho": {"family": "constant", "value": 1.5}}}}),
+    ("tails", {"model": {**EXAMPLE41_MODEL, "params": {
+        "rho": {"family": "explicit", "values": [0.5, -0.2]}}}}),
 ], ids=["non-numeric-value", "infinite-value", "unsupported-oracle",
-        "index-cap-below-grid"])
+        "index-cap-below-grid", "tails-past-rho-table",
+        "verify-past-rho-table", "index-cap-above-rho-table",
+        "rho-above-one", "rho-below-zero"])
 def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
@@ -179,15 +194,31 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     ("extract", {"n_grid": []}),
     ("extract", {"n_grid": [0]}),
     ("extract", {"n_grid": [-4]}),
+    ("extract", {"target_length": None}),
+    ("tails", {"m_grid": [0, 2]}),
+    ("tails", {"m_grid": [-4, 2]}),
+    ("tails", {"m_grid": [1e400]}),
+    ("tails", {"feller_grid": [0, 4]}),
+    ("tails", {"n_range": [1, 2, 3]}),
+    ("tails", {"expect": [1]}),
+    ("hereditary", {"patterns": 5}),
+    ("hereditary", {"patterns": ["every-5th"]}),
+    ("verify", {"seed": -1}),
+    ("verify", {"gap_probe": "false"}),
 ], ids=["verify-indices-too-short", "verify-negative-epsilon",
         "verify-zero-epsilon", "verify-zero-level", "verify-decreasing-indices",
         "verify-gap-probe-negative-epsilon", "hereditary-zero-level",
         "hereditary-decreasing-indices", "hereditary-negative-epsilon",
         "hereditary-no-pattern-long-enough", "extract-empty-grid",
-        "extract-zero-level", "extract-negative-level"])
+        "extract-zero-level", "extract-negative-level", "extract-null-length",
+        "tails-zero-level", "tails-negative-level", "tails-infinite-level",
+        "tails-zero-feller-level", "tails-three-item-range",
+        "tails-expect-not-an-object", "hereditary-patterns-not-a-list",
+        "hereditary-unknown-pattern", "verify-negative-seed",
+        "verify-flag-not-boolean"])
 def test_probe_and_grid_inputs_are_usage_errors(tmp_path, capsys, command,
                                                 payload):
-    runs = {} if command == "extract" else {"reps": 10}
+    runs = {"reps": 10} if command in ("verify", "hereditary") else {}
     cfg = write_cfg(tmp_path, "c.json", {"model": TAIL_MODEL, **runs, **payload})
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 64
@@ -226,6 +257,19 @@ def test_exhausted_window_failure_is_strict_json(tmp_path):
     text = (out / "extract_failure.json").read_text()
     failure = json.loads(text, parse_constant=reject)
     assert failure["best_candidate"] is None and failure["best_violation"] is None
+
+
+def test_rho_table_ends_the_search_window(tmp_path, capsys):
+    # the explicit rho table sets the index_cap: steps 4 and 5 find no
+    # candidate, an extraction failure and not an index error
+    cfg = write_cfg(tmp_path, "c.json", {"model": TABLE_MODEL,
+                                         "target_length": 5, "n_grid": [4]})
+    out = tmp_path / "o"
+    assert main(["extract", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    failure = json.loads((out / "extract_failure.json").read_text())
+    assert failure["step"] == 4 and failure["search_cap"] == 3
 
 
 @pytest.mark.parametrize("command", ["verify", "hereditary"])

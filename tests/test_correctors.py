@@ -28,7 +28,6 @@ from wllnlab.models import (
     TailVanishingModel,
 )
 from wllnlab.distributions import Pareto1
-from wllnlab.tails import sigma_n
 
 N_GRID = (2, 8, 32, 128)
 
@@ -139,7 +138,7 @@ class TestWeakL2:
         probs = dict(LATENT.factor_dist.atoms)
         D = corrector_weak_l2(LATENT, (8, 32))
         for N in (8, 32):
-            bound = N * sigma_n(LATENT, 1, float(N))
+            bound = LATENT.marginal_dist(1).trunc_moment(float(N), 2)
             assert D.second_moment(N, probs) <= bound + 1e-9
 
     def test_zero_when_energy_vanishes(self):
@@ -197,3 +196,80 @@ def test_serialization_shapes():
     assert js["series"][0]["table"] == [[-1.0, -1.0], [1.0, 1.0]]
     Z = corrector_iid(Pareto1(), (4,))
     assert Z.to_json()["series"][0]["value"] == pytest.approx(math.log(4.0))
+
+
+def _reference_weak_l2(model, n_grid) -> CorrectorSeries:
+    """Exact weak-L2 limits of the truncated coordinates, where the model
+    structure pins them down."""
+    n_grid = tuple(int(N) for N in n_grid)
+    if isinstance(model, IIDModel):
+        series = corrector_iid(model.dist, n_grid)
+        series.provenance = "weak-l2/iid"
+        return series
+    if isinstance(model, TailVanishingModel):
+        # truncated moments vanish once the index passes the level, so the
+        # weak limit is zero at every level
+        return zero_corrector(n_grid, "weak-l2/tail-vanishing")
+    if isinstance(model, Example41Model):
+        if model.symmetric:
+            return zero_corrector(n_grid, "weak-l2/symmetric-marginals")
+        raise UnsupportedOracleError(
+            "one-sided heavy-log marginals have no model-pinned weak-L2 limit")
+    if isinstance(model, LatentShiftModel):
+        values = {
+            N: {b: model.conditional_trunc_moment(b, float(N), 1)
+                for b, _ in model.factor_dist.atoms}
+            for N in n_grid
+        }
+        return CorrectorSeries(n_grid, "conditional", values,
+                               "weak-l2/conditional-truncated-mean "
+                               "(test family: bounded functions of the factor)")
+    if isinstance(model, IndependentArrayModel):
+        values = {}
+        for N in n_grid:
+            means = [model.marginal_dist(n).trunc_moment(float(N), 1)
+                     for n in range(1, model.index_cap + 1)]
+            tail = means[len(means) // 2:]
+            if max(tail) - min(tail) > 1e-9:
+                raise UnsupportedOracleError(
+                    "truncated means do not stabilize over the array")
+            values[N] = tail[-1]
+        return CorrectorSeries(n_grid, "constant", values,
+                               "weak-l2/stabilized-truncated-mean")
+    raise UnsupportedOracleError(
+        f"model kind {model.kind!r} unsupported for weak-L2 correctors")
+
+
+# a first half of other laws, then one law: the truncated means stabilize
+STABILIZING = IndependentArrayModel(
+    [FiniteDiscrete([(7.0, 1.0)])] * 3
+    + [FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])] * 5)
+ALTERNATING = IndependentArrayModel(
+    [FiniteDiscrete([(0.0, 1.0)]), FiniteDiscrete([(7.0, 1.0)])] * 5)
+
+
+@pytest.mark.parametrize("model", [
+    IIDModel(FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])),
+    IIDModel(HeavyLogLaw(0.25, symmetric=False)),
+    TailVanishingModel(Pareto1()),
+    Example41Model(lambda n: 1.0 - 1.0 / math.log(n + 2)),
+    LATENT,
+    STABILIZING,
+], ids=["iid", "iid-one-sided-heavy", "tail-vanishing", "example41-symmetric",
+        "latent-shift", "stabilizing-array"])
+def test_weak_l2_matches_reference(model):
+    grid = (2, 8, 32, 128, 4096)
+    assert corrector_weak_l2(model, grid).to_json() == \
+        _reference_weak_l2(model, grid).to_json()
+
+
+@pytest.mark.parametrize("model", [
+    Example41Model(lambda n: 0.5, symmetric=False),
+    ALTERNATING,
+], ids=["example41-one-sided", "non-stabilizing-array"])
+def test_weak_l2_unsupported_as_reference(model):
+    with pytest.raises(UnsupportedOracleError) as ref:
+        _reference_weak_l2(model, N_GRID)
+    with pytest.raises(UnsupportedOracleError) as got:
+        corrector_weak_l2(model, N_GRID)
+    assert str(got.value) == str(ref.value)

@@ -26,18 +26,15 @@ from wllnlab.extract import (
     ExtractConfigError,
     ExtractionFailure,
     ExtractionPlan,
-    TruncationLevel,
     _SampleBank,
     _exact_values,
     admissible_levels,
-    centered_inner_product,
     check_plan_subsequence,
     cross_product_budget,
     exact_centered_inner_product,
     greedy_extract,
     step_epsilon,
     sum_of_squares_check,
-    truncate,
     truncate_array,
     verify_plan,
 )
@@ -57,23 +54,20 @@ LATENT = LatentShiftModel(FiniteDiscrete([(-1.0, 0.5), (1.0, 0.5)]),
 
 class TestTruncate:
     def test_basics(self):
-        assert truncate(3.0, 5.0) == 3.0
-        assert truncate(7.0, 5.0) == 0.0     # zeroed, not clipped
-        assert truncate(-5.0, 5.0) == -5.0   # boundary included
+        got = truncate_array(np.array([3.0, 7.0, -5.0]), 5.0)
+        # zeroed, not clipped; the boundary is included
+        assert got.tolist() == [3.0, 0.0, -5.0]
 
     @given(st.floats(-1e6, 1e6), st.floats(0.01, 1e4), st.floats(0.01, 1e4))
     def test_composition_law(self, x, N, Nprime):
-        assert truncate(truncate(x, N), Nprime) == truncate(x, min(N, Nprime))
+        x = np.array([x])
+        assert truncate_array(truncate_array(x, N), Nprime) == \
+            truncate_array(x, min(N, Nprime))
 
     def test_array_matches_scalar(self):
         xs = np.array([-7.0, -5.0, 0.0, 3.0, 7.0])
         assert np.array_equal(truncate_array(xs, 5.0),
-                              [truncate(x, 5.0) for x in xs])
-
-    def test_level_validation(self):
-        with pytest.raises(ValueError):
-            TruncationLevel(0.0)
-        assert TruncationLevel(2.5).N == 2.5
+                              [x if abs(x) <= 5.0 else 0.0 for x in xs])
 
 
 class TestExactInnerProducts:
@@ -118,19 +112,17 @@ class TestExactInnerProducts:
         m = Example41Model(lambda n: 0.3 + 0.01 * n, joint_law="comonotone")
         D = zero_corrector((8,))
         exact = exact_centered_inner_product(m, 1, 5, 8.0, D)
-        est, hw = centered_inner_product(m, 1, 5, 8.0, D, mode="sample",
-                                         R=4000, seed=9)
-        assert abs(est - exact) <= hw + 1e-12
+        est, hw = _SampleBank(m, 5, 4000, 9).estimate([1], 5, 8.0, D)
+        assert abs(est[0] - exact) <= hw[0] + 1e-12
 
     def test_sample_mode_covers_exact(self):
         dist = FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)])
         m = IIDModel(dist)
         D = zero_corrector((4,))
-        est, hw = centered_inner_product(m, 2, 2, 4.0, D, mode="sample",
-                                         R=2000, seed=1)
-        assert abs(est - 4.0) <= hw
-        with pytest.raises(ValueError):
-            centered_inner_product(m, 1, 2, 4.0, D, mode="sample", R=50)
+        est, hw = _SampleBank(m, 2, 2000, 1).estimate([2], 2, 4.0, D)
+        assert abs(est[0] - 4.0) <= hw[0]
+        with pytest.raises(ExtractConfigError):
+            _SampleBank(m, 2, 50, 0)
 
 
 class TestSchedule:

@@ -14,10 +14,7 @@ from wllnlab.models import (
     IndependentArrayModel,
     LatentShiftModel,
     TailVanishingModel,
-    conditional_truncated_mean,
-    marginal_tail_prob,
     model_from_spec,
-    truncated_moment,
 )
 from wllnlab.verify import wilson_interval
 
@@ -30,8 +27,7 @@ def make_models():
     return {
         "iid": IIDModel(Pareto1()),
         "tail_vanishing": TailVanishingModel(Pareto1()),
-        "example41": Example41Model(
-            lambda n: 0.5, rho_spec={"family": "constant", "value": 0.5}),
+        "example41": Example41Model(lambda n: 0.5),
         "latent_shift": LatentShiftModel(
             FiniteDiscrete([(-1.0, 0.5), (1.0, 0.5)]),
             FiniteDiscrete([(-3.0, 0.5), (3.0, 0.5)])),
@@ -98,14 +94,14 @@ class TestTailVanishing:
     def test_truncated_moment_vanishes_past_level(self):
         m = TailVanishingModel(Pareto1())
         for n, M in [(5, 5.0), (8, 3.0), (100, 100.0)]:
-            assert truncated_moment(m, n, M, 2) == 0.0
-        assert truncated_moment(m, 2, 10.0, 2) > 0.0
+            assert m.marginal_dist(n).trunc_moment(M, 2) == 0.0
+        assert m.marginal_dist(2).trunc_moment(10.0, 2) > 0.0
 
     def test_marginal_survival(self):
         # P(|f_n| > M) = P(|g| > max(M, n)) = 1/max(M, n) here
         m = TailVanishingModel(Pareto1())
-        assert marginal_tail_prob(m, 4, 2.0) == pytest.approx(0.25)
-        assert marginal_tail_prob(m, 2, 8.0) == pytest.approx(0.125)
+        assert m.marginal_dist(4).survival(2.0) == pytest.approx(0.25)
+        assert m.marginal_dist(2).survival(8.0) == pytest.approx(0.125)
 
 
 class TestExample41:
@@ -155,14 +151,16 @@ class TestLatentShift:
     def test_conditional_truncated_mean(self):
         m = make_models()["latent_shift"]
         # N large enough that truncation never binds: map b -> b
-        cmap = conditional_truncated_mean(m, 10.0)
+        cmap = m.weak_l2_centering(10)
         assert cmap == {-1.0: pytest.approx(-1.0), 1.0: pytest.approx(1.0)}
+        assert m.factor_law == {-1.0: 0.5, 1.0: 0.5}
         # N below the essential infimum of |B + eta|: identically 0
-        assert conditional_truncated_mean(m, 1.5) == {-1.0: 0.0, 1.0: 0.0}
+        assert m.weak_l2_centering(1.5) == {-1.0: 0.0, 1.0: 0.0}
 
     def test_iid_conditional_is_constant(self):
         m = IIDModel(FiniteDiscrete([(3.0, 1.0)]))
-        assert conditional_truncated_mean(m, 5.0) == {None: 3.0}
+        assert m.weak_l2_centering(5) == 3.0
+        assert m.factor_law is None
 
 
 @pytest.mark.parametrize("name", ["iid", "tail_vanishing", "example41",
@@ -191,14 +189,6 @@ def test_statistical_consistency(name):
 
 
 class TestModelSpecs:
-    def test_roundtrip(self):
-        for model in make_models().values():
-            again = model_from_spec(model.to_spec())
-            assert again.kind == model.kind
-            a = model.sample_path(16, seed=3).values
-            b = again.sample_path(16, seed=3).values
-            assert np.array_equal(a, b)
-
     def test_unknown_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             model_from_spec({"kind": "iid",
@@ -228,6 +218,23 @@ class TestModelSpecs:
                                                 "values": [0.1, 0.9]}},
                              "index_cap": 2})
         assert m.rho(2) == 0.9
+
+    def test_rho_specs_checked_when_parsed(self):
+        def ex41(rho, **spec):
+            return model_from_spec({"kind": "example41",
+                                    "params": {"rho": rho}, **spec})
+
+        # an explicit table caps the indices at its length
+        table = {"family": "explicit", "values": [0.5, 0.6, 0.7]}
+        assert ex41(table).index_cap == 3
+        assert ex41(table, index_cap=2).index_cap == 2
+        with pytest.raises(ValueError, match="index_cap"):
+            ex41(table, index_cap=4)
+        for bad in ({"family": "constant", "value": 1.5},
+                    {"family": "explicit", "values": [0.5, -0.2]},
+                    {"family": "explicit", "values": []}):
+            with pytest.raises(ValueError, match="rho"):
+                ex41(bad)
 
 
 def test_independent_array_marginals():

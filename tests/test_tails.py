@@ -25,8 +25,6 @@ from wllnlab.tails import (
     check_limsup_condition,
     check_weak_l1,
     feller_identity_residual,
-    sigma_n,
-    tau_n,
     tau_sup_integral,
 )
 
@@ -46,30 +44,32 @@ class TestFunctionals:
     def test_tail_vanishing_tau(self):
         # tau_n(M) = M / max(M, n) for the inverse-law g
         m = TailVanishingModel(Pareto1())
-        assert tau_n(m, 4, 2.0) == pytest.approx(0.5)
-        assert tau_n(m, 2, 8.0) == pytest.approx(1.0)
-        assert tau_n(m, 10, 10.0) == pytest.approx(1.0)
+        assert 2.0 * m.marginal_dist(4).survival(2.0) == pytest.approx(0.5)
+        assert 8.0 * m.marginal_dist(2).survival(8.0) == pytest.approx(1.0)
+        assert 10.0 * m.marginal_dist(10).survival(10.0) == pytest.approx(1.0)
 
     def test_bounded_tau_zero(self):
         m = IIDModel(FiniteDiscrete([(-5.0, 0.5), (5.0, 0.5)]))
-        assert tau_n(m, 1, 10.0) == 0.0
+        assert 10.0 * m.marginal_dist(1).survival(10.0) == 0.0
 
     def test_two_point_sigma(self):
         a = 3.0
         m = IIDModel(FiniteDiscrete([(-a, 0.5), (a, 0.5)]))
         for M in (3.0, 7.0, 50.0):
-            assert sigma_n(m, 1, M) == pytest.approx(a * a / M)
+            sigma = m.marginal_dist(1).trunc_moment(M, 2) / M
+            assert sigma == pytest.approx(a * a / M)
 
     def test_example41_sigma_at_4(self):
         c = example41_constant_c()
         want = 0.25 * c * (1 / math.log(2) + 1 / math.log(3) + 1 / math.log(4))
-        assert sigma_n(ex41(0.5), 1, 4.0) == pytest.approx(want, rel=1e-10)
+        sigma = ex41(0.5).marginal_dist(1).trunc_moment(4.0, 2) / 4.0
+        assert sigma == pytest.approx(want, rel=1e-10)
 
     def test_rejects_nonpositive_M(self):
         with pytest.raises(ValueError):
-            tau_n(ex41(), 1, 0.0)
+            build_tail_profile(ex41(), [0.0, 2.0], [1])
         with pytest.raises(ValueError):
-            sigma_n(ex41(), 1, -1.0)
+            build_tail_profile(ex41(), [-1.0], [1])
 
 
 class TestFellerResidual:

@@ -19,7 +19,6 @@ from wllnlab.verify import (
     PATTERNS,
     ProbeInputError,
     hereditary_suite,
-    l2_probe,
     thin_indices,
     truncation_gap_probe,
     wilson_interval,
@@ -99,8 +98,8 @@ class TestWllnProbe:
 
 class TestL2Probe:
     def test_zero_sequence(self):
-        r = l2_probe(ZERO_MODEL, range(1, 17), zero_corrector((16,)),
-                     (16,), 200, seed=0)
+        r = wlln_probe(ZERO_MODEL, range(1, 17), zero_corrector((16,)), 0.25,
+                       (16,), 200, seed=0, compute_l2=True)
         assert r.l2_hat[16] == 0.0
         assert r.markov_ok
 
@@ -108,7 +107,8 @@ class TestL2Probe:
         dist = FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)])
         m = IIDModel(dist)
         D = corrector_iid(dist, (16, 64))
-        r = l2_probe(m, range(1, 65), D, (16, 64), 800, seed=5, epsilon=0.25)
+        r = wlln_probe(m, range(1, 65), D, 0.25, (16, 64), 800, seed=5,
+                       compute_l2=True)
         assert r.markov_ok
         # independent coordinates: E(A_N - D_N)^2 = Var(f^t)/N
         var = dist.trunc_moment(64.0, 2)
@@ -123,7 +123,8 @@ class TestL2Probe:
         grid = (16, 256)
         D = zero_corrector(grid)
         plan = greedy_extract(m, 256, grid, D, search_cap=1024)
-        r = l2_probe(m, plan.indices, D, grid, 500, seed=6)
+        r = wlln_probe(m, plan.indices, D, 0.25, grid, 500, seed=6,
+                       compute_l2=True)
         assert r.l2_hat[256] <= 0.05
         assert r.markov_ok
 
