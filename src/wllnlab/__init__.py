@@ -64,6 +64,7 @@ from .verify import (
     GapReport,
     HereditaryReport,
     ProbeInputError,
+    ProbePass,
     hereditary_suite,
     thin_indices,
     truncation_gap_probe,

@@ -30,13 +30,7 @@ from .extract import (
 )
 from .distributions import UnsupportedOracleError
 from .models import CapacityError, SequenceModel, model_from_spec
-from .verify import (
-    PATTERNS,
-    ProbeInputError,
-    hereditary_suite,
-    truncation_gap_probe,
-    wlln_probe,
-)
+from .verify import PATTERNS, ProbeInputError, ProbePass
 
 EXIT_OK = 0
 EXIT_EXPECT = 2
@@ -55,10 +49,13 @@ class UsageError(Exception):
 # deterministic serialization
 # -------------------------------------------------------------------------
 
-def write_json(path: str, obj) -> None:
+def write_json(path: str, obj, compact: bool = False) -> None:
+    # only dumps without indentation runs the C encoder; the bulky plan.json
+    # is written that way, every other artifact indented
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) if compact \
+        else json.dumps(obj, sort_keys=True, indent=2)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _cell(v) -> str:
@@ -148,6 +145,9 @@ _CHECKS = (
      "a list of thinning patterns out of " + ", ".join(PATTERNS)),
     ("expect", lambda e: isinstance(e, dict), "an object of condition: status"),
 )
+# the tail conditions ``tails`` checks, and the Feller pair a feller_grid adds
+_TAIL_CONDITIONS = ("weak_l1", "liminf", "limsup", "energy")
+_FELLER_CONDITIONS = ("feller_tail_sum", "feller_square_sum")
 
 
 def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
@@ -180,6 +180,11 @@ def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
     for key, ok, what in _CHECKS:
         if key in cfg and not ok(cfg[key]):
             raise UsageError(f"{key} must be {what}")
+    for cond in cfg.get("expect", ()):
+        if cond in _FELLER_CONDITIONS and not cfg["feller_grid"]:
+            raise UsageError(f"expect condition {cond!r} needs a feller_grid")
+        if cond not in _TAIL_CONDITIONS + _FELLER_CONDITIONS:
+            raise UsageError(f"expect names unknown condition {cond!r}")
     cfg["schema_version"] = SCHEMA_VERSION
     return cfg
 
@@ -272,19 +277,16 @@ def _tails_stage(model: SequenceModel, cfg: dict, out: str,
     }
     block = {name: _verdict_json(checks[name]()) for name in conditions}
     if cfg["feller_grid"]:
-        first, second = tails_mod.check_feller_necessary(model, cfg["feller_grid"])
-        block["feller_tail_sum"] = _verdict_json(first)
-        block["feller_square_sum"] = _verdict_json(second)
+        block.update(zip(_FELLER_CONDITIONS, map(_verdict_json, tails_mod
+                         .check_feller_necessary(model, cfg["feller_grid"]))))
     write_json(os.path.join(out, "verdicts.json"), block)
     return block
 
 
 def cmd_tails(cfg: dict, out: str) -> int:
-    block = _tails_stage(_require_model(cfg), cfg, out,
-                         ("weak_l1", "liminf", "limsup", "energy"))
+    block = _tails_stage(_require_model(cfg), cfg, out, _TAIL_CONDITIONS)
+    # resolve_config has checked that every expected condition is in block
     for cond, wanted in sorted(cfg["expect"].items()):
-        if cond not in block:
-            raise UsageError(f"--expect names unknown condition {cond!r}")
         got = block[cond]["status"]
         ok = got == wanted or (wanted == "holds" and got == "holds-on-grid")
         if not ok:
@@ -301,7 +303,7 @@ def _extract_stage(model: SequenceModel, cfg: dict, out: str):
                           mode=cfg["mode"], eps_floor=cfg["eps_floor"],
                           search_cap=cfg["search_cap"], seed=cfg["seed"],
                           R=cfg["sample_R"], min_index=cfg["min_index"])
-    write_json(os.path.join(out, "plan.json"), plan.to_json())
+    write_json(os.path.join(out, "plan.json"), plan.to_json(), compact=True)
     write_json(os.path.join(out, "corrector.json"), D.to_json())
     check = verify_plan(plan, model, D)
     write_json(os.path.join(out, "plan_check.json"), _jsonable(check))
@@ -314,8 +316,9 @@ def cmd_extract(cfg: dict, out: str) -> int:
 
 
 def _probe_inputs(cfg: dict):
-    """(model, indices, corrector) of a verify or hereditary config; the
-    indices come from ``plan_path`` or ``indices``, else are 1..max(n_grid)."""
+    """(paths, corrector) of a verify or hereditary config: ``paths`` is a
+    ``ProbePass`` on the indices from ``plan_path`` or ``indices``, else
+    on 1..max(n_grid)."""
     model = _require_model(cfg)
     indices = cfg["indices"]
     if cfg["plan_path"]:
@@ -326,52 +329,56 @@ def _probe_inputs(cfg: dict):
             raise UsageError(f"cannot read plan {cfg['plan_path']}: {exc}")
     elif indices is None:
         indices = list(range(1, max(cfg["n_grid"]) + 1))
-    return model, indices, build_corrector(cfg["corrector"], model,
-                                           cfg["n_grid"])
+    return (ProbePass(model, indices, cfg["seed"]),
+            build_corrector(cfg["corrector"], model, cfg["n_grid"]))
 
 
-def _probe_stage(model: SequenceModel, indices, D, cfg: dict, out: str,
-                 gap_reps: int, with_csv: bool):
-    """report.json, report.csv if ``with_csv``, and gap_report.json from
-    ``gap_reps`` replications if ``cfg["gap_probe"]``; returns (report, gap)."""
-    report = wlln_probe(model, indices, D, cfg["epsilon"], cfg["n_grid"],
-                        cfg["reps"], cfg["seed"],
-                        pass_threshold=cfg["pass_threshold"],
-                        compute_l2=cfg["compute_l2"])
-    write_json(os.path.join(out, "report.json"), report.to_json())
-    if with_csv:
-        rows = []
-        for N in report.n_grid:
-            lo, hi = report.ci[N]
-            l2 = report.l2_hat[N] if report.l2_hat is not None else ""
-            rows.append((N, report.p_hat[N], lo, hi, l2))
-        write_csv(os.path.join(out, "report.csv"),
-                  ("N", "p_hat", "ci_lo", "ci_hi", "l2_hat"), rows)
-    gap = None
-    if cfg["gap_probe"]:
-        gap = truncation_gap_probe(model, indices, cfg["n_grid"], gap_reps,
-                                   cfg["seed"], epsilon=cfg["epsilon"])
-        write_json(os.path.join(out, "gap_report.json"), gap.to_json())
-    return report, gap
+def _queue_verify(paths: ProbePass, D, cfg: dict, gap_reps: int) -> list:
+    """Queues the verify probe and, if ``cfg["gap_probe"]``, the gap probe
+    from ``gap_reps`` replications; returns the names of their reports."""
+    paths.wlln(D, cfg["epsilon"], cfg["n_grid"], cfg["reps"],
+               pass_threshold=cfg["pass_threshold"],
+               compute_l2=cfg["compute_l2"])
+    if not cfg["gap_probe"]:
+        return ["report"]
+    paths.gap(cfg["n_grid"], gap_reps, cfg["epsilon"])
+    return ["report", "gap_report"]
+
+
+def _queue_hereditary(paths: ProbePass, D, cfg: dict) -> list:
+    paths.hereditary(D, cfg["epsilon"], cfg["n_grid"], cfg["reps"],
+                     patterns=cfg["patterns"],
+                     pass_threshold=cfg["pass_threshold"])
+    return ["hereditary"]
+
+
+def _run_probes(paths: ProbePass, names, out: str) -> dict:
+    """Samples the paths once and writes ``<name>.json`` for each queued
+    probe; returns the reports by name."""
+    reports = dict(zip(names, paths.run()))
+    for name, report in reports.items():
+        write_json(os.path.join(out, name + ".json"), report.to_json())
+    return reports
 
 
 def cmd_verify(cfg: dict, out: str) -> int:
-    report, _ = _probe_stage(*_probe_inputs(cfg), cfg, out,
-                             max(cfg["reps"], 100), True)
+    paths, D = _probe_inputs(cfg)
+    report = _run_probes(paths, _queue_verify(
+        paths, D, cfg, max(cfg["reps"], 100)), out)["report"]
+    rows = []
+    for N in report.n_grid:
+        lo, hi = report.ci[N]
+        l2 = report.l2_hat[N] if report.l2_hat is not None else ""
+        rows.append((N, report.p_hat[N], lo, hi, l2))
+    write_csv(os.path.join(out, "report.csv"),
+              ("N", "p_hat", "ci_lo", "ci_hi", "l2_hat"), rows)
     return EXIT_VIOLATION if report.verdict == "violation" else EXIT_OK
 
 
-def _hereditary_stage(model: SequenceModel, indices, D, cfg: dict, out: str):
-    """hereditary.json; returns the suite."""
-    suite = hereditary_suite(model, indices, D, cfg["epsilon"], cfg["n_grid"],
-                             cfg["reps"], cfg["seed"], patterns=cfg["patterns"],
-                             pass_threshold=cfg["pass_threshold"])
-    write_json(os.path.join(out, "hereditary.json"), suite.to_json())
-    return suite
-
-
 def cmd_hereditary(cfg: dict, out: str) -> int:
-    suite = _hereditary_stage(*_probe_inputs(cfg), cfg, out)
+    paths, D = _probe_inputs(cfg)
+    suite = _run_probes(paths, _queue_hereditary(paths, D, cfg),
+                        out)["hereditary"]
     bad = any(r.verdict == "violation" for r in suite.reports.values())
     return EXIT_VIOLATION if bad else EXIT_OK
 
@@ -430,15 +437,22 @@ def cmd_demo(cfg: dict, out: str) -> int:
     plan, D, check = _extract_stage(model, stage_cfg(
         "extract", target_length=4096, corrector="weak_l2",
         min_index=10**12 if name == "example41" else 1), out)
-    report, gap = _probe_stage(model, plan.indices, D, stage_cfg(
-        "verify", reps=reps, epsilon=epsilon, gap_probe=True), out,
-        side_reps, False)
+    # every probe reads one set of paths: the gap and hereditary probes the
+    # first side_reps replications of the main probe's
+    paths = ProbePass(model, plan.indices, seed)
+    vcfg = stage_cfg("verify", reps=reps, epsilon=epsilon, gap_probe=True)
+    names = _queue_verify(paths, D, vcfg, side_reps)
     # thinned grids stop at 1024, where heavy-tailed exceedance is still a
     # few percent, so the consistency bar is coarser than the main probe's
-    suite = _hereditary_stage(model, plan.indices, D, stage_cfg(
-        "hereditary", reps=side_reps, epsilon=epsilon, pass_threshold=0.1),
-        out)
-    n_grid = report.n_grid
+    names += _queue_hereditary(paths, D, stage_cfg(
+        "hereditary", reps=side_reps, epsilon=epsilon, pass_threshold=0.1))
+    if name == "latent-shift":  # the zero corrector must visibly break the law
+        paths.wlln(corr.zero_corrector(vcfg["n_grid"]), epsilon,
+                   vcfg["n_grid"], reps)
+        names.append("report_zero_corrector")
+    reports = _run_probes(paths, names, out)
+    report, gap, suite = (reports[k] for k in ("report", "gap_report",
+                                               "hereditary"))
 
     items = [
         ("model", model.kind),
@@ -449,7 +463,7 @@ def cmd_demo(cfg: dict, out: str) -> int:
         ("plan indices", f"{plan.indices[0]}..{plan.indices[-1]} "
                          f"({len(plan.indices)} steps)"),
         ("plan recheck", "ok" if check["ok"] else "VIOLATED"),
-        ("final p_hat", repr(report.p_hat[n_grid[-1]])),
+        ("final p_hat", repr(report.p_hat[report.n_grid[-1]])),
         ("convergence verdict", report.verdict),
         ("gap estimate dominated", gap.dominated),
         ("hereditary all consistent", suite.all_consistent),
@@ -464,11 +478,8 @@ def cmd_demo(cfg: dict, out: str) -> int:
     elif name == "example41":
         expected_ok = expected_ok and status["weak_l1"] == "holds-on-grid" \
             and status["energy"] == "holds" and D.is_zero()
-    else:  # latent-shift: the zero corrector must visibly break the law
-        wrong = wlln_probe(model, plan.indices, corr.zero_corrector(n_grid),
-                           epsilon, n_grid, reps, seed)
-        write_json(os.path.join(out, "report_zero_corrector.json"),
-                   wrong.to_json())
+    else:  # latent-shift
+        wrong = reports["report_zero_corrector"]
         items.append(("zero-corrector verdict", wrong.verdict))
         expected_ok = expected_ok and wrong.verdict == "violation"
 

@@ -63,10 +63,12 @@ class ExtractionFailure(Exception):
         self.search_cap = search_cap
         self.best_candidate = best_candidate
         self.best_violation = best_violation
-        super().__init__(
-            f"candidate pool exhausted at step {step}: threshold {eps:.3e}, "
-            f"best candidate {best_candidate} violated by {best_violation:.3e} "
-            f"(search_cap {search_cap})")
+        what = (f"search window exhausted at step {step} before any candidate"
+                if best_candidate is None else
+                f"candidate pool exhausted at step {step}: threshold {eps:.3e}, "
+                f"best candidate {best_candidate} violated by "
+                f"{best_violation:.3e}")
+        super().__init__(f"{what} (search_cap {search_cap})")
 
 
 class ExtractConfigError(ValueError):
@@ -152,19 +154,20 @@ class ExtractionPlan:
     sample_R: int = 0
 
     def to_json(self) -> dict:
-        entries = []
-        for (j, n, N), v in sorted(self.achieved.items()):
-            e = {"j": j, "n": n, "N": N}
-            if self.mode == "exact":
-                e["value"] = v
-            else:
-                e["estimate"], e["half_width"] = v
-            entries.append(e)
+        """``achieved`` as rows in key order, the columns named by
+        ``achieved_fields``: [j, n, N, value] exact, [j, n, N, estimate,
+        half_width] sampled."""
+        exact = self.mode == "exact"
+        fields = ["j", "n", "N"] + (["value"] if exact
+                                    else ["estimate", "half_width"])
+        rows = [[*key, *((v,) if exact else v)]
+                for key, v in sorted(self.achieved.items())]
         return {
             "indices": list(self.indices),
             "n_grid": list(self.n_grid),
             "thresholds": {str(k): v for k, v in sorted(self.thresholds.items())},
-            "achieved": entries,
+            "achieved": rows,
+            "achieved_fields": fields,
             "mode": self.mode,
             "seed": self.seed,
             "eps_floor": self.eps_floor,

@@ -13,13 +13,15 @@ falsifiable finite-sample reading:
 * ``inconclusive``          -- anything else
 
 Every replication r reads f_k from position k of the Philox stream keyed by
-(seed, r) (see ``streams``), so f_k is a pure function of (seed, r, k).  The
-probes share one loop over ``SequenceModel.sample_blocks``: replications
-come in chunks of a fixed number of values, so memory stays fixed at any R
-and N, and each chunk is reduced with array operations only.  The
-hereditary suite samples one base block per chunk and reads every thinning
-pattern as a column selection of it, so the patterns probe subsequences of
-the very paths the full sequence is probed on.
+(seed, r) (see ``streams``), so f_k is a pure function of (seed, r, k).
+Every probe runs through ``ProbePass``: one loop over
+``SequenceModel.sample_blocks`` whose replications come in chunks of a
+fixed number of values, so memory stays fixed at any R and N, and each
+chunk is reduced with array operations only.  Probes queued on one pass
+read the same paths: each accumulator takes its first replications and
+its columns of every chunk, so the thinning patterns of the hereditary
+suite, the truncation gap and the full-sequence probe all read one draw
+of each path.
 """
 
 from __future__ import annotations
@@ -177,20 +179,6 @@ def _se(p: float, R: int) -> float:
     return math.sqrt(max(p * (1 - p), 1.0 / R) / R)
 
 
-def wlln_probe(model: SequenceModel, indices, D: CorrectorSeries,
-               epsilon: float, n_grid, R: int, seed: int,
-               pass_threshold: float = 0.05, increase_margin: float = 0.0,
-               compute_l2: bool = False) -> ConvergenceReport:
-    """The exceedance probe; ``compute_l2`` adds the L2-criterion estimate
-    N^-2 E(sum (f^{[-N,N]} - D_N))^2 and the Markov cross-check."""
-    n_grid = _grid(n_grid)
-    sel = _probe_indices(indices, n_grid[-1])[: n_grid[-1]]
-    acc = _Exceedance(D, epsilon, n_grid, compute_l2)
-    for vals, factors in model.sample_blocks(sel, seed, R):
-        acc.add(vals, factors)
-    return acc.report(R, seed, pass_threshold, increase_margin)
-
-
 @dataclass
 class GapReport:
     n_grid: tuple
@@ -210,32 +198,35 @@ class GapReport:
                           "se": self.se[N]} for N in self.n_grid]}
 
 
-def truncation_gap_probe(model: SequenceModel, indices, n_grid, R: int,
-                         seed: int, epsilon: float = 0.25) -> GapReport:
-    """Estimates P(|(1/N) sum_{n<=N} f_{k_n} 1{|f_{k_n}| > N}| > eps) and
-    compares with the exact union bound N * max_{n<=N} P(|f_{k_n}| > N),
-    read at the model's dominating index when it has one."""
-    if R < 100:
-        raise ProbeInputError("R must be at least 100")
-    epsilon = _epsilon(epsilon)
-    n_grid = _grid(n_grid)
-    idx = _probe_indices(indices, n_grid[-1])
-    levels = np.array(n_grid, dtype=float)
-    exceed = np.zeros(len(n_grid), dtype=np.int64)
-    for vals, _ in model.sample_blocks(idx[: n_grid[-1]], seed, R):
-        outside = _partial_sums(vals, n_grid) - _truncated_sums(vals, n_grid)
-        exceed += np.count_nonzero(np.abs(outside / levels) > epsilon, axis=0)
-    p_hat = {N: int(c) / R for N, c in zip(n_grid, exceed)}
-    bound = {}
-    for N in n_grid:
-        top = model.pointwise_sup_index(idx[:N])
-        ks = idx[:N] if top is None else [top]
-        bound[N] = N * max(model.marginal_dist(int(k)).survival(float(N))
-                           for k in ks)
-    se = {N: _se(p_hat[N], R) for N in n_grid}
-    dominated = all(p_hat[N] <= bound[N] + 3.0 * se[N] for N in n_grid)
-    return GapReport(n_grid, epsilon, R, p_hat, bound, se,
-                     dominated, int(seed))
+class _Gap:
+    """Counts of |(1/N) sum_{n<=N} f_{k_n} 1{|f_{k_n}| > N}| > eps per grid
+    point, accumulated one block of replications at a time."""
+
+    def __init__(self, epsilon: float, n_grid):
+        self.epsilon, self.n_grid = epsilon, n_grid
+        self.levels = np.array(n_grid, dtype=float)
+        self.exceed = np.zeros(len(n_grid), dtype=np.int64)
+
+    def add(self, vals: np.ndarray, factors) -> None:
+        grid = self.n_grid
+        outside = _partial_sums(vals, grid) - _truncated_sums(vals, grid)
+        self.exceed += np.count_nonzero(
+            np.abs(outside / self.levels) > self.epsilon, axis=0)
+
+    def report(self, model: SequenceModel, idx, R: int, seed: int) -> GapReport:
+        """The counts over R replications against the exact union bound."""
+        n_grid = self.n_grid
+        p_hat = {N: int(c) / R for N, c in zip(n_grid, self.exceed)}
+        bound = {}
+        for N in n_grid:
+            top = model.pointwise_sup_index(idx[:N])
+            ks = idx[:N] if top is None else [top]
+            bound[N] = N * max(model.marginal_dist(int(k)).survival(float(N))
+                               for k in ks)
+        se = {N: _se(p_hat[N], R) for N in n_grid}
+        dominated = all(p_hat[N] <= bound[N] + 3.0 * se[N] for N in n_grid)
+        return GapReport(n_grid, self.epsilon, R, p_hat, bound, se,
+                         dominated, int(seed))
 
 
 # -------------------------------------------------------------------------
@@ -278,6 +269,137 @@ class HereditaryReport:
                 "patterns": {p: r.to_json() for p, r in self.reports.items()}}
 
 
+# -------------------------------------------------------------------------
+# one sampling pass for every probe on an index sequence
+# -------------------------------------------------------------------------
+
+class ProbePass:
+    """Probes that read one set of sampled paths of ``indices``.
+
+    Each queued probe adds accumulators, and each accumulator reads the
+    first ``rows`` replications and some columns of the index sequence.
+    ``run`` makes one ``sample_blocks`` loop over the most replications and
+    the widest column range any accumulator asks for, hands every
+    accumulator its rows and columns of each block, and returns the
+    reports in the order the probes were queued.  f_k is a pure function of
+    (seed, r, k), so each report equals the one a pass of its own gives.
+    A probe's inputs are checked when it is queued, before any path is
+    sampled.
+    """
+
+    def __init__(self, model: SequenceModel, indices, seed: int):
+        self.model, self.indices, self.seed = model, indices, int(seed)
+        # (rows, columns, accumulator) and one report maker per probe
+        self.idx, self._parts, self._reports, self._width = None, [], [], 0
+
+    def _checked(self, length: int = 0) -> np.ndarray:
+        self.idx = _probe_indices(self.indices, length)
+        return self.idx
+
+    def _read(self, R: int, cols, acc) -> None:
+        """``acc`` reads replications 0..R-1 at ``cols``, a slice with an
+        explicit stop or an index array."""
+        if R < 1:
+            raise ProbeInputError("R must be at least 1")
+        end = cols.stop if isinstance(cols, slice) else int(cols[-1]) + 1
+        self._width = max(self._width, end)
+        self._parts.append((int(R), cols, acc))
+
+    def wlln(self, D: CorrectorSeries, epsilon: float, n_grid, R: int,
+             pass_threshold: float = 0.05, increase_margin: float = 0.0,
+             compute_l2: bool = False) -> "ProbePass":
+        """Queues ``wlln_probe``."""
+        n_grid = _grid(n_grid)
+        self._checked(n_grid[-1])
+        acc = _Exceedance(D, epsilon, n_grid, compute_l2)
+        self._read(R, slice(0, n_grid[-1]), acc)
+        self._reports.append(lambda: acc.report(
+            int(R), self.seed, pass_threshold, increase_margin))
+        return self
+
+    def gap(self, n_grid, R: int, epsilon: float = 0.25) -> "ProbePass":
+        """Queues ``truncation_gap_probe``."""
+        if R < 100:
+            raise ProbeInputError("R must be at least 100")
+        acc = _Gap(_epsilon(epsilon), _grid(n_grid))
+        idx = self._checked(acc.n_grid[-1])
+        self._read(int(R), slice(0, acc.n_grid[-1]), acc)
+        self._reports.append(lambda: acc.report(self.model, idx, int(R),
+                                                self.seed))
+        return self
+
+    def hereditary(self, D: CorrectorSeries, epsilon: float, n_grid, R: int,
+                   patterns=PATTERNS,
+                   pass_threshold: float = 0.05) -> "ProbePass":
+        """Queues ``hereditary_suite``: one accumulator per pattern, on the
+        pattern's columns of the shared block."""
+        epsilon = _epsilon(epsilon)
+        n_grid = _grid(n_grid)
+        idx = self._checked()
+        accs, notes = {}, []
+        for pattern in patterns:
+            keep = _thinning(len(idx), pattern, self.seed)
+            cols = np.arange(len(idx))[keep]
+            grid = tuple(N for N in n_grid if N <= len(cols))
+            if grid != n_grid:
+                notes.append(f"{pattern}: grid truncated to {grid} "
+                             f"(subsequence length {len(cols)})")
+            if not grid:
+                notes.append(f"{pattern}: subsequence too short for any grid point")
+                continue
+            # a slice reads a view of the block; a mask gathers columns
+            keep = slice(keep.start, int(cols[grid[-1] - 1]) + 1, keep.step) \
+                if isinstance(keep, slice) else cols[: grid[-1]]
+            accs[pattern] = (keep, _Exceedance(D, epsilon, grid))
+        if not accs:
+            raise ProbeInputError("no thinning pattern leaves a subsequence as "
+                                  f"long as the smallest grid point {n_grid[0]}")
+        for keep, acc in accs.values():
+            self._read(R, keep, acc)
+
+        def report():
+            reports = {p: acc.report(int(R), self.seed, pass_threshold)
+                       for p, (_, acc) in accs.items()}
+            return HereditaryReport(reports, all(
+                r.verdict == "consistent-with-wlln" for r in reports.values()),
+                notes)
+        self._reports.append(report)
+        return self
+
+    def run(self) -> list:
+        """Samples the paths once and returns the queued probes' reports."""
+        if self._parts:
+            R, r0 = max(rows for rows, _, _ in self._parts), 0
+            for vals, factors in self.model.sample_blocks(
+                    self.idx[: self._width], self.seed, R):
+                for rows, cols, acc in self._parts:
+                    b = min(len(vals), rows - r0)
+                    if b > 0:
+                        acc.add(vals[:b, cols],
+                                None if factors is None else factors[:b])
+                r0 += len(vals)
+        return [report() for report in self._reports]
+
+
+def wlln_probe(model: SequenceModel, indices, D: CorrectorSeries,
+               epsilon: float, n_grid, R: int, seed: int,
+               pass_threshold: float = 0.05, increase_margin: float = 0.0,
+               compute_l2: bool = False) -> ConvergenceReport:
+    """The exceedance probe; ``compute_l2`` adds the L2-criterion estimate
+    N^-2 E(sum (f^{[-N,N]} - D_N))^2 and the Markov cross-check."""
+    return ProbePass(model, indices, seed).wlln(
+        D, epsilon, n_grid, R, pass_threshold, increase_margin,
+        compute_l2).run()[0]
+
+
+def truncation_gap_probe(model: SequenceModel, indices, n_grid, R: int,
+                         seed: int, epsilon: float = 0.25) -> GapReport:
+    """Estimates P(|(1/N) sum_{n<=N} f_{k_n} 1{|f_{k_n}| > N}| > eps) and
+    compares with the exact union bound N * max_{n<=N} P(|f_{k_n}| > N),
+    read at the model's dominating index when it has one."""
+    return ProbePass(model, indices, seed).gap(n_grid, R, epsilon).run()[0]
+
+
 def hereditary_suite(model: SequenceModel, indices, D: CorrectorSeries,
                      epsilon: float, n_grid, R: int, seed: int,
                      patterns=PATTERNS,
@@ -288,34 +410,5 @@ def hereditary_suite(model: SequenceModel, indices, D: CorrectorSeries,
     equals ``wlln_probe`` on ``thin_indices(indices, pattern, seed)``.
     A pattern too short for every grid point is skipped with a note; when
     every pattern is, nothing would be probed, and that is an input error."""
-    epsilon = _epsilon(epsilon)
-    n_grid = _grid(n_grid)
-    idx = _probe_indices(indices)
-    probes = {}
-    notes = []
-    for pattern in patterns:
-        keep = _thinning(len(idx), pattern, seed)
-        cols = np.arange(len(idx))[keep]
-        grid = tuple(N for N in n_grid if N <= len(cols))
-        if grid != n_grid:
-            notes.append(f"{pattern}: grid truncated to {grid} "
-                         f"(subsequence length {len(cols)})")
-        if not grid:
-            notes.append(f"{pattern}: subsequence too short for any grid point")
-            continue
-        last = int(cols[grid[-1] - 1])
-        # a slice reads a view of the base block; a mask gathers columns
-        keep = slice(keep.start, last + 1, keep.step) \
-            if isinstance(keep, slice) else cols[: grid[-1]]
-        probes[pattern] = (last, keep, _Exceedance(D, epsilon, grid))
-    if not probes:
-        raise ProbeInputError("no thinning pattern leaves a subsequence as "
-                              f"long as the smallest grid point {n_grid[0]}")
-    width = max(last for last, _, _ in probes.values()) + 1
-    for vals, factors in model.sample_blocks(idx[:width], seed, R):
-        for _, keep, acc in probes.values():
-            acc.add(vals[:, keep], factors)
-    reports = {p: acc.report(R, seed, pass_threshold)
-               for p, (_, _, acc) in probes.items()}
-    all_ok = all(r.verdict == "consistent-with-wlln" for r in reports.values())
-    return HereditaryReport(reports, all_ok, notes)
+    return ProbePass(model, indices, seed).hereditary(
+        D, epsilon, n_grid, R, patterns, pass_threshold).run()[0]

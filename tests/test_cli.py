@@ -8,7 +8,11 @@ import time
 
 import pytest
 
-from wllnlab.cli import main
+from wllnlab import cli
+from wllnlab.cli import main, resolve_config, write_json
+from wllnlab.correctors import zero_corrector
+from wllnlab.models import SequenceModel, model_from_spec
+from wllnlab.verify import hereditary_suite, truncation_gap_probe, wlln_probe
 
 TAIL_MODEL = {"kind": "tail_vanishing",
               "params": {"g": {"family": "pareto1", "scale": 1.0}}}
@@ -201,6 +205,8 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     ("tails", {"feller_grid": [0, 4]}),
     ("tails", {"n_range": [1, 2, 3]}),
     ("tails", {"expect": [1]}),
+    ("tails", {"n_range": [1, 2], "expect": {"bogus": "holds"}}),
+    ("tails", {"expect": {"feller_tail_sum": "holds"}}),
     ("hereditary", {"patterns": 5}),
     ("hereditary", {"patterns": ["every-5th"]}),
     ("verify", {"seed": -1}),
@@ -213,7 +219,8 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
         "extract-zero-level", "extract-negative-level", "extract-null-length",
         "tails-zero-level", "tails-negative-level", "tails-infinite-level",
         "tails-zero-feller-level", "tails-three-item-range",
-        "tails-expect-not-an-object", "hereditary-patterns-not-a-list",
+        "tails-expect-not-an-object", "tails-expect-unknown-condition",
+        "tails-expect-feller-without-grid", "hereditary-patterns-not-a-list",
         "hereditary-unknown-pattern", "verify-negative-seed",
         "verify-flag-not-boolean"])
 def test_probe_and_grid_inputs_are_usage_errors(tmp_path, capsys, command,
@@ -267,9 +274,12 @@ def test_rho_table_ends_the_search_window(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["extract", "--config", cfg, "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ")
+    # no candidate was examined, so there is no best one to name
+    assert err == ("error: search window exhausted at step 4 before any "
+                   "candidate (search_cap 3)\n")
     failure = json.loads((out / "extract_failure.json").read_text())
     assert failure["step"] == 4 and failure["search_cap"] == 3
+    assert failure["best_candidate"] is None and failure["best_violation"] is None
 
 
 @pytest.mark.parametrize("command", ["verify", "hereditary"])
@@ -356,7 +366,7 @@ SEED7_DIGESTS = {
         "manifest.json":
             "5f841189ecab1fa02c759a38bcc2b4a50d226e4b2f67533ce2c9a711d65a7321",
         "plan.json":
-            "f683be8730c673d3134c09de761e4bb18eadecc69510fdbfb650c10107fb76fd",
+            "bf9a822fb4d4284ea9a2e2e5714cf71b55e4adc3f01fd76524570318085147a6",
         "plan_check.json":
             "803d652e99d5a5dd9c558cbaf4a2b502be6440b110f2887543d8dd40296cdd9f",
         "report.json":
@@ -378,7 +388,7 @@ SEED7_DIGESTS = {
         "manifest.json":
             "d8904aa91571b2293f24d44fcb05c35567ddbb9e50698668336604410fe4d0bd",
         "plan.json":
-            "e13aa7320889d3d6107534b347fe67e03ced5967f7355483693ae2e28d0c5d69",
+            "e78b3f6b140eeff2a00bc01f226730458803bca8a04b601711b7aedbcb47496f",
         "plan_check.json":
             "803d652e99d5a5dd9c558cbaf4a2b502be6440b110f2887543d8dd40296cdd9f",
         "report.json":
@@ -400,7 +410,7 @@ SEED7_DIGESTS = {
         "manifest.json":
             "8c6188b28373e2eecc1ad7347485b9f5a6e3d388182e38ee13b5a0376dcd6564",
         "plan.json":
-            "6ba66cf23613d2b297805e8b8ed0985b94e2e1c237b0d511189607982b9397f6",
+            "8fea76b85c51f648de0c802e795f5a52015d334da04d64a6f55e22212905e766",
         "plan_check.json":
             "803d652e99d5a5dd9c558cbaf4a2b502be6440b110f2887543d8dd40296cdd9f",
         "report.json":
@@ -424,3 +434,89 @@ def test_seed7_demo_artifacts_pinned(tmp_path, name):
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
            for f in sorted(os.listdir(out))}
     assert got == SEED7_DIGESTS[name]
+
+
+def _bits(v):
+    return float(v).hex()
+
+
+def test_plan_json_rows_round_trip(tmp_path):
+    # the seed-7 counterexample demo's plan, from the demo's extract stage
+    model = model_from_spec(cli._DEMO_MODELS["counterexample"])
+    cfg = resolve_config("extract", {"seed": 7, "target_length": 4096,
+                                     "corrector": "weak_l2"}, {})
+    plan = cli._extract_stage(model, cfg, str(tmp_path))[0]
+    raw = (tmp_path / "plan.json").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == \
+        SEED7_DIGESTS["counterexample"]["plan.json"]
+    stored = json.loads(raw)
+    assert stored["achieved_fields"] == ["j", "n", "N", "value"]
+    rebuilt = {(j, n, N): v for j, n, N, v in stored["achieved"]}
+    assert len(rebuilt) == len(plan.achieved) == 16796
+    assert list(rebuilt) == sorted(plan.achieved)
+    assert {k: _bits(v) for k, v in rebuilt.items()} == \
+        {k: _bits(v) for k, v in plan.achieved.items()}
+
+    # sample mode: (estimate, half_width) per entry
+    cfg = resolve_config("extract", {
+        "model": TAIL_MODEL, "target_length": 8, "n_grid": [2, 4, 8],
+        "search_cap": 64, "mode": "sample", "sample_R": 200}, {})
+    sdir = tmp_path / "sample"
+    sdir.mkdir()
+    plan = cli._extract_stage(model_from_spec(TAIL_MODEL), cfg, str(sdir))[0]
+    stored = json.loads((sdir / "plan.json").read_text())
+    assert stored["achieved_fields"] == ["j", "n", "N", "estimate",
+                                         "half_width"]
+    rebuilt = {(j, n, N): (_bits(e), _bits(h))
+               for j, n, N, e, h in stored["achieved"]}
+    assert rebuilt and rebuilt == {k: (_bits(e), _bits(h))
+                                   for k, (e, h) in plan.achieved.items()}
+
+    # verify reads the plan's indices from plan_path
+    reports = []
+    for name, source in (("p", {"plan_path": str(sdir / "plan.json")}),
+                         ("i", {"indices": list(plan.indices)})):
+        vcfg = write_cfg(tmp_path, name + ".json",
+                         {"model": TAIL_MODEL, "n_grid": [4, 8], "reps": 100,
+                          **source})
+        assert main(["verify", "--config", vcfg,
+                     "--out", str(tmp_path / name)]) == 0
+        reports.append((tmp_path / name / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_demo_probes_share_one_sampling_pass(tmp_path, monkeypatch):
+    # --reps 50 puts the side probes' 100 replications past the main
+    # probe's 50, so the pass must serve each probe its own rows
+    calls = []
+    sample_blocks = SequenceModel.sample_blocks
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return sample_blocks(self, *args, **kwargs)
+
+    monkeypatch.setattr(SequenceModel, "sample_blocks", counted)
+    out = tmp_path / "demo"
+    main(["demo", "latent-shift", "--seed", "7", "--reps", "50",
+          "--out", str(out)])
+    # exact extraction samples nothing: the one call is the probe pass
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    model = model_from_spec(cli._DEMO_MODELS["latent-shift"])
+    indices = json.loads((out / "plan.json").read_text())["indices"]
+    grid = [64, 256, 1024, 4096]
+    D = cli.build_corrector("weak_l2", model, grid)
+    separate = {
+        "report.json": wlln_probe(model, indices, D, 0.5, grid, 50, 7),
+        "gap_report.json": truncation_gap_probe(model, indices, grid, 100, 7,
+                                                epsilon=0.5),
+        "hereditary.json": hereditary_suite(model, indices, D, 0.5,
+                                            [64, 256, 1024], 100, 7,
+                                            pass_threshold=0.1),
+        "report_zero_corrector.json": wlln_probe(
+            model, indices, zero_corrector(grid), 0.5, grid, 50, 7),
+    }
+    for name, report in separate.items():
+        write_json(str(tmp_path / name), report.to_json())
+        assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
