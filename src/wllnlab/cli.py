@@ -58,16 +58,13 @@ def write_json(path: str, obj, compact: bool = False) -> None:
         fh.write(text + "\n")
 
 
-def _cell(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 def write_csv(path: str, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\r\n")
         w.writerow(header)
         for row in rows:
-            w.writerow([_cell(v) for v in row])
+            w.writerow([repr(v) if isinstance(v, float) else str(v)
+                        for v in row])
 
 
 # -------------------------------------------------------------------------
@@ -144,25 +141,22 @@ _CHECKS = (
      lambda ps: isinstance(ps, list) and all(p in PATTERNS for p in ps),
      "a list of thinning patterns out of " + ", ".join(PATTERNS)),
     ("expect", lambda e: isinstance(e, dict), "an object of condition: status"),
+    ("plan_path", lambda p: p is None or isinstance(p, str), "a string or null"),
 )
 # the tail conditions ``tails`` checks, and the Feller pair a feller_grid adds
 _TAIL_CONDITIONS = ("weak_l1", "liminf", "limsup", "energy")
 _FELLER_CONDITIONS = ("feller_tail_sum", "feller_square_sum")
 
 
-def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
+def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
+    """The command's defaults, updated from ``file_cfg`` (a config file or a
+    manifest's config) and then from ``flags``, and checked."""
     cfg = dict(_DEFAULTS[command])
-    incoming = dict(file_cfg)
+    incoming = {**file_cfg, **flags}
     incoming.pop("schema_version", None)
     for key, val in incoming.items():
         if key not in cfg:
             raise UsageError(f"unknown config key {key!r} for {command}")
-        cfg[key] = val
-    for key, val in overrides.items():
-        if val is None:
-            continue
-        if key not in cfg:
-            raise UsageError(f"flag --{key} not applicable to {command}")
         cfg[key] = val
     for key, kind in _NUMBERS.items():
         val = cfg.get(key)
@@ -189,17 +183,16 @@ def resolve_config(command: str, file_cfg: dict, overrides: dict) -> dict:
     return cfg
 
 
-def load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def read_json_object(path: str, what: str) -> dict:
+    """The JSON object in the ``what`` file (config, manifest, plan)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}")
-    if not isinstance(cfg, dict):
-        raise UsageError("config must be a JSON object")
-    return cfg
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read {what} {path}: {exc}")
+    if not isinstance(obj, dict):
+        raise UsageError(f"{what} must be a JSON object")
+    return obj
 
 
 def _require_model(cfg: dict) -> SequenceModel:
@@ -223,14 +216,6 @@ def build_corrector(name: str, model: SequenceModel, n_grid) -> corr.CorrectorSe
     if name == "independent":
         return corr.corrector_independent(model, n_grid)
     raise UsageError(f"unknown corrector {name!r}")
-
-
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get("WLLNLAB_OUT")
-    if not out:
-        raise UsageError("no output directory (--out or WLLNLAB_OUT)")
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def write_manifest(out: str, command: str, cfg: dict) -> None:
@@ -322,10 +307,10 @@ def _probe_inputs(cfg: dict):
     model = _require_model(cfg)
     indices = cfg["indices"]
     if cfg["plan_path"]:
+        plan = read_json_object(cfg["plan_path"], "plan")
         try:
-            with open(cfg["plan_path"], encoding="utf-8") as fh:
-                indices = [int(k) for k in json.load(fh)["indices"]]
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+            indices = [int(k) for k in plan["indices"]]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"cannot read plan {cfg['plan_path']}: {exc}")
     elif indices is None:
         indices = list(range(1, max(cfg["n_grid"]) + 1))
@@ -365,11 +350,9 @@ def cmd_verify(cfg: dict, out: str) -> int:
     paths, D = _probe_inputs(cfg)
     report = _run_probes(paths, _queue_verify(
         paths, D, cfg, max(cfg["reps"], 100)), out)["report"]
-    rows = []
-    for N in report.n_grid:
-        lo, hi = report.ci[N]
-        l2 = report.l2_hat[N] if report.l2_hat is not None else ""
-        rows.append((N, report.p_hat[N], lo, hi, l2))
+    l2 = report.l2_hat or {}
+    rows = [(N, report.p_hat[N], *report.ci[N], l2.get(N, ""))
+            for N in report.n_grid]
     write_csv(os.path.join(out, "report.csv"),
               ("N", "p_hat", "ci_lo", "ci_hi", "l2_hat"), rows)
     return EXIT_VIOLATION if report.verdict == "violation" else EXIT_OK
@@ -411,17 +394,10 @@ _DEMO_MODELS = {
 }
 
 
-def _summary_lines(title, items):
-    lines = [title, "=" * len(title)]
-    lines.extend(f"  {k}: {v}" for k, v in items)
-    return lines
-
-
 def cmd_demo(cfg: dict, out: str) -> int:
-    name = cfg["name"]
-    if name not in _DEMO_MODELS:
-        raise UsageError(f"unknown demo {name!r}; "
-                         f"choose from {sorted(_DEMO_MODELS)}")
+    name, names = cfg["name"], sorted(_DEMO_MODELS)
+    if name not in names:  # a list search: a manifest's name may be a list
+        raise UsageError(f"unknown demo {name!r}; choose from {names}")
     model = model_from_spec(_DEMO_MODELS[name])
     seed, reps = cfg["seed"], cfg["reps"]
     epsilon = 0.5 if name == "latent-shift" else 0.25
@@ -484,7 +460,8 @@ def cmd_demo(cfg: dict, out: str) -> int:
         expected_ok = expected_ok and wrong.verdict == "violation"
 
     items.append(("demo outcome", "pass" if expected_ok else "FAIL"))
-    lines = _summary_lines(f"demo: {name}", items)
+    title = f"demo: {name}"
+    lines = [title, "=" * len(title), *(f"  {k}: {v}" for k, v in items)]
     with open(os.path.join(out, "summary.txt"), "w", encoding="utf-8",
               newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -501,116 +478,101 @@ _COMMANDS = {
 }
 
 
-def cmd_rerun(manifest_path: str, out: str) -> int:
-    try:
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read manifest: {exc}")
-    command = manifest.get("command")
-    if command not in _COMMANDS:
-        raise UsageError(f"manifest names unknown command {command!r}")
-    cfg = resolve_config(command, manifest.get("config", {}), {})
-    write_manifest(out, command, cfg)
-    return _COMMANDS[command](cfg, out)
-
-
 # -------------------------------------------------------------------------
 # argument parsing
 # -------------------------------------------------------------------------
 
-def _parse_grid(text: str):
+def _grid(text: str) -> list:
     try:
         return [int(v) for v in text.split(",") if v]
     except ValueError:
-        raise UsageError(f"bad grid {text!r}; expected comma-separated integers")
+        raise argparse.ArgumentTypeError(
+            f"bad grid {text!r}; expected comma-separated integers")
 
 
-def _parse_expect(pairs):
-    out = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise UsageError(f"bad --expect {item!r}; use condition=status")
-        cond, status = item.split("=", 1)
-        out[cond] = status
-    return out
+class _Expect(argparse.Action):
+    """Adds one ``condition=status`` pair to the ``expect`` object."""
+
+    def __call__(self, parser, namespace, item, option_string=None):
+        cond, eq, status = item.partition("=")
+        if not eq:
+            raise argparse.ArgumentError(
+                self, f"bad --expect {item!r}; use condition=status")
+        setattr(namespace, self.dest,
+                {**getattr(namespace, self.dest, {}), cond: status})
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag's ``dest`` is the config key it sets, and a flag left out
+    sets nothing; only --config, --manifest and --out name no config key."""
     p = argparse.ArgumentParser(prog="wllnlab")
     sub = p.add_subparsers(dest="command", required=True)
+    out_help = "output directory (default: $WLLNLAB_OUT)"
 
-    def common(sp):
-        sp.add_argument("--config", help="JSON config file")
+    def command(name, help, grid_key=None, grid_help=None):
+        # every subcommand but demo reads a config file and takes a grid
+        sp = sub.add_parser(name, help=help,
+                            argument_default=argparse.SUPPRESS)
         sp.add_argument("--seed", type=int, help="master seed")
-        sp.add_argument("--out", help="output directory "
-                                      "(default: $WLLNLAB_OUT)")
+        sp.add_argument("--out", help=out_help)
+        if grid_key:
+            sp.add_argument("--config", help="JSON config file")
+            sp.add_argument("--grid", dest=grid_key, type=_grid,
+                            metavar="GRID", help=grid_help)
+        return sp
 
-    sp = sub.add_parser("tails", help="tail functionals and condition checks")
-    common(sp)
-    sp.add_argument("--grid", help="comma-separated M grid")
-    sp.add_argument("--expect", action="append", metavar="COND=STATUS",
+    sp = command("tails", "tail functionals and condition checks",
+                 "m_grid", "comma-separated M grid")
+    sp.add_argument("--expect", action=_Expect, metavar="COND=STATUS",
                     help="fail (exit 2) unless the condition verdict matches")
 
-    sp = sub.add_parser("extract", help="greedy near-orthogonal subsequence")
-    common(sp)
-    sp.add_argument("--grid", help="comma-separated truncation levels")
+    sp = command("extract", "greedy near-orthogonal subsequence",
+                 "n_grid", "comma-separated truncation levels")
     sp.add_argument("--mode", choices=("exact", "sample"))
 
-    sp = sub.add_parser("verify", help="Monte Carlo convergence probe")
-    common(sp)
-    sp.add_argument("--grid", help="comma-separated N grid")
-    sp.add_argument("--reps", type=int, help="replications")
-    sp.add_argument("--epsilon", type=float)
+    for name, help in (("verify", "Monte Carlo convergence probe"),
+                       ("hereditary", "thinning-pattern suite")):
+        sp = command(name, help, "n_grid", "comma-separated N grid")
+        sp.add_argument("--reps", type=int, help="replications")
+        sp.add_argument("--epsilon", type=float)
 
-    sp = sub.add_parser("hereditary", help="thinning-pattern suite")
-    common(sp)
-    sp.add_argument("--grid", help="comma-separated N grid")
-    sp.add_argument("--reps", type=int)
-    sp.add_argument("--epsilon", type=float)
-
-    sp = sub.add_parser("demo", help="end-to-end pipeline for a named scenario")
+    sp = command("demo", "end-to-end pipeline for a named scenario")
     sp.add_argument("name", choices=sorted(_DEMO_MODELS))
-    sp.add_argument("--seed", type=int)
     sp.add_argument("--reps", type=int)
-    sp.add_argument("--out", help="output directory (default: $WLLNLAB_OUT)")
 
     sp = sub.add_parser("rerun", help="replay a run from its manifest")
     sp.add_argument("--manifest", required=True)
-    sp.add_argument("--out", help="output directory (default: $WLLNLAB_OUT)")
+    sp.add_argument("--out", help=out_help)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    command = args.pop("command")
+    out = args.pop("out", None) or os.environ.get("WLLNLAB_OUT")
+    source = "manifest" if command == "rerun" else "config"
     try:
-        out = _out_dir(args)
-        if args.command == "rerun":
-            return cmd_rerun(args.manifest, out)
-        overrides = {"seed": getattr(args, "seed", None)}
-        if args.command == "demo":
-            cfg_file = {}
-            overrides.update(name=args.name, reps=args.reps)
-        else:
-            cfg_file = load_config_file(args.config)
-            grid = getattr(args, "grid", None)
-            grid = _parse_grid(grid) if grid else None
-            if args.command == "tails":
-                overrides.update(m_grid=grid,
-                                 expect=_parse_expect(args.expect) or None)
-            else:
-                overrides.update(n_grid=grid)
-            if args.command == "extract":
-                overrides.update(mode=args.mode)
-            if args.command in ("verify", "hereditary"):
-                overrides.update(reps=args.reps, epsilon=args.epsilon)
-        cfg = resolve_config(args.command, cfg_file, overrides)
-        write_manifest(out, args.command, cfg)
-        return _COMMANDS[args.command](cfg, out)
+        if not out:
+            raise UsageError("no output directory (--out or WLLNLAB_OUT)")
+        try:
+            os.makedirs(out, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create output directory {out}: {exc}")
+        file_cfg = read_json_object(args.pop(source), source) \
+            if source in args else {}
+        if command == "rerun":  # the manifest names the run it replays
+            command, file_cfg = file_cfg.get("command"), \
+                file_cfg.get("config", {})
+            if not isinstance(command, str) or command not in _COMMANDS:
+                raise UsageError(f"manifest names unknown command {command!r}")
+            if not isinstance(file_cfg, dict):
+                raise UsageError("manifest config must be a JSON object")
+        cfg = resolve_config(command, file_cfg, args)
+        write_manifest(out, command, cfg)
+        return _COMMANDS[command](cfg, out)
     except (UsageError, ProbeInputError, UnsupportedOracleError,
             CapacityError, ExtractConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)

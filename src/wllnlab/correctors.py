@@ -109,9 +109,9 @@ class CorrectorSeries:
         return out
 
 
-def zero_corrector(n_grid, provenance: str = "zero") -> CorrectorSeries:
+def zero_corrector(n_grid) -> CorrectorSeries:
     return CorrectorSeries(tuple(n_grid), "constant",
-                           {int(N): 0.0 for N in n_grid}, provenance)
+                           {int(N): 0.0 for N in n_grid}, "zero")
 
 
 def corrector_iid(dist: Distribution, n_grid) -> CorrectorSeries:

@@ -415,10 +415,8 @@ class HeavyLogLaw(Distribution):
             idx = np.searchsorted(cum, v, side="right")
             over = idx >= len(vals)
             picked = np.where(over, 0.0, vals[np.minimum(idx, len(vals) - 1)])
-            if np.any(over):
-                picked = picked.copy()
-                for pos in np.nonzero(over)[0]:
-                    picked[pos] = self._quantile_beyond_table(v[pos])
+            for pos in np.nonzero(over)[0]:
+                picked[pos] = self._quantile_beyond_table(v[pos])
             out[nz] = picked
         return out
 

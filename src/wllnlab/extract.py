@@ -49,6 +49,10 @@ from .correctors import CorrectorSeries
 from .models import SequenceModel
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
+# exact mode records every predecessor's inner product for the first steps
+_DETAIL_STEPS = 16
+# slack of the proof-side bounds for rounding in the oracle sums
+_TOLERANCE = 1e-9
 
 
 def truncate_array(x: np.ndarray, N: float) -> np.ndarray:
@@ -246,8 +250,7 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
                    D: CorrectorSeries, mode: str = "exact",
                    eps_floor: float | None = None,
                    search_cap: int | None = None, seed: int = 0,
-                   R: int = 400, detail_steps: int = 16,
-                   min_index: int = 1) -> ExtractionPlan:
+                   R: int = 400, min_index: int = 1) -> ExtractionPlan:
     """``min_index`` restricts the candidate pool to indices >= min_index;
     the zero-corrector route starts the search deep enough along the
     sequence that the truncated energies have already decayed.
@@ -319,7 +322,7 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
                     # the detail loop overwrites them: verify_plan reports
                     # violations in this order
                     achieved.update(records)
-                    if step <= detail_steps:
+                    if step <= _DETAIL_STEPS:
                         for N in levels:
                             for jstep, jidx in zip(pred_steps, indices):
                                 achieved[(jstep, step, N)] = \
@@ -336,12 +339,20 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
 
     return ExtractionPlan(tuple(indices), n_grid, thresholds, achieved,
                           mode, int(seed), float(eps_floor), int(search_cap),
-                          int(detail_steps), D.provenance,
+                          _DETAIL_STEPS, D.provenance,
                           R if mode == "sample" else 0)
 
 
-def _constraint_amount(plan: ExtractionPlan, stored) -> float:
-    return abs(stored) if plan.mode == "exact" else abs(stored[0]) + stored[1]
+def _violations(plan: ExtractionPlan, keys, stored) -> list:
+    """The ``keys`` whose ``stored`` entries exceed their step's threshold:
+    |value| in exact mode, |estimate| + half_width in sample mode."""
+    if not keys:
+        return []
+    stored = np.asarray(stored, dtype=float)
+    amounts = np.abs(stored) if plan.mode == "exact" \
+        else np.abs(stored[:, 0]) + stored[:, 1]
+    thresholds = np.array([plan.thresholds[n] for _, n, _ in keys])
+    return [key for key, bad in zip(keys, amounts > thresholds) if bad]
 
 
 def _exact_values(plan: ExtractionPlan, model: SequenceModel,
@@ -377,7 +388,6 @@ def verify_plan(plan: ExtractionPlan, model: SequenceModel,
     max_diff = 0.0
     if plan.mode == "exact":
         stored = np.fromiter(plan.achieved.values(), float, len(plan.achieved))
-        amounts = np.abs(stored)
         if plan.achieved:
             max_diff = float(np.max(np.abs(_exact_values(plan, model, D)
                                            - stored)))
@@ -389,14 +399,10 @@ def verify_plan(plan: ExtractionPlan, model: SequenceModel,
         for (nstep, N), jsteps in groups.items():
             est, _ = bank.estimate([plan.indices[j - 1] for j in jsteps],
                                    plan.indices[nstep - 1], N, D)
-            stored = np.array([plan.achieved[(j, nstep, N)][0] for j in jsteps])
-            max_diff = max(max_diff, float(np.max(np.abs(est - stored))))
-        pairs = np.array(list(plan.achieved.values()), dtype=float)
-        pairs = pairs.reshape(-1, 2)    # (estimate, half-width) per entry
-        amounts = np.abs(pairs[:, 0]) + pairs[:, 1]
-    thresholds = np.array([plan.thresholds[n] for _, n, _ in plan.achieved])
-    violations = [key for key, bad in zip(plan.achieved, amounts > thresholds)
-                  if bad]
+            recorded = [plan.achieved[(j, nstep, N)][0] for j in jsteps]
+            max_diff = max(max_diff, float(np.max(np.abs(est - recorded))))
+        stored = list(plan.achieved.values())
+    violations = _violations(plan, list(plan.achieved), stored)
     return {"checked": len(plan.achieved), "max_abs_diff": max_diff,
             "violations": violations, "ok": not violations}
 
@@ -406,15 +412,10 @@ def check_plan_subsequence(plan: ExtractionPlan, keep_steps) -> dict:
     against the ORIGINAL step thresholds, still satisfy every recorded
     constraint involving only retained steps."""
     keep = set(keep_steps)
-    checked = 0
-    violations = []
-    for (jstep, nstep, N), stored in plan.achieved.items():
-        if jstep not in keep or nstep not in keep:
-            continue
-        checked += 1
-        if _constraint_amount(plan, stored) > plan.thresholds[nstep]:
-            violations.append((jstep, nstep, N))
-    return {"checked": checked, "violations": violations, "ok": not violations}
+    keys = [key for key in plan.achieved if key[0] in keep and key[1] in keep]
+    violations = _violations(plan, keys, [plan.achieved[k] for k in keys])
+    return {"checked": len(keys), "violations": violations,
+            "ok": not violations}
 
 
 # -------------------------------------------------------------------------
@@ -438,8 +439,7 @@ def _sigma_sup(model, indices, N: float) -> float:
 
 
 def cross_product_budget(plan: ExtractionPlan, model: SequenceModel,
-                         D: CorrectorSeries, N: int,
-                         tolerance: float = 1e-9) -> CrossProductBudget:
+                         D: CorrectorSeries, N: int) -> CrossProductBudget:
     if len(plan.indices) < N:
         raise ValueError("plan shorter than the requested level")
     split = math.sqrt(math.log(N))
@@ -453,9 +453,9 @@ def cross_product_budget(plan: ExtractionPlan, model: SequenceModel,
             else:
                 tail += 2.0 * v
     sig = _sigma_sup(model, plan.indices[:N], float(N))
-    head_bound = N * sig * math.log(N) * (1.0 + tolerance) + tolerance
+    head_bound = N * sig * math.log(N) * (1.0 + _TOLERANCE) + _TOLERANCE
     tail_bound = sum(2.0 * (n - 1) * step_epsilon(n, plan.eps_floor)
-                     for n in range(2, N + 1) if n > split) + tolerance
+                     for n in range(2, N + 1) if n > split) + _TOLERANCE
     total = head + tail
     ok = head <= head_bound and tail <= tail_bound
     return CrossProductBudget(N, head, tail, total, head_bound, tail_bound, ok)
@@ -473,7 +473,7 @@ class SumOfSquaresCheck:
 
 
 def sum_of_squares_check(model: SequenceModel, D: CorrectorSeries, N: int,
-                         index_window, tol: float = 1e-9) -> SumOfSquaresCheck:
+                         index_window) -> SumOfSquaresCheck:
     window = [int(i) for i in index_window]
     lhs = math.fsum(
         exact_centered_inner_product(model, i, i, float(N), D) for i in window)
@@ -483,7 +483,7 @@ def sum_of_squares_check(model: SequenceModel, D: CorrectorSeries, N: int,
     sig = _sigma_sup(model, window, float(N))
     split_bound = 2.0 * sum_sq + 2.0 * N * d2
     sigma_bound = 4.0 * N * N * sig
-    ok = (lhs <= split_bound + tol and lhs <= sigma_bound + tol
-          and d2 <= N * sig + tol)
+    ok = (lhs <= split_bound + _TOLERANCE and lhs <= sigma_bound + _TOLERANCE
+          and d2 <= N * sig + _TOLERANCE)
     return SumOfSquaresCheck(N, lhs, split_bound, sigma_bound, d2,
                              N * sig, ok)

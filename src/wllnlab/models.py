@@ -305,12 +305,6 @@ class _TailRestricted(Distribution):
         head = self.base.survival(n) * n * n / 2.0
         return head + self.base.tau_integral(M) - self.base.tau_integral(n)
 
-    def survival_breakpoints(self, M):
-        pts = self.base.survival_breakpoints(M)
-        if pts is None:
-            return None
-        return pts[pts > self.n]
-
 
 class TailVanishingModel(SequenceModel):
     """f_n = g * 1{|g| > n} for one draw of g per path.
@@ -634,7 +628,7 @@ def dist_from_spec(spec: dict) -> Distribution:
         return Pareto1(scale)
     if family == "heavy_log":
         rho = spec.pop("rho")
-        symmetric = spec.pop("symmetric", True)
+        symmetric = _symmetric(spec)
         _reject_unknown(spec, "heavy_log distribution")
         return HeavyLogLaw(rho, symmetric=symmetric)
     raise ValueError(f"unknown distribution family {family!r}")
@@ -669,6 +663,13 @@ def _rho_from_spec(spec: dict):
         len(values)
 
 
+def _symmetric(spec: dict) -> bool:
+    symmetric = spec.pop("symmetric", True)
+    if not isinstance(symmetric, bool):  # "no" must not read as true
+        raise ValueError(f"symmetric must be true or false, not {symmetric!r}")
+    return symmetric
+
+
 def _reject_unknown(leftover: dict, where: str) -> None:
     if leftover:
         raise ValueError(f"unknown fields in {where}: {sorted(leftover)}")
@@ -679,6 +680,9 @@ def model_from_spec(spec: dict) -> SequenceModel:
     kind = spec.pop("kind", None)
     params = dict(spec.pop("params", {}))
     index_cap = spec.pop("index_cap", None)
+    # 0 must not read as the default cap
+    if index_cap is not None and (type(index_cap) is not int or index_cap < 1):
+        raise ValueError(f"index_cap must be an integer >= 1, not {index_cap!r}")
     joint_law = spec.pop("joint_law", None)
     _reject_unknown(spec, "model spec")
 
@@ -696,7 +700,7 @@ def model_from_spec(spec: dict) -> SequenceModel:
         return TailVanishingModel(g, index_cap or 10**9)
     if kind == "example41":
         rho_fn, rho_vec, sup_one, rho_cap = _rho_from_spec(params.pop("rho"))
-        symmetric = params.pop("symmetric", True)
+        symmetric = _symmetric(params)
         _reject_unknown(params, "example41 params")
         if rho_cap and (index_cap or 0) > rho_cap:
             raise ValueError(f"index_cap {index_cap} exceeds the "

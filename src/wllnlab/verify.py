@@ -32,11 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .correctors import CorrectorSeries
-from .extract import truncate_array
+from .extract import _Z99, truncate_array
 from .models import SequenceModel
 from .streams import Positions
-
-_Z99 = 2.5758293035489004
 
 
 def wilson_interval(successes: int, trials: int, z: float = _Z99):
@@ -78,10 +76,10 @@ class ConvergenceReport:
                 "grid": rows}
 
 
-def _verdict(n_grid, p_hat, ci, pass_threshold, increase_margin):
+def _verdict(n_grid, p_hat, ci, pass_threshold):
     grid = list(n_grid)
     increase = any(
-        ci[grid[b]][0] > ci[grid[a]][1] + increase_margin
+        ci[grid[b]][0] > ci[grid[a]][1]
         for a in range(len(grid)) for b in range(a + 1, len(grid))
     )
     final_bad = p_hat[grid[-1]] > pass_threshold
@@ -111,11 +109,15 @@ def _epsilon(epsilon) -> float:
 
 
 def _probe_indices(indices, length: int = 0) -> np.ndarray:
-    """The indices as an array, checked to be strictly increasing from 1
-    and at least ``length`` long."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if np.any(np.diff(idx) <= 0) or (idx.size and idx[0] < 1):
-        raise ProbeInputError("indices must be strictly increasing and >= 1")
+    """The indices as an array, checked to be non-empty, strictly
+    increasing from 1, below 2^63 and at least ``length`` long."""
+    try:
+        idx = np.asarray(indices, dtype=np.int64)
+    except OverflowError:
+        raise ProbeInputError("indices must be below 2^63")
+    if not idx.size or np.any(np.diff(idx) <= 0) or idx[0] < 1:
+        raise ProbeInputError("indices must be non-empty, strictly "
+                              "increasing and >= 1")
     if len(idx) < length:
         raise ProbeInputError(
             "index sequence shorter than the largest grid point")
@@ -155,14 +157,14 @@ class _Exceedance:
             t = _truncated_sums(vals, self.n_grid) - self.levels * d
             self.sq.append((t / self.levels) ** 2)
 
-    def report(self, R: int, seed: int, pass_threshold: float,
-               increase_margin: float = 0.0) -> ConvergenceReport:
+    def report(self, R: int, seed: int,
+               pass_threshold: float) -> ConvergenceReport:
         grid, eps = self.n_grid, self.epsilon
         p_hat = {N: int(c) / R for N, c in zip(grid, self.exceed)}
         ci = {N: wilson_interval(int(c), R) for N, c in zip(grid, self.exceed)}
         report = ConvergenceReport(
             grid, float(eps), R, p_hat, ci,
-            _verdict(grid, p_hat, ci, pass_threshold, increase_margin), int(seed))
+            _verdict(grid, p_hat, ci, pass_threshold), int(seed))
         if self.sq is not None:
             sq = np.concatenate(self.sq)
             report.l2_hat = dict(zip(grid, np.mean(sq, axis=0).tolist()))
@@ -306,15 +308,15 @@ class ProbePass:
         self._parts.append((int(R), cols, acc))
 
     def wlln(self, D: CorrectorSeries, epsilon: float, n_grid, R: int,
-             pass_threshold: float = 0.05, increase_margin: float = 0.0,
+             pass_threshold: float = 0.05,
              compute_l2: bool = False) -> "ProbePass":
         """Queues ``wlln_probe``."""
         n_grid = _grid(n_grid)
         self._checked(n_grid[-1])
         acc = _Exceedance(D, epsilon, n_grid, compute_l2)
         self._read(R, slice(0, n_grid[-1]), acc)
-        self._reports.append(lambda: acc.report(
-            int(R), self.seed, pass_threshold, increase_margin))
+        self._reports.append(lambda: acc.report(int(R), self.seed,
+                                                pass_threshold))
         return self
 
     def gap(self, n_grid, R: int, epsilon: float = 0.25) -> "ProbePass":
@@ -383,13 +385,12 @@ class ProbePass:
 
 def wlln_probe(model: SequenceModel, indices, D: CorrectorSeries,
                epsilon: float, n_grid, R: int, seed: int,
-               pass_threshold: float = 0.05, increase_margin: float = 0.0,
+               pass_threshold: float = 0.05,
                compute_l2: bool = False) -> ConvergenceReport:
     """The exceedance probe; ``compute_l2`` adds the L2-criterion estimate
     N^-2 E(sum (f^{[-N,N]} - D_N))^2 and the Markov cross-check."""
     return ProbePass(model, indices, seed).wlln(
-        D, epsilon, n_grid, R, pass_threshold, increase_margin,
-        compute_l2).run()[0]
+        D, epsilon, n_grid, R, pass_threshold, compute_l2).run()[0]
 
 
 def truncation_gap_probe(model: SequenceModel, indices, n_grid, R: int,

@@ -57,6 +57,12 @@ def test_out_dir_from_environment(monkeypatch, tmp_path):
     assert (tmp_path / "envout" / "tails.csv").exists()
 
 
+def test_out_dir_that_is_a_file_is_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "c.json", {"model": TAIL_MODEL})
+    assert main(["tails", "--config", cfg, "--out", cfg]) == 64
+    assert capsys.readouterr().err.startswith("error: cannot create output")
+
+
 def test_unknown_config_key(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {"model": TAIL_MODEL, "bogus": 1})
     assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
@@ -172,10 +178,16 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
         "rho": {"family": "constant", "value": 1.5}}}}),
     ("tails", {"model": {**EXAMPLE41_MODEL, "params": {
         "rho": {"family": "explicit", "values": [0.5, -0.2]}}}}),
+    ("tails", {"model": {**TAIL_MODEL, "index_cap": 0}}),
+    ("tails", {"model": {**EXAMPLE41_MODEL, "params": {
+        "rho": {"family": "one-minus-one-over-log"}, "symmetric": "no"}}}),
+    ("tails", {"model": {"kind": "iid", "params": {"dist": {
+        "family": "heavy_log", "rho": 0.5, "symmetric": "no"}}}}),
 ], ids=["non-numeric-value", "infinite-value", "unsupported-oracle",
         "index-cap-below-grid", "tails-past-rho-table",
         "verify-past-rho-table", "index-cap-above-rho-table",
-        "rho-above-one", "rho-below-zero"])
+        "rho-above-one", "rho-below-zero", "zero-index-cap",
+        "example41-symmetric-not-boolean", "heavy-log-symmetric-not-boolean"])
 def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64

@@ -209,10 +209,14 @@ def _reference_weak_l2(model, n_grid) -> CorrectorSeries:
     if isinstance(model, TailVanishingModel):
         # truncated moments vanish once the index passes the level, so the
         # weak limit is zero at every level
-        return zero_corrector(n_grid, "weak-l2/tail-vanishing")
+        series = zero_corrector(n_grid)
+        series.provenance = "weak-l2/tail-vanishing"
+        return series
     if isinstance(model, Example41Model):
         if model.symmetric:
-            return zero_corrector(n_grid, "weak-l2/symmetric-marginals")
+            series = zero_corrector(n_grid)
+            series.provenance = "weak-l2/symmetric-marginals"
+            return series
         raise UnsupportedOracleError(
             "one-sided heavy-log marginals have no model-pinned weak-L2 limit")
     if isinstance(model, LatentShiftModel):

@@ -676,7 +676,7 @@ def test_single_draw_scan_finds_extremes_off_the_ends():
     grid = (2, 50, 64)
     D = CorrectorSeries(grid, "constant", {2: 0.0, 50: 0.0, 64: 3e-4}, "test")
     with pytest.raises(ExtractionFailure) as exc:
-        greedy_extract(m, 4, grid, D, detail_steps=0)
+        greedy_extract(m, 4, grid, D)
     middle = exact_centered_inner_product(m, 5, 61, 64, D)
     assert exc.value.step == 4
     assert exc.value.best_candidate == 61
