@@ -165,7 +165,9 @@ def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
             continue
         many = key in _NUMBER_LISTS
         try:
-            if many != isinstance(val, list):
+            # int(True) is 1: a JSON boolean is not a number here
+            if many != isinstance(val, list) or any(
+                    isinstance(v, bool) for v in (val if many else [val])):
                 raise TypeError
             cfg[key] = [kind(v) for v in val] if many else kind(val)
         except (TypeError, ValueError, OverflowError):
@@ -174,6 +176,8 @@ def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
     for key, ok, what in _CHECKS:
         if key in cfg and not ok(cfg[key]):
             raise UsageError(f"{key} must be {what}")
+    if cfg.get("compute_l2") and cfg["reps"] < 2:  # for its standard error
+        raise UsageError("compute_l2 needs reps >= 2")
     for cond in cfg.get("expect", ()):
         if cond in _FELLER_CONDITIONS and not cfg["feller_grid"]:
             raise UsageError(f"expect condition {cond!r} needs a feller_grid")
@@ -312,8 +316,10 @@ def _probe_inputs(cfg: dict):
             indices = [int(k) for k in plan["indices"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"cannot read plan {cfg['plan_path']}: {exc}")
-    elif indices is None:
-        indices = list(range(1, max(cfg["n_grid"]) + 1))
+    elif indices is None:  # checked first: the grid sets the range's length
+        if max(cfg["n_grid"]) > model.index_cap:
+            raise CapacityError(f"indices outside 1..{model.index_cap}")
+        indices = range(1, max(cfg["n_grid"]) + 1)
     return (ProbePass(model, indices, cfg["seed"]),
             build_corrector(cfg["corrector"], model, cfg["n_grid"]))
 

@@ -12,8 +12,8 @@ falsifiable finite-sample reading:
   the pass threshold
 * ``inconclusive``          -- anything else
 
-Every replication r reads f_k from position k of the Philox stream keyed by
-(seed, r) (see ``streams``), so f_k is a pure function of (seed, r, k).
+Every replication r reads f_k from position k of its PCG64DXSM stream (see
+``streams``), so f_k is a pure function of (seed, r, k).
 Every probe runs through ``ProbePass``: one loop over
 ``SequenceModel.sample_blocks`` whose replications come in chunks of a
 fixed number of values, so memory stays fixed at any R and N, and each
@@ -313,6 +313,8 @@ class ProbePass:
         """Queues ``wlln_probe``."""
         n_grid = _grid(n_grid)
         self._checked(n_grid[-1])
+        if compute_l2 and R < 2:
+            raise ProbeInputError("compute_l2 needs R >= 2")
         acc = _Exceedance(D, epsilon, n_grid, compute_l2)
         self._read(R, slice(0, n_grid[-1]), acc)
         self._reports.append(lambda: acc.report(int(R), self.seed,

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import time
+import tracemalloc
 
 import pytest
 
@@ -183,11 +184,16 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
         "rho": {"family": "one-minus-one-over-log"}, "symmetric": "no"}}}),
     ("tails", {"model": {"kind": "iid", "params": {"dist": {
         "family": "heavy_log", "rho": 0.5, "symmetric": "no"}}}}),
+    ("extract", {"model": TAIL_MODEL, "target_length": True, "n_grid": [4]}),
+    ("verify", {"model": TAIL_MODEL, "seed": False, "n_grid": [4],
+                "reps": 10}),
+    ("tails", {"model": TAIL_MODEL, "m_grid": [True, 2.0]}),
 ], ids=["non-numeric-value", "infinite-value", "unsupported-oracle",
         "index-cap-below-grid", "tails-past-rho-table",
         "verify-past-rho-table", "index-cap-above-rho-table",
         "rho-above-one", "rho-below-zero", "zero-index-cap",
-        "example41-symmetric-not-boolean", "heavy-log-symmetric-not-boolean"])
+        "example41-symmetric-not-boolean", "heavy-log-symmetric-not-boolean",
+        "boolean-length", "boolean-seed", "boolean-in-level-list"])
 def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
@@ -223,6 +229,7 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     ("hereditary", {"patterns": ["every-5th"]}),
     ("verify", {"seed": -1}),
     ("verify", {"gap_probe": "false"}),
+    ("verify", {"compute_l2": True, "reps": 1}),
 ], ids=["verify-indices-too-short", "verify-negative-epsilon",
         "verify-zero-epsilon", "verify-zero-level", "verify-decreasing-indices",
         "verify-gap-probe-negative-epsilon", "hereditary-zero-level",
@@ -234,7 +241,7 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
         "tails-expect-not-an-object", "tails-expect-unknown-condition",
         "tails-expect-feller-without-grid", "hereditary-patterns-not-a-list",
         "hereditary-unknown-pattern", "verify-negative-seed",
-        "verify-flag-not-boolean"])
+        "verify-flag-not-boolean", "verify-l2-one-rep"])
 def test_probe_and_grid_inputs_are_usage_errors(tmp_path, capsys, command,
                                                 payload):
     runs = {"reps": 10} if command in ("verify", "hereditary") else {}
@@ -246,6 +253,23 @@ def test_probe_and_grid_inputs_are_usage_errors(tmp_path, capsys, command,
     assert err.count("\n") == 1 and err.startswith("error: ")
     # nothing is written but the manifest, which a bad grid stops too
     assert set(os.listdir(out)) <= {"manifest.json"}
+
+
+@pytest.mark.parametrize("command", ["verify", "hereditary"])
+def test_grid_past_index_cap_exits_before_building_indices(tmp_path, capsys,
+                                                           command):
+    cfg = write_cfg(tmp_path, "c.json", {
+        "model": {**IID_MODEL, "index_cap": 100}, "n_grid": [10**12],
+        "reps": 1})
+    tracemalloc.start()
+    try:
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 64
+    assert capsys.readouterr().err == "error: indices outside 1..100\n"
+    assert peak < 16 * 2**20
 
 
 def test_hereditary_runs_what_is_long_enough(tmp_path):
@@ -372,9 +396,9 @@ SEED7_DIGESTS = {
         "corrector.json":
             "c57a5d9fe061dd83df1cd7c9fb49d22b09cd7e231d7778f9363a56771ac1484c",
         "gap_report.json":
-            "db6a274fa3fa34538042c4164c2923a9b08ae49d4977b3dbfe0cf94e2fa23adb",
+            "c98c0f4e22bd4a3e7beb934751b91c4eb8dbe010fe106c670008839313c658b7",
         "hereditary.json":
-            "bc1a22645989563147d5b7259da83bdef3007473377ad3d2cbf48309704b8454",
+            "8d37bad18f795a925ea7f73a788170597285ef525dbe3f1934396ed322c4a452",
         "manifest.json":
             "5f841189ecab1fa02c759a38bcc2b4a50d226e4b2f67533ce2c9a711d65a7321",
         "plan.json":
@@ -382,9 +406,9 @@ SEED7_DIGESTS = {
         "plan_check.json":
             "803d652e99d5a5dd9c558cbaf4a2b502be6440b110f2887543d8dd40296cdd9f",
         "report.json":
-            "61adbb2ed0774ee9da5d34ff34e1fca7e74279c22236d394fff60c5a9ea606af",
+            "191a3a6c949e85c03e0f96a106663bd1184baae318c3915bd43e3cc60d5370c8",
         "summary.txt":
-            "e4f93d4e35183858c4b13ed92224e0781fe6c01f75cc5b115169f501f98e7f32",
+            "074d7c9ac1decba6c49d294c2ce8f9352c92a5e6fdceaacf96830fc9dee964cc",
         "tails.csv":
             "6205a96398b2b26efcd7b53d8d26e2f852b967ee7c952e3a4ee40614440c98da",
         "verdicts.json":
@@ -394,9 +418,9 @@ SEED7_DIGESTS = {
         "corrector.json":
             "251cd5d92aa378f2aae6f17840192fa225c9e066aa9ddf843745b648c22d34fb",
         "gap_report.json":
-            "143a1db92406de92e953c13cb7539af1f3328db5b1a41ac6b33751bb384afd63",
+            "e5de0d0ef52dcef2ea69cc77fd210914910dbc76fe2408366df074f4caa50143",
         "hereditary.json":
-            "3b81ba4f34d6e27ec4f5788abf88890064dd72e66ebb398c236f5b0696b84a8b",
+            "de6ddf07d70b9fb28582c28950fa7c207aae6ee385b396c8caca750ad187e820",
         "manifest.json":
             "d8904aa91571b2293f24d44fcb05c35567ddbb9e50698668336604410fe4d0bd",
         "plan.json":
@@ -404,9 +428,9 @@ SEED7_DIGESTS = {
         "plan_check.json":
             "803d652e99d5a5dd9c558cbaf4a2b502be6440b110f2887543d8dd40296cdd9f",
         "report.json":
-            "7cdb8bef62e26966bf8a50df427a9c93dd1ed2b838865fce87f96753850734b6",
+            "9c6e03236fb8c384e7f260ff079c135cd6bf71b3060afab7d97b6d9fc6e10d6c",
         "summary.txt":
-            "321a36fd1a07037c09a006c3a007d4ff746ab202df3ba5000e550efbc4d7d369",
+            "9462d8709ac7a589d3fb38db3da9b6b1b973ac9a9901da51e97606eb65d9cca4",
         "tails.csv":
             "bacbfeb231a2a7a96758e230cd68b7677056fc50f9d7b5137c243881585f92f2",
         "verdicts.json":
@@ -418,7 +442,7 @@ SEED7_DIGESTS = {
         "gap_report.json":
             "172a40c77e0807e4ac059ca4938982a9ed6abe5cd8dbf414112567bc78f29300",
         "hereditary.json":
-            "f130c6c33b080fb6b57cd89d5ac078658ea5c5dcd74ec22963cf49cbd3fdb4f0",
+            "eb4153159eebc3e879b6e77cd229f0b6d35d64f110b18982ea0dfcc4dc42f975",
         "manifest.json":
             "8c6188b28373e2eecc1ad7347485b9f5a6e3d388182e38ee13b5a0376dcd6564",
         "plan.json":
@@ -426,9 +450,9 @@ SEED7_DIGESTS = {
         "plan_check.json":
             "803d652e99d5a5dd9c558cbaf4a2b502be6440b110f2887543d8dd40296cdd9f",
         "report.json":
-            "09bb93ac3a77cd46992ad7118b0c377e6f789b56d14729a63ea0baa2cc154ba0",
+            "8009e391979648aac1baee68d3e64541a8f81c66a5b34a485a58ede68b0d96a3",
         "report_zero_corrector.json":
-            "c1726da364b75ef7272104e72b2038605acbb2ca28ac809c9c4bb63a54efd005",
+            "48ccb551412f3fcef1a5f36c763bca28af126e92dd4d1597eb19cc6a78253679",
         "summary.txt":
             "b7914b4bb53807d3fe920d0778c2b0688ac1cd80a72b5a2407f46e07f1ee9217",
         "tails.csv":

@@ -38,7 +38,13 @@ BAD_MODELS = [
                                              "value": 1.5}}},
 ]
 # values of the wrong type for most keys
-WRONG = st.sampled_from(["x", None, [], {}, [None], 1.5, True, -1])
+WRONG = st.sampled_from(["x", None, [], {}, [None], 1.5, True, -1, False,
+                         [True]])
+# keys that hold a number or a list of numbers, where a JSON boolean is a
+# usage error although Python reads True as 1
+NUMERIC = {"seed", "target_length", "search_cap", "min_index", "sample_R",
+           "reps", "eps_floor", "epsilon", "pass_threshold", "m_grid",
+           "n_range", "n_grid", "feller_grid", "indices"}
 
 levels = st.integers(1, 64)
 grid = st.lists(levels, min_size=1, max_size=4)
@@ -158,6 +164,20 @@ def runs(draw):
         json.dumps(cfg)
 
 
+def boolean_number(argv, text) -> bool:
+    """Whether the run's config holds a boolean for a numeric key that no
+    flag replaces."""
+    cfg = json.loads(text)
+    if argv[0] == "rerun":
+        cfg = cfg.get("config") if isinstance(cfg, dict) else None
+    elif len(argv) > 3:
+        return False
+    return isinstance(cfg, dict) and any(
+        isinstance(v, bool) or isinstance(v, list)
+        and any(isinstance(x, bool) for x in v)
+        for k, v in cfg.items() if k in NUMERIC)
+
+
 def _fds_open() -> bool:
     try:
         for fd in (0, 1, 2):
@@ -176,6 +196,8 @@ def _fds_open() -> bool:
           json.dumps({"model": MODELS[0]})))
 @example((["tails", "--config", "run.json", "--expect", "weak_l1"],
           json.dumps({"model": MODELS[0]})))
+@example((["extract", "--config", "run.json"],
+          json.dumps({"model": MODELS[0], "target_length": True})))
 def test_cli_fuzz_exits_with_documented_codes(run):
     argv, text = run
     cwd = os.getcwd()
@@ -195,5 +217,7 @@ def test_cli_fuzz_exits_with_documented_codes(run):
             os.chdir(cwd)
     assert _fds_open(), argv
     assert rc in EXIT_CODES, (argv, text, rc)
+    if boolean_number(argv, text):
+        assert rc == 64, (argv, text, rc)
     if rc == 64:  # one error line, from argparse or from the run
         assert "error: " in err.getvalue().splitlines()[-1], err.getvalue()

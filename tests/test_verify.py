@@ -72,6 +72,10 @@ class TestWllnProbe:
             wlln_probe(ZERO_MODEL, [1, 2], D, 0.5, (4,), 10, 0)
         with pytest.raises(ValueError):
             wlln_probe(ZERO_MODEL, [2, 1, 3, 4], D, 0.5, (4,), 10, 0)
+        # the L2 standard error needs two replications
+        with pytest.raises(ProbeInputError, match="compute_l2"):
+            wlln_probe(ZERO_MODEL, [1, 2, 3, 4], D, 0.5, (4,), 1, 0,
+                       compute_l2=True)
 
     def test_conditional_corrector_realized_per_path(self):
         # noise averages have std 3/sqrt(N); N must be large for eps = 0.5
@@ -82,11 +86,17 @@ class TestWllnProbe:
 
     def test_wrong_constant_corrector_is_a_violation(self):
         # averages converge to the random factor B in {-1, +1}, so the
-        # constant centering 0 misses by 1 almost always
-        r = wlln_probe(LATENT, range(1, 65), zero_corrector((4, 64)),
-                       0.5, (4, 64), 400, seed=2)
-        assert r.p_hat[64] > 0.9
-        assert r.verdict == "violation"
+        # constant centering 0 misses by 1 almost always: at N = 64 the
+        # average is B + 3 (K / 32 - 1) with K ~ Bin(64, 1/2) plus-3 noise
+        # draws, and |average| > 1/2 exactly when K >= 27 or K <= 15
+        exact = sum(math.comb(64, k) for k in range(65)
+                    if k >= 27 or k <= 15) / 2.0**64
+        for seed in range(10):
+            r = wlln_probe(LATENT, range(1, 65), zero_corrector((4, 64)),
+                           0.5, (4, 64), 400, seed=seed)
+            lo, hi = r.ci[64]
+            assert lo <= exact <= hi, seed
+            assert r.verdict == "violation", seed
 
     def test_report_bytes_reproducible(self):
         args = (LATENT, range(1, 33), corrector_weak_l2(LATENT, (32,)),
