@@ -6,7 +6,6 @@ subsequence extraction -> Monte Carlo convergence verification.
 
 from .correctors import (
     CorrectorSeries,
-    corrector_cesaro_estimate,
     corrector_iid,
     corrector_independent,
     corrector_weak_l2,
@@ -20,7 +19,6 @@ from .distributions import (
     UnsupportedOracleError,
     convolve,
     example41_constant_c,
-    heavy_series_partial,
 )
 from .extract import (
     ExtractConfigError,
@@ -40,7 +38,6 @@ from .models import (
     IIDModel,
     IndependentArrayModel,
     LatentShiftModel,
-    SamplePath,
     SequenceModel,
     TailVanishingModel,
     dist_from_spec,
@@ -56,7 +53,6 @@ from .tails import (
     check_liminf_condition,
     check_limsup_condition,
     check_weak_l1,
-    feller_identity_residual,
     tau_sup_integral,
 )
 from .verify import (

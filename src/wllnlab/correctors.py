@@ -1,15 +1,12 @@
 """Centering sequences ("correctors") for the truncated sample averages.
 
 A corrector series assigns to each level N a centering value D_N with
-|D_N| <= N in every realization.  Three kinds exist:
+|D_N| <= N in every realization.  Two kinds exist:
 
 * ``constant``    -- one real number per level (classical formulas)
 * ``conditional`` -- a map from the latent factor value to a real, for
                      conditionally-iid models where the natural centering
                      is itself random
-* ``estimated``   -- a sample-based Cesaro surrogate with an uncertainty
-                     half-width, fitted on a pilot prefix so the verifier
-                     never scores the corrector on its own fitting data
 """
 
 from __future__ import annotations
@@ -29,10 +26,9 @@ if TYPE_CHECKING:   # annotations only: the exact centerings live on the models
 @dataclass
 class CorrectorSeries:
     n_grid: tuple
-    kind: str  # "constant" | "conditional" | "estimated"
+    kind: str  # "constant" | "conditional"
     values: dict  # N -> float, or N -> {factor_value: float}
     provenance: str
-    uncertainty: dict | None = None
 
     def __post_init__(self):
         self.n_grid = tuple(int(N) for N in self.n_grid)
@@ -103,8 +99,6 @@ class CorrectorSeries:
                 entry["table"] = [[b, v] for b, v in sorted(self.values[N].items())]
             else:
                 entry["value"] = self.values[N]
-            if self.uncertainty is not None:
-                entry["uncertainty"] = self.uncertainty[N]
             out["series"].append(entry)
         return out
 
@@ -120,16 +114,15 @@ def corrector_iid(dist: Distribution, n_grid) -> CorrectorSeries:
     return CorrectorSeries(tuple(n_grid), "constant", values, "iid-truncated-mean")
 
 
-def corrector_independent(model: SequenceModel, n_grid,
-                          indices=None) -> CorrectorSeries:
-    """D_N = (1/N) sum_{n<=N} E(f_{k_n} 1{|f_{k_n}| <= N}) for independent
-    coordinates; ``indices`` defaults to 1, 2, ..., N."""
+def corrector_independent(model: SequenceModel, n_grid) -> CorrectorSeries:
+    """D_N = (1/N) sum_{n<=N} E(f_n 1{|f_n| <= N}) for independent
+    coordinates."""
     values = {}
     for N in n_grid:
         N = int(N)
-        ks = list(indices[:N]) if indices is not None else range(1, N + 1)
         values[N] = math.fsum(
-            model.marginal_dist(int(k)).trunc_moment(float(N), 1) for k in ks
+            model.marginal_dist(n).trunc_moment(float(N), 1)
+            for n in range(1, N + 1)
         ) / N
     return CorrectorSeries(tuple(n_grid), "constant", values,
                            "independent-average-truncated-mean")
@@ -143,31 +136,3 @@ def corrector_weak_l2(model: SequenceModel, n_grid) -> CorrectorSeries:
     kind = "constant" if model.factor_law is None else "conditional"
     return CorrectorSeries(n_grid, kind, values, model.weak_l2_provenance)
 
-
-def corrector_cesaro_estimate(path_family, n_grid,
-                              pilot_fraction: float = 0.2) -> CorrectorSeries:
-    """Finite-sample surrogate: per path, average the truncated values over
-    the pilot prefix; aggregate across paths.  Heuristic by construction and
-    labeled as such in the provenance."""
-    paths = list(path_family)
-    if len(paths) < 2:
-        raise ValueError("need at least two paths")
-    if not 0.0 < pilot_fraction < 1.0:
-        raise ValueError("pilot_fraction must lie in (0, 1)")
-    n_grid = tuple(int(N) for N in n_grid)
-    values, spread = {}, {}
-    for N in n_grid:
-        per_path = []
-        for p in paths:
-            pilot_len = int(pilot_fraction * len(p.values))
-            if pilot_len < 1:
-                raise ValueError("pilot prefix is empty")
-            pilot = p.values[:pilot_len]
-            trunc = np.where(np.abs(pilot) <= N, pilot, 0.0)
-            per_path.append(float(np.mean(trunc)))
-        est = float(np.clip(np.mean(per_path), -N, N))
-        values[N] = est
-        spread[N] = float(np.std(per_path, ddof=1))
-    return CorrectorSeries(n_grid, "estimated", values,
-                           f"cesaro-estimate(pilot={pilot_fraction}, "
-                           f"paths={len(paths)}) [heuristic]", spread)

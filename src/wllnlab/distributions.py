@@ -324,11 +324,6 @@ def example41_constant_c() -> float:
     return 0.5 / _SERIES_TOTAL
 
 
-def heavy_series_partial(m: int) -> float:
-    """sum_{k=2..m} 1/(k^2 log k); exposed for oracle cross-checks."""
-    return 0.0 if m < 2 else _SERIES_TOTAL - _tail(m)
-
-
 # inverse-CDF table for the law conditioned on being nonzero; the
 # conditional law does not depend on the zero-mass parameter, so one table
 # serves every marginal in the family

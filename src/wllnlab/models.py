@@ -21,7 +21,6 @@ in the package can be audited against an oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,14 +43,6 @@ _BLOCK_VALUES = 1 << 17
 
 class CapacityError(Exception):
     """Requested index exceeds the model's index_cap."""
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    seed: int
-    replication: int
-    values: np.ndarray
-    factor_value: float | None = None
 
 
 class SequenceModel:
@@ -82,35 +73,25 @@ class SequenceModel:
         if not 1 <= n <= self.index_cap:
             raise CapacityError(f"index {n} outside 1..{self.index_cap}")
 
-    def sample_block(self, indices, seed: int, r0: int, r1: int):
-        """Realize (f_i)_{i in indices} on replications r0, ..., r1 - 1.
-
-        Returns ``(values, factors)``: ``values`` has shape
-        (r1 - r0, len(indices)) and ``factors`` holds each path's factor,
-        shape (r1 - r0,), or is None for models without one.  The uniform
-        behind f_k on replication r is position k of stream (seed, r) and
-        the factor's is position 0 (see ``streams``), so a value does not
-        depend on which other indices or replications are requested:
-        sampling ``idx[s]`` gives the columns ``s`` of sampling ``idx``.
-        """
-        return next(self._blocks(indices, seed, r0, r1, r1 - r0))
-
     def sample_blocks(self, indices, seed: int, R: int, first: int = 0):
-        """``sample_block`` over replications first, ..., first + R - 1 in
-        chunks of at most ``_BLOCK_VALUES`` values, in replication order."""
-        return self._blocks(indices, seed, first, first + R, None)
-
-    def _blocks(self, indices, seed, r0, r1, step):
-        if not 0 <= r0 < r1:
-            raise ValueError("need replications 0 <= r0 < r1")
+        """Realize (f_i)_{i in indices} on replications first, ...,
+        first + R - 1: yields ``(values, factors)`` per chunk of B
+        replications (at most ``_BLOCK_VALUES`` values), in replication
+        order; ``values`` is (B, len(indices)) and ``factors`` (B,), or None
+        for models without a factor.  The uniform behind f_k on replication
+        r is position k of stream (seed, r) and the factor's is position 0
+        (see ``streams``), so sampling ``idx[s]`` gives the columns ``s`` of
+        sampling ``idx``, whichever replications are requested."""
+        if not 0 <= first < first + R:
+            raise ValueError("need replications 0 <= first < first + R")
         idx = self._checked_indices(indices)
         coords = idx if self.coordinate_noise else idx[:0]
         positions = Positions(np.concatenate(([0], coords)) if self.has_factor
                               else coords)
         per_index = self._per_index(idx)
-        step = step or max(1, _BLOCK_VALUES // len(idx))
-        for a in range(r0, r1, step):
-            u = positions.uniforms(seed, a, min(r1, a + step))
+        step = max(1, _BLOCK_VALUES // len(idx))
+        for a in range(first, first + R, step):
+            u = positions.uniforms(seed, a, min(first + R, a + step))
             if self.has_factor:
                 yield self._realize(per_index, u[:, 1:], u[:, 0])
             else:
@@ -125,20 +106,6 @@ class SequenceModel:
         without coordinate noise) and factor uniforms ``u0`` (B,; None
         without a factor)."""
         raise NotImplementedError
-
-    def sample_at(self, indices, seed: int, replication: int = 0) -> SamplePath:
-        """Realize (f_i)_{i in indices} for one path: the one-row case of
-        ``sample_block``.  f_k depends only on (seed, replication, k), so
-        ``sample_at(idx[s]).values == sample_at(idx).values[s]`` for every
-        selection ``s`` of the index set."""
-        values, factors = self.sample_block(indices, seed, replication,
-                                            replication + 1)
-        factor = None if factors is None else float(factors[0])
-        return SamplePath(seed, replication, values[0], factor_value=factor)
-
-    def sample_path(self, length: int, seed: int, replication: int = 0) -> SamplePath:
-        """``sample_at`` on the prefix 1, ..., length."""
-        return self.sample_at(np.arange(1, length + 1), seed, replication)
 
     def _checked_indices(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)

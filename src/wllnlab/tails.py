@@ -34,19 +34,6 @@ class Verdict:
     data: dict = field(default_factory=dict)
 
 
-def feller_identity_residual(model: SequenceModel, n: int, M: float) -> float:
-    """sigma_n(M) - [(2/M) int_0^M tau_n(t) dt - tau_n(M)], with the integral
-    taken exactly over the piecewise-linear integrand."""
-    dist = model.marginal_dist(n)
-    try:
-        integral = dist.tau_integral(M)
-    except NotImplementedError as exc:  # pragma: no cover
-        raise UnsupportedOracleError(str(exc)) from exc
-    lhs = dist.trunc_moment(M, 2) / M
-    rhs = (2.0 / M) * integral - M * dist.survival(M)
-    return lhs - rhs
-
-
 def tau_sup_integral(model: SequenceModel, n_range, M: float) -> float:
     """Exact int_0^M sup_{n in n_range} tau_n(t) dt.
 

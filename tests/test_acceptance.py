@@ -11,7 +11,6 @@ import pytest
 
 from wllnlab.cli import main as cli_main
 from wllnlab.correctors import (
-    corrector_cesaro_estimate,
     corrector_iid,
     corrector_independent,
     corrector_weak_l2,
@@ -41,7 +40,6 @@ from wllnlab.tails import (
     check_energy_vanishing,
     check_limsup_condition,
     check_weak_l1,
-    feller_identity_residual,
 )
 from wllnlab.verify import (
     PATTERNS,
@@ -101,9 +99,9 @@ def test_criterion_1_survival_integral_identity():
         vals = rng.uniform(-20, 20, size=n_atoms)
         probs = rng.dirichlet(np.ones(n_atoms))
         dist = FiniteDiscrete(list(zip(vals, probs)))
-        model = IIDModel(dist)
+        profile = build_tail_profile(IIDModel(dist), m_grid, [1])
         for M in m_grid:
-            assert abs(feller_identity_residual(model, 1, float(M))) <= 1e-9
+            assert abs(profile.feller_residual[(1, float(M))]) <= 1e-9
 
         # independent Riemann cross-check of the piecewise integral, built
         # directly from the atom list; the 1e6-step partition is aligned
@@ -145,11 +143,10 @@ def test_criterion_2_bound_chain():
 
 
 def test_criterion_3_corrector_contract():
-    """Every corrector emitted anywhere satisfies |D_N| <= N exactly;
-    symmetric marginals give exactly zero."""
+    """Every corrector the pipeline builds (zero, iid truncated mean,
+    independent average, weak-L2 constant and conditional) satisfies
+    |D_N| <= N exactly; symmetric marginals give exactly zero."""
     grid = (2, 8, 32, 128)
-    iid_paths = [IIDModel(Pareto1()).sample_path(64, seed=1, replication=r)
-                 for r in range(6)]
     emitted = [
         zero_corrector(grid),
         corrector_iid(Pareto1(), grid),
@@ -158,7 +155,6 @@ def test_criterion_3_corrector_contract():
         corrector_weak_l2(IIDModel(Pareto1()), grid),
         corrector_weak_l2(TailVanishingModel(Pareto1()), grid),
         corrector_weak_l2(latent_model(), grid),
-        corrector_cesaro_estimate(iid_paths, grid),
     ]
     for D in emitted:
         for N in D.n_grid:

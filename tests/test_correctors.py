@@ -1,14 +1,12 @@
 """Corrector construction: classical formulas, structural weak-L2 limits,
-the sample-based estimate, and the |D_N| <= N contract."""
+and the |D_N| <= N contract."""
 
 import math
 
-import numpy as np
 import pytest
 
 from wllnlab.correctors import (
     CorrectorSeries,
-    corrector_cesaro_estimate,
     corrector_iid,
     corrector_independent,
     corrector_weak_l2,
@@ -146,47 +144,6 @@ class TestWeakL2:
         for model in (TailVanishingModel(Pareto1()),
                       Example41Model(lambda n: 1.0 - 1.0 / math.log(n + 2))):
             assert corrector_weak_l2(model, N_GRID).is_zero()
-
-
-class TestCesaroEstimate:
-    def test_point_mass_exact(self):
-        m = IIDModel(FiniteDiscrete([(3.0, 1.0)]))
-        paths = [m.sample_path(50, seed=0, replication=r) for r in range(4)]
-        D = corrector_cesaro_estimate(paths, (8, 32))
-        assert D.kind == "estimated"
-        assert D.values[8] == 3.0
-        assert "[heuristic]" in D.provenance
-
-    def test_all_zero_paths(self):
-        m = IIDModel(FiniteDiscrete([(0.0, 1.0)]))
-        paths = [m.sample_path(50, seed=0, replication=r) for r in range(3)]
-        D = corrector_cesaro_estimate(paths, (8,))
-        assert D.values[8] == 0.0
-        assert D.uncertainty[8] == 0.0
-
-    def test_latent_shift_conditioned_on_factor(self):
-        paths = []
-        r = 0
-        while len(paths) < 20:
-            p = LATENT.sample_path(400, seed=1, replication=r)
-            r += 1
-            if p.factor_value == 1.0:
-                paths.append(p)
-        D = corrector_cesaro_estimate(paths, (8,))
-        oracle = corrector_weak_l2(LATENT, (8,)).value(8, factor=1.0)
-        se = D.uncertainty[8] / math.sqrt(len(paths))
-        assert abs(D.values[8] - oracle) <= 3 * se + 1e-12
-
-    def test_input_validation(self):
-        m = IIDModel(FiniteDiscrete([(3.0, 1.0)]))
-        paths = [m.sample_path(50, seed=0, replication=r) for r in range(2)]
-        with pytest.raises(ValueError):
-            corrector_cesaro_estimate(paths[:1], (8,))
-        with pytest.raises(ValueError):
-            corrector_cesaro_estimate(paths, (8,), pilot_fraction=1.5)
-        short = [m.sample_path(2, seed=0, replication=r) for r in range(2)]
-        with pytest.raises(ValueError):
-            corrector_cesaro_estimate(short, (8,), pilot_fraction=0.2)
 
 
 def test_serialization_shapes():

@@ -22,7 +22,6 @@ from wllnlab.distributions import (
     _cond_table,
     convolve,
     example41_constant_c,
-    heavy_series_partial,
 )
 from wllnlab.verify import wilson_interval
 
@@ -157,8 +156,10 @@ class TestHeavyLogLaw:
         assert total == pytest.approx(SERIES_TOTAL, abs=1e-10)
 
     def test_partial_sum_k10(self):
+        # one-sided, rho = 0: P(X <= 10) is the partial series over its total
         want = math.fsum(1.0 / (k * k * math.log(k)) for k in range(2, 11))
-        assert heavy_series_partial(10) == pytest.approx(want, abs=1e-14)
+        got = 1.0 - HeavyLogLaw(0.0, symmetric=False).survival(10)
+        assert got == pytest.approx(want / SERIES_TOTAL, abs=1e-14)
         assert want == pytest.approx(0.575, abs=5e-4)
 
     def test_survival_against_direct_sum(self):
@@ -280,12 +281,12 @@ class TestHeavyLogLawReferences:
             want_tail = _mp_tail(m) / total
             want_energy = _mp_prefix(lambda k: 1 / mpmath.log(k), m) / total
             want_mean = _mp_prefix(lambda k: 1 / (k * mpmath.log(k)), m) / total
-            want_partial = total - _mp_tail(m)
+            want_partial = (total - _mp_tail(m)) / total
             assert _rel(d.survival(m), want_tail) <= 1e-13
             assert _rel(d.survival(m + 0.5), want_tail) <= 1e-13
             assert _rel(d.trunc_moment(m, 2), want_energy) <= 1e-13
             assert _rel(d.trunc_moment(m, 1), want_mean) <= 1e-13
-            assert _rel(heavy_series_partial(m), want_partial) <= 1e-13
+            assert _rel(1.0 - d.survival(m), want_partial) <= 1e-13
 
     def test_series_total_against_mpmath(self, series_total_mp):
         with mpmath.workdps(30):

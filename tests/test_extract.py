@@ -214,11 +214,10 @@ class TestGreedyExtract:
                               mode="sample", search_cap=32, R=400, seed=3)
         bank = _SampleBank(m, plan.search_cap, plan.sample_R, plan.seed)
         rows = bank.values[np.array(plan.indices) - 1].T
-        probe = np.stack([m.sample_at(plan.indices, plan.seed, r).values
-                          for r in range(plan.sample_R)])
-        own = np.stack([m.sample_at(plan.indices, plan.seed,
-                                    _BANK_REPLICATIONS + r).values
-                        for r in range(plan.sample_R)])
+        probe = np.concatenate([v for v, _ in m.sample_blocks(
+            plan.indices, plan.seed, plan.sample_R)])
+        own = np.concatenate([v for v, _ in m.sample_blocks(
+            plan.indices, plan.seed, plan.sample_R, first=_BANK_REPLICATIONS)])
         assert np.array_equal(rows, own)
         assert (rows != probe).any(axis=1).mean() > 0.8
 
@@ -473,9 +472,10 @@ def _reference_bank(model, horizon, R, seed):
     """(R, horizon) paths and their factor values, drawn as the search
     draws them."""
     idx = np.arange(1, horizon + 1, dtype=np.int64)
-    paths = [model.sample_at(idx, seed, replication=_BANK_REPLICATIONS + r)
-             for r in range(R)]
-    return np.stack([p.values for p in paths]), [p.factor_value for p in paths]
+    rows = [next(model.sample_blocks(idx, seed, 1, first=_BANK_REPLICATIONS + r))
+            for r in range(R)]
+    return (np.concatenate([v for v, _ in rows]),
+            [None if f is None else float(f[0]) for _, f in rows])
 
 
 def _reference_estimate(bank, j, k, N, D):

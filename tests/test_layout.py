@@ -39,3 +39,50 @@ def test_no_isinstance_against_model_classes():
     hits = [hit for path in sorted(SRC.glob("*.py"))
             for hit in _model_isinstance_calls(path, names)]
     assert hits == []
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+# exported names nothing in the package or the benchmark uses, each kept
+# for a stated reason
+UNUSED_EXPORTS_ALLOWED = {
+    "thin_indices": "the reference the hereditary-suite equivalence test "
+                    "compares against",
+    "check_plan_subsequence": "kept for the exact Chebyshev certificate, "
+                              "whose O(N) form must match cross_product_budget",
+    "cross_product_budget": "kept for the exact Chebyshev certificate",
+    "sum_of_squares_check": "kept for the exact Chebyshev certificate",
+}
+
+
+def _exports() -> set:
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+def _referenced_names(path: pathlib.Path) -> set:
+    # names, attributes, imports, and identifier strings: the benchmark
+    # patches functions by their name as a string
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_export_is_used_outside_the_tests():
+    # public API that only the tests reach is deleted, not exported
+    users = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    users += sorted(PERFBENCH.glob("*.py"))
+    used = set().union(*(_referenced_names(p) for p in users))
+    allowed = set(UNUSED_EXPORTS_ALLOWED)
+    assert sorted(_exports() - used - allowed) == []
+    # an allowance ends when its name is used or no longer exported
+    assert allowed <= _exports() - used

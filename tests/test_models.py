@@ -23,6 +23,25 @@ Z999 = 3.2905267314919255  # 99.9% two-sided normal quantile
 TWO_POINT = FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)])
 
 
+def sample_row(model, indices, seed, r=0):
+    """Replication r on its own: its values and its factor (None without
+    one)."""
+    values, factors = next(model.sample_blocks(indices, seed, 1, first=r))
+    return values[0], None if factors is None else factors[0]
+
+
+def sample_prefix(model, length, seed, r=0):
+    return sample_row(model, np.arange(1, length + 1), seed, r)
+
+
+def stacked_blocks(model, indices, seed, R):
+    """Replications 0, ..., R - 1 as one (R, n) array and their factors."""
+    blocks = list(model.sample_blocks(indices, seed, R))
+    factors = (None if blocks[0][1] is None
+               else np.concatenate([f for _, f in blocks]))
+    return np.concatenate([v for v, _ in blocks]), factors
+
+
 def make_models():
     return {
         "iid": IIDModel(Pareto1()),
@@ -38,29 +57,31 @@ def make_models():
                                   "latent_shift"])
 def test_seeded_determinism(name):
     model = make_models()[name]
-    a = model.sample_path(64, seed=123, replication=5)
-    b = model.sample_path(64, seed=123, replication=5)
-    assert np.array_equal(a.values, b.values)
-    assert a.factor_value == b.factor_value
-    c = model.sample_path(64, seed=123, replication=6)
-    assert not np.array_equal(a.values, c.values)
+    a, fa = sample_prefix(model, 64, 123, 5)
+    b, fb = sample_prefix(model, 64, 123, 5)
+    assert np.array_equal(a, b)
+    assert fa == fb
+    c, _ = sample_prefix(model, 64, 123, 6)
+    assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("name", ["iid", "tail_vanishing", "example41",
                                   "latent_shift"])
 def test_sample_at_matches_prefix_path(name):
     model = make_models()[name]
-    a = model.sample_path(32, seed=9, replication=1)
-    b = model.sample_at(np.arange(1, 33), seed=9, replication=1)
-    assert np.array_equal(a.values, b.values)
+    # replication 1 asked for alone is row 1 of replications 0..2
+    a, fa = sample_prefix(model, 32, 9, 1)
+    block, factors = stacked_blocks(model, np.arange(1, 33), 9, 3)
+    assert np.array_equal(a, block[1])
+    assert fa == (None if factors is None else factors[1])
 
 
 def test_capacity_errors():
     m = IIDModel(Pareto1(), index_cap=10)
     with pytest.raises(CapacityError):
-        m.sample_path(11, seed=0)
+        sample_prefix(m, 11, 0)
     with pytest.raises(CapacityError):
-        m.sample_at([5, 11], seed=0)
+        sample_row(m, [5, 11], 0)
     with pytest.raises(CapacityError):
         m.marginal_dist(11)
 
@@ -68,28 +89,31 @@ def test_capacity_errors():
 def test_sample_at_rejects_bad_indices():
     m = IIDModel(Pareto1())
     with pytest.raises(ValueError):
-        m.sample_at([3, 2], seed=0)
+        sample_row(m, [3, 2], 0)
     with pytest.raises(ValueError):
-        m.sample_at([0, 1], seed=0)
+        sample_row(m, [0, 1], 0)
+    with pytest.raises(ValueError):
+        sample_row(m, [], 0)
+    with pytest.raises(ValueError):
+        sample_row(m, [1, 2], 0, r=-1)
+    with pytest.raises(ValueError):
+        next(m.sample_blocks([1, 2], 0, 0))
 
 
 class TestTailVanishing:
     def test_zero_g(self):
         m = TailVanishingModel(FiniteDiscrete([(0.0, 1.0)]))
-        assert np.array_equal(m.sample_path(5, seed=1).values, np.zeros(5))
+        assert np.array_equal(sample_prefix(m, 5, 1)[0], np.zeros(5))
 
     def test_exact_mechanism(self):
         # f_n = g * 1{|g| > n}: one g per path, coordinates zeroed in order
         m = TailVanishingModel(Pareto1())
-        path = m.sample_path(50, seed=11, replication=3)
-        nz = path.values != 0.0
-        g_vals = set(np.round(path.values[nz], 12))
-        assert len(g_vals) <= 1
-        if np.any(nz):
-            g = path.values[nz][0]
-            for n in range(1, 51):
-                expected = g if abs(g) > n else 0.0
-                assert path.values[n - 1] == expected
+        values, g = sample_prefix(m, 50, 11, 3)
+        nz = values != 0.0
+        assert set(values[nz]) <= {g}
+        for n in range(1, 51):
+            expected = g if abs(g) > n else 0.0
+            assert values[n - 1] == expected
 
     def test_truncated_moment_vanishes_past_level(self):
         m = TailVanishingModel(Pareto1())
@@ -107,7 +131,7 @@ class TestTailVanishing:
 class TestExample41:
     def test_rho_one_all_zero(self):
         m = Example41Model(lambda n: 1.0)
-        assert np.array_equal(m.sample_path(20, seed=0).values, np.zeros(20))
+        assert np.array_equal(sample_prefix(m, 20, 0)[0], np.zeros(20))
 
     def test_marginal_matches_rho(self):
         m = Example41Model(lambda n: 1.0 - 1.0 / math.log(n + 2))
@@ -118,18 +142,17 @@ class TestExample41:
     def test_comonotone_sharing(self):
         # constant rho + shared uniform => all coordinates identical
         m = Example41Model(lambda n: 0.5, joint_law="comonotone")
-        path = m.sample_path(16, seed=4, replication=2)
-        assert len(set(path.values)) == 1
-        assert path.factor_value is not None
+        values, factor = sample_prefix(m, 16, 4, 2)
+        assert len(set(values)) == 1
+        assert factor is not None
 
     def test_deep_index_sampling(self):
         m = Example41Model(lambda n: 1.0 - 1.0 / math.log(n + 2),
                            index_cap=10**15)
         idx = np.array([10**12, 10**12 + 1, 10**12 + 2])
-        hits = 0
         R = 20_000
-        for r in range(R):
-            hits += int(np.any(m.sample_at(idx, seed=5, replication=r).values != 0))
+        values, _ = stacked_blocks(m, idx, 5, R)
+        hits = int(np.count_nonzero(np.any(values != 0, axis=1)))
         p_any = 1.0 - (1.0 - m.marginal_dist(10**12).survival(0.0)) ** 3
         lo, hi = wilson_interval(hits, R, z=Z999)
         assert lo <= p_any <= hi
@@ -138,9 +161,9 @@ class TestExample41:
 class TestLatentShift:
     def test_structure(self):
         m = make_models()["latent_shift"]
-        path = m.sample_path(40, seed=8, replication=1)
-        assert path.factor_value in (-1.0, 1.0)
-        noise = path.values - path.factor_value
+        values, factor = sample_prefix(m, 40, 8, 1)
+        assert factor in (-1.0, 1.0)
+        noise = values - factor
         assert set(np.round(noise, 12)) <= {-3.0, 3.0}
 
     def test_marginal_is_convolution(self):
@@ -173,17 +196,14 @@ def test_statistical_consistency(name):
     checks = [(1, 2.0), (3, 2.0), (3, 3.5)]
     if name in ("iid", "example41"):
         # identical independent marginals: one long path gives R draws
-        vals = model.sample_path(R, seed=77).values
+        vals, _ = sample_prefix(model, R, 77)
         for _, M in checks:
             lo, hi = wilson_interval(int(np.sum(np.abs(vals) > M)), R, z=Z999)
             assert lo <= model.marginal_dist(1).survival(M) <= hi
         return
-    counts = {c: 0 for c in checks}
-    for r in range(R):
-        vals = model.sample_path(3, seed=77, replication=r).values
-        for (n, M) in checks:
-            counts[(n, M)] += int(abs(vals[n - 1]) > M)
-    for (n, M), hit in counts.items():
+    vals, _ = stacked_blocks(model, np.arange(1, 4), 77, R)
+    for (n, M) in checks:
+        hit = int(np.count_nonzero(np.abs(vals[:, n - 1]) > M))
         lo, hi = wilson_interval(hit, R, z=Z999)
         assert lo <= model.marginal_dist(n).survival(M) <= hi, (n, M)
 
@@ -243,9 +263,9 @@ def test_independent_array_marginals():
     assert m.index_cap == 8
     assert m.marginal_dist(1).max_abs_value == 0.0
     assert m.marginal_dist(2).max_abs_value == 2.0
-    path = m.sample_path(8, seed=0)
-    assert np.all(path.values[0::2] == 0.0)
-    assert set(np.abs(path.values[1::2])) == {2.0}
+    values, _ = sample_prefix(m, 8, 0)
+    assert np.all(values[0::2] == 0.0)
+    assert set(np.abs(values[1::2])) == {2.0}
 
 
 # -------------------------------------------------------------------------
@@ -272,18 +292,18 @@ def test_thinned_equals_sliced(name):
     model = stream_models()[name]
     idx = np.arange(1, 121)
     for r in (0, 3):
-        full = model.sample_at(idx, seed=21, replication=r)
+        full, full_f = sample_row(model, idx, 21, r)
         for sel in SELECTIONS.values():
-            thin = model.sample_at(idx[sel], seed=21, replication=r)
-            assert np.array_equal(thin.values, full.values[sel])
-            assert thin.factor_value == full.factor_value
-    values, factors = model.sample_block(idx, 21, 2, 6)
+            thin, thin_f = sample_row(model, idx[sel], 21, r)
+            assert np.array_equal(thin, full[sel])
+            assert thin_f == full_f
+    values, factors = next(model.sample_blocks(idx, 21, 4, first=2))
     for i, r in enumerate(range(2, 6)):
-        path = model.sample_at(idx, seed=21, replication=r)
-        assert np.array_equal(values[i], path.values)
-        assert (factors is None) == (path.factor_value is None)
+        row, factor = sample_row(model, idx, 21, r)
+        assert np.array_equal(values[i], row)
+        assert (factors is None) == (factor is None)
         if factors is not None:
-            assert factors[i] == path.factor_value
+            assert factors[i] == factor
 
 
 def test_sample_blocks_chunk_the_replications(monkeypatch):
@@ -291,7 +311,7 @@ def test_sample_blocks_chunk_the_replications(monkeypatch):
 
     model = make_models()["latent_shift"]
     idx = np.arange(1, 101)
-    whole, whole_f = model.sample_block(idx, 4, 0, 37)
+    whole, whole_f = next(model.sample_blocks(idx, 4, 37))
     monkeypatch.setattr(models_mod, "_BLOCK_VALUES", 300)
     blocks = list(model.sample_blocks(idx, 4, 37))
     assert [len(v) for v, _ in blocks] == [3] * 12 + [1]
@@ -307,12 +327,12 @@ def test_sparse_indices_cost_follows_their_count():
                          "params": {"rho": {"family": "constant", "value": 0.0}},
                          "index_cap": 10**15})
     sparse = [1, 10**12, 10**15 - 1]
-    m.sample_at(sparse, seed=3)
+    sample_row(m, sparse, 3)
     t0 = time.perf_counter()
-    path = m.sample_at(sparse, seed=3, replication=1)
+    values, _ = sample_row(m, sparse, 3, r=1)
     assert time.perf_counter() - t0 < 0.25
-    near = m.sample_at([10**12 - 1, 10**12, 10**12 + 1], seed=3, replication=1)
-    assert path.values[1] == near.values[1] != 0.0
+    near, _ = sample_row(m, [10**12 - 1, 10**12, 10**12 + 1], 3, r=1)
+    assert values[1] == near[1] != 0.0
 
 
 def test_vectorised_rho_matches_scalar_rho():

@@ -39,10 +39,8 @@ def reference(seed, r, p):
     return gen.random()
 
 
-# the test id predates the PCG64DXSM streams and is kept so that runs of
-# the suite stay comparable; the reference is numpy's PCG64DXSM
 @pytest.mark.parametrize("p", [0, 1, 3, 4, 5, 10**12, 10**15 - 1])
-def test_position_matches_numpy_philox(p):
+def test_position_matches_numpy_pcg64dxsm(p):
     for seed, r in KEYS:
         assert Positions([p]).uniforms(seed, r, r + 1)[0, 0] == reference(seed, r, p)
 

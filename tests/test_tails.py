@@ -24,7 +24,6 @@ from wllnlab.tails import (
     check_liminf_condition,
     check_limsup_condition,
     check_weak_l1,
-    feller_identity_residual,
     tau_sup_integral,
 )
 
@@ -72,17 +71,23 @@ class TestFunctionals:
             build_tail_profile(ex41(), [-1.0], [1])
 
 
+def feller_residuals(model, n, m_grid):
+    """sigma_n(M) - [(2/M) int_0^M tau_n - tau_n(M)] for M in m_grid, as
+    the tail profile records it."""
+    res = build_tail_profile(model, m_grid, [n]).feller_residual
+    return [res[(n, float(M))] for M in m_grid]
+
+
 class TestFellerResidual:
     def test_two_point_hand_computed(self):
         # tau(t) = t below a then 0, so (2/M)(a^2/2) - 0 = a^2/M = sigma(M)
         m = IIDModel(FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)]))
-        for M in (2.0, 5.0, 11.0):
-            assert abs(feller_identity_residual(m, 1, M)) <= 1e-12
+        for r in feller_residuals(m, 1, (2.0, 5.0, 11.0)):
+            assert abs(r) <= 1e-12
 
     def test_zero_law(self):
         m = IIDModel(FiniteDiscrete([(0.0, 1.0)]))
-        for M in M_GRID:
-            assert feller_identity_residual(m, 1, M) == 0.0
+        assert feller_residuals(m, 1, M_GRID) == [0.0] * len(M_GRID)
 
     @pytest.mark.parametrize("model", [
         IIDModel(Pareto1()),
@@ -91,8 +96,8 @@ class TestFellerResidual:
     ])
     def test_residual_small_across_models(self, model):
         for n in (1, 3, 9):
-            for M in M_GRID:
-                assert abs(feller_identity_residual(model, n, M)) <= 1e-9
+            for r in feller_residuals(model, n, M_GRID):
+                assert abs(r) <= 1e-9
 
 
 class TestProfile:
