@@ -376,37 +376,48 @@ def cmd_hereditary(cfg: dict, out: str) -> int:
 # demos: end-to-end pipelines with built-in expected outcomes
 # -------------------------------------------------------------------------
 
-_DEMO_MODELS = {
+# one row per scenario: the model, the probes' epsilon, the first candidate
+# index of the extraction (example41's truncated energies only decay deep
+# along the sequence) and the tail statuses the demo expects
+_DEMOS = {
     "counterexample": {
-        "kind": "tail_vanishing",
-        "params": {"g": {"family": "pareto1", "scale": 1.0}},
-        "index_cap": 10**9,
+        "model": {"kind": "tail_vanishing",
+                  "params": {"g": {"family": "pareto1", "scale": 1.0}},
+                  "index_cap": 10**9},
+        "epsilon": 0.25, "min_index": 1,
+        "tails": {"weak_l1": "fails", "limsup": "holds", "energy": "holds"},
     },
     "example41": {
-        "kind": "example41",
-        "params": {"rho": {"family": "one-minus-one-over-log"},
-                   "symmetric": True},
-        "joint_law": "independent",
-        "index_cap": 10**15,
+        "model": {"kind": "example41",
+                  "params": {"rho": {"family": "one-minus-one-over-log"},
+                             "symmetric": True},
+                  "joint_law": "independent",
+                  "index_cap": 10**15},
+        "epsilon": 0.25, "min_index": 10**12,
+        "tails": {"weak_l1": "holds-on-grid", "limsup": "holds",
+                  "energy": "holds"},
     },
     "latent-shift": {
-        "kind": "latent_shift",
-        "params": {"factor": {"family": "finite",
-                              "atoms": [[-1.0, 0.5], [1.0, 0.5]]},
-                   "noise": {"family": "finite",
-                             "atoms": [[-3.0, 0.5], [3.0, 0.5]]}},
-        "index_cap": 10**9,
+        "model": {"kind": "latent_shift",
+                  "params": {"factor": {"family": "finite",
+                                        "atoms": [[-1.0, 0.5], [1.0, 0.5]]},
+                             "noise": {"family": "finite",
+                                       "atoms": [[-3.0, 0.5], [3.0, 0.5]]}},
+                  "index_cap": 10**9},
+        "epsilon": 0.5, "min_index": 1,
+        "tails": {"weak_l1": "holds-on-grid", "limsup": "holds",
+                  "energy": "fails"},
     },
 }
 
 
 def cmd_demo(cfg: dict, out: str) -> int:
-    name, names = cfg["name"], sorted(_DEMO_MODELS)
+    name, names = cfg["name"], sorted(_DEMOS)
     if name not in names:  # a list search: a manifest's name may be a list
         raise UsageError(f"unknown demo {name!r}; choose from {names}")
-    model = model_from_spec(_DEMO_MODELS[name])
-    seed, reps = cfg["seed"], cfg["reps"]
-    epsilon = 0.5 if name == "latent-shift" else 0.25
+    demo = _DEMOS[name]
+    model = model_from_spec(demo["model"])
+    seed, reps, epsilon = cfg["seed"], cfg["reps"], demo["epsilon"]
     side_reps = max(reps // 4, 100)
 
     def stage_cfg(command, **keys):
@@ -418,7 +429,7 @@ def cmd_demo(cfg: dict, out: str) -> int:
     status = {cond: v["status"] for cond, v in verdicts.items()}
     plan, D, check = _extract_stage(model, stage_cfg(
         "extract", target_length=4096, corrector="weak_l2",
-        min_index=10**12 if name == "example41" else 1), out)
+        min_index=demo["min_index"]), out)
     # every probe reads one set of paths: the gap and hereditary probes the
     # first side_reps replications of the main probe's
     paths = ProbePass(model, plan.indices, seed)
@@ -428,7 +439,8 @@ def cmd_demo(cfg: dict, out: str) -> int:
     # few percent, so the consistency bar is coarser than the main probe's
     names += _queue_hereditary(paths, D, stage_cfg(
         "hereditary", reps=side_reps, epsilon=epsilon, pass_threshold=0.1))
-    if name == "latent-shift":  # the zero corrector must visibly break the law
+    conditional = D.kind == "conditional"
+    if conditional:  # the zero corrector must visibly break the law
         paths.wlln(corr.zero_corrector(vcfg["n_grid"]), epsilon,
                    vcfg["n_grid"], reps)
         names.append("report_zero_corrector")
@@ -452,18 +464,14 @@ def cmd_demo(cfg: dict, out: str) -> int:
     ]
 
     expected_ok = (check["ok"] and gap.dominated and suite.all_consistent
-                   and report.verdict == "consistent-with-wlln")
-    if name == "counterexample":
-        expected_ok = expected_ok and status["weak_l1"] == "fails" \
-            and status["limsup"] == "holds" \
-            and status["energy"] == "holds" and D.is_zero()
-    elif name == "example41":
-        expected_ok = expected_ok and status["weak_l1"] == "holds-on-grid" \
-            and status["energy"] == "holds" and D.is_zero()
-    else:  # latent-shift
+                   and report.verdict == "consistent-with-wlln"
+                   and status == demo["tails"])
+    if conditional:
         wrong = reports["report_zero_corrector"]
         items.append(("zero-corrector verdict", wrong.verdict))
         expected_ok = expected_ok and wrong.verdict == "violation"
+    else:  # a constant weak-L2 corrector is zero under the energy condition
+        expected_ok = expected_ok and D.is_zero()
 
     items.append(("demo outcome", "pass" if expected_ok else "FAIL"))
     title = f"demo: {name}"
@@ -543,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--epsilon", type=float)
 
     sp = command("demo", "end-to-end pipeline for a named scenario")
-    sp.add_argument("name", choices=sorted(_DEMO_MODELS))
+    sp.add_argument("name", choices=sorted(_DEMOS))
     sp.add_argument("--reps", type=int)
 
     sp = sub.add_parser("rerun", help="replay a run from its manifest")

@@ -38,9 +38,6 @@ class UnsupportedOracleError(Exception):
 class Distribution:
     """Base class; subclasses provide exact oracles and inverse-CDF sampling."""
 
-    #: largest |value| carrying mass, or None for unbounded support
-    max_abs_value: float | None = None
-
     def survival(self, t: float) -> float:
         raise NotImplementedError
 
@@ -100,10 +97,10 @@ class FiniteDiscrete(Distribution):
         mass = np.zeros_like(self._abs_vals)
         idx = np.searchsorted(self._abs_vals, np.abs(self._values))
         np.add.at(mass, idx, self._probs)
-        self._abs_mass = mass
         # survival just beyond each |value|: P(|X| > abs_vals[i])
         tail = np.concatenate([np.cumsum(mass[::-1])[::-1][1:], [0.0]])
         self._abs_tail = tail
+        # largest |value| carrying mass
         self.max_abs_value = float(self._abs_vals[-1])
 
     def survival(self, t: float) -> float:
@@ -161,7 +158,6 @@ class Pareto1(Distribution):
         if scale <= 0:
             raise ValueError("scale must be positive")
         self.scale = float(scale)
-        self.max_abs_value = None
 
     def survival(self, t: float) -> float:
         if t <= self.scale:
@@ -366,7 +362,6 @@ class HeavyLogLaw(Distribution):
             raise ValueError("rho must lie in [0, 1]")
         self.rho = float(rho)
         self.symmetric = bool(symmetric)
-        self.max_abs_value = None
 
     @property
     def _scale(self) -> float:

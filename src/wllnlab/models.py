@@ -58,6 +58,9 @@ class SequenceModel:
     factor_law: dict | None = None
     #: how ``weak_l2_centering`` pins D_N down, recorded in ``corrector.json``
     weak_l2_provenance = ""
+    #: whether every coordinate has the law ``marginal_dist(1)``, whose
+    #: analytic facts are then the model's tail facts
+    identically_distributed = False
 
     def marginal_dist(self, n: int) -> Distribution:
         raise NotImplementedError
@@ -158,27 +161,34 @@ class SequenceModel:
         d, dist = D.constant(int(N)), self.marginal_dist(i)
         return dist.trunc_moment(N, 2) - 2.0 * d * dist.trunc_moment(N, 1) + d * d
 
-    # index in n_range whose tail functional dominates pointwise, if the
-    # family is pointwise ordered; None otherwise
-    def pointwise_sup_index(self, n_range) -> int | None:
-        return None
+    # analytic facts for the condition checkers, each None where the model
+    # has none; identically distributed models read them off their law
 
-    # analytic facts for the condition checkers (all optional) ----------
+    def pointwise_sup_index(self, n_range) -> int | None:
+        """Index in n_range whose tail functional dominates pointwise, if
+        the family is pointwise ordered."""
+        return int(n_range[0]) if self.identically_distributed else None
 
     def tau_sup_envelope(self):
+        """(description, fn) with sup_n tau_n(M) <= fn(M) and fn -> 0."""
+        if self.identically_distributed:
+            return self.marginal_dist(1).tau_envelope()
         return None
 
     def tau_sup_positive_limsup(self):
+        """(description, value) with limsup_M sup_n tau_n(M) >= value > 0."""
+        if self.identically_distributed:
+            return self.marginal_dist(1).tau_positive_limsup()
         return None
 
     def tau_limit_envelope(self):
-        """Optional (description, fn) bounding lim_n tau_n(M) with fn -> 0."""
-        return None
+        """(description, fn) bounding lim_n tau_n(M) with fn -> 0; an
+        envelope of the sup over n is one."""
+        return self.tau_sup_envelope()
 
-    def energy_liminf_witness(self, M: float, n_range):
-        """Optional (description, indices) witnessing small truncated energy."""
+    def energy_liminf_witness(self, M: float):
+        """Why liminf_n E(f_n^2 1{|f_n| <= M}) = 0, as a description."""
         return None
-
 
 
 # -------------------------------------------------------------------------
@@ -187,6 +197,7 @@ class SequenceModel:
 class IIDModel(SequenceModel):
     kind = "iid"
     weak_l2_provenance = "weak-l2/iid"
+    identically_distributed = True
 
     def __init__(self, dist: Distribution, index_cap: int = 10**9):
         self.dist = dist
@@ -201,21 +212,6 @@ class IIDModel(SequenceModel):
 
     def weak_l2_centering(self, N):
         return self.dist.trunc_moment(float(N), 1)
-
-    def pointwise_sup_index(self, n_range):
-        return int(n_range[0])
-
-    def tau_sup_envelope(self):
-        return self.dist.tau_envelope()
-
-    def tau_sup_positive_limsup(self):
-        return self.dist.tau_positive_limsup()
-
-    def tau_limit_envelope(self):
-        # constant in n: the limit equals tau_1, so an envelope for tau_1
-        # is an envelope for the limit
-        return self.dist.tau_envelope()
-
 
 
 class IndependentArrayModel(SequenceModel):
@@ -255,7 +251,6 @@ class _TailRestricted(Distribution):
     def __init__(self, base: Distribution, n: int):
         self.base = base
         self.n = int(n)
-        self.max_abs_value = base.max_abs_value
 
     def survival(self, t):
         return self.base.survival(max(float(t), float(self.n)))
@@ -348,10 +343,8 @@ class TailVanishingModel(SequenceModel):
 
         return ("lim_n tau_n(M) = M * P(|g| > n) -> 0 for every fixed M", env)
 
-    def energy_liminf_witness(self, M, n_range):
-        n0 = int(math.ceil(M))
-        return (f"E(f_n^2 1{{|f_n|<=M}}) = 0 exactly for n >= {n0}",
-                [n for n in n_range if n >= n0] or [n0])
+    def energy_liminf_witness(self, M):
+        return f"E(f_n^2 1{{|f_n|<=M}}) = 0 exactly for n >= {math.ceil(M)}"
 
 
 
@@ -484,12 +477,11 @@ class Example41Model(SequenceModel):
                     "subsequence (sup_n rho_n = 1)", env)
         return None
 
-    def energy_liminf_witness(self, M, n_range):
+    def energy_liminf_witness(self, M):
         if not self.rho_sup_is_one:
             return None
-        ranked = sorted(n_range, key=lambda n: 1.0 - self.rho(n))
         return ("E(f_n^2 1{|f_n|<=M}) <= 2cM(1-rho_n)/log 2 -> 0 along "
-                "indices with rho_n -> 1", ranked[: min(8, len(ranked))])
+                "indices with rho_n -> 1")
 
 
 
@@ -501,6 +493,7 @@ class LatentShiftModel(SequenceModel):
 
     kind = "latent_shift"
     has_factor = True
+    identically_distributed = True
     weak_l2_provenance = ("weak-l2/conditional-truncated-mean "
                           "(test family: bounded functions of the factor)")
 
@@ -522,15 +515,6 @@ class LatentShiftModel(SequenceModel):
         vals = self.noise_dist.quantile_array(u)
         vals += b[:, None]
         return vals, b
-
-    def pointwise_sup_index(self, n_range):
-        return int(n_range[0])
-
-    def tau_sup_envelope(self):
-        return self._marginal.tau_envelope()
-
-    def tau_limit_envelope(self):
-        return self._marginal.tau_envelope()
 
     def conditional_trunc_moment(self, b: float, N: float, order: int) -> float:
         """E((b + eta)^order 1{|b + eta| <= N})."""

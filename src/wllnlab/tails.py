@@ -109,50 +109,42 @@ def _grid_trend(values) -> dict:
             "decreasing": all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))}
 
 
+def _envelope_verdict(env, values: dict, fallback: str) -> Verdict:
+    """``values`` (M -> value, ascending M) against the model's envelope
+    ``env`` = (description, fn), or None: "holds-on-grid" if every value is
+    at most fn(M) + 1e-9, else "inconclusive" with the ``fallback`` witness."""
+    trend = _grid_trend(values.values())
+    if env is not None:
+        desc, fn = env
+        if all(v <= fn(M) + 1e-9 for M, v in values.items()):
+            return Verdict("holds-on-grid", desc,
+                           {"envelope_at_largest": fn(max(values)), **trend})
+    return Verdict("inconclusive", fallback, trend)
+
+
 def check_weak_l1(profile: TailProfile, model: SequenceModel) -> Verdict:
     """Does sup_n tau_n(M) -> 0 as M -> oo?"""
-    if not profile.m_grid:
-        raise ValueError("empty grid")
     lower = model.tau_sup_positive_limsup()
     if lower is not None:
         desc, value = lower
         return Verdict("fails", desc, {"limsup_lower_bound": value})
-    env = model.tau_sup_envelope()
-    trend = _grid_trend(profile.tau_sup[M] for M in profile.m_grid)
-    if env is not None:
-        desc, fn = env
-        on_grid = all(profile.tau_sup[M] <= fn(M) + 1e-9 for M in profile.m_grid)
-        if on_grid:
-            return Verdict("holds-on-grid", desc,
-                           {"envelope_at_largest": fn(profile.m_grid[-1]),
-                            **trend})
-    return Verdict("inconclusive", "no analytic witness; grid trend only", trend)
-
-
-def _limit_tau_estimates(profile: TailProfile, mode: str) -> dict:
-    """liminf/limsup over n estimated from the tail half of the window."""
-    half = profile.n_range[len(profile.n_range) // 2:]
-    agg = min if mode == "liminf" else max
-    return {M: agg(profile.tau[(n, M)] for n in half) for M in profile.m_grid}
+    return _envelope_verdict(model.tau_sup_envelope(), profile.tau_sup,
+                             "no analytic witness; grid trend only")
 
 
 def _check_limit_condition(profile, model, mode: str) -> Verdict:
+    """liminf/limsup over n estimated from the tail half of the window; an
+    envelope of the limit that vanishes at the largest M decides it."""
+    half = profile.n_range[len(profile.n_range) // 2:]
+    agg = min if mode == "liminf" else max
+    est = {M: agg(profile.tau[(n, M)] for n in half) for M in profile.m_grid}
     env = model.tau_limit_envelope()
-    est = _limit_tau_estimates(profile, mode)
-    trend = _grid_trend(est[M] for M in profile.m_grid)
-    if env is not None:
-        desc, fn = env
-        largest = fn(profile.m_grid[-1])
-        if largest == 0.0:
-            return Verdict("holds", desc, {"estimates": est})
-        on_grid = all(est[M] <= fn(M) + 1e-9 for M in profile.m_grid)
-        if on_grid:
-            return Verdict("holds-on-grid", desc,
-                           {"envelope_at_largest": largest, **trend})
-    if len(profile.n_range) < 4:
-        return Verdict("inconclusive",
-                       f"index window too short to estimate {mode}", trend)
-    return Verdict("inconclusive", "no analytic witness; grid trend only", trend)
+    if env is not None and env[1](profile.m_grid[-1]) == 0.0:
+        return Verdict("holds", env[0], {"estimates": est})
+    fallback = (f"index window too short to estimate {mode}"
+                if len(profile.n_range) < 4
+                else "no analytic witness; grid trend only")
+    return _envelope_verdict(env, est, fallback)
 
 
 def check_liminf_condition(profile: TailProfile, model: SequenceModel) -> Verdict:
@@ -173,13 +165,12 @@ def check_energy_vanishing(model: SequenceModel, m_grid, n_range) -> Verdict:
     statuses = []
     for M in m_grid:
         energies = {n: model.marginal_dist(n).trunc_moment(M, 2) for n in n_range}
-        witness = model.energy_liminf_witness(M, n_range)
+        witness = model.energy_liminf_witness(M)
         order = sorted(n_range, key=lambda n: energies[n])
         small = order[: min(8, len(order))]
         entry = {"min": energies[order[0]], "witness_indices": small}
         if witness is not None:
-            desc, idxs = witness
-            entry["witness"] = desc
+            entry["witness"] = witness
             statuses.append("holds")
         elif energies[order[0]] <= 1e-12:
             entry["witness"] = "window index with exactly vanishing energy"

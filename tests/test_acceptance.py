@@ -31,7 +31,6 @@ from wllnlab.extract import (
 from wllnlab.models import (
     Example41Model,
     IIDModel,
-    IndependentArrayModel,
     LatentShiftModel,
     TailVanishingModel,
 )
@@ -43,7 +42,6 @@ from wllnlab.tails import (
 )
 from wllnlab.verify import (
     PATTERNS,
-    hereditary_suite,
     thin_indices,
     truncation_gap_probe,
     wlln_probe,

@@ -478,7 +478,7 @@ def _bits(v):
 
 def test_plan_json_rows_round_trip(tmp_path):
     # the seed-7 counterexample demo's plan, from the demo's extract stage
-    model = model_from_spec(cli._DEMO_MODELS["counterexample"])
+    model = model_from_spec(cli._DEMOS["counterexample"]["model"])
     cfg = resolve_config("extract", {"seed": 7, "target_length": 4096,
                                      "corrector": "weak_l2"}, {})
     plan = cli._extract_stage(model, cfg, str(tmp_path))[0]
@@ -539,7 +539,7 @@ def test_demo_probes_share_one_sampling_pass(tmp_path, monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
 
-    model = model_from_spec(cli._DEMO_MODELS["latent-shift"])
+    model = model_from_spec(cli._DEMOS["latent-shift"]["model"])
     indices = json.loads((out / "plan.json").read_text())["indices"]
     grid = [64, 256, 1024, 4096]
     D = cli.build_corrector("weak_l2", model, grid)

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from wllnlab.correctors import (
     CorrectorSeries,
     corrector_iid,
-    corrector_independent,
     corrector_weak_l2,
     zero_corrector,
 )
@@ -20,7 +19,7 @@ from wllnlab.distributions import (
     UnsupportedOracleError,
     example41_constant_c,
 )
-from wllnlab.cli import _DEMO_MODELS
+from wllnlab.cli import _DEMOS
 from wllnlab.extract import (
     _BANK_REPLICATIONS,
     ExtractConfigError,
@@ -612,7 +611,7 @@ def _uneven_means_array():
 
 
 _REFERENCE_MODELS = {
-    **_DEMO_MODELS,
+    **{name: demo["model"] for name, demo in _DEMOS.items()},
     "comonotone": _explicit_rho_comonotone(),
     "iid": {"kind": "iid", "params": {"dist": {
         "family": "finite", "atoms": [[1.0, 0.25], [5.0, 0.75]]}}},
@@ -652,11 +651,10 @@ def test_search_matches_scalar_reference(name, length, grid, mode, kwargs):
 @pytest.mark.parametrize("name", ["counterexample", "example41",
                                   "latent-shift"])
 def test_recheck_is_bitwise_the_scalar_oracle(name):
-    m = model_from_spec(_DEMO_MODELS[name])
+    m = model_from_spec(_DEMOS[name]["model"])
     grid = (64, 256, 1024, 4096)
     D = corrector_weak_l2(m, grid)
-    plan = greedy_extract(m, 512, grid, D,
-                          min_index=10**12 if name == "example41" else 1)
+    plan = greedy_extract(m, 512, grid, D, min_index=_DEMOS[name]["min_index"])
     fresh = _exact_values(plan, m, D)
     scalar = np.array([exact_centered_inner_product(
         m, plan.indices[j - 1], plan.indices[n - 1], N, D)

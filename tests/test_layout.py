@@ -17,9 +17,13 @@ def _model_class_names() -> set:
     return names
 
 
+def _nodes(path: pathlib.Path):
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
 def _model_isinstance_calls(path: pathlib.Path, names: set) -> list:
     hits = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in _nodes(path):
         if not (isinstance(node, ast.Call) and len(node.args) == 2
                 and getattr(node.func, "id", None) == "isinstance"):
             continue
@@ -65,7 +69,7 @@ def _referenced_names(path: pathlib.Path) -> set:
     # names, attributes, imports, and identifier strings: the benchmark
     # patches functions by their name as a string
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in _nodes(path):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -86,3 +90,26 @@ def test_every_export_is_used_outside_the_tests():
     assert sorted(_exports() - used - allowed) == []
     # an allowance ends when its name is used or no longer exported
     assert allowed <= _exports() - used
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    imported, used = {}, set()
+    for node in _nodes(path):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                # ``import a.b`` binds ``a``
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return [f"{path.name}:{line}: {name}"
+            for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_tests_import_only_what_they_use():
+    # an unused import makes a test module look as if it exercised a name
+    tests = pathlib.Path(__file__).resolve().parent
+    hits = [hit for path in sorted(tests.glob("*.py"))
+            for hit in _unused_imports(path)]
+    assert hits == []

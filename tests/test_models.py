@@ -14,6 +14,7 @@ from wllnlab.models import (
     IndependentArrayModel,
     LatentShiftModel,
     TailVanishingModel,
+    dist_from_spec,
     model_from_spec,
 )
 from wllnlab.verify import wilson_interval
@@ -67,7 +68,7 @@ def test_seeded_determinism(name):
 
 @pytest.mark.parametrize("name", ["iid", "tail_vanishing", "example41",
                                   "latent_shift"])
-def test_sample_at_matches_prefix_path(name):
+def test_one_replication_is_a_row_of_its_block(name):
     model = make_models()[name]
     # replication 1 asked for alone is row 1 of replications 0..2
     a, fa = sample_prefix(model, 32, 9, 1)
@@ -86,7 +87,7 @@ def test_capacity_errors():
         m.marginal_dist(11)
 
 
-def test_sample_at_rejects_bad_indices():
+def test_sample_blocks_rejects_bad_indices():
     m = IIDModel(Pareto1())
     with pytest.raises(ValueError):
         sample_row(m, [3, 2], 0)
@@ -222,6 +223,18 @@ class TestModelSpecs:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             model_from_spec({"kind": "markov"})
+
+    def test_heavy_log_and_unknown_families(self):
+        d = dist_from_spec({"family": "heavy_log", "rho": 0.25,
+                            "symmetric": False})
+        assert isinstance(d, HeavyLogLaw)
+        assert (d.rho, d.symmetric) == (0.25, False)
+        assert dist_from_spec({"family": "heavy_log", "rho": 0.5}).symmetric
+        with pytest.raises(ValueError, match="unknown distribution family "
+                                             "'lognormal'"):
+            dist_from_spec({"family": "lognormal"})
+        with pytest.raises(ValueError, match="unknown distribution family"):
+            model_from_spec({"kind": "iid", "params": {"dist": {}}})
 
     def test_rho_families(self):
         m = model_from_spec({"kind": "example41",

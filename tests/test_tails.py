@@ -192,6 +192,67 @@ class TestConditionChecks:
         assert v.status == "fails"
 
 
+# -------------------------------------------------------------------------
+# every verdict branch, pinned by status, witness and data: a model with no
+# analytic facts reaches the fallbacks, and the identically distributed
+# models read their facts from their one law
+# -------------------------------------------------------------------------
+
+def no_facts_model():
+    # an atom at 16 carrying mass p: tau(M) = M p below 16, truncated energy
+    # 1 - p, positive and distinct per index; no envelope, no positive-limsup
+    # witness and no energy witness
+    return IndependentArrayModel([FiniteDiscrete([(1.0, 1.0 - p), (16.0, p)])
+                                  for p in (0.5, 0.25, 0.125, 0.375)])
+
+
+class TestVerdictBranches:
+    def test_weak_l1_without_facts_is_inconclusive(self):
+        m = no_facts_model()
+        v = check_weak_l1(build_tail_profile(m, [2.0, 4.0, 8.0], range(1, 5)), m)
+        assert (v.status, v.witness) == (
+            "inconclusive", "no analytic witness; grid trend only")
+        assert v.data == {"first": 1.0, "last": 4.0, "decreasing": False}
+
+    def test_limit_conditions_without_facts_are_inconclusive(self):
+        m = no_facts_model()
+        short = build_tail_profile(m, [2.0, 8.0], range(1, 4))
+        v = check_limsup_condition(short, m)
+        assert (v.status, v.witness) == (
+            "inconclusive", "index window too short to estimate limsup")
+        profile = build_tail_profile(m, [2.0, 8.0], range(1, 5))
+        v = check_liminf_condition(profile, m)
+        assert (v.status, v.witness) == (
+            "inconclusive", "no analytic witness; grid trend only")
+        # the liminf over the tail half of the window, indices 3 and 4
+        assert v.data == {"first": 0.25, "last": 1.0, "decreasing": False}
+
+    def test_energy_without_witness_is_inconclusive(self):
+        v = check_energy_vanishing(no_facts_model(), [2.0, 4.0], range(1, 5))
+        assert (v.status, v.witness) == ("inconclusive", "no witness for some M")
+        for entry in v.data["per_M"].values():
+            assert entry == {"min": 0.5, "witness_indices": [1, 4, 2, 3]}
+
+    def test_iid_facts_come_from_the_law(self):
+        bounded = IIDModel(FiniteDiscrete([(-5.0, 0.5), (5.0, 0.5)]))
+        profile = build_tail_profile(bounded, [2.0, 8.0, 16.0], range(1, 9))
+        witness = "bounded support |X| <= 5: tau(M) = 0 for M >= 5"
+        v = check_weak_l1(profile, bounded)
+        assert (v.status, v.witness) == ("holds-on-grid", witness)
+        assert v.data == {"envelope_at_largest": 0.0, "first": 2.0,
+                          "last": 0.0, "decreasing": True}
+        v = check_liminf_condition(profile, bounded)
+        assert (v.status, v.witness) == ("holds", witness)
+        assert v.data == {"estimates": {2.0: 2.0, 8.0: 0.0, 16.0: 0.0}}
+        heavy = IIDModel(Pareto1())
+        profile = build_tail_profile(heavy, [2.0, 8.0], range(1, 9))
+        v = check_weak_l1(profile, heavy)
+        assert (v.status, v.witness) == (
+            "fails", "M * P(X > M) = 1 for every M >= 1")
+        assert check_limsup_condition(profile, heavy).witness == \
+            "no analytic witness; grid trend only"
+
+
 class TestFellerNecessary:
     def test_constant_tail_sum_fails(self):
         # P(|f| > N) = 1/N makes the first sum exactly 1 on every N

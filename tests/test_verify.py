@@ -243,10 +243,10 @@ class TestHereditary:
 # -------------------------------------------------------------------------
 
 def demo_model(name):
-    from wllnlab.cli import _DEMO_MODELS
+    from wllnlab.cli import _DEMOS
     from wllnlab.models import model_from_spec
 
-    return model_from_spec(_DEMO_MODELS[name])
+    return model_from_spec(_DEMOS[name]["model"])
 
 
 DEMO_STARTS = {"counterexample": 1, "example41": 10**12, "latent-shift": 1}
