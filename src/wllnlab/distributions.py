@@ -44,6 +44,12 @@ class Distribution:
     def trunc_moment(self, M: float, order: int) -> float:
         raise NotImplementedError
 
+    def trunc_moments(self, M: np.ndarray, order: int) -> np.ndarray:
+        """``trunc_moment`` at every level of the float array ``M``, bit for
+        bit."""
+        return np.array([self.trunc_moment(m, order) for m in M.tolist()],
+                        dtype=float)
+
     def band_moment(self, a: float, b: float, order: int) -> float:
         """E(X^order 1{a < |X| <= b})."""
         if b <= a:
@@ -115,6 +121,14 @@ class FiniteDiscrete(Distribution):
         keep = np.abs(self._values) <= M
         return float(math.fsum(self._probs[keep] * self._values[keep] ** order))
 
+    def trunc_moments(self, M, order):
+        # the atoms are in increasing |value|, so those kept at a level are
+        # a prefix, and fsum of a prefix is the scalar oracle's sum
+        terms = self._probs * self._values ** order
+        sums = [math.fsum(terms[:i]) for i in range(len(terms) + 1)]
+        return np.array(sums)[np.searchsorted(np.abs(self._values), M,
+                                              side="right")]
+
     def tau_integral(self, M: float) -> float:
         if M <= 0:
             return 0.0
@@ -173,6 +187,18 @@ class Pareto1(Distribution):
         if order == 2:
             return s * (M - s)
         raise UnsupportedOracleError(f"order {order}")
+
+    def trunc_moments(self, M, order):
+        s, above = self.scale, np.maximum(M, self.scale)
+        if order == 1:
+            # libm's log per level: numpy's may differ in the last bit
+            out = s * np.fromiter(map(math.log, (above / s).tolist()), float,
+                                  len(M))
+        elif order == 2:
+            out = s * (above - s)
+        else:
+            raise UnsupportedOracleError(f"order {order}")
+        return np.where(M < s, 0.0, out)
 
     def tau_integral(self, M: float) -> float:
         s = self.scale

@@ -20,14 +20,18 @@ half-width clears the threshold.
 
 The scan costs time linear in the candidates it examines; steps are
 numbered from 1, so the predecessor accepted at step j is indices[j - 1].
-Exact mode makes one oracle pass per examined index: ``moment_row`` gives
-its truncated moments at every grid level, a pair's inner product is float
-arithmetic on two rows, and the model's ``argmax_predecessor`` keeps, per
-level, the few accepted steps at which the largest |inner product| with a
-later index can sit.  The comonotone coupling has no row form and is
-scanned pair by pair.  ``verify_plan`` builds the plan's rows once and
-recomputes every recorded entry level by level in numpy, in the scalar
-oracle's order of operations, so the values are bit for bit those of
+Exact mode works on blocks of candidates: ``moment_rows`` gives a window's
+truncated moments at every grid level as one (candidates, levels, width)
+array, a pair's inner product is float arithmetic on two rows, and the
+model's ``lead_slots`` name, per level, the few accepted steps at which the
+largest |inner product| with a later index can sit.  One kernel keeps those
+steps, with running maxima while a run of candidates is accepted step
+after step and a fixed lead while a step rejects them, so the greedy rule
+stays sequential (see ``_exact_search``).  The comonotone coupling has no
+row form and is scanned one candidate at a time, pair by pair.  The plan's
+entries are numpy columns.  ``verify_plan`` builds the plan's rows once and
+recomputes every recorded entry in numpy, in the scalar oracle's order of
+operations, so the values are bit for bit those of
 ``exact_centered_inner_product``.
 
 Sample mode estimates all predecessors of a candidate at one level in a
@@ -39,7 +43,6 @@ plan does not depend on how estimates are grouped.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,6 +54,8 @@ from .models import SequenceModel
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 # exact mode records every predecessor's inner product for the first steps
 _DETAIL_STEPS = 16
+# most candidates one exact scan scores at once; bounds its arrays
+_BLOCK = 2048
 # slack of the proof-side bounds for rounding in the oracle sums
 _TOLERANCE = 1e-9
 
@@ -143,12 +148,40 @@ class _SampleBank:
 # the greedy plan
 # -------------------------------------------------------------------------
 
+class PlanEntries:
+    """The recorded inner products in insertion order, as parallel columns:
+    predecessor step ``j``, step ``n`` and level ``N`` (int64), and
+    ``values``, one row per entry: [value] in exact mode, [estimate,
+    half_width] in sample mode.  Iterating yields the keys (j, n, N)."""
+
+    def __init__(self, j, n, N, values):
+        self.j, self.n, self.N, self.values = j, n, N, values
+
+    @classmethod
+    def from_parts(cls, parts: list, width: int) -> "PlanEntries":
+        """One column per field from chunks (j, n, N, values) of the same
+        layout; ``width`` is the number of value fields.  Empties ``parts``,
+        so the chunks of each column are freed once it is joined."""
+        if not parts:
+            empty = np.empty(0, dtype=np.int64)
+            return cls(empty, empty, empty, np.empty((0, width)))
+        columns = [list(col) for col in zip(*parts)]
+        parts.clear()
+        return cls(*(np.concatenate(columns.pop(0)) for _ in range(4)))
+
+    def __len__(self) -> int:
+        return len(self.j)
+
+    def __iter__(self):
+        return zip(self.j.tolist(), self.n.tolist(), self.N.tolist())
+
+
 @dataclass
 class ExtractionPlan:
     indices: tuple          # selected indices k_1 < k_2 < ...
     n_grid: tuple           # truncation levels
     thresholds: dict        # step -> eps_n
-    achieved: dict          # (j_step, n_step, N) -> value or (estimate, hw)
+    achieved: PlanEntries   # (j_step, n_step, N) with value or (estimate, hw)
     mode: str
     seed: int
     eps_floor: float
@@ -161,16 +194,17 @@ class ExtractionPlan:
         """``achieved`` as rows in key order, the columns named by
         ``achieved_fields``: [j, n, N, value] exact, [j, n, N, estimate,
         half_width] sampled."""
-        exact = self.mode == "exact"
-        fields = ["j", "n", "N"] + (["value"] if exact
+        e = self.achieved
+        fields = ["j", "n", "N"] + (["value"] if self.mode == "exact"
                                     else ["estimate", "half_width"])
-        rows = [[*key, *((v,) if exact else v)]
-                for key, v in sorted(self.achieved.items())]
+        order = np.lexsort((e.N, e.n, e.j))
+        keys = np.stack((e.j, e.n, e.N), axis=1)[order].tolist()
         return {
             "indices": list(self.indices),
             "n_grid": list(self.n_grid),
             "thresholds": {str(k): v for k, v in sorted(self.thresholds.items())},
-            "achieved": rows,
+            "achieved": list(map(list.__add__, keys,
+                                 e.values[order].tolist())),
             "achieved_fields": fields,
             "mode": self.mode,
             "seed": self.seed,
@@ -192,58 +226,255 @@ def admissible_levels(n: int, n_grid) -> list:
     return [N for N in n_grid if math.log(N) <= float(n) * n]
 
 
-class _ExactScan:
-    """Exact mode's largest inner product of a candidate with its
-    predecessors.  After each acceptance the model's ``argmax_predecessor``
-    names, per level, the steps ``lead`` that can hold the largest
-    |inner product| with any later index, and only their moment rows are
-    kept: a candidate costs one moment row and float arithmetic on a few
-    rows.  A joint law without a row form (the comonotone coupling) is
-    scanned pair by pair with the pair oracle.
-    """
+def _schedule(n_grid, eps_floor):
+    """eps_n and the number of admissible levels as functions of step
+    arrays: tables up to the first step from which both are constant."""
+    last = 27    # exp(-n^2) underflows from here on
+    while len(admissible_levels(last, n_grid)) < len(n_grid):
+        last += 1
+    eps = np.array([step_epsilon(n, eps_floor) for n in range(last + 1)])
+    nlev = np.array([len(admissible_levels(n, n_grid))
+                     for n in range(last + 1)])
 
-    def __init__(self, model, D, n_grid):
+    def at(step, count):
+        steps = np.minimum(np.arange(step, step + count), last)
+        return eps[steps], nlev[steps]
+    return at
+
+
+class _RowScan:
+    """Exact mode's lead: per level, the accepted steps in the model's
+    ``lead_slots`` and their moment rows.  A block of candidates costs one
+    ``moment_rows`` call and array arithmetic against the lead rows, either
+    with the lead fixed or with it running, as if each candidate of the
+    block were accepted in turn."""
+
+    def __init__(self, model, D, n_grid, row):
         self.model, self.D, self.n_grid = model, D, n_grid
-        self.rows, self.lead = {}, None     # rows: step -> moment row
-        self.last = (None, None)            # last candidate and its row
+        # after step 1 every slot holds step 1
+        self.rows = np.repeat(row[:, None], len(model.lead_slots), axis=1)
+        self.steps = np.ones(self.rows.shape[:2], dtype=np.int64)
+        # what the last block scan leaves for ``commit`` or ``accept``
+        self._pending = None
 
-    def row(self, k):
-        if self.last[0] != k:
-            self.last = (k, self.model.moment_row(k, self.n_grid, self.D))
-        return self.last[1]
+    def _rows(self, k, count):
+        return self.model.moment_rows(np.arange(k, k + count), self.n_grid,
+                                      self.D)
 
-    def worst(self, indices, k, levels):
-        """(value, step) of the largest predecessor inner product of f_k for
-        each of ``levels``, a prefix of the grid; lazily, level by level,
-        from the pair oracle."""
-        row = self.row(k)
-        if row is None:
-            return (self._pair_scan(indices, k, N) for N in levels)
-        product, rows, out = self.model.row_inner_product, self.rows, []
-        for level in range(len(levels)):
-            mine, best = row[level], None
-            for st in self.lead[level]:
-                v = product(rows[st][level], mine)
-                if best is None or abs(v) > abs(best[0]):
-                    best = (v, st)
-            out.append(best)
-        return out
+    def _leads(self, rows, step):
+        """Lead rows (T + 1, G, S, W) and steps (T + 1, G, S) once the first
+        t of the T ``rows`` are accepted at steps step, step + 1, ..., for
+        t = 0..T: running argmax/argmin by accumulation."""
+        t = np.arange(len(rows) + 1)[:, None]
+        cols = np.arange(rows.shape[1])
+        out_rows = np.empty((len(t),) + self.rows.shape)
+        out_steps = np.empty((len(t),) + self.steps.shape, dtype=np.int64)
+        for s, kind in enumerate(self.model.lead_slots):
+            stack = np.concatenate((self.rows[None, :, s], rows))
+            if kind == "first":
+                pos = np.zeros(stack.shape[:2], dtype=np.int64)
+            elif kind == "last":
+                pos = t + np.zeros_like(cols)      # (T + 1, G)
+            else:
+                key = self.model.lead_key(stack)
+                if kind == "max":    # the earliest of equal maxima
+                    new = key[1:] > np.maximum.accumulate(key)[:-1]
+                else:                # the latest of equal minima
+                    new = key[1:] <= np.minimum.accumulate(key)[:-1]
+                pos = np.maximum.accumulate(np.where(
+                    np.concatenate((np.ones_like(new[:1]), new)), t, 0))
+            out_rows[:, :, s] = stack[pos, cols]
+            out_steps[:, :, s] = np.where(pos == 0, self.steps[:, s],
+                                          step + pos - 1)
+        return out_rows, out_steps
 
-    def _pair_scan(self, indices, k, N):
-        best = None
-        for st, j in enumerate(indices, 1):
-            v = self.model.pair_inner_product(j, k, N, self.D)
-            if best is None or abs(v) > abs(best[0]):
-                best = (v, st)
-        return best
+    def _worst(self, rows, lead_rows, lead_steps):
+        """(value, step) per candidate and level: the inner product of
+        largest modulus over the lead slots, the first of equal moduli."""
+        v = self.model.row_inner_product(lead_rows, rows[:, :, None])
+        at = (np.arange(len(v))[:, None], np.arange(v.shape[1]),
+              np.argmax(np.abs(v), axis=2))
+        return v[at], np.broadcast_to(lead_steps, v.shape)[at]
 
-    def accept(self, step, k):
-        row = self.row(k)
-        if row is None:
-            return
-        self.rows[step] = row
-        self.lead = self.model.argmax_predecessor(self.rows, step, self.lead)
-        self.rows = {st: self.rows[st] for steps in self.lead for st in steps}
+    def running(self, k, count, step):
+        """Candidates k, ..., k + count - 1 at steps step, step + 1, ...,
+        each against the lead of all the earlier ones accepted."""
+        rows = self._rows(k, count)
+        self._pending = self._leads(rows, step)
+        return self._worst(rows, self._pending[0][:-1], self._pending[1][:-1])
+
+    def commit(self, accepted):
+        """The first ``accepted`` candidates of the last ``running`` block
+        were accepted."""
+        self.rows, self.steps = (a[accepted].copy() for a in self._pending)
+        self._pending = None
+
+    def fixed(self, k, count):
+        """Candidates k, ..., k + count - 1 against the current lead."""
+        self._pending = rows = self._rows(k, count)
+        return self._worst(rows, self.rows, self.steps)
+
+    def accept(self, c, step):
+        """Candidate ``c`` of the last ``fixed`` block was accepted at
+        ``step``."""
+        rows, steps = self._leads(self._pending[c:c + 1], step)
+        self.rows, self.steps, self._pending = rows[1], steps[1], None
+
+
+class _PairScan:
+    """A joint law without a row form (the comonotone coupling): one
+    candidate per call, against every predecessor with the pair oracle."""
+
+    def __init__(self, model, D, n_grid, indices):
+        self.model, self.D, self.n_grid = model, D, n_grid
+        self.indices = indices      # the search's list, as it grows
+
+    def fixed(self, k, count):
+        """Candidate k alone, whatever ``count``: a candidate costs an
+        oracle call per predecessor and level, too much to spend past the
+        first one accepted."""
+        vals = np.empty((1, len(self.n_grid)))
+        steps = np.empty((1, len(self.n_grid)), dtype=np.int64)
+        for level, N in enumerate(self.n_grid):
+            v = [self.model.pair_inner_product(j, k, N, self.D)
+                 for j in self.indices]
+            best = int(np.argmax(np.abs(v)))    # the first of equal maxima
+            vals[0, level], steps[0, level] = v[best], best + 1
+        return vals, steps
+
+    def running(self, k, count, step):
+        return self.fixed(k, count)
+
+    def commit(self, accepted):
+        pass
+
+    def accept(self, c, step):
+        pass
+
+
+def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
+                  start):
+    """(indices, thresholds, entry chunks) of the exact-mode plan.
+
+    The search alternates two block scans.  A run takes candidates k, k + 1,
+    ... at consecutive steps, each scored against the lead of the earlier
+    ones accepted, and keeps the longest prefix accepted step after step.
+    At a rejection the step stays, and the lead is fixed until the first
+    feasible candidate.  Block sizes double up to ``_BLOCK`` while a block
+    goes one way and restart at one, so a block that is cut short wastes
+    no more than the scans before it did."""
+    schedule = _schedule(n_grid, eps_floor)
+    # step 1 admits no level: the first candidate is accepted
+    indices, thresholds, parts = [start], {1: step_epsilon(1, eps_floor)}, []
+    rows = model.moment_rows((start,), n_grid, D)
+    scan = _PairScan(model, D, n_grid, indices) if rows is None \
+        else _RowScan(model, D, n_grid, rows[0])
+    grid = np.array(n_grid, dtype=np.int64)
+
+    def record(first, vals, jsteps, nlev):
+        """Entries of the candidates accepted at steps first, first + 1,
+        ...; detail steps also record every predecessor, after the
+        shortcut's entry and keeping its place."""
+        detail = max(0, min(len(vals), _DETAIL_STEPS + 1 - first))
+        for t in range(detail):
+            step, levels = first + t, n_grid[:nlev[t]]
+            keys = dict.fromkeys(zip(jsteps[t].tolist(), [step] * len(levels),
+                                     levels))
+            keys.update(dict.fromkeys((jstep, step, N) for N in levels
+                                      for jstep in range(1, step)))
+            j, n, N = np.array(list(keys), dtype=np.int64).reshape(-1, 3).T
+            parts.append((j, n, N, _pair_values(model, D, indices[:step],
+                                                n_grid, j, n, N)[:, None]))
+        t, level = np.nonzero(np.arange(len(n_grid)) < nlev[detail:, None])
+        t += detail
+        parts.append((jsteps[t, level], first + t, grid[level],
+                      vals[t, level][:, None]))
+
+    def over(vals, eps, nlev):
+        """Per candidate, whether some admissible level is violated."""
+        return (np.abs(vals) > eps[:, None]) \
+            & (np.arange(len(n_grid)) < nlev[:, None])
+
+    step, k, size = 2, start + 1, 1
+    while step <= target_length:
+        count = min(size, target_length - step + 1, search_cap - k + 1)
+        if count < 1:
+            raise ExtractionFailure(step, step_epsilon(step, eps_floor),
+                                    search_cap, None, math.inf)
+        vals, jsteps = scan.running(k, count, step)
+        eps, nlev = schedule(step, len(vals))
+        bad = over(vals, eps, nlev)
+        rejected = bad.any(axis=1)
+        p = int(np.argmax(rejected)) if rejected.any() else len(vals)
+        indices.extend(range(k, k + p))
+        thresholds.update(zip(range(step, step + p), eps[:p].tolist()))
+        record(step, vals[:p], jsteps[:p], nlev[:p])
+        scan.commit(p)
+        step, k = step + p, k + p
+        if p == len(vals):
+            size = min(2 * size, _BLOCK)
+            continue
+        # candidate k is rejected at this step: the first feasible one
+        # against the fixed lead is accepted
+        eps, nlev = eps[p:p + 1], nlev[p:p + 1]
+        thresholds[step] = float(eps[0])
+        best_violation = float(abs(vals[p, np.argmax(bad[p])]))
+        best_candidate, k, size = k, k + 1, 1
+        while True:
+            count = min(size, search_cap - k + 1)
+            if count < 1:
+                raise ExtractionFailure(step, float(eps[0]), search_cap,
+                                        best_candidate, best_violation)
+            vals, jsteps = scan.fixed(k, count)
+            bad = over(vals, eps, nlev)
+            rejected = bad.any(axis=1)
+            if not rejected.all():
+                c = int(np.argmin(rejected))
+                indices.append(k + c)
+                record(step, vals[c:c + 1], jsteps[c:c + 1], nlev)
+                scan.accept(c, step)
+                step, k, size = step + 1, k + c + 1, 1
+                break
+            worst = np.abs(vals[np.arange(len(vals)), np.argmax(bad, axis=1)])
+            c = int(np.argmin(worst))
+            if worst[c] < best_violation:
+                best_violation, best_candidate = float(worst[c]), k + c
+            k, size = k + len(vals), min(2 * size, _BLOCK)
+    return indices, thresholds, parts
+
+
+def _sample_search(model, target_length, n_grid, D, eps_floor, search_cap,
+                   start, bank):
+    """(indices, thresholds, entry chunks) of the sample-mode plan: per
+    candidate, one vectorised estimate over all predecessors per level."""
+    indices, thresholds, parts = [], {}, []
+    for step in range(1, target_length + 1):
+        eps = step_epsilon(step, eps_floor)
+        thresholds[step] = eps
+        levels = admissible_levels(step, n_grid) if indices else []
+        best_candidate, best_violation = None, math.inf
+        for k in range(indices[-1] + 1 if indices else start, search_cap + 1):
+            worst, records = 0.0, []
+            for N in levels:
+                est, hw = bank.estimate(indices, k, N, D)
+                amount = float(np.max(np.abs(est) + hw))
+                records.append((N, est, hw))
+                worst = max(worst, amount)
+                if amount > eps:
+                    break
+            else:       # no level is violated: k is accepted
+                break
+            if worst < best_violation:
+                best_violation, best_candidate = worst, k
+        else:           # the search window is exhausted
+            raise ExtractionFailure(step, eps, search_cap,
+                                    best_candidate, best_violation)
+        indices.append(k)
+        js = np.arange(1, step, dtype=np.int64)
+        for N, est, hw in records:
+            parts.append((js, np.full(len(js), step), np.full(len(js), N),
+                          np.stack((est, hw), axis=1)))
+    return indices, thresholds, parts
 
 
 def greedy_extract(model: SequenceModel, target_length: int, n_grid,
@@ -255,11 +486,10 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
     the zero-corrector route starts the search deep enough along the
     sequence that the truncated energies have already decayed.
 
-    Per examined candidate, exact mode computes one moment row and checks
-    every level with arithmetic on a few accepted rows (under the
-    comonotone coupling, one pair oracle call per predecessor and level;
-    see ``_ExactScan``); sample mode makes one vectorised estimate over all
-    predecessors per level."""
+    Exact mode scans blocks of candidates against the lead rows (see
+    ``_exact_search``; under the comonotone coupling, one pair oracle call
+    per predecessor and level); sample mode makes one vectorised estimate
+    over all predecessors per candidate and level."""
     if mode not in ("exact", "sample"):
         raise ExtractConfigError(f"unknown mode {mode!r}")
     if target_length < 1:
@@ -272,110 +502,69 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
                          min_index - 1 + target_length + 2 * max(n_grid) + 64)
     if search_cap > model.index_cap:
         raise ExtractConfigError("search_cap exceeds the model's index_cap")
-    if search_cap < max(int(min_index), 1):
+    start = max(int(min_index), 1)
+    if search_cap < start:
         raise ExtractConfigError("empty search window: search_cap is below "
                                  "the first candidate index")
 
-    bank = _SampleBank(model, search_cap, R, seed) if mode == "sample" else None
-    scan = _ExactScan(model, D, n_grid) if mode == "exact" else None
-
-    indices: list[int] = []
-    thresholds: dict[int, float] = {}
-    achieved: dict = {}
-
-    for step in range(1, target_length + 1):
-        eps = step_epsilon(step, eps_floor)
-        thresholds[step] = eps
-        levels = admissible_levels(step, n_grid) if indices else []
-        start = max(int(min_index), (indices[-1] + 1) if indices else 1)
-        pred_steps = range(1, step)
-        best_candidate, best_violation = None, math.inf
-        chosen = None
-        for k in range(start, search_cap + 1):
-            worst = 0.0
-            records = []
-            feasible = True
-            found = scan.worst(indices, k, levels) if scan is not None \
-                else (bank.estimate(indices, k, N, D) for N in levels)
-            for N, got in zip(levels, found):
-                if mode == "exact":
-                    val, jstar = got
-                    amount = abs(val)
-                    records.append(((jstar, step, N), val))
-                else:
-                    est, hw = got
-                    amount = float(np.max(np.abs(est) + hw))
-                    records.append((N, est, hw))
-                worst = max(worst, amount)
-                if amount > eps:
-                    feasible = False
-                    break
-            if feasible:
-                chosen = k
-                if mode == "sample":
-                    for N, est, hw in records:
-                        for jstep, e, h in zip(pred_steps, est.tolist(),
-                                               hw.tolist()):
-                            achieved[(jstep, step, N)] = (e, h)
-                else:
-                    # shortcut entries go in first and keep their place when
-                    # the detail loop overwrites them: verify_plan reports
-                    # violations in this order
-                    achieved.update(records)
-                    if step <= _DETAIL_STEPS:
-                        for N in levels:
-                            for jstep, jidx in zip(pred_steps, indices):
-                                achieved[(jstep, step, N)] = \
-                                    exact_centered_inner_product(model, jidx, k, N, D)
-                break
-            if worst < best_violation:
-                best_violation, best_candidate = worst, k
-        if chosen is None:
-            raise ExtractionFailure(step, eps, search_cap,
-                                    best_candidate, best_violation)
-        indices.append(chosen)
-        if scan is not None:
-            scan.accept(step, chosen)
-
-    return ExtractionPlan(tuple(indices), n_grid, thresholds, achieved,
+    if mode == "exact":
+        indices, thresholds, parts = _exact_search(
+            model, target_length, n_grid, D, eps_floor, search_cap, start)
+    else:
+        bank = _SampleBank(model, search_cap, R, seed)
+        indices, thresholds, parts = _sample_search(
+            model, target_length, n_grid, D, eps_floor, search_cap, start,
+            bank)
+    return ExtractionPlan(tuple(indices), n_grid, thresholds,
+                          PlanEntries.from_parts(parts,
+                                                 1 if mode == "exact" else 2),
                           mode, int(seed), float(eps_floor), int(search_cap),
                           _DETAIL_STEPS, D.provenance,
                           R if mode == "sample" else 0)
 
 
-def _violations(plan: ExtractionPlan, keys, stored) -> list:
-    """The ``keys`` whose ``stored`` entries exceed their step's threshold:
-    |value| in exact mode, |estimate| + half_width in sample mode."""
-    if not keys:
-        return []
-    stored = np.asarray(stored, dtype=float)
-    amounts = np.abs(stored) if plan.mode == "exact" \
-        else np.abs(stored[:, 0]) + stored[:, 1]
-    thresholds = np.array([plan.thresholds[n] for _, n, _ in keys])
-    return [key for key, bad in zip(keys, amounts > thresholds) if bad]
+def _violations(plan: ExtractionPlan, keep) -> list:
+    """The keys of the entries in the mask ``keep`` whose stored values
+    exceed their step's threshold: |value| in exact mode, |estimate| +
+    half_width in sample mode."""
+    e = plan.achieved
+    amounts = np.abs(e.values[:, 0])
+    if plan.mode != "exact":
+        amounts = amounts + e.values[:, 1]
+    thresholds = np.zeros(max(plan.thresholds, default=0) + 1)
+    thresholds[list(plan.thresholds)] = list(plan.thresholds.values())
+    bad = keep & (amounts > thresholds[e.n])
+    return list(zip(e.j[bad].tolist(), e.n[bad].tolist(), e.N[bad].tolist()))
+
+
+def _pair_values(model: SequenceModel, D: CorrectorSeries, indices, n_grid,
+                 j, n, N) -> np.ndarray:
+    """Exact inner products of the entries (j, n, N) of a plan with these
+    ``indices``: the moment rows of all indices in one call, then the
+    entries' pair arithmetic in blocks of ``_BLOCK * 32``, bit for bit what
+    the scalar oracle gives.  Without a row form, the pair oracle per
+    entry."""
+    rows = model.moment_rows(indices, n_grid, D)
+    if rows is None:
+        return np.array([model.pair_inner_product(indices[a - 1],
+                                                  indices[b - 1], c, D)
+                         for a, b, c in zip(j.tolist(), n.tolist(),
+                                            N.tolist())], dtype=float)
+    out = np.empty(len(j))
+    for a in range(0, len(j), _BLOCK * 32):
+        part = slice(a, a + _BLOCK * 32)
+        lev = np.searchsorted(n_grid, N[part])
+        out[part] = model.row_inner_product(rows[j[part] - 1, lev],
+                                            rows[n[part] - 1, lev])
+    return out
 
 
 def _exact_values(plan: ExtractionPlan, model: SequenceModel,
                   D: CorrectorSeries) -> np.ndarray:
     """Fresh exact values of the plan's entries, aligned with
-    ``plan.achieved``: one moment row per plan index, then every entry's
-    pair arithmetic at once, bit for bit what the scalar oracle gives."""
-    first = model.moment_row(plan.indices[0], plan.n_grid, D)
-    if first is None:
-        idx = plan.indices
-        return np.array([model.pair_inner_product(idx[j - 1], idx[n - 1], N, D)
-                         for j, n, N in plan.achieved])
-    flat = itertools.chain.from_iterable
-    rows = itertools.chain([first], (model.moment_row(i, plan.n_grid, D)
-                                     for i in plan.indices[1:]))
-    # streamed into one array, so no list of every row is ever held
-    rows = np.fromiter(flat(flat(rows)), float).reshape(
-        len(plan.indices), len(first), len(first[0]))
-    keys = np.fromiter(flat(plan.achieved), np.int64,
-                       3 * len(plan.achieved)).reshape(-1, 3)
-    lev = np.searchsorted(plan.n_grid, keys[:, 2])
-    return model.row_inner_product(rows[keys[:, 0] - 1, lev].T,
-                                   rows[keys[:, 1] - 1, lev].T)
+    ``plan.achieved``."""
+    e = plan.achieved
+    return _pair_values(model, D, plan.indices, plan.n_grid, e.j, e.n, e.N)
 
 
 def verify_plan(plan: ExtractionPlan, model: SequenceModel,
@@ -385,25 +574,24 @@ def verify_plan(plan: ExtractionPlan, model: SequenceModel,
     maximising predecessors the search relies on.  Exact mode builds the
     plan's moment rows once; sample mode makes one estimate per (step,
     level) over all the predecessors recorded there."""
-    max_diff = 0.0
-    if plan.mode == "exact":
-        stored = np.fromiter(plan.achieved.values(), float, len(plan.achieved))
-        if plan.achieved:
-            max_diff = float(np.max(np.abs(_exact_values(plan, model, D)
-                                           - stored)))
-    else:
+    e, max_diff = plan.achieved, 0.0
+    if plan.mode == "exact" and len(e):
+        max_diff = float(np.max(np.abs(_exact_values(plan, model, D)
+                                       - e.values[:, 0])))
+    elif len(e):
         bank = _SampleBank(model, plan.search_cap, plan.sample_R, plan.seed)
-        groups: dict = {}
-        for jstep, nstep, N in plan.achieved:
-            groups.setdefault((nstep, N), []).append(jstep)
-        for (nstep, N), jsteps in groups.items():
-            est, _ = bank.estimate([plan.indices[j - 1] for j in jsteps],
-                                   plan.indices[nstep - 1], N, D)
-            recorded = [plan.achieved[(j, nstep, N)][0] for j in jsteps]
-            max_diff = max(max_diff, float(np.max(np.abs(est - recorded))))
-        stored = list(plan.achieved.values())
-    violations = _violations(plan, list(plan.achieved), stored)
-    return {"checked": len(plan.achieved), "max_abs_diff": max_diff,
+        order = np.lexsort((e.N, e.n))
+        n, N = e.n[order], e.N[order]
+        cuts = np.flatnonzero((n[1:] != n[:-1]) | (N[1:] != N[:-1])) + 1
+        idx = np.array(plan.indices)
+        for group in np.split(order, cuts):
+            est, _ = bank.estimate(idx[e.j[group] - 1],
+                                   plan.indices[e.n[group[0]] - 1],
+                                   e.N[group[0]], D)
+            max_diff = max(max_diff, float(np.max(np.abs(
+                est - e.values[group, 0]))))
+    violations = _violations(plan, np.ones(len(e), dtype=bool))
+    return {"checked": len(e), "max_abs_diff": max_diff,
             "violations": violations, "ok": not violations}
 
 
@@ -411,10 +599,10 @@ def check_plan_subsequence(plan: ExtractionPlan, keep_steps) -> dict:
     """Hereditary closure at the plan level: the retained steps, checked
     against the ORIGINAL step thresholds, still satisfy every recorded
     constraint involving only retained steps."""
-    keep = set(keep_steps)
-    keys = [key for key in plan.achieved if key[0] in keep and key[1] in keep]
-    violations = _violations(plan, keys, [plan.achieved[k] for k in keys])
-    return {"checked": len(keys), "violations": violations,
+    e, keep = plan.achieved, list(keep_steps)
+    mask = np.isin(e.j, keep) & np.isin(e.n, keep)
+    violations = _violations(plan, mask)
+    return {"checked": int(mask.sum()), "violations": violations,
             "ok": not violations}
 
 

@@ -125,36 +125,45 @@ class SequenceModel:
     # coupling, E[(f_j^{[N]} - D_N)(f_k^{[N]} - D_N)], j < k, is arithmetic
     # on two per-index moment rows, so a scan makes one oracle pass per index
 
-    def moment_row(self, i: int, levels, D) -> list | None:
-        """Per level N in ``levels``, the moments of f_i the pair oracle
-        needs under the centering D; None without a row form.  Without a
-        path factor each coordinate reads its own uniform, so coordinates
-        are independent and the one moment is E(f_i 1{|f_i| <= N}) - D_N."""
-        dist = self.marginal_dist(i)
-        return [[dist.trunc_moment(N, 1) - D.constant(int(N))] for N in levels]
+    #: the steps, among the accepted steps 1..n, at which the largest
+    #: |inner product| with a later index can sit, tried in this order with
+    #: the first of equal moduli winning: "first" and "last" are steps 1 and
+    #: n, "max" the earliest step of largest ``lead_key`` and "min" the
+    #: latest step of smallest ``lead_key``
+    lead_slots = ("max",)
+
+    def moment_rows(self, indices, levels, D) -> np.ndarray | None:
+        """The moments of f_i the pair oracle needs under the centering D,
+        as a (len(indices), len(levels), width) array for increasing
+        ``indices``; None without a row form.  Without a path factor each
+        coordinate reads its own uniform, so coordinates are independent
+        and the one moment is E(f_i 1{|f_i| <= N}) - D_N."""
+        idx = self._checked_indices(indices)
+        d = np.array([D.constant(int(N)) for N in levels])
+        return (self._trunc_means(idx, levels) - d)[..., None]
+
+    def _trunc_means(self, idx: np.ndarray, levels) -> np.ndarray:
+        """E(f_i 1{|f_i| <= N}) for i in ``idx`` and N in ``levels``."""
+        return np.array([[self.marginal_dist(i).trunc_moment(N, 1)
+                          for N in levels] for i in idx.tolist()],
+                        dtype=float).reshape(len(idx), len(levels))
 
     def row_inner_product(self, row_j, row_k):
-        """The inner product for j < k from the two rows' moments at one
-        level, floats or arrays (elementwise), in the operation order of
-        the scalar oracle: any grouping of pairs gives the same bits."""
-        return row_j[0] * row_k[0]
+        """The inner product for j < k from rows whose last axis holds the
+        moments (broadcast elementwise over the others), in the operation
+        order of the scalar oracle: any grouping of pairs gives its bits.
+        Here ip(j, k) = (mu_j - D_N)(mu_k - D_N): the largest |mu_j - D_N|
+        wins."""
+        return row_j[..., 0] * row_k[..., 0]
 
-    def argmax_predecessor(self, rows, n: int, lead) -> list:
-        """Per level, the steps among which the predecessor of largest
-        |inner product| with any later index lies (the first of equal
-        maxima wins), from ``lead``, the answer for steps 1..n-1 (None if
-        n == 1), and ``rows``, the rows of step n and the steps in ``lead``.
-        Here |ip(j, k)| = |mu_j - D_N| |mu_k - D_N|: the largest wins."""
-        new = rows[n]
-        if lead is None:
-            return [(n,)] * len(new)
-        return [(n,) if abs(new[level][0]) > abs(rows[s[0]][level][0]) else s
-                for level, s in enumerate(lead)]
+    def lead_key(self, rows):
+        """What the "max" and "min" lead slots compare, per row."""
+        return np.abs(rows[..., 0])
 
     def pair_inner_product(self, j: int, k: int, N: float, D) -> float:
         """E[(f_j^{[N]} - D_N)(f_k^{[N]} - D_N)] for j < k."""
-        return self.row_inner_product(*(self.moment_row(i, (N,), D)[0]
-                                        for i in (j, k)))
+        rows = self.moment_rows((j, k), (N,), D)
+        return float(self.row_inner_product(rows[0, 0], rows[1, 0]))
 
     def centered_square(self, i: int, N: float, D) -> float:
         """E[(f_i^{[N]} - D_N)^2], marginal under a non-random D."""
@@ -209,6 +218,11 @@ class IIDModel(SequenceModel):
 
     def _realize(self, idx, u, u0):
         return self.dist.quantile_array(u), None
+
+    def _trunc_means(self, idx, levels):
+        means = [self.dist.trunc_moment(N, 1) for N in levels]
+        return np.broadcast_to(np.array(means, dtype=float),
+                               (len(idx), len(levels)))
 
     def weak_l2_centering(self, N):
         return self.dist.trunc_moment(float(N), 1)
@@ -299,33 +313,33 @@ class TailVanishingModel(SequenceModel):
         # weak limit is zero at every level
         return 0.0
 
-    def moment_row(self, i, levels, D):
-        # f_j f_k = g^2 1{|g| > max(j, k)}: a pair's cross moment is the
-        # second band moment of its later index
-        self._check_index(i)
-        g, a = self.g_dist, float(i)
-        return [[g.band_moment(a, N, 1), g.band_moment(a, N, 2),
-                 D.constant(int(N))] for N in levels]
+    # f_j f_k = g^2 1{|g| > max(j, k)}: a pair's cross moment is the second
+    # band moment of its later index, and ip(j, k) is affine in the band
+    # mean mu_j, so it peaks at the earliest largest or the latest smallest
+    # mu_j.  The first and the last step go first: for g of one sign mu_j is
+    # monotone in j and they attain both extremes, so the others never win
+    # a tie
+    lead_slots = ("first", "last", "max", "min")
+
+    def moment_rows(self, indices, levels, D):
+        a = self._checked_indices(indices).astype(float)
+        g, rows = self.g_dist, np.empty((len(a), len(levels), 3))
+        below = [g.trunc_moments(a, order) for order in (1, 2)]
+        for col, N in enumerate(levels):
+            N = float(N)
+            for w, order in ((0, 1), (1, 2)):
+                # band_moment(a, N): zero unless a < N
+                rows[:, col, w] = np.where(
+                    a < N, g.trunc_moment(N, order) - below[w], 0.0)
+            rows[:, col, 2] = D.constant(int(N))
+        return rows
 
     def row_inner_product(self, row_j, row_k):
-        d = row_k[2]
-        return row_k[1] - d * (row_j[0] + row_k[0]) + d * d
+        d = row_k[..., 2]
+        return row_k[..., 1] - d * (row_j[..., 0] + row_k[..., 0]) + d * d
 
-    def argmax_predecessor(self, rows, n, lead):
-        # ip(j, k) is affine in the band mean mu_j, so it peaks at the
-        # earliest largest or the latest smallest mu_j.  The first and the
-        # last step go first: for g of one sign mu_j is monotone in j and
-        # they attain both extremes, so the others never win a tie
-        new, out = rows[n], []
-        if lead is None:
-            return [(1, 1)] * len(new)
-        for level, steps in enumerate(lead):
-            hi, lo = steps[2:] or (1, n - 1)
-            mu = new[level][0]
-            hi = n if mu > rows[hi][level][0] else hi
-            lo = n if mu <= rows[lo][level][0] else lo
-            out.append((1, n) if (hi, lo) == (1, n) else (1, n, hi, lo))
-        return out
+    def lead_key(self, rows):
+        return rows[..., 0]
 
     def pointwise_sup_index(self, n_range):
         return int(min(n_range))
@@ -410,9 +424,15 @@ class Example41Model(SequenceModel):
                 "one-sided heavy-log marginals have no model-pinned weak-L2 limit")
         return 0.0
 
-    def moment_row(self, i, levels, D):
+    def moment_rows(self, indices, levels, D):
         # the comonotone coupling has no row form
-        return None if self.has_factor else super().moment_row(i, levels, D)
+        return None if self.has_factor else super().moment_rows(indices,
+                                                                levels, D)
+
+    def _trunc_means(self, idx, levels):
+        if self.symmetric:
+            return np.zeros((len(idx), len(levels)))
+        return super()._trunc_means(idx, levels)
 
     def pair_inner_product(self, j, k, N, D):
         if not self.has_factor:
@@ -422,39 +442,38 @@ class Example41Model(SequenceModel):
         mu_k = self.marginal_dist(k).trunc_moment(N, 1)
         return self._comonotone_product(j, k, N) - d * (mu_j + mu_k) + d * d
 
-    def _comonotone_intervals(self, i: int, N: float):
-        """u-intervals of the shared uniform mapping to nonzero values <= N."""
+    def _comonotone_partition(self, i: int, den: np.ndarray):
+        """(points, values): the shared uniform maps [points[t],
+        points[t + 1]) to values[t], the nonzero values up to the level of
+        ``den``, the denominators k^2 log k for k = 2, 3, ..."""
         rho = self.rho(i)
-        two_c = 2.0 * example41_constant_c()
-        out = []
-        lo = rho
-        for k in range(2, int(math.floor(N)) + 1):
-            q = (1.0 - rho) * two_c / (k * k * math.log(k))
-            if self.symmetric:
-                out.append((lo, lo + q / 2.0, float(k)))
-                out.append((lo + q / 2.0, lo + q, float(-k)))
-            else:
-                out.append((lo, lo + q, float(k)))
-            lo += q
-        return out
+        q = (1.0 - rho) * (2.0 * example41_constant_c()) / den
+        # the interval ends as a running sum: np.cumsum adds in order
+        lo = np.cumsum(np.concatenate(([rho], q)))
+        k = np.arange(2.0, len(den) + 2.0)
+        if not self.symmetric:
+            return lo, k
+        points = np.empty(2 * len(q) + 1)
+        points[0::2], points[1::2] = lo, lo[:-1] + q / 2.0
+        return points, np.stack((k, -k), axis=1).ravel()
 
     def _comonotone_product(self, j: int, k: int, N: float) -> float:
         """E[f_j^t f_k^t] under the shared-uniform coupling, by exact overlap
-        integration of the two quantile partitions."""
-        a = self._comonotone_intervals(j, N)
-        b = self._comonotone_intervals(k, N)
-        total = 0.0
-        ia = ib = 0
-        while ia < len(a) and ib < len(b):
-            lo = max(a[ia][0], b[ib][0])
-            hi = min(a[ia][1], b[ib][1])
-            if hi > lo:
-                total += (hi - lo) * a[ia][2] * b[ib][2]
-            if a[ia][1] <= b[ib][1]:
-                ia += 1
-            else:
-                ib += 1
-        return total
+        integration of the two quantile partitions, summed in u order."""
+        n = range(2, int(math.floor(N)) + 1)
+        den = np.square(np.array(n, dtype=float)) * np.fromiter(
+            map(math.log, n), float, len(n))
+        (pa, va), (pb, vb) = (self._comonotone_partition(i, den)
+                              for i in (j, k))
+        # every overlap of positive length is a gap between consecutive
+        # distinct breakpoints inside both partitions
+        x = np.unique(np.concatenate((pa, pb)))
+        lo, hi = x[:-1], x[1:]
+        keep = (lo >= max(pa[0], pb[0])) & (hi <= min(pa[-1], pb[-1]))
+        lo, hi = lo[keep], hi[keep]
+        terms = ((hi - lo) * va[np.searchsorted(pa, lo, side="right") - 1]
+                 * vb[np.searchsorted(pb, lo, side="right") - 1])
+        return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
     def pointwise_sup_index(self, n_range):
         return int(n_range[int(np.argmin(self.rho_array(n_range)))])
@@ -504,7 +523,6 @@ class LatentShiftModel(SequenceModel):
         self.factor_law = dict(factor_dist.atoms)
         self.index_cap = int(index_cap)
         self._marginal = convolve(factor_dist, noise_dist)
-        self._row = (None, None, None)   # (D, levels, row) of moment_row
 
     def marginal_dist(self, n):
         self._check_index(n)
@@ -529,20 +547,18 @@ class LatentShiftModel(SequenceModel):
         return {b: self.conditional_trunc_moment(b, float(N), 1)
                 for b in self.factor_law}
 
-    def moment_row(self, i, levels, D):
-        # given B the coordinates are iid, so every pair j != k has the same
-        # inner product: the row is that value, and the last one is reused
-        self._check_index(i)
-        if self._row[0] is not D or self._row[1] != tuple(levels):
-            self._row = (D, tuple(levels),
-                         [[self._factor_average(N, D, False)] for N in levels])
-        return self._row[2]
+    # given B the coordinates are iid, so every pair j != k has the same
+    # inner product: the row is that value, and the last step holds it
+    lead_slots = ("last",)
+
+    def moment_rows(self, indices, levels, D):
+        idx = self._checked_indices(indices)
+        value = [self._factor_average(N, D, False) for N in levels]
+        return np.broadcast_to(np.array(value, dtype=float)[:, None],
+                               (len(idx), len(levels), 1))
 
     def row_inner_product(self, row_j, row_k):
-        return row_k[0]
-
-    def argmax_predecessor(self, rows, n, lead):
-        return [(n,)] * len(rows[n])
+        return row_k[..., 0]
 
     def centered_square(self, i, N, D):
         self._check_index(i)

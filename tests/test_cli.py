@@ -491,7 +491,7 @@ def test_plan_json_rows_round_trip(tmp_path):
     assert len(rebuilt) == len(plan.achieved) == 16796
     assert list(rebuilt) == sorted(plan.achieved)
     assert {k: _bits(v) for k, v in rebuilt.items()} == \
-        {k: _bits(v) for k, v in plan.achieved.items()}
+        {k: _bits(v) for k, (v,) in zip(plan.achieved, plan.achieved.values)}
 
     # sample mode: (estimate, half_width) per entry
     cfg = resolve_config("extract", {
@@ -505,8 +505,8 @@ def test_plan_json_rows_round_trip(tmp_path):
                                          "half_width"]
     rebuilt = {(j, n, N): (_bits(e), _bits(h))
                for j, n, N, e, h in stored["achieved"]}
-    assert rebuilt and rebuilt == {k: (_bits(e), _bits(h))
-                                   for k, (e, h) in plan.achieved.items()}
+    assert rebuilt and rebuilt == {k: (_bits(e), _bits(h)) for k, (e, h)
+                                   in zip(plan.achieved, plan.achieved.values)}
 
     # verify reads the plan's indices from plan_path
     reports = []

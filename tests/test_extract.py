@@ -1,11 +1,15 @@
 """Truncation algebra, exact centered inner products, the greedy
 near-orthogonal subsequence search, and the proof-side budget checks."""
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import wllnlab.extract as extract_mod
 
 from wllnlab.correctors import (
     CorrectorSeries,
@@ -25,6 +29,7 @@ from wllnlab.extract import (
     ExtractConfigError,
     ExtractionFailure,
     ExtractionPlan,
+    PlanEntries,
     _SampleBank,
     _exact_values,
     admissible_levels,
@@ -152,7 +157,7 @@ class TestGreedyExtract:
         m = IIDModel(Pareto1())
         plan = greedy_extract(m, 1, (2,), zero_corrector((2,)))
         assert plan.indices == (1,)
-        assert plan.achieved == {}
+        assert len(plan.achieved) == 0
 
     def test_tail_vanishing_skips_to_past_levels(self):
         # inner products vanish only when the candidate passes the largest
@@ -171,7 +176,7 @@ class TestGreedyExtract:
         a = greedy_extract(m, 6, grid, zero_corrector(grid), search_cap=64)
         b = greedy_extract(m, 6, grid, zero_corrector(grid), search_cap=64)
         assert a.indices == b.indices
-        assert a.achieved == b.achieved
+        assert _entries_equal(a.achieved, b.achieved)
 
     def test_min_index_shifts_pool(self):
         dist = FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])
@@ -247,7 +252,7 @@ class TestPlanChecks:
         _, _, plan = tail_plan
         for n, eps in plan.thresholds.items():
             assert eps == step_epsilon(n, plan.eps_floor)
-        for (j, n, N), v in plan.achieved.items():
+        for (j, n, N), (v,) in zip(plan.achieved, plan.achieved.values):
             assert abs(v) <= plan.thresholds[n]
 
 
@@ -413,9 +418,10 @@ class _ReferenceFastExact:
     """Per-model shortcuts for max_j |ip(j, candidate, N)| over predecessors.
 
     Exploits that for every hosted joint oracle the dependence on the
-    predecessor j is monotone or absent, so the maximum is attained at a
-    known predecessor; the recorded value is always a genuine inner product
-    at that predecessor, re-verifiable by the direct routine.
+    predecessor j is through one moment of f_j, or absent, so the maximum
+    is attained at a few known predecessors (``note_accept`` keeps the
+    independent coordinates' one); the recorded value is always a genuine
+    inner product at that predecessor, re-verifiable by the direct routine.
     """
 
     def __init__(self, model, D):
@@ -437,34 +443,20 @@ class _ReferenceFastExact:
             if cur is None or v > cur[0]:
                 self._max_centered[N] = (v, step)
 
-    def max_over_predecessors(self, pred_indices, k, N):
-        """Returns (value, j_step) with |value| = max over predecessors;
-        the predecessor accepted at step j is ``pred_indices[j - 1]``."""
-        if self.kind == "independent":
-            # every accepted index has been noted for every grid level
-            jstar = self._max_centered[N][1]
-            idx = pred_indices[jstar - 1]
-            return _reference_inner_product(self.model, idx, k, N, self.D), jstar
-        if self.kind == "latent":
-            st = len(pred_indices)
-            idx = pred_indices[-1]
-            return _reference_inner_product(self.model, idx, k, N, self.D), st
-        if self.kind == "tailvan":
-            # mu_j is monotone in j, so the extremes are at the first and
-            # last predecessor
-            best = None
-            for st in (1, len(pred_indices)):
-                v = _reference_inner_product(
-                    self.model, pred_indices[st - 1], k, N, self.D)
-                if best is None or abs(v) > abs(best[0]):
-                    best = (v, st)
-            return best
-        best = None
-        for st, idx in enumerate(pred_indices, 1):
-            v = _reference_inner_product(self.model, idx, k, N, self.D)
-            if best is None or abs(v) > abs(best[0]):
-                best = (v, st)
-        return best
+
+def _entries(achieved: dict) -> PlanEntries:
+    """The columns of a dict from keys (j, n, N) to a value or to
+    (estimate, half_width), in its order."""
+    keys = np.array(list(achieved), dtype=np.int64).reshape(-1, 3)
+    values = np.array(list(achieved.values()), dtype=float)
+    return PlanEntries(*keys.T, values.reshape(len(keys), -1))
+
+
+def _entries_equal(a: PlanEntries, b: PlanEntries) -> bool:
+    """Same keys in the same order, and the same value bits."""
+    return all(np.array_equal(x, y) for x, y in
+               ((a.j, b.j), (a.n, b.n), (a.N, b.N),
+                (a.values.view(np.int64), b.values.view(np.int64))))
 
 
 def _reference_bank(model, horizon, R, seed):
@@ -498,8 +490,15 @@ def _reference_max_over_predecessors(fast, pred_indices, pred_steps, k, N):
         return ip(fast.model, idx, k, N, fast.D), jstar
     if fast.kind == "latent":
         return ip(fast.model, pred_indices[-1], k, N, fast.D), pred_steps[-1]
-    positions = ((0, len(pred_indices) - 1) if fast.kind == "tailvan"
-                 else range(len(pred_indices)))
+    positions = range(len(pred_indices))
+    if fast.kind == "tailvan":
+        # ip(j, k) is affine in the band mean mu_j: the first and the last
+        # predecessor, then those of the earliest largest and the latest
+        # smallest mu_j, found by scanning every predecessor
+        mu = [fast.model.g_dist.band_moment(float(j), N, 1)
+              for j in pred_indices]
+        positions = (0, len(mu) - 1, mu.index(max(mu)),
+                     len(mu) - 1 - mu[::-1].index(min(mu)))
     best = None
     for pos in positions:
         v = ip(fast.model, pred_indices[pos], k, N, fast.D)
@@ -509,12 +508,14 @@ def _reference_max_over_predecessors(fast, pred_indices, pred_steps, k, N):
 
 
 def _reference_greedy(model, target_length, n_grid, D, mode, eps_floor=None,
-                      seed=0, R=400, detail_steps=16, min_index=1):
+                      seed=0, R=400, detail_steps=16, min_index=1,
+                      search_cap=None):
     n_grid = tuple(sorted(int(N) for N in n_grid))
     if eps_floor is None:
         eps_floor = 0.0 if mode == "exact" else 1e-2
-    search_cap = min(model.index_cap,
-                     min_index - 1 + target_length + 2 * max(n_grid) + 64)
+    if search_cap is None:
+        search_cap = min(model.index_cap,
+                         min_index - 1 + target_length + 2 * max(n_grid) + 64)
     bank = _reference_bank(model, search_cap, R, seed) if mode == "sample" else None
     fast = _ReferenceFastExact(model, D) if mode == "exact" else None
     indices, thresholds, achieved = [], {}, {}
@@ -523,10 +524,11 @@ def _reference_greedy(model, target_length, n_grid, D, mode, eps_floor=None,
         thresholds[step] = eps
         levels = admissible_levels(step, n_grid)
         start = max(int(min_index), (indices[-1] + 1) if indices else 1)
-        chosen = None
+        chosen, best_candidate, best_violation = None, None, math.inf
         for k in range(start, search_cap + 1):
             records = {}
             feasible = True
+            worst = 0.0
             pred_steps = list(range(1, step))
             for N in levels:
                 if not indices:
@@ -542,6 +544,7 @@ def _reference_greedy(model, target_length, n_grid, D, mode, eps_floor=None,
                         est, hw = _reference_estimate(bank, jidx, k, N, D)
                         records[(jstep, step, N)] = (est, hw)
                         amount = max(amount, abs(est) + hw)
+                worst = max(worst, amount)
                 if amount > eps:
                     feasible = False
                     break
@@ -554,11 +557,16 @@ def _reference_greedy(model, target_length, n_grid, D, mode, eps_floor=None,
                                 _reference_inner_product(model, jidx, k, N, D)
                 achieved.update(records)
                 break
-        assert chosen is not None, f"reference scan exhausted at step {step}"
+            if worst < best_violation:
+                best_violation, best_candidate = worst, k
+        if chosen is None:
+            raise ExtractionFailure(step, eps, search_cap, best_candidate,
+                                    best_violation)
         indices.append(chosen)
         if fast is not None:
             fast.note_accept(step, chosen, n_grid)
-    return ExtractionPlan(tuple(indices), n_grid, thresholds, achieved, mode,
+    return ExtractionPlan(tuple(indices), n_grid, thresholds,
+                          _entries(achieved), mode,
                           int(seed), float(eps_floor), int(search_cap),
                           int(detail_steps), D.provenance,
                           R if mode == "sample" else 0)
@@ -570,11 +578,13 @@ def _reference_verify(plan, model, D):
         bank = _reference_bank(model, plan.search_cap, plan.sample_R, plan.seed)
     max_diff = 0.0
     violations = []
-    for (jstep, nstep, N), stored in plan.achieved.items():
+    stored_values = plan.achieved.values.tolist()
+    for (jstep, nstep, N), stored in zip(plan.achieved, stored_values):
         jidx = plan.indices[jstep - 1]
         kidx = plan.indices[nstep - 1]
         eps = plan.thresholds[nstep]
         if plan.mode == "exact":
+            stored, = stored
             fresh = _reference_inner_product(model, jidx, kidx, N, D)
             max_diff = max(max_diff, abs(fresh - stored))
             if abs(stored) > eps:
@@ -619,33 +629,201 @@ _REFERENCE_MODELS = {
 }
 
 
-@pytest.mark.parametrize("name, length, grid, mode, kwargs", [
-    ("counterexample", 48, (64, 256), "sample", {"seed": 1}),
-    ("counterexample", 48, (64, 256), "sample", {"seed": 2}),
-    ("latent-shift", 24, (64, 256), "sample", {"seed": 5, "eps_floor": 2.0}),
-    ("counterexample", 512, (64, 256, 1024, 4096), "exact", {}),
-    ("example41", 512, (64, 256, 1024, 4096), "exact", {"min_index": 10**12}),
-    ("latent-shift", 512, (64, 256, 1024, 4096), "exact", {}),
-    ("comonotone", 24, (64, 256), "exact", {"eps_floor": 1e-7}),
-    ("iid", 64, (2, 8, 64), "exact", {}),
-    ("independent-array", 48, (2, 8, 64), "exact", {"eps_floor": 1e-3}),
-], ids=["counterexample-sample-seed1", "counterexample-sample-seed2",
-        "latent-shift-sample-conditional", "counterexample-exact",
-        "example41-exact", "latent-shift-exact", "example41-comonotone-exact",
-        "iid-exact", "independent-array-exact"])
-def test_search_matches_scalar_reference(name, length, grid, mode, kwargs):
+_REFERENCE_CASES = [
+    pytest.param("counterexample", 48, (64, 256), "sample", {"seed": 1},
+                 id="counterexample-sample-seed1"),
+    pytest.param("counterexample", 48, (64, 256), "sample", {"seed": 2},
+                 id="counterexample-sample-seed2"),
+    pytest.param("latent-shift", 24, (64, 256), "sample",
+                 {"seed": 5, "eps_floor": 2.0},
+                 id="latent-shift-sample-conditional"),
+    pytest.param("counterexample", 512, (64, 256, 1024, 4096), "exact", {},
+                 id="counterexample-exact"),
+    pytest.param("example41", 512, (64, 256, 1024, 4096), "exact",
+                 {"min_index": 10**12}, id="example41-exact"),
+    pytest.param("latent-shift", 512, (64, 256, 1024, 4096), "exact", {},
+                 id="latent-shift-exact"),
+    pytest.param("comonotone", 24, (64, 256), "exact", {"eps_floor": 1e-7},
+                 id="example41-comonotone-exact"),
+    pytest.param("iid", 64, (2, 8, 64), "exact", {}, id="iid-exact"),
+    pytest.param("independent-array", 48, (2, 8, 64), "exact",
+                 {"eps_floor": 1e-3}, id="independent-array-exact"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_run(name, length, grid, mode, kwargs):
+    """(model, corrector, reference plan, reference check) of a case, built
+    once per test run; ``kwargs`` as sorted items."""
     m = model_from_spec(_REFERENCE_MODELS[name])
     # the array's means do not settle, so it has no weak-L2 corrector
     D = zero_corrector(grid) if name == "independent-array" \
         else corrector_weak_l2(m, grid)
+    ref = _reference_greedy(m, length, grid, D, mode, **dict(kwargs))
+    return m, D, ref, _reference_verify(ref, m, D)
+
+
+@pytest.mark.parametrize("name, length, grid, mode, kwargs", _REFERENCE_CASES)
+def test_search_matches_scalar_reference(name, length, grid, mode, kwargs):
+    m, D, ref, _ = _reference_run(name, length, grid, mode,
+                                  tuple(sorted(kwargs.items())))
     if name == "latent-shift":
         assert D.kind == "conditional"
     plan = greedy_extract(m, length, grid, D, mode=mode, **kwargs)
-    ref = _reference_greedy(m, length, grid, D, mode, **kwargs)
     assert len(plan.indices) == length
     assert plan.to_json() == ref.to_json()
     assert list(plan.achieved) == list(ref.achieved)
     assert verify_plan(plan, m, D) == _reference_verify(plan, m, D)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("name, length, grid, mode, kwargs",
+                         [case for case in _REFERENCE_CASES
+                          if case.values[3] == "exact"])
+def test_search_matches_scalar_reference_at_small_blocks(
+        monkeypatch, block, name, length, grid, mode, kwargs):
+    # runs and fixed-lead scans cut every few candidates: the plan and its
+    # check do not depend on where the blocks end
+    m, D, ref, check = _reference_run(name, length, grid, mode,
+                                      tuple(sorted(kwargs.items())))
+    monkeypatch.setattr(extract_mod, "_BLOCK", block)
+    plan = greedy_extract(m, length, grid, D, mode=mode, **kwargs)
+    assert plan.to_json() == ref.to_json()
+    assert list(plan.achieved) == list(ref.achieved)
+    assert verify_plan(plan, m, D) == check
+
+
+def _assert_search_matches_reference(model, length, grid, D, block,
+                                     **kwargs):
+    """The exact search at block size ``block`` and the scalar reference
+    give the same plan, or fail at the same step with the same best
+    candidate and violation."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extract_mod, "_BLOCK", block)
+        try:
+            got = greedy_extract(model, length, grid, D, **kwargs)
+        except ExtractionFailure as exc:
+            got = exc
+    try:
+        ref = _reference_greedy(model, length, grid, D, "exact", **kwargs)
+    except ExtractionFailure as exc:
+        assert isinstance(got, ExtractionFailure)
+        assert (got.step, got.eps, got.best_candidate, got.best_violation) \
+            == (exc.step, exc.eps, exc.best_candidate, exc.best_violation)
+        return exc
+    assert isinstance(got, ExtractionPlan)
+    assert got.to_json() == ref.to_json()
+    assert list(got.achieved) == list(ref.achieved)
+    return got
+
+
+_BLOCKS = st.sampled_from([1, 3, 7, 2048])
+
+
+@settings(max_examples=30, deadline=None)
+@given(atoms=st.lists(st.tuples(st.integers(-70, 70).filter(bool),
+                                st.integers(1, 40)),
+                      min_size=1, max_size=4, unique_by=lambda a: a[0]),
+       centering=st.lists(st.sampled_from([0.0, 1e-3, -2e-3, 0.01]),
+                          min_size=3, max_size=3),
+       eps_floor=st.sampled_from([0.0, 1e-4, 1e-2]), block=_BLOCKS)
+def test_single_draw_search_matches_reference(atoms, centering, eps_floor,
+                                              block):
+    # g of both signs: the band mean mu_j is not monotone in j and ties
+    # often, so every lead slot and its tie order counts
+    mass = [(float(v), w / 1000.0) for v, w in atoms]
+    g = FiniteDiscrete(mass + [(0.0, 1.0 - math.fsum(p for _, p in mass))])
+    grid = (2, 16, 64)
+    D = CorrectorSeries(grid, "constant", dict(zip(grid, centering)), "test")
+    _assert_search_matches_reference(TailVanishingModel(g), 24, grid, D,
+                                     block, eps_floor=eps_floor)
+
+
+@settings(max_examples=30, deadline=None)
+@given(means=st.lists(st.sampled_from([-0.2, -0.1, 0.0, 0.1, 0.2]),
+                      min_size=20, max_size=60),
+       eps_floor=st.sampled_from([0.005, 0.015, 0.03]), block=_BLOCKS)
+def test_independent_search_matches_reference(means, eps_floor, block):
+    # truncated means tied in modulus and of both signs: the earliest
+    # largest |mu_j - D_N| decides the recorded step and the value's sign
+    m = IndependentArrayModel([FiniteDiscrete([(-1.0, 0.5), (1.0 + 2 * mu,
+                                                              0.5)])
+                               for mu in means])
+    grid = (2, 8, 64)
+    _assert_search_matches_reference(m, 8, grid, zero_corrector(grid), block,
+                                     eps_floor=eps_floor)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 2048])
+def test_single_draw_lead_takes_the_latest_smallest_mean(block):
+    # at N = 16 the band mean mu_j is 0.01 below 3, -0.02 on 3..9 and 0
+    # from 10 on, and every index is accepted: from step 17 on the largest
+    # |ip| = |d^2 - d mu_j| sits on the plateau 3..9, at its latest step
+    g = FiniteDiscrete([(3.0, 0.01), (-10.0, 0.002), (0.0, 0.988)])
+    grid = (2, 16)
+    D = CorrectorSeries(grid, "constant", {2: 0.0, 16: 0.05}, "test")
+    plan = _assert_search_matches_reference(TailVanishingModel(g), 24, grid,
+                                            D, block, eps_floor=0.3)
+    assert plan.indices == tuple(range(1, 25))
+    assert [j for j, n, N in plan.achieved if n > 16 and N == 16] == [9] * 8
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 2048])
+def test_failure_diagnostics_across_blocks(block):
+    # the single-draw failure off the ends of the lead: every candidate
+    # from 61 to the search cap is rejected at step 4
+    g = FiniteDiscrete([(-5.0, 0.04), (60.0, 1.0 / 300.0),
+                        (0.0, 1.0 - 0.04 - 1.0 / 300.0)])
+    grid = (2, 50, 64)
+    D = CorrectorSeries(grid, "constant", {2: 0.0, 50: 0.0, 64: 3e-4}, "test")
+    exc = _assert_search_matches_reference(TailVanishingModel(g), 4, grid, D,
+                                           block)
+    assert (exc.step, exc.best_candidate) == (4, 61)
+    # the uneven array at a floor it cannot keep: step 4 rejects every
+    # candidate up to the cap of 240, and the closest is deep in that run
+    m = model_from_spec(_uneven_means_array())
+    grid = (2, 8, 64)
+    exc = _assert_search_matches_reference(m, 48, grid, zero_corrector(grid),
+                                           block, eps_floor=1e-5)
+    assert (exc.step, exc.best_candidate, exc.search_cap) == (4, 109, 240)
+
+
+def test_long_plan_memory():
+    # L = 65,536 on the counterexample: the plan is columns, the scan's
+    # arrays are bounded by the block size, and the check streams entries
+    m = model_from_spec(_DEMOS["counterexample"]["model"])
+    grid = (64, 256, 1024, 4096)
+    D = corrector_weak_l2(m, grid)
+    tracemalloc.start()
+    try:
+        plan = greedy_extract(m, 65536, grid, D)
+        check = verify_plan(plan, m, D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(plan.indices) == 65536 and check["ok"]
+    assert check["checked"] == len(plan.achieved) > 4 * 65536 - 16
+    assert check["max_abs_diff"] == 0.0
+    assert peak < 35 * 2**20
+
+
+def test_unreachable_target_allocates_by_steps_reached():
+    # a target of 10^9 steps fails at step 3 inside a 50-index window: no
+    # array is sized by the target or the window up front
+    m = model_from_spec(_DEMOS["counterexample"]["model"])
+    grid = (64, 256, 1024, 4096)
+    D = corrector_weak_l2(m, grid)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ExtractionFailure) as exc:
+            greedy_extract(m, 10**9, grid, D, search_cap=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # candidates 3..50 all break N - k > exp(-9) at N = 64; 50 comes closest
+    assert (exc.value.step, exc.value.eps, exc.value.best_candidate,
+            exc.value.best_violation) == (3, math.exp(-9), 50, 14.0)
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("name", ["counterexample", "example41",
@@ -696,8 +874,8 @@ def test_row_arithmetic_is_bitwise_the_scalar_oracle(model):
     indices = tuple(range(1, 41, 3))
     pairs = {(j, n, N): 0.0 for n in range(2, len(indices) + 1)
              for j in range(1, n) for N in grid}
-    plan = ExtractionPlan(indices, grid, {}, pairs, "exact", 0, 0.0, 40, 0,
-                          D.provenance)
+    plan = ExtractionPlan(indices, grid, {}, _entries(pairs), "exact", 0, 0.0,
+                          40, 0, D.provenance)
     fresh = _exact_values(plan, model, D)
     for oracle in (exact_centered_inner_product, _reference_inner_product):
         scalar = np.array([oracle(model, indices[j - 1], indices[n - 1], N, D)
