@@ -127,7 +127,8 @@ _NUMBERS = {"seed": int, "target_length": int, "search_cap": int,
 _NUMBER_LISTS = {"m_grid", "n_range", "n_grid", "feller_grid", "indices"}
 # config keys, the condition a resolved value must meet, and its wording
 _CHECKS = (
-    ("n_grid", lambda g: g and min(g) >= 1, "a non-empty list of levels >= 1"),
+    ("n_grid", lambda g: g and min(g) >= 1 and len(set(g)) == len(g),
+     "a non-empty list of distinct levels >= 1"),
     ("m_grid", lambda g: g and all(0 < M < math.inf for M in g),
      "a non-empty list of finite levels > 0"),
     ("feller_grid", lambda g: all(N >= 1 for N in g), "a list of levels >= 1"),

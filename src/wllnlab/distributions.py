@@ -121,14 +121,6 @@ class FiniteDiscrete(Distribution):
         keep = np.abs(self._values) <= M
         return float(math.fsum(self._probs[keep] * self._values[keep] ** order))
 
-    def trunc_moments(self, M, order):
-        # the atoms are in increasing |value|, so those kept at a level are
-        # a prefix, and fsum of a prefix is the scalar oracle's sum
-        terms = self._probs * self._values ** order
-        sums = [math.fsum(terms[:i]) for i in range(len(terms) + 1)]
-        return np.array(sums)[np.searchsorted(np.abs(self._values), M,
-                                              side="right")]
-
     def tau_integral(self, M: float) -> float:
         if M <= 0:
             return 0.0

@@ -56,6 +56,8 @@ _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 _DETAIL_STEPS = 16
 # most candidates one exact scan scores at once; bounds its arrays
 _BLOCK = 2048
+# candidates the first block after a rejection scores; sizes then double
+_FIRST_BLOCK = 8
 # slack of the proof-side bounds for rounding in the oracle sums
 _TOLERANCE = 1e-9
 
@@ -227,98 +229,113 @@ def admissible_levels(n: int, n_grid) -> list:
 
 
 def _schedule(n_grid, eps_floor):
-    """eps_n and the number of admissible levels as functions of step
-    arrays: tables up to the first step from which both are constant."""
-    last = 27    # exp(-n^2) underflows from here on
-    while len(admissible_levels(last, n_grid)) < len(n_grid):
+    """A function of (step, count): for steps step, ..., step + count - 1,
+    eps_n, the admissible levels as a (count, levels) mask, and the bound
+    |value| must not pass per level, eps_n where admissible and inf
+    elsewhere; ``count`` is at most ``_BLOCK``.  All three are constant
+    from step ``last`` on, where ``step_epsilon`` takes exp(-n^2) as 0 and
+    every level is admissible, so the tables hold ``_BLOCK`` copies of that
+    step's row after the earlier ones, and any block is a slice."""
+    last = 1
+    while step_epsilon(last, 0.0) > 0.0 \
+            or len(admissible_levels(last, n_grid)) < len(n_grid):
         last += 1
+    steps = np.minimum(np.arange(last + _BLOCK + 1), last)
     eps = np.array([step_epsilon(n, eps_floor) for n in range(last + 1)])
     nlev = np.array([len(admissible_levels(n, n_grid))
                      for n in range(last + 1)])
+    eps, admissible = eps[steps], np.arange(len(n_grid)) < nlev[steps, None]
+    limit = np.where(admissible, eps[:, None], np.inf)
 
     def at(step, count):
-        steps = np.minimum(np.arange(step, step + count), last)
-        return eps[steps], nlev[steps]
+        s = min(step, last)
+        return eps[s:s + count], admissible[s:s + count], limit[s:s + count]
     return at
 
 
 class _RowScan:
     """Exact mode's lead: per level, the accepted steps in the model's
     ``lead_slots`` and their moment rows.  A block of candidates costs one
-    ``moment_rows`` call and array arithmetic against the lead rows, either
-    with the lead fixed or with it running, as if each candidate of the
-    block were accepted in turn."""
+    ``moment_rows`` call, for the rows not computed yet, and array
+    arithmetic against the lead rows, either with the lead fixed or with it
+    running, as if each candidate of the block were accepted in turn."""
 
     def __init__(self, model, D, n_grid, row):
         self.model, self.D, self.n_grid = model, D, n_grid
         # after step 1 every slot holds step 1
         self.rows = np.repeat(row[:, None], len(model.lead_slots), axis=1)
         self.steps = np.ones(self.rows.shape[:2], dtype=np.int64)
-        # what the last block scan leaves for ``commit`` or ``accept``
+        self._t = np.arange(_BLOCK + 1)[:, None]
+        self._levels = np.arange(len(n_grid))
+        # the rows of candidates _k, _k + 1, ... computed so far
+        self._k, self._ahead = 0, row[None, :0]
+        # what ``running`` leaves for ``commit``
         self._pending = None
 
     def _rows(self, k, count):
-        return self.model.moment_rows(np.arange(k, k + count), self.n_grid,
-                                      self.D)
+        """The rows of candidates k, ..., k + count - 1.  Candidates only
+        move forward, so the rows past the end of a block cut short are
+        kept for the next one."""
+        ahead = self._ahead[k - self._k:]
+        if len(ahead) < count:
+            new = self.model.moment_rows(
+                np.arange(k + len(ahead), k + count), self.n_grid, self.D)
+            ahead = np.concatenate((ahead, new)) if len(ahead) else new
+        self._k, self._ahead = k, ahead
+        return ahead[:count]
 
-    def _leads(self, rows, step):
-        """Lead rows (T + 1, G, S, W) and steps (T + 1, G, S) once the first
-        t of the T ``rows`` are accepted at steps step, step + 1, ..., for
-        t = 0..T: running argmax/argmin by accumulation."""
-        t = np.arange(len(rows) + 1)[:, None]
-        cols = np.arange(rows.shape[1])
-        out_rows = np.empty((len(t),) + self.rows.shape)
-        out_steps = np.empty((len(t),) + self.steps.shape, dtype=np.int64)
+    def _leads(self, rows):
+        """Lead rows (T + 1, G, S, W) once the first t of the T ``rows`` are
+        accepted in turn, for t = 0..T, and where each slot's row comes
+        from: 0 for the current lead, i for rows[i - 1].  Running
+        argmax/argmin by accumulation."""
+        t = self._t[:len(rows) + 1]
+        lead = np.empty((len(t),) + self.rows.shape)
+        pos = np.zeros((len(t),) + self.steps.shape, dtype=np.int64)
         for s, kind in enumerate(self.model.lead_slots):
             stack = np.concatenate((self.rows[None, :, s], rows))
-            if kind == "first":
-                pos = np.zeros(stack.shape[:2], dtype=np.int64)
-            elif kind == "last":
-                pos = t + np.zeros_like(cols)      # (T + 1, G)
-            else:
+            if kind == "last":
+                pos[:, :, s] = t
+            elif kind != "first":
                 key = self.model.lead_key(stack)
                 if kind == "max":    # the earliest of equal maxima
                     new = key[1:] > np.maximum.accumulate(key)[:-1]
                 else:                # the latest of equal minima
                     new = key[1:] <= np.minimum.accumulate(key)[:-1]
-                pos = np.maximum.accumulate(np.where(
-                    np.concatenate((np.ones_like(new[:1]), new)), t, 0))
-            out_rows[:, :, s] = stack[pos, cols]
-            out_steps[:, :, s] = np.where(pos == 0, self.steps[:, s],
-                                          step + pos - 1)
-        return out_rows, out_steps
+                pos[1:, :, s] = np.maximum.accumulate(np.where(new, t[1:], 0))
+            lead[:, :, s] = stack[pos[:, :, s], self._levels]
+        return lead, pos
 
-    def _worst(self, rows, lead_rows, lead_steps):
-        """(value, step) per candidate and level: the inner product of
-        largest modulus over the lead slots, the first of equal moduli."""
-        v = self.model.row_inner_product(lead_rows, rows[:, :, None])
-        at = (np.arange(len(v))[:, None], np.arange(v.shape[1]),
-              np.argmax(np.abs(v), axis=2))
-        return v[at], np.broadcast_to(lead_steps, v.shape)[at]
+    def _worst(self, rows, lead):
+        """Per candidate and level, the inner product of largest modulus
+        over the lead slots, the first of equal moduli, and its slot."""
+        v = self.model.row_inner_product(lead, rows[:, :, None])
+        slot = np.argmax(np.abs(v), axis=2)
+        return v[self._t[:len(v)], self._levels, slot], slot
 
     def running(self, k, count, step):
         """Candidates k, ..., k + count - 1 at steps step, step + 1, ...,
         each against the lead of all the earlier ones accepted."""
         rows = self._rows(k, count)
-        self._pending = self._leads(rows, step)
-        return self._worst(rows, self._pending[0][:-1], self._pending[1][:-1])
+        lead, pos = self._leads(rows)
+        vals, slot = self._worst(rows, lead[:-1])
+        self._pending = lead, pos, slot, step
+        return vals
 
     def commit(self, accepted):
         """The first ``accepted`` candidates of the last ``running`` block
-        were accepted."""
-        self.rows, self.steps = (a[accepted].copy() for a in self._pending)
+        were accepted: the lead moves on, and the result is the step of
+        the predecessor each one's value is with, per level."""
+        lead, pos, slot, step = self._pending
+        pos = pos[:accepted + 1]
+        steps = np.where(pos == 0, self.steps, pos + (step - 1))
+        self.rows, self.steps = lead[accepted].copy(), steps[accepted]
         self._pending = None
+        return steps[self._t[:accepted], self._levels, slot[:accepted]]
 
     def fixed(self, k, count):
         """Candidates k, ..., k + count - 1 against the current lead."""
-        self._pending = rows = self._rows(k, count)
-        return self._worst(rows, self.rows, self.steps)
-
-    def accept(self, c, step):
-        """Candidate ``c`` of the last ``fixed`` block was accepted at
-        ``step``."""
-        rows, steps = self._leads(self._pending[c:c + 1], step)
-        self.rows, self.steps, self._pending = rows[1], steps[1], None
+        return self._worst(self._rows(k, count), self.rows)[0]
 
 
 class _PairScan:
@@ -328,28 +345,29 @@ class _PairScan:
     def __init__(self, model, D, n_grid, indices):
         self.model, self.D, self.n_grid = model, D, n_grid
         self.indices = indices      # the search's list, as it grows
+        self._last = None           # (candidate, predecessors, vals, steps)
 
     def fixed(self, k, count):
         """Candidate k alone, whatever ``count``: a candidate costs an
         oracle call per predecessor and level, too much to spend past the
-        first one accepted."""
-        vals = np.empty((1, len(self.n_grid)))
-        steps = np.empty((1, len(self.n_grid)), dtype=np.int64)
-        for level, N in enumerate(self.n_grid):
-            v = [self.model.pair_inner_product(j, k, N, self.D)
-                 for j in self.indices]
-            best = int(np.argmax(np.abs(v)))    # the first of equal maxima
-            vals[0, level], steps[0, level] = v[best], best + 1
-        return vals, steps
+        first one accepted.  The run that follows a fixed scan starts at
+        the candidate it found, so the last candidate's values are kept."""
+        if self._last is None or self._last[:2] != (k, len(self.indices)):
+            vals = np.empty((1, len(self.n_grid)))
+            steps = np.empty((1, len(self.n_grid)), dtype=np.int64)
+            for level, N in enumerate(self.n_grid):
+                v = [self.model.pair_inner_product(j, k, N, self.D)
+                     for j in self.indices]
+                best = int(np.argmax(np.abs(v)))  # the first of equal maxima
+                vals[0, level], steps[0, level] = v[best], best + 1
+            self._last = k, len(self.indices), vals, steps
+        return self._last[2]
 
     def running(self, k, count, step):
         return self.fixed(k, count)
 
     def commit(self, accepted):
-        pass
-
-    def accept(self, c, step):
-        pass
+        return self._last[3][:accepted]
 
 
 def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
@@ -359,10 +377,14 @@ def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
     The search alternates two block scans.  A run takes candidates k, k + 1,
     ... at consecutive steps, each scored against the lead of the earlier
     ones accepted, and keeps the longest prefix accepted step after step.
-    At a rejection the step stays, and the lead is fixed until the first
-    feasible candidate.  Block sizes double up to ``_BLOCK`` while a block
-    goes one way and restart at one, so a block that is cut short wastes
-    no more than the scans before it did."""
+    At a rejection the step stays and the next run starts after the
+    rejected candidate, so its first candidate is scored against the lead
+    of the steps before.  If that one is rejected too, the lead is fixed
+    until the first feasible candidate, where the next run starts (scored
+    against the same lead, it is accepted).  Block sizes double up to
+    ``_BLOCK`` while a block goes one way and restart at ``_FIRST_BLOCK``;
+    the rows past a cut are kept, so a block cut short wastes only its
+    arithmetic."""
     schedule = _schedule(n_grid, eps_floor)
     # step 1 admits no level: the first candidate is accepted
     indices, thresholds, parts = [start], {1: step_epsilon(1, eps_floor)}, []
@@ -371,13 +393,13 @@ def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
         else _RowScan(model, D, n_grid, rows[0])
     grid = np.array(n_grid, dtype=np.int64)
 
-    def record(first, vals, jsteps, nlev):
+    def record(first, vals, jsteps, admissible):
         """Entries of the candidates accepted at steps first, first + 1,
         ...; detail steps also record every predecessor, after the
         shortcut's entry and keeping its place."""
         detail = max(0, min(len(vals), _DETAIL_STEPS + 1 - first))
         for t in range(detail):
-            step, levels = first + t, n_grid[:nlev[t]]
+            step, levels = first + t, n_grid[:int(admissible[t].sum())]
             keys = dict.fromkeys(zip(jsteps[t].tolist(), [step] * len(levels),
                                      levels))
             keys.update(dict.fromkeys((jstep, step, N) for N in levels
@@ -385,55 +407,55 @@ def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
             j, n, N = np.array(list(keys), dtype=np.int64).reshape(-1, 3).T
             parts.append((j, n, N, _pair_values(model, D, indices[:step],
                                                 n_grid, j, n, N)[:, None]))
-        t, level = np.nonzero(np.arange(len(n_grid)) < nlev[detail:, None])
+        t, level = np.nonzero(admissible[detail:])
         t += detail
         parts.append((jsteps[t, level], first + t, grid[level],
                       vals[t, level][:, None]))
 
-    def over(vals, eps, nlev):
-        """Per candidate, whether some admissible level is violated."""
-        return (np.abs(vals) > eps[:, None]) \
-            & (np.arange(len(n_grid)) < nlev[:, None])
-
-    step, k, size = 2, start + 1, 1
+    first_block = min(_FIRST_BLOCK, _BLOCK)
+    step, k, size = 2, start + 1, first_block
+    # the rejected candidate of least violation at this step
+    best_candidate, best_violation = None, math.inf
     while step <= target_length:
         count = min(size, target_length - step + 1, search_cap - k + 1)
         if count < 1:
             raise ExtractionFailure(step, step_epsilon(step, eps_floor),
-                                    search_cap, None, math.inf)
-        vals, jsteps = scan.running(k, count, step)
-        eps, nlev = schedule(step, len(vals))
-        bad = over(vals, eps, nlev)
+                                    search_cap, best_candidate, best_violation)
+        vals = scan.running(k, count, step)
+        eps, admissible, limit = schedule(step, len(vals))
+        bad = np.abs(vals) > limit
         rejected = bad.any(axis=1)
         p = int(np.argmax(rejected)) if rejected.any() else len(vals)
         indices.extend(range(k, k + p))
         thresholds.update(zip(range(step, step + p), eps[:p].tolist()))
-        record(step, vals[:p], jsteps[:p], nlev[:p])
-        scan.commit(p)
+        record(step, vals[:p], scan.commit(p), admissible[:p])
         step, k = step + p, k + p
+        if p:
+            best_candidate, best_violation = None, math.inf
         if p == len(vals):
             size = min(2 * size, _BLOCK)
             continue
-        # candidate k is rejected at this step: the first feasible one
-        # against the fixed lead is accepted
-        eps, nlev = eps[p:p + 1], nlev[p:p + 1]
-        thresholds[step] = float(eps[0])
-        best_violation = float(abs(vals[p, np.argmax(bad[p])]))
-        best_candidate, k, size = k, k + 1, 1
+        # candidate k is rejected at this step, scored against the lead of
+        # the steps before it
+        violation = float(abs(vals[p, np.argmax(bad[p])]))
+        if violation < best_violation:
+            best_violation, best_candidate = violation, k
+        k, size = k + 1, first_block
+        if p:
+            continue
+        # the first candidate of a run is rejected: the lead stays fixed
+        # until the first feasible candidate, where the next run starts
+        limit = limit[0]
         while True:
             count = min(size, search_cap - k + 1)
             if count < 1:
                 raise ExtractionFailure(step, float(eps[0]), search_cap,
                                         best_candidate, best_violation)
-            vals, jsteps = scan.fixed(k, count)
-            bad = over(vals, eps, nlev)
+            vals = scan.fixed(k, count)
+            bad = np.abs(vals) > limit
             rejected = bad.any(axis=1)
             if not rejected.all():
-                c = int(np.argmin(rejected))
-                indices.append(k + c)
-                record(step, vals[c:c + 1], jsteps[c:c + 1], nlev)
-                scan.accept(c, step)
-                step, k, size = step + 1, k + c + 1, 1
+                k, size = k + int(np.argmin(rejected)), first_block
                 break
             worst = np.abs(vals[np.arange(len(vals)), np.argmax(bad, axis=1)])
             c = int(np.argmin(worst))
@@ -495,6 +517,8 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
     if target_length < 1:
         raise ExtractConfigError("target_length must be >= 1")
     n_grid = tuple(sorted(int(N) for N in n_grid))
+    if len(set(n_grid)) < len(n_grid):
+        raise ExtractConfigError("n_grid repeats a level")
     if eps_floor is None:
         eps_floor = 0.0 if mode == "exact" else 1e-2
     if search_cap is None:

@@ -219,11 +219,6 @@ class IIDModel(SequenceModel):
     def _realize(self, idx, u, u0):
         return self.dist.quantile_array(u), None
 
-    def _trunc_means(self, idx, levels):
-        means = [self.dist.trunc_moment(N, 1) for N in levels]
-        return np.broadcast_to(np.array(means, dtype=float),
-                               (len(idx), len(levels)))
-
     def weak_l2_centering(self, N):
         return self.dist.trunc_moment(float(N), 1)
 

@@ -216,6 +216,8 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     ("extract", {"n_grid": []}),
     ("extract", {"n_grid": [0]}),
     ("extract", {"n_grid": [-4]}),
+    ("extract", {"n_grid": [64, 64, 256]}),
+    ("verify", {"n_grid": [64, 256, 64]}),
     ("extract", {"target_length": None}),
     ("tails", {"m_grid": [0, 2]}),
     ("tails", {"m_grid": [-4, 2]}),
@@ -235,7 +237,8 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
         "verify-gap-probe-negative-epsilon", "hereditary-zero-level",
         "hereditary-decreasing-indices", "hereditary-negative-epsilon",
         "hereditary-no-pattern-long-enough", "extract-empty-grid",
-        "extract-zero-level", "extract-negative-level", "extract-null-length",
+        "extract-zero-level", "extract-negative-level",
+        "extract-repeated-level", "verify-repeated-level", "extract-null-length",
         "tails-zero-level", "tails-negative-level", "tails-infinite-level",
         "tails-zero-feller-level", "tails-three-item-range",
         "tails-expect-not-an-object", "tails-expect-unknown-condition",

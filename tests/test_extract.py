@@ -312,6 +312,15 @@ def test_unknown_mode_rejected_before_any_work():
         greedy_extract(m, 1, (2,), zero_corrector((2,)), mode="bogus")
 
 
+@pytest.mark.parametrize("mode", ["exact", "sample"])
+def test_repeated_level_rejected_before_any_work(mode):
+    # a repeated level would record each of its entries twice
+    m = IIDModel(Pareto1())
+    grid = (64, 64, 256)
+    with pytest.raises(ExtractConfigError, match="repeats a level"):
+        greedy_extract(m, 4, grid, zero_corrector(grid), mode=mode)
+
+
 # -------------------------------------------------------------------------
 # scalar reference: the scan and the re-check one predecessor at a time,
 # against which the row-based search must agree bit for bit.  The exact
