@@ -135,6 +135,7 @@ _CHECKS = (
     ("n_range", lambda r: len(r) == 2 and 1 <= r[0] <= r[1],
      "[lo, hi] with 1 <= lo <= hi"),
     ("reps", lambda R: R >= 1, ">= 1"),
+    ("eps_floor", lambda f: f is None or math.isfinite(f), "finite or null"),
     ("seed", lambda s: 0 <= s < 2**64, "an integer in [0, 2^64)"),
     ("compute_l2", lambda b: isinstance(b, bool), "true or false"),
     ("gap_probe", lambda b: isinstance(b, bool), "true or false"),
@@ -215,9 +216,10 @@ def build_corrector(name: str, model: SequenceModel, n_grid) -> corr.CorrectorSe
     if name == "weak_l2":
         return corr.corrector_weak_l2(model, n_grid)
     if name == "iid":
-        if not hasattr(model, "dist"):
+        # identically distributed without a shared factor: iid
+        if not model.identically_distributed or model.factor_law is not None:
             raise UsageError("corrector 'iid' needs an iid model")
-        return corr.corrector_iid(model.dist, n_grid)
+        return corr.corrector_iid(model.marginal_dist(1), n_grid)
     if name == "independent":
         return corr.corrector_independent(model, n_grid)
     raise UsageError(f"unknown corrector {name!r}")

@@ -242,7 +242,9 @@ class Pareto1(Distribution):
 _HEAD_K = 4096
 
 # Callers ask survival and trunc_moment for the same few levels many times
-# (the gap probe, for one, once per index), and a scipy call on a scalar
+# (``check_feller_necessary`` once per index up to each level, and
+# independent arrays once per coordinate; the gap probe reads one
+# dominating index on every demo model), and a scipy call on a scalar
 # costs more than a table read, so the closed forms behind them are
 # memoised, with a bounded cache.
 _em_cache = lru_cache(maxsize=1024)

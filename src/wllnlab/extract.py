@@ -12,33 +12,29 @@ is admissible at step n when N <= exp(n^2); the level grid is finite, which
 is a documented surrogate for the unbounded family of levels in the
 asymptotic argument.
 
-Exact mode requires a joint-moment oracle (independent coordinates, the
-single-draw tail-vanishing model, the latent-shift factorization, or the
-comonotone coupling); sample mode uses common-random-number Monte Carlo
-estimates with 99% half-widths and accepts only when |estimate| +
-half-width clears the threshold.
+``_schedule`` is the one owner of this rule: the searches, the plan's
+check and the ``thresholds`` object of ``plan.json`` all read eps_n from
+it, and a plan stores no thresholds of its own.  Steps are numbered from
+1, so the predecessor accepted at step j is indices[j - 1].
 
-The scan costs time linear in the candidates it examines; steps are
-numbered from 1, so the predecessor accepted at step j is indices[j - 1].
-Exact mode works on blocks of candidates: ``moment_rows`` gives a window's
-truncated moments at every grid level as one (candidates, levels, width)
-array, a pair's inner product is float arithmetic on two rows, and the
-model's ``lead_slots`` name, per level, the few accepted steps at which the
-largest |inner product| with a later index can sit.  One kernel keeps those
-steps, with running maxima while a run of candidates is accepted step
-after step and a fixed lead while a step rejects them, so the greedy rule
-stays sequential (see ``_exact_search``).  The comonotone coupling has no
-row form and is scanned one candidate at a time, pair by pair.  The plan's
-entries are numpy columns.  ``verify_plan`` builds the plan's rows once and
-recomputes every recorded entry in numpy, in the scalar oracle's order of
-operations, so the values are bit for bit those of
-``exact_centered_inner_product``.
-
-Sample mode estimates all predecessors of a candidate at one level in a
-single vectorised call.  The sample bank holds one row per index, shape
-(horizon, R), C-contiguous, and is reduced along axis 1: that layout makes
-the batched estimates bit-identical to one-row-at-a-time reductions, so a
-plan does not depend on how estimates are grouped.
+Two searches serve the laws, each in time linear in the candidates it
+examines.  A law with moment rows (independent coordinates, the
+single-draw tail-vanishing model, the latent-shift factorization) goes to
+``_exact_search``: ``moment_rows`` gives a block of candidates' truncated
+moments at every level as one (candidates, levels, width) array, a pair's
+inner product is float arithmetic on two rows, and the model's
+``lead_slots`` name, per level, the few accepted steps at which the
+largest |inner product| with a later index can sit.  One kernel keeps
+those steps, running while candidates are accepted step after step and
+fixed while a step rejects them.  Everything else goes to one candidate
+loop, ``_candidate_search``: sample mode, on common-random-number Monte
+Carlo estimates whose |estimate| + 99% half-width must clear eps_n, and
+exact mode under the comonotone coupling, which has no row form and is
+scored with the pair oracle.  Sample estimates reduce a bank of shape
+(indices, R), C-contiguous, along axis 1, so batched estimates are bit
+for bit one-row-at-a-time reductions.  ``verify_plan`` recomputes every
+recorded entry, in exact mode from the plan's rows in the scalar oracle's
+order of operations, bit for bit ``exact_centered_inner_product``.
 """
 
 from __future__ import annotations
@@ -111,22 +107,23 @@ _BANK_REPLICATIONS = 2**63
 
 
 class _SampleBank:
-    """R seeded paths up to a fixed horizon, shared by every estimate.
+    """R seeded paths of the indices first..last, shared by every estimate.
 
-    ``values`` has shape (horizon, R), C-contiguous: row i - 1 holds f_i on
-    every replication.  Estimates reduce gathered rows along axis 1, which
-    sums each row exactly as a one-row reduction does; reducing along axis
-    0 of an (R, P) block would not.
-    """
+    ``values`` has shape (last - first + 1, R), C-contiguous: row i - first
+    holds f_i on every replication.  Estimates reduce gathered rows along
+    axis 1, which sums each row exactly as a one-row reduction does;
+    reducing along axis 0 of an (R, P) block would not."""
 
-    def __init__(self, model: SequenceModel, horizon: int, R: int, seed: int):
+    def __init__(self, model: SequenceModel, first: int, last: int, R: int,
+                 seed: int):
         if R < 100:
             raise ExtractConfigError("sample mode requires R >= 100")
         self.R = int(R)
         self.seed = int(seed)
-        self.values = np.empty((horizon, self.R))
+        self.first = int(first)
+        self.values = np.empty((last - first + 1, self.R))
         factors, r0 = [], 0
-        for vals, f in model.sample_blocks(np.arange(1, horizon + 1), seed,
+        for vals, f in model.sample_blocks(np.arange(first, last + 1), seed,
                                            self.R, first=_BANK_REPLICATIONS):
             self.values[:, r0:r0 + len(vals)] = vals.T
             factors.append(f)
@@ -138,8 +135,9 @@ class _SampleBank:
         f_k with each f_j, j in ``js``, as two arrays aligned with ``js``."""
         # (R,) for a conditional corrector, a scalar otherwise
         d = D.realized([int(N)], self.factors)[..., 0]
-        x = truncate_array(self.values[np.asarray(js, dtype=np.int64) - 1], N) - d
-        y = truncate_array(self.values[k - 1], N) - d
+        rows = np.asarray(js, dtype=np.int64) - self.first
+        x = truncate_array(self.values[rows], N) - d
+        y = truncate_array(self.values[k - self.first], N) - d
         prod = x * y
         est = np.mean(prod, axis=1)
         hw = _Z99 * np.std(prod, axis=1, ddof=1) / math.sqrt(self.R)
@@ -182,7 +180,6 @@ class PlanEntries:
 class ExtractionPlan:
     indices: tuple          # selected indices k_1 < k_2 < ...
     n_grid: tuple           # truncation levels
-    thresholds: dict        # step -> eps_n
     achieved: PlanEntries   # (j_step, n_step, N) with value or (estimate, hw)
     mode: str
     seed: int
@@ -201,10 +198,12 @@ class ExtractionPlan:
                                     else ["estimate", "half_width"])
         order = np.lexsort((e.N, e.n, e.j))
         keys = np.stack((e.j, e.n, e.N), axis=1)[order].tolist()
+        steps = range(1, len(self.indices) + 1)
         return {
             "indices": list(self.indices),
             "n_grid": list(self.n_grid),
-            "thresholds": {str(k): v for k, v in sorted(self.thresholds.items())},
+            "thresholds": dict(zip(map(str, steps),
+                                   self.step_thresholds(steps).tolist())),
             "achieved": list(map(list.__add__, keys,
                                  e.values[order].tolist())),
             "achieved_fields": fields,
@@ -216,6 +215,11 @@ class ExtractionPlan:
             "corrector": self.corrector_ref,
             "sample_R": self.sample_R,
         }
+
+    def step_thresholds(self, steps) -> np.ndarray:
+        """eps_n of each step n in ``steps``, from the step rule."""
+        eps = _schedule(self.n_grid, self.eps_floor)[0]
+        return eps[np.minimum(steps, len(eps) - 1)]
 
 
 def step_epsilon(n: int, eps_floor: float) -> float:
@@ -229,28 +233,19 @@ def admissible_levels(n: int, n_grid) -> list:
 
 
 def _schedule(n_grid, eps_floor):
-    """A function of (step, count): for steps step, ..., step + count - 1,
-    eps_n, the admissible levels as a (count, levels) mask, and the bound
-    |value| must not pass per level, eps_n where admissible and inf
-    elsewhere; ``count`` is at most ``_BLOCK``.  All three are constant
-    from step ``last`` on, where ``step_epsilon`` takes exp(-n^2) as 0 and
-    every level is admissible, so the tables hold ``_BLOCK`` copies of that
-    step's row after the earlier ones, and any block is a slice."""
+    """The step rule as two tables for steps 0, ..., last: ``eps``, eps_n,
+    and ``limit``, per level the bound |value| must not pass, eps_n where
+    the level is admissible and inf elsewhere.  Both are constant from step
+    ``last`` on, where ``step_epsilon`` takes exp(-n^2) as 0 and every
+    level is admissible, so step n reads row min(n, last)."""
     last = 1
     while step_epsilon(last, 0.0) > 0.0 \
             or len(admissible_levels(last, n_grid)) < len(n_grid):
         last += 1
-    steps = np.minimum(np.arange(last + _BLOCK + 1), last)
-    eps = np.array([step_epsilon(n, eps_floor) for n in range(last + 1)])
-    nlev = np.array([len(admissible_levels(n, n_grid))
-                     for n in range(last + 1)])
-    eps, admissible = eps[steps], np.arange(len(n_grid)) < nlev[steps, None]
-    limit = np.where(admissible, eps[:, None], np.inf)
-
-    def at(step, count):
-        s = min(step, last)
-        return eps[s:s + count], admissible[s:s + count], limit[s:s + count]
-    return at
+    eps = [step_epsilon(n, eps_floor) for n in range(last + 1)]
+    limit = [[e if N in admissible_levels(n, n_grid) else math.inf
+              for N in n_grid] for n, e in enumerate(eps)]
+    return np.array(eps), np.array(limit)
 
 
 class _RowScan:
@@ -338,41 +333,10 @@ class _RowScan:
         return self._worst(self._rows(k, count), self.rows)[0]
 
 
-class _PairScan:
-    """A joint law without a row form (the comonotone coupling): one
-    candidate per call, against every predecessor with the pair oracle."""
-
-    def __init__(self, model, D, n_grid, indices):
-        self.model, self.D, self.n_grid = model, D, n_grid
-        self.indices = indices      # the search's list, as it grows
-        self._last = None           # (candidate, predecessors, vals, steps)
-
-    def fixed(self, k, count):
-        """Candidate k alone, whatever ``count``: a candidate costs an
-        oracle call per predecessor and level, too much to spend past the
-        first one accepted.  The run that follows a fixed scan starts at
-        the candidate it found, so the last candidate's values are kept."""
-        if self._last is None or self._last[:2] != (k, len(self.indices)):
-            vals = np.empty((1, len(self.n_grid)))
-            steps = np.empty((1, len(self.n_grid)), dtype=np.int64)
-            for level, N in enumerate(self.n_grid):
-                v = [self.model.pair_inner_product(j, k, N, self.D)
-                     for j in self.indices]
-                best = int(np.argmax(np.abs(v)))  # the first of equal maxima
-                vals[0, level], steps[0, level] = v[best], best + 1
-            self._last = k, len(self.indices), vals, steps
-        return self._last[2]
-
-    def running(self, k, count, step):
-        return self.fixed(k, count)
-
-    def commit(self, accepted):
-        return self._last[3][:accepted]
-
-
 def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
-                  start):
-    """(indices, thresholds, entry chunks) of the exact-mode plan.
+                  start, row):
+    """(indices, entry chunks) of the exact-mode plan of a law with moment
+    rows; ``row`` is the first candidate's.
 
     The search alternates two block scans.  A run takes candidates k, k + 1,
     ... at consecutive steps, each scored against the lead of the earlier
@@ -385,12 +349,11 @@ def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
     ``_BLOCK`` while a block goes one way and restart at ``_FIRST_BLOCK``;
     the rows past a cut are kept, so a block cut short wastes only its
     arithmetic."""
-    schedule = _schedule(n_grid, eps_floor)
+    eps, limit = _schedule(n_grid, eps_floor)
+    last = len(eps) - 1
     # step 1 admits no level: the first candidate is accepted
-    indices, thresholds, parts = [start], {1: step_epsilon(1, eps_floor)}, []
-    rows = model.moment_rows((start,), n_grid, D)
-    scan = _PairScan(model, D, n_grid, indices) if rows is None \
-        else _RowScan(model, D, n_grid, rows[0])
+    indices, parts = [start], []
+    scan = _RowScan(model, D, n_grid, row)
     grid = np.array(n_grid, dtype=np.int64)
 
     def record(first, vals, jsteps, admissible):
@@ -419,16 +382,15 @@ def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
     while step <= target_length:
         count = min(size, target_length - step + 1, search_cap - k + 1)
         if count < 1:
-            raise ExtractionFailure(step, step_epsilon(step, eps_floor),
+            raise ExtractionFailure(step, float(eps[min(step, last)]),
                                     search_cap, best_candidate, best_violation)
         vals = scan.running(k, count, step)
-        eps, admissible, limit = schedule(step, len(vals))
-        bad = np.abs(vals) > limit
+        bound = limit[np.minimum(np.arange(step, step + len(vals)), last)]
+        bad = np.abs(vals) > bound
         rejected = bad.any(axis=1)
         p = int(np.argmax(rejected)) if rejected.any() else len(vals)
         indices.extend(range(k, k + p))
-        thresholds.update(zip(range(step, step + p), eps[:p].tolist()))
-        record(step, vals[:p], scan.commit(p), admissible[:p])
+        record(step, vals[:p], scan.commit(p), np.isfinite(bound[:p]))
         step, k = step + p, k + p
         if p:
             best_candidate, best_violation = None, math.inf
@@ -444,15 +406,12 @@ def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
         if p:
             continue
         # the first candidate of a run is rejected: the lead stays fixed
-        # until the first feasible candidate, where the next run starts
-        limit = limit[0]
-        while True:
-            count = min(size, search_cap - k + 1)
-            if count < 1:
-                raise ExtractionFailure(step, float(eps[0]), search_cap,
-                                        best_candidate, best_violation)
-            vals = scan.fixed(k, count)
-            bad = np.abs(vals) > limit
+        # until the first feasible candidate, where the next run starts (an
+        # exhausted window fails there)
+        bound = bound[0]
+        while k <= search_cap:
+            vals = scan.fixed(k, min(size, search_cap - k + 1))
+            bad = np.abs(vals) > bound
             rejected = bad.any(axis=1)
             if not rejected.all():
                 k, size = k + int(np.argmin(rejected)), first_block
@@ -462,41 +421,77 @@ def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
             if worst[c] < best_violation:
                 best_violation, best_candidate = float(worst[c]), k + c
             k, size = k + len(vals), min(2 * size, _BLOCK)
-    return indices, thresholds, parts
+    return indices, parts
 
 
-def _sample_search(model, target_length, n_grid, D, eps_floor, search_cap,
-                   start, bank):
-    """(indices, thresholds, entry chunks) of the sample-mode plan: per
-    candidate, one vectorised estimate over all predecessors per level."""
-    indices, thresholds, parts = [], {}, []
+def _candidate_search(target_length, n_grid, eps_floor, search_cap, start,
+                      score, record):
+    """(indices, entry chunks) of a plan scanned one candidate at a time.
+    ``score(indices, k, N)`` gives, per predecessor, the amount that must
+    stay within eps_n and what its entry holds, level by level up to the
+    first violated one; ``record(step, scored)`` turns the accepted
+    candidate's (N, amounts, values) per level into entry chunks."""
+    eps, limit = _schedule(n_grid, eps_floor)
+    indices, parts = [], []
     for step in range(1, target_length + 1):
-        eps = step_epsilon(step, eps_floor)
-        thresholds[step] = eps
-        levels = admissible_levels(step, n_grid) if indices else []
+        s = min(step, len(eps) - 1)
+        threshold = float(eps[s])
+        # the first candidate has no predecessor to be scored against
+        levels = n_grid[:int(np.isfinite(limit[s]).sum())] if indices else ()
         best_candidate, best_violation = None, math.inf
         for k in range(indices[-1] + 1 if indices else start, search_cap + 1):
-            worst, records = 0.0, []
+            worst, scored = 0.0, []
             for N in levels:
-                est, hw = bank.estimate(indices, k, N, D)
-                amount = float(np.max(np.abs(est) + hw))
-                records.append((N, est, hw))
+                amounts, values = score(indices, k, N)
+                amount = float(np.max(amounts))
+                scored.append((N, amounts, values))
                 worst = max(worst, amount)
-                if amount > eps:
+                if amount > threshold:
                     break
             else:       # no level is violated: k is accepted
                 break
             if worst < best_violation:
                 best_violation, best_candidate = worst, k
         else:           # the search window is exhausted
-            raise ExtractionFailure(step, eps, search_cap,
+            raise ExtractionFailure(step, threshold, search_cap,
                                     best_candidate, best_violation)
         indices.append(k)
+        parts.extend(record(step, scored))
+    return indices, parts
+
+
+def _sample_scoring(bank, D):
+    """Sample mode's ``score`` and ``record``: the bank's estimates and
+    half-widths, every predecessor recorded."""
+    def score(indices, k, N):
+        est, hw = bank.estimate(indices, k, N, D)
+        return np.abs(est) + hw, (est, hw)
+
+    def record(step, scored):
         js = np.arange(1, step, dtype=np.int64)
-        for N, est, hw in records:
-            parts.append((js, np.full(len(js), step), np.full(len(js), N),
-                          np.stack((est, hw), axis=1)))
-    return indices, thresholds, parts
+        return [(js, np.full(len(js), step), np.full(len(js), N),
+                 np.stack(values, axis=1)) for N, _, values in scored]
+    return score, record
+
+
+def _pair_scoring(model, D):
+    """The comonotone coupling's ``score`` and ``record``: the pair
+    oracle's values.  Per level the first predecessor of largest |value| is
+    recorded, and at detail steps every other one after them."""
+    def score(indices, k, N):
+        v = np.array([model.pair_inner_product(j, k, N, D) for j in indices])
+        return np.abs(v), v
+
+    def record(step, scored):
+        keys = dict.fromkeys((t, int(np.argmax(amounts)))
+                             for t, (_, amounts, _) in enumerate(scored))
+        if step <= _DETAIL_STEPS:
+            keys.update(dict.fromkeys(np.ndindex(len(scored), step - 1)))
+        t, j = np.array(list(keys), dtype=np.int64).reshape(-1, 2).T
+        levels = np.array([N for N, _, _ in scored], dtype=np.int64)
+        vals = np.array([v for _, _, v in scored], ndmin=2)
+        return [(j + 1, np.full(len(j), step), levels[t], vals[t, j][:, None])]
+    return score, record
 
 
 def greedy_extract(model: SequenceModel, target_length: int, n_grid,
@@ -506,12 +501,9 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
                    R: int = 400, min_index: int = 1) -> ExtractionPlan:
     """``min_index`` restricts the candidate pool to indices >= min_index;
     the zero-corrector route starts the search deep enough along the
-    sequence that the truncated energies have already decayed.
-
-    Exact mode scans blocks of candidates against the lead rows (see
-    ``_exact_search``; under the comonotone coupling, one pair oracle call
-    per predecessor and level); sample mode makes one vectorised estimate
-    over all predecessors per candidate and level."""
+    sequence that the truncated energies have already decayed.  A law with
+    moment rows goes to ``_exact_search``, anything else to
+    ``_candidate_search``."""
     if mode not in ("exact", "sample"):
         raise ExtractConfigError(f"unknown mode {mode!r}")
     if target_length < 1:
@@ -521,6 +513,8 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
         raise ExtractConfigError("n_grid repeats a level")
     if eps_floor is None:
         eps_floor = 0.0 if mode == "exact" else 1e-2
+    if not math.isfinite(eps_floor):
+        raise ExtractConfigError("eps_floor must be finite")
     if search_cap is None:
         search_cap = min(model.index_cap,
                          min_index - 1 + target_length + 2 * max(n_grid) + 64)
@@ -531,15 +525,17 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
         raise ExtractConfigError("empty search window: search_cap is below "
                                  "the first candidate index")
 
-    if mode == "exact":
-        indices, thresholds, parts = _exact_search(
-            model, target_length, n_grid, D, eps_floor, search_cap, start)
+    rows = model.moment_rows((start,), n_grid, D) if mode == "exact" \
+        else None
+    if rows is not None:
+        indices, parts = _exact_search(model, target_length, n_grid, D,
+                                       eps_floor, search_cap, start, rows[0])
     else:
-        bank = _SampleBank(model, search_cap, R, seed)
-        indices, thresholds, parts = _sample_search(
-            model, target_length, n_grid, D, eps_floor, search_cap, start,
-            bank)
-    return ExtractionPlan(tuple(indices), n_grid, thresholds,
+        scoring = _pair_scoring(model, D) if mode == "exact" else \
+            _sample_scoring(_SampleBank(model, start, search_cap, R, seed), D)
+        indices, parts = _candidate_search(target_length, n_grid, eps_floor,
+                                           search_cap, start, *scoring)
+    return ExtractionPlan(tuple(indices), n_grid,
                           PlanEntries.from_parts(parts,
                                                  1 if mode == "exact" else 2),
                           mode, int(seed), float(eps_floor), int(search_cap),
@@ -555,9 +551,7 @@ def _violations(plan: ExtractionPlan, keep) -> list:
     amounts = np.abs(e.values[:, 0])
     if plan.mode != "exact":
         amounts = amounts + e.values[:, 1]
-    thresholds = np.zeros(max(plan.thresholds, default=0) + 1)
-    thresholds[list(plan.thresholds)] = list(plan.thresholds.values())
-    bad = keep & (amounts > thresholds[e.n])
+    bad = keep & (amounts > plan.step_thresholds(e.n))
     return list(zip(e.j[bad].tolist(), e.n[bad].tolist(), e.N[bad].tolist()))
 
 
@@ -603,7 +597,8 @@ def verify_plan(plan: ExtractionPlan, model: SequenceModel,
         max_diff = float(np.max(np.abs(_exact_values(plan, model, D)
                                        - e.values[:, 0])))
     elif len(e):
-        bank = _SampleBank(model, plan.search_cap, plan.sample_R, plan.seed)
+        bank = _SampleBank(model, plan.indices[0], plan.indices[-1],
+                           plan.sample_R, plan.seed)
         order = np.lexsort((e.N, e.n))
         n, N = e.n[order], e.N[order]
         cuts = np.flatnonzero((n[1:] != n[:-1]) | (N[1:] != N[:-1])) + 1

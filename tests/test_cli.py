@@ -143,14 +143,47 @@ def test_extract_success_and_failure(tmp_path):
     assert failure["best_violation"] > 0
 
 
+def test_sample_mode_at_a_deep_first_index(tmp_path):
+    # the bank holds the rows of the search window, not of 1..search_cap
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"model": cli._DEMOS["example41"]["model"],
+                     "mode": "sample", "min_index": 10**12,
+                     "target_length": 8, "n_grid": [64, 256],
+                     "sample_R": 100})
+    out = tmp_path / "o"
+    assert main(["extract", "--config", cfg, "--out", str(out)]) == 0
+    plan = json.loads((out / "plan.json").read_text())
+    assert len(plan["indices"]) == 8 and plan["indices"][0] == 10**12
+    check = json.loads((out / "plan_check.json").read_text())
+    assert check["ok"] and check["max_abs_diff"] == 0.0
+
+
+@pytest.mark.parametrize("model, code", [(IID_MODEL, 0), (LATENT_MODEL, 64)],
+                         ids=["iid", "latent-shift"])
+def test_iid_corrector_needs_an_iid_model(tmp_path, capsys, model, code):
+    # latent shift is identically distributed but not independent
+    cfg = write_cfg(tmp_path, "c.json", {"model": model, "target_length": 4,
+                                         "n_grid": [8], "corrector": "iid"})
+    out = tmp_path / "o"
+    assert main(["extract", "--config", cfg, "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err == \
+            "error: corrector 'iid' needs an iid model\n"
+    else:
+        corrector = json.loads((out / "corrector.json").read_text())
+        assert corrector["provenance"] == "iid-truncated-mean"
+
+
 @pytest.mark.parametrize("bad", [
     {"mode": "bogus"},
     {"mode": "sample", "sample_R": 50},
     {"target_length": 0},
     {"search_cap": 10**10},
     {"search_cap": 0},
+    {"eps_floor": float("inf")},
 ], ids=["unknown-mode", "sample-R-below-100", "zero-target-length",
-        "search-cap-above-index-cap", "empty-search-window"])
+        "search-cap-above-index-cap", "empty-search-window",
+        "infinite-eps-floor"])
 def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
     cfg = write_cfg(tmp_path, "bad.json",
                     {"model": TAIL_MODEL, "target_length": 8,
@@ -330,6 +363,18 @@ def test_missing_plan_path_is_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and "no-such-plan.json" in err
+
+
+@pytest.mark.parametrize("plan", [{"n_grid": [16]}, {"indices": ["x"]}],
+                         ids=["no-indices", "non-numeric-index"])
+def test_unreadable_plan_is_usage_error(tmp_path, capsys, plan):
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"model": TAIL_MODEL, "n_grid": [16], "reps": 10,
+                     "plan_path": write_cfg(tmp_path, "plan.json", plan)})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.startswith("error: cannot read plan")
 
 
 def test_verify_violation_exit_code(tmp_path):

@@ -116,17 +116,17 @@ class TestExactInnerProducts:
         m = Example41Model(lambda n: 0.3 + 0.01 * n, joint_law="comonotone")
         D = zero_corrector((8,))
         exact = exact_centered_inner_product(m, 1, 5, 8.0, D)
-        est, hw = _SampleBank(m, 5, 4000, 9).estimate([1], 5, 8.0, D)
+        est, hw = _SampleBank(m, 1, 5, 4000, 9).estimate([1], 5, 8.0, D)
         assert abs(est[0] - exact) <= hw[0] + 1e-12
 
     def test_sample_mode_covers_exact(self):
         dist = FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)])
         m = IIDModel(dist)
         D = zero_corrector((4,))
-        est, hw = _SampleBank(m, 2, 2000, 1).estimate([2], 2, 4.0, D)
+        est, hw = _SampleBank(m, 1, 2, 2000, 1).estimate([2], 2, 4.0, D)
         assert abs(est[0] - 4.0) <= hw[0]
         with pytest.raises(ExtractConfigError):
-            _SampleBank(m, 2, 50, 0)
+            _SampleBank(m, 1, 2, 50, 0)
 
 
 class TestSchedule:
@@ -216,7 +216,7 @@ class TestGreedyExtract:
         grid = (2, 4)
         plan = greedy_extract(m, 4, grid, zero_corrector(grid),
                               mode="sample", search_cap=32, R=400, seed=3)
-        bank = _SampleBank(m, plan.search_cap, plan.sample_R, plan.seed)
+        bank = _SampleBank(m, 1, plan.search_cap, plan.sample_R, plan.seed)
         rows = bank.values[np.array(plan.indices) - 1].T
         probe = np.concatenate([v for v, _ in m.sample_blocks(
             plan.indices, plan.seed, plan.sample_R)])
@@ -250,10 +250,13 @@ class TestPlanChecks:
 
     def test_thresholds_recorded(self, tail_plan):
         _, _, plan = tail_plan
-        for n, eps in plan.thresholds.items():
+        thresholds = {int(n): eps
+                      for n, eps in plan.to_json()["thresholds"].items()}
+        assert list(thresholds) == list(range(1, len(plan.indices) + 1))
+        for n, eps in thresholds.items():
             assert eps == step_epsilon(n, plan.eps_floor)
         for (j, n, N), (v,) in zip(plan.achieved, plan.achieved.values):
-            assert abs(v) <= plan.thresholds[n]
+            assert abs(v) <= thresholds[n]
 
 
 class TestBudgets:
@@ -278,6 +281,27 @@ class TestBudgets:
                 direct += 2.0 * abs(exact_centered_inner_product(
                     m, plan.indices[j - 1], plan.indices[n - 1], 16.0, D))
         assert budget.total == pytest.approx(direct, abs=1e-9)
+
+    def test_head_sum_matches_direct_double_sum(self):
+        # n <= sqrt(log N) puts step 2 in the head from N = 55 on; the
+        # counterexample accepts index 2 there with no admissible level
+        m = model_from_spec(_DEMOS["counterexample"]["model"])
+        grid = (64, 256)
+        D = corrector_weak_l2(m, grid)
+        plan = greedy_extract(m, 64, grid, D)
+        budget = cross_product_budget(plan, m, D, 64)
+        head = tail = 0.0
+        for n in range(2, 65):
+            for j in range(1, n):
+                v = 2.0 * abs(exact_centered_inner_product(
+                    m, plan.indices[j - 1], plan.indices[n - 1], 64.0, D))
+                if n <= math.sqrt(math.log(64)):
+                    head += v
+                else:
+                    tail += v
+        assert head > 0.0
+        assert (budget.head_sum, budget.tail_sum) == (head, tail)
+        assert budget.ok
         assert budget.ok
 
     def test_sum_of_squares_zero_model(self):
@@ -527,10 +551,9 @@ def _reference_greedy(model, target_length, n_grid, D, mode, eps_floor=None,
                          min_index - 1 + target_length + 2 * max(n_grid) + 64)
     bank = _reference_bank(model, search_cap, R, seed) if mode == "sample" else None
     fast = _ReferenceFastExact(model, D) if mode == "exact" else None
-    indices, thresholds, achieved = [], {}, {}
+    indices, achieved = [], {}
     for step in range(1, target_length + 1):
         eps = step_epsilon(step, eps_floor)
-        thresholds[step] = eps
         levels = admissible_levels(step, n_grid)
         start = max(int(min_index), (indices[-1] + 1) if indices else 1)
         chosen, best_candidate, best_violation = None, None, math.inf
@@ -574,7 +597,7 @@ def _reference_greedy(model, target_length, n_grid, D, mode, eps_floor=None,
         indices.append(chosen)
         if fast is not None:
             fast.note_accept(step, chosen, n_grid)
-    return ExtractionPlan(tuple(indices), n_grid, thresholds,
+    return ExtractionPlan(tuple(indices), n_grid,
                           _entries(achieved), mode,
                           int(seed), float(eps_floor), int(search_cap),
                           int(detail_steps), D.provenance,
@@ -591,7 +614,7 @@ def _reference_verify(plan, model, D):
     for (jstep, nstep, N), stored in zip(plan.achieved, stored_values):
         jidx = plan.indices[jstep - 1]
         kidx = plan.indices[nstep - 1]
-        eps = plan.thresholds[nstep]
+        eps = step_epsilon(nstep, plan.eps_floor)
         if plan.mode == "exact":
             stored, = stored
             fresh = _reference_inner_product(model, jidx, kidx, N, D)
@@ -813,7 +836,7 @@ def test_long_plan_memory():
     assert len(plan.indices) == 65536 and check["ok"]
     assert check["checked"] == len(plan.achieved) > 4 * 65536 - 16
     assert check["max_abs_diff"] == 0.0
-    assert peak < 35 * 2**20
+    assert peak < 29 * 2**20
 
 
 def test_unreachable_target_allocates_by_steps_reached():
@@ -883,7 +906,7 @@ def test_row_arithmetic_is_bitwise_the_scalar_oracle(model):
     indices = tuple(range(1, 41, 3))
     pairs = {(j, n, N): 0.0 for n in range(2, len(indices) + 1)
              for j in range(1, n) for N in grid}
-    plan = ExtractionPlan(indices, grid, {}, _entries(pairs), "exact", 0, 0.0,
+    plan = ExtractionPlan(indices, grid, _entries(pairs), "exact", 0, 0.0,
                           40, 0, D.provenance)
     fresh = _exact_values(plan, model, D)
     for oracle in (exact_centered_inner_product, _reference_inner_product):

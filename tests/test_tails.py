@@ -8,6 +8,7 @@ import pytest
 
 from wllnlab.distributions import (
     FiniteDiscrete,
+    HeavyLogLaw,
     Pareto1,
     example41_constant_c,
 )
@@ -141,6 +142,19 @@ def test_tau_sup_integral_union_of_breakpoints():
                      np.array([dists[1].survival(x) for x in t]))
     brute = float(np.sum(t * sup) * (M / 400_000))
     assert got == pytest.approx(brute, abs=1e-3)
+
+
+@pytest.mark.parametrize("M", [10.0, 1e2, 1e3, 1e4])
+def test_tau_sup_integral_heavy_log_array_walk(M):
+    # each survival is (1 - rho) 2c T(floor t): the laws are pointwise
+    # ordered by rho, though the array names no dominating index, so the
+    # breakpoint walk must give the smallest rho's closed form
+    laws = [HeavyLogLaw(rho, symmetric=sym) for rho, sym in
+            ((0.5, True), (0.2, False), (0.7, True), (0.35, False))]
+    m = IndependentArrayModel(laws)
+    assert m.pointwise_sup_index([1, 2, 3, 4]) is None
+    got = tau_sup_integral(m, [1, 2, 3, 4], M)
+    assert got == pytest.approx(laws[1].tau_integral(M), rel=1e-12)
 
 
 class TestConditionChecks:
