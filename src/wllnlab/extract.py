@@ -333,6 +333,17 @@ class _RowScan:
         return self._worst(self._rows(k, count), self.rows)[0]
 
 
+def _entry_keys(step, leads, levels):
+    """(j, n, N) of an exact-mode step's entries: per level the lead's, then
+    at detail steps every predecessor level by level, each key once."""
+    keys = dict.fromkeys(zip(leads, levels))
+    if step <= _DETAIL_STEPS:
+        keys.update(dict.fromkeys((j, N) for N in levels
+                                  for j in range(1, step)))
+    j, N = np.array(list(keys), dtype=np.int64).reshape(-1, 2).T
+    return j, np.full(len(j), step), N
+
+
 def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
                   start, row):
     """(indices, entry chunks) of the exact-mode plan of a law with moment
@@ -357,17 +368,11 @@ def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
     grid = np.array(n_grid, dtype=np.int64)
 
     def record(first, vals, jsteps, admissible):
-        """Entries of the candidates accepted at steps first, first + 1,
-        ...; detail steps also record every predecessor, after the
-        shortcut's entry and keeping its place."""
+        """Entry chunks of the candidates accepted from step ``first`` on."""
         detail = max(0, min(len(vals), _DETAIL_STEPS + 1 - first))
         for t in range(detail):
             step, levels = first + t, n_grid[:int(admissible[t].sum())]
-            keys = dict.fromkeys(zip(jsteps[t].tolist(), [step] * len(levels),
-                                     levels))
-            keys.update(dict.fromkeys((jstep, step, N) for N in levels
-                                      for jstep in range(1, step)))
-            j, n, N = np.array(list(keys), dtype=np.int64).reshape(-1, 3).T
+            j, n, N = _entry_keys(step, jsteps[t].tolist(), levels)
             parts.append((j, n, N, _pair_values(model, D, indices[:step],
                                                 n_grid, j, n, N)[:, None]))
         t, level = np.nonzero(admissible[detail:])
@@ -443,10 +448,9 @@ def _candidate_search(target_length, n_grid, eps_floor, search_cap, start,
             worst, scored = 0.0, []
             for N in levels:
                 amounts, values = score(indices, k, N)
-                amount = float(np.max(amounts))
                 scored.append((N, amounts, values))
-                worst = max(worst, amount)
-                if amount > threshold:
+                worst = max(worst, float(np.max(amounts)))
+                if worst > threshold:
                     break
             else:       # no level is violated: k is accepted
                 break
@@ -475,22 +479,18 @@ def _sample_scoring(bank, D):
 
 
 def _pair_scoring(model, D):
-    """The comonotone coupling's ``score`` and ``record``: the pair
-    oracle's values.  Per level the first predecessor of largest |value| is
-    recorded, and at detail steps every other one after them."""
+    """The comonotone coupling's ``score`` and ``record``: the pair oracle's
+    values; the lead is the first predecessor of largest |value|."""
     def score(indices, k, N):
         v = np.array([model.pair_inner_product(j, k, N, D) for j in indices])
         return np.abs(v), v
 
     def record(step, scored):
-        keys = dict.fromkeys((t, int(np.argmax(amounts)))
-                             for t, (_, amounts, _) in enumerate(scored))
-        if step <= _DETAIL_STEPS:
-            keys.update(dict.fromkeys(np.ndindex(len(scored), step - 1)))
-        t, j = np.array(list(keys), dtype=np.int64).reshape(-1, 2).T
-        levels = np.array([N for N, _, _ in scored], dtype=np.int64)
+        levels = [N for N, _, _ in scored]
+        j, n, N = _entry_keys(step, [int(np.argmax(amounts)) + 1
+                                     for _, amounts, _ in scored], levels)
         vals = np.array([v for _, _, v in scored], ndmin=2)
-        return [(j + 1, np.full(len(j), step), levels[t], vals[t, j][:, None])]
+        return [(j, n, N, vals[np.searchsorted(levels, N), j - 1][:, None])]
     return score, record
 
 

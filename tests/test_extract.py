@@ -281,6 +281,7 @@ class TestBudgets:
                 direct += 2.0 * abs(exact_centered_inner_product(
                     m, plan.indices[j - 1], plan.indices[n - 1], 16.0, D))
         assert budget.total == pytest.approx(direct, abs=1e-9)
+        assert budget.ok
 
     def test_head_sum_matches_direct_double_sum(self):
         # n <= sqrt(log N) puts step 2 in the head from N = 55 on; the
@@ -301,7 +302,6 @@ class TestBudgets:
                     tail += v
         assert head > 0.0
         assert (budget.head_sum, budget.tail_sum) == (head, tail)
-        assert budget.ok
         assert budget.ok
 
     def test_sum_of_squares_zero_model(self):
