@@ -30,15 +30,21 @@ fixed while a step rejects them.  Everything else goes to one candidate
 loop, ``_candidate_search``: sample mode, on common-random-number Monte
 Carlo estimates whose |estimate| + 99% half-width must clear eps_n, and
 exact mode under the comonotone coupling, which has no row form and is
-scored with the pair oracle.  Sample estimates reduce a bank of shape
-(indices, R), C-contiguous, along axis 1, so batched estimates are bit
-for bit one-row-at-a-time reductions.  ``verify_plan`` recomputes every
-recorded entry, in exact mode from the plan's rows in the scalar oracle's
-order of operations, bit for bit ``exact_centered_inner_product``.
+scored with the pair oracle.  The sample bank samples the search window
+once, at most 2^25 values (256 MiB; a larger window is a config error),
+and caches per level the centered truncated rows of the indices accepted
+so far, so an estimate at step n is one product and two reductions over
+n - 1 cached rows.  The rows are C-contiguous (rows, R) and reduced along
+axis 1, so batched estimates are bit for bit one-row-at-a-time
+reductions.  ``verify_plan`` recomputes every recorded entry, in exact
+mode from the plan's rows in the scalar oracle's order of operations, bit
+for bit ``exact_centered_inner_product``, in sample mode from a bank of
+the plan's indices only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -104,44 +110,85 @@ def exact_centered_inner_product(model: SequenceModel, j: int, k: int,
 # which no Monte Carlo probe reads: checking a sample-mode plan with
 # ``wlln_probe`` uses paths the selection was not tuned on
 _BANK_REPLICATIONS = 2**63
+# most values a bank samples: 2^25 doubles, 256 MiB
+_BANK_VALUES = 1 << 25
 
 
 class _SampleBank:
-    """R seeded paths of the indices first..last, shared by every estimate.
+    """R seeded paths of the increasing ``indices``, shared by every
+    estimate under the centering D.
 
-    ``values`` has shape (last - first + 1, R), C-contiguous: row i - first
-    holds f_i on every replication.  Estimates reduce gathered rows along
-    axis 1, which sums each row exactly as a one-row reduction does;
-    reducing along axis 0 of an (R, P) block would not."""
+    ``values`` has shape (R, len(indices)), as ``sample_blocks`` yields it:
+    column c holds f_{indices[c]} on every replication.  Per level N the
+    bank caches the centered rows f_j^{[-N,N]} - D_N of the indices it has
+    scored against (the search's accepted indices in step order, the
+    plan's in the recheck), each computed once, C-contiguous as (rows, R).
+    An estimate multiplies a prefix of the rows by the candidate's
+    centered row and reduces the product along axis 1, once for the mean
+    and once for the squared deviations, in the order of operations of
+    ``np.mean`` and ``np.std(ddof=1)``: each row is summed exactly as a
+    one-row reduction sums it, so estimates do not depend on how many are
+    made together.  Reducing along axis 0 of an (R, rows) block would
+    not."""
 
-    def __init__(self, model: SequenceModel, first: int, last: int, R: int,
-                 seed: int):
+    def __init__(self, model: SequenceModel, indices, R: int, seed: int,
+                 D: CorrectorSeries):
         if R < 100:
             raise ExtractConfigError("sample mode requires R >= 100")
-        self.R = int(R)
-        self.seed = int(seed)
-        self.first = int(first)
-        self.values = np.empty((last - first + 1, self.R))
+        if len(indices) * R > _BANK_VALUES:
+            raise ExtractConfigError(
+                f"sample bank of {len(indices)} indices x R {R} = "
+                f"{len(indices) * R} values exceeds the cap of 2^25 values "
+                f"(256 MiB): lower search_cap or sample_R")
+        self.indices = np.asarray(indices, dtype=np.int64)
+        self.R, self.D = int(R), D
+        self.values = np.empty((self.R, len(self.indices)))
         factors, r0 = [], 0
-        for vals, f in model.sample_blocks(np.arange(first, last + 1), seed,
-                                           self.R, first=_BANK_REPLICATIONS):
-            self.values[:, r0:r0 + len(vals)] = vals.T
+        for vals, f in model.sample_blocks(self.indices, seed, self.R,
+                                           first=_BANK_REPLICATIONS):
+            self.values[r0:r0 + len(vals)] = vals
             factors.append(f)
             r0 += len(vals)
         self.factors = None if factors[0] is None else np.concatenate(factors)
+        # the columns of the indices scored against, in order, and per
+        # level [their centered rows, how many are filled, D_N]
+        self._kept, self._levels = [], {}
 
-    def estimate(self, js, k: int, N: float, D: CorrectorSeries):
+    def _level(self, N: int):
+        """The level's centered rows, filled for every kept column, and
+        D_N: (R,) for a conditional corrector, a scalar otherwise."""
+        level = self._levels.get(N)
+        if level is None:
+            d = self.D.realized([int(N)], self.factors)[..., 0]
+            level = self._levels[N] = [np.empty((0, self.R)), 0, d]
+        rows, filled, d = level
+        kept = len(self._kept)
+        if filled < kept:
+            if len(rows) < kept:     # capacity doubles
+                grown = np.empty((max(kept, 2 * len(rows)), self.R))
+                grown[:filled] = rows[:filled]
+                level[0] = rows = grown
+            rows[filled:kept] = \
+                truncate_array(self.values[:, self._kept[filled:]].T, N) - d
+            level[1] = kept
+        return rows, d
+
+    def estimate(self, kept, k: int, N: int):
         """Estimates and 99% half-widths of the centered inner products of
-        f_k with each f_j, j in ``js``, as two arrays aligned with ``js``."""
-        # (R,) for a conditional corrector, a scalar otherwise
-        d = D.realized([int(N)], self.factors)[..., 0]
-        rows = np.asarray(js, dtype=np.int64) - self.first
-        x = truncate_array(self.values[rows], N) - d
-        y = truncate_array(self.values[k - self.first], N) - d
-        prod = x * y
-        est = np.mean(prod, axis=1)
-        hw = _Z99 * np.std(prod, axis=1, ddof=1) / math.sqrt(self.R)
-        return est, hw
+        f_k with each f_j, j in ``kept``, as two arrays aligned with
+        ``kept``.  Successive calls pass prefixes of one sequence, so the
+        rows already cached are the first ones of ``kept``."""
+        if len(kept) > len(self._kept):
+            self._kept.extend(self.indices.searchsorted(
+                kept[len(self._kept):]).tolist())
+        rows, d = self._level(N)
+        y = truncate_array(self.values[:, self.indices.searchsorted(k)], N) - d
+        prod = rows[:len(kept)] * y
+        est = np.add.reduce(prod, axis=1) / self.R
+        prod -= est[:, None]
+        prod *= prod
+        std = np.sqrt(np.add.reduce(prod, axis=1) / (self.R - 1))
+        return est, _Z99 * std / math.sqrt(self.R)
 
 
 # -------------------------------------------------------------------------
@@ -218,7 +265,7 @@ class ExtractionPlan:
 
     def step_thresholds(self, steps) -> np.ndarray:
         """eps_n of each step n in ``steps``, from the step rule."""
-        eps = _schedule(self.n_grid, self.eps_floor)[0]
+        eps = _schedule(tuple(self.n_grid), self.eps_floor)[0]
         return eps[np.minimum(steps, len(eps) - 1)]
 
 
@@ -232,12 +279,14 @@ def admissible_levels(n: int, n_grid) -> list:
     return [N for N in n_grid if math.log(N) <= float(n) * n]
 
 
-def _schedule(n_grid, eps_floor):
+@functools.lru_cache(maxsize=64)
+def _schedule(n_grid: tuple, eps_floor: float):
     """The step rule as two tables for steps 0, ..., last: ``eps``, eps_n,
     and ``limit``, per level the bound |value| must not pass, eps_n where
     the level is admissible and inf elsewhere.  Both are constant from step
     ``last`` on, where ``step_epsilon`` takes exp(-n^2) as 0 and every
-    level is admissible, so step n reads row min(n, last)."""
+    level is admissible, so step n reads row min(n, last).  Built once per
+    (grid, floor); the tables are read-only."""
     last = 1
     while step_epsilon(last, 0.0) > 0.0 \
             or len(admissible_levels(last, n_grid)) < len(n_grid):
@@ -245,7 +294,10 @@ def _schedule(n_grid, eps_floor):
     eps = [step_epsilon(n, eps_floor) for n in range(last + 1)]
     limit = [[e if N in admissible_levels(n, n_grid) else math.inf
               for N in n_grid] for n, e in enumerate(eps)]
-    return np.array(eps), np.array(limit)
+    tables = np.array(eps), np.array(limit)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 class _RowScan:
@@ -363,18 +415,17 @@ def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
     eps, limit = _schedule(n_grid, eps_floor)
     last = len(eps) - 1
     # step 1 admits no level: the first candidate is accepted
-    indices, parts = [start], []
+    indices, parts, detail_keys = [start], [], []
     scan = _RowScan(model, D, n_grid, row)
     grid = np.array(n_grid, dtype=np.int64)
 
     def record(first, vals, jsteps, admissible):
-        """Entry chunks of the candidates accepted from step ``first`` on."""
+        """Entry chunks of the candidates accepted from step ``first`` on;
+        the keys of detail steps, whose values come after the search."""
         detail = max(0, min(len(vals), _DETAIL_STEPS + 1 - first))
         for t in range(detail):
             step, levels = first + t, n_grid[:int(admissible[t].sum())]
-            j, n, N = _entry_keys(step, jsteps[t].tolist(), levels)
-            parts.append((j, n, N, _pair_values(model, D, indices[:step],
-                                                n_grid, j, n, N)[:, None]))
+            detail_keys.append(_entry_keys(step, jsteps[t].tolist(), levels))
         t, level = np.nonzero(admissible[detail:])
         t += detail
         parts.append((jsteps[t, level], first + t, grid[level],
@@ -426,6 +477,12 @@ def _exact_search(model, target_length, n_grid, D, eps_floor, search_cap,
             if worst[c] < best_violation:
                 best_violation, best_candidate = float(worst[c]), k + c
             k, size = k + len(vals), min(2 * size, _BLOCK)
+    # the detail steps are steps 2, 3, ..., so their entries come first;
+    # one ``moment_rows`` call serves them all
+    if detail_keys:
+        j, n, N = map(np.concatenate, zip(*detail_keys))
+        parts.insert(0, (j, n, N, _pair_values(
+            model, D, indices[:_DETAIL_STEPS], n_grid, j, n, N)[:, None]))
     return indices, parts
 
 
@@ -464,11 +521,11 @@ def _candidate_search(target_length, n_grid, eps_floor, search_cap, start,
     return indices, parts
 
 
-def _sample_scoring(bank, D):
+def _sample_scoring(bank):
     """Sample mode's ``score`` and ``record``: the bank's estimates and
     half-widths, every predecessor recorded."""
     def score(indices, k, N):
-        est, hw = bank.estimate(indices, k, N, D)
+        est, hw = bank.estimate(indices, k, N)
         return np.abs(est) + hw, (est, hw)
 
     def record(step, scored):
@@ -532,7 +589,8 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
                                        eps_floor, search_cap, start, rows[0])
     else:
         scoring = _pair_scoring(model, D) if mode == "exact" else \
-            _sample_scoring(_SampleBank(model, start, search_cap, R, seed), D)
+            _sample_scoring(_SampleBank(model, range(start, search_cap + 1),
+                                        R, seed, D))
         indices, parts = _candidate_search(target_length, n_grid, eps_floor,
                                            search_cap, start, *scoring)
     return ExtractionPlan(tuple(indices), n_grid,
@@ -597,18 +655,17 @@ def verify_plan(plan: ExtractionPlan, model: SequenceModel,
         max_diff = float(np.max(np.abs(_exact_values(plan, model, D)
                                        - e.values[:, 0])))
     elif len(e):
-        bank = _SampleBank(model, plan.indices[0], plan.indices[-1],
-                           plan.sample_R, plan.seed)
+        bank = _SampleBank(model, plan.indices, plan.sample_R, plan.seed, D)
         order = np.lexsort((e.N, e.n))
         n, N = e.n[order], e.N[order]
         cuts = np.flatnonzero((n[1:] != n[:-1]) | (N[1:] != N[:-1])) + 1
-        idx = np.array(plan.indices)
         for group in np.split(order, cuts):
-            est, _ = bank.estimate(idx[e.j[group] - 1],
+            j = e.j[group]
+            est, _ = bank.estimate(plan.indices[:int(j.max())],
                                    plan.indices[e.n[group[0]] - 1],
-                                   e.N[group[0]], D)
+                                   int(e.N[group[0]]))
             max_diff = max(max_diff, float(np.max(np.abs(
-                est - e.values[group, 0]))))
+                est[j - 1] - e.values[group, 0]))))
     violations = _violations(plan, np.ones(len(e), dtype=bool))
     return {"checked": len(e), "max_abs_diff": max_diff,
             "violations": violations, "ok": not violations}

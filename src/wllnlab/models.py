@@ -33,7 +33,7 @@ from .distributions import (
     convolve,
     example41_constant_c,
 )
-from .streams import Positions
+from .streams import Positions, _stream_keys
 
 
 # values per chunk of replications in ``sample_blocks``: about 1 MiB per
@@ -92,9 +92,10 @@ class SequenceModel:
         positions = Positions(np.concatenate(([0], coords)) if self.has_factor
                               else coords)
         per_index = self._per_index(idx)
+        keys = _stream_keys(seed, first, first + R)
         step = max(1, _BLOCK_VALUES // len(idx))
-        for a in range(first, first + R, step):
-            u = positions.uniforms(seed, a, min(first + R, a + step))
+        for a in range(0, R, step):
+            u = positions.draw(keys[a:a + step])
             if self.has_factor:
                 yield self._realize(per_index, u[:, 1:], u[:, 0])
             else:

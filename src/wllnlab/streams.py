@@ -8,9 +8,12 @@ state is w4 * 2^64 + w5 and its increment w6 * 2^64 + w7, made odd; the
 steps are Feistel rounds, so distinct (s, r) get distinct states.  Position
 p is output p, reached with ``advance(p)``, as a ``Generator.random`` double.
 Models read a path's factor at position 0 and f_k at position k, so f_k on
-replication r is a pure function of (s, r, k).  Setting a row's state
-costs about 6 us, an ``advance`` up to 10^15 1.0-1.3 us and a value 3-4.5
-ns (2 vCPU, numpy 2.4), so gaps up to ``_MERGE_GAP`` are drawn through.
+replication r is a pure function of (s, r, k).  ``_stream_keys`` runs
+the chain for a range of replications in one uint64 array pass: 0.14 ms
+for 500 rows, against 4.0 ms for the state dicts one row at a time in
+Python.  Setting a row's state costs about 6 us, an ``advance`` up to
+10^15 1.0-1.3 us and a value 3-4.5 ns (2 vCPU, numpy 2.4), so gaps up to
+``_MERGE_GAP`` are drawn through.
 """
 
 from __future__ import annotations
@@ -21,23 +24,25 @@ import numpy as np
 _MERGE_GAP = 512
 
 
-def _mix(x: int) -> int:
-    x = (x + 0x9E3779B97F4A7C15) % 2**64
-    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9 % 2**64
-    x = (x ^ x >> 27) * 0x94D049BB133111EB % 2**64
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64's output function on uint64 arrays (arithmetic mod 2^64)."""
+    x = x + 0x9E3779B97F4A7C15
+    x = (x ^ x >> 30) * 0xBF58476D1CE4E5B9
+    x = (x ^ x >> 27) * 0x94D049BB133111EB
     return x ^ x >> 31
 
 
-def _stream_state(seed: int, r: int) -> dict:
-    """numpy's state dict for position 0 of stream (seed, r): the w chain."""
-    w2 = seed ^ _mix(r)
-    w3 = r ^ _mix(w2)
-    w4 = w2 ^ _mix(w3)
-    w5 = w3 ^ _mix(w4)
-    w6 = w4 ^ _mix(w5)
-    return {"bit_generator": "PCG64DXSM", "has_uint32": 0, "uinteger": 0,
-            "state": {"state": w4 << 64 | w5,
-                      "inc": w6 << 64 | (w5 ^ _mix(w6)) | 1}}
+def _stream_keys(seed: int, r0: int, r1: int) -> np.ndarray:
+    """w4, w5, w6, w7 of streams (seed, r0), ..., (seed, r1 - 1) as an
+    (r1 - r0, 4) uint64 array: the chain of every row in one array pass."""
+    seed = int(seed)
+    if not (0 <= seed < 2**64 and 0 <= r0 < 2**64 and r0 <= r1 <= 2**64):
+        raise ValueError("need 0 <= seed, r0 < 2^64 and r0 <= r1 <= 2^64")
+    w = [np.full(r1 - r0, seed, dtype=np.uint64),
+         np.uint64(r0) + np.arange(r1 - r0, dtype=np.uint64)]
+    for i in range(2, 8):
+        w.append(w[i - 2] ^ _mix(w[i - 1]))
+    return np.stack(w[4:], axis=1)
 
 
 class Positions:
@@ -65,14 +70,19 @@ class Positions:
     def uniforms(self, seed: int, r0: int, r1: int) -> np.ndarray:
         """(r1 - r0, size) doubles: row i holds the stream of replication
         r0 + i at these positions."""
-        seed = int(seed)
-        if not (0 <= seed < 2**64 and 0 <= r0 <= r1 < 2**64):
-            raise ValueError("need 0 <= seed, r0 <= r1 < 2^64")
-        out = np.empty((r1 - r0, self.size))
+        return self.draw(_stream_keys(seed, r0, r1))
+
+    def draw(self, keys: np.ndarray) -> np.ndarray:
+        """(len(keys), size) doubles: row i holds the stream of the row
+        ``keys[i]`` of ``_stream_keys`` at these positions."""
+        out = np.empty((len(keys), self.size))
         gen = np.random.Generator(np.random.PCG64DXSM(0))
         bitgen = gen.bit_generator
-        for row, r in enumerate(range(r0, r1)):
-            bitgen.state = _stream_state(seed, r)
+        for row, (w4, w5, w6, w7) in enumerate(keys.tolist()):
+            bitgen.state = {"bit_generator": "PCG64DXSM", "has_uint32": 0,
+                            "uinteger": 0, "state": {
+                                "state": w4 << 64 | w5,
+                                "inc": w6 << 64 | w7 | 1}}
             for a, b, skip, span, keep in self._runs:
                 if skip:
                     bitgen.advance(skip)

@@ -158,6 +158,23 @@ def test_sample_mode_at_a_deep_first_index(tmp_path):
     assert check["ok"] and check["max_abs_diff"] == 0.0
 
 
+def test_sample_bank_over_its_cap_is_usage_error(tmp_path, capsys):
+    # a window of 10^9 indices at R = 100 would need 745 GiB: rejected
+    # before the bank is allocated or any path sampled
+    cfg = write_cfg(tmp_path, "c.json",
+                    {"model": {**cli._DEMOS["counterexample"]["model"],
+                               "index_cap": 10**9},
+                     "mode": "sample", "search_cap": 10**9, "sample_R": 100,
+                     "target_length": 8, "n_grid": [64, 256]})
+    out = tmp_path / "o"
+    assert main(["extract", "--config", cfg, "--out", str(out)]) == 64
+    assert capsys.readouterr().err == (
+        "error: sample bank of 1000000000 indices x R 100 = 100000000000 "
+        "values exceeds the cap of 2^25 values (256 MiB): lower search_cap "
+        "or sample_R\n")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+
+
 @pytest.mark.parametrize("model, code", [(IID_MODEL, 0), (LATENT_MODEL, 64)],
                          ids=["iid", "latent-shift"])
 def test_iid_corrector_needs_an_iid_model(tmp_path, capsys, model, code):

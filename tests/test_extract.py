@@ -116,17 +116,17 @@ class TestExactInnerProducts:
         m = Example41Model(lambda n: 0.3 + 0.01 * n, joint_law="comonotone")
         D = zero_corrector((8,))
         exact = exact_centered_inner_product(m, 1, 5, 8.0, D)
-        est, hw = _SampleBank(m, 1, 5, 4000, 9).estimate([1], 5, 8.0, D)
+        est, hw = _SampleBank(m, [1, 5], 4000, 9, D).estimate([1], 5, 8)
         assert abs(est[0] - exact) <= hw[0] + 1e-12
 
     def test_sample_mode_covers_exact(self):
         dist = FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)])
         m = IIDModel(dist)
         D = zero_corrector((4,))
-        est, hw = _SampleBank(m, 1, 2, 2000, 1).estimate([2], 2, 4.0, D)
+        est, hw = _SampleBank(m, [2], 2000, 1, D).estimate([2], 2, 4)
         assert abs(est[0] - 4.0) <= hw[0]
         with pytest.raises(ExtractConfigError):
-            _SampleBank(m, 1, 2, 50, 0)
+            _SampleBank(m, [1, 2], 50, 0, D)
 
 
 class TestSchedule:
@@ -216,14 +216,45 @@ class TestGreedyExtract:
         grid = (2, 4)
         plan = greedy_extract(m, 4, grid, zero_corrector(grid),
                               mode="sample", search_cap=32, R=400, seed=3)
-        bank = _SampleBank(m, 1, plan.search_cap, plan.sample_R, plan.seed)
-        rows = bank.values[np.array(plan.indices) - 1].T
+        bank = _SampleBank(m, plan.indices, plan.sample_R, plan.seed,
+                           zero_corrector(grid))
+        rows = bank.values
         probe = np.concatenate([v for v, _ in m.sample_blocks(
             plan.indices, plan.seed, plan.sample_R)])
         own = np.concatenate([v for v, _ in m.sample_blocks(
             plan.indices, plan.seed, plan.sample_R, first=_BANK_REPLICATIONS)])
         assert np.array_equal(rows, own)
         assert (rows != probe).any(axis=1).mean() > 0.8
+
+    def test_bank_estimates_are_one_row_reductions(self):
+        # the cached centered rows of the kept prefix, conditional D_N, in
+        # any order of levels: each estimate is np.mean / np.std(ddof=1) of
+        # one row, and each level caches the kept rows only
+        m = model_from_spec(_DEMOS["latent-shift"]["model"])
+        grid = (64, 256)
+        D = corrector_weak_l2(m, grid)
+        bank = _SampleBank(m, range(3, 301), 150, 4, D)
+        ref = _reference_bank(m, 300, 150, 4)
+        kept = [3, 9, 12, 30, 31]
+        for n, N, k in [(1, 64, 6), (3, 256, 15), (2, 64, 39), (5, 256, 300),
+                        (4, 64, 21), (5, 64, 33)]:
+            est, hw = bank.estimate(kept[:n], k, N)
+            assert list(zip(est.tolist(), hw.tolist())) == \
+                [_reference_estimate(ref, j, k, N, D) for j in kept[:n]]
+        assert all(len(bank._levels[N][0]) <= 2 * len(kept) for N in grid)
+
+    def test_bank_size_is_capped_before_sampling(self, monkeypatch):
+        assert extract_mod._BANK_VALUES == 2**25    # as documented
+        m = IIDModel(FiniteDiscrete([(-1.0, 0.5), (1.0, 0.5)]))
+        D = zero_corrector((4,))
+        monkeypatch.setattr(extract_mod, "_BANK_VALUES", 1000)
+        assert _SampleBank(m, range(1, 11), 100, 0, D).values.shape == \
+            (100, 10)
+        with pytest.raises(ExtractConfigError, match="11 indices x R 100"):
+            _SampleBank(m, range(1, 12), 100, 0, D)
+        with pytest.raises(ExtractConfigError, match="exceeds the cap"):
+            greedy_extract(m, 4, (4,), D, mode="sample", R=100,
+                           search_cap=11)
 
 
 @pytest.fixture(scope="module")
@@ -669,6 +700,14 @@ _REFERENCE_CASES = [
     pytest.param("latent-shift", 24, (64, 256), "sample",
                  {"seed": 5, "eps_floor": 2.0},
                  id="latent-shift-sample-conditional"),
+    # the benchmark's shape: 127 cached rows per level by the last step
+    pytest.param("counterexample", 128, (64, 256), "sample", {"seed": 3},
+                 id="counterexample-sample-long"),
+    # 23 of 55 candidates rejected, each at the first level: rejected
+    # candidates never enter the bank's cache
+    pytest.param("independent-array", 32, (2, 8, 64), "sample",
+                 {"seed": 3, "eps_floor": 1e-2},
+                 id="independent-array-sample-rejections"),
     pytest.param("counterexample", 512, (64, 256, 1024, 4096), "exact", {},
                  id="counterexample-exact"),
     pytest.param("example41", 512, (64, 256, 1024, 4096), "exact",

@@ -101,6 +101,23 @@ def test_sample_blocks_rejects_bad_indices():
         next(m.sample_blocks([1, 2], 0, 0))
 
 
+def test_stream_keys_once_per_call(monkeypatch):
+    # 2-row chunks, as at the probes' widths: the key chain of all six
+    # replications is run once, and the chunks are what one call draws
+    import wllnlab.models as models_mod
+    calls, keys = [], models_mod._stream_keys
+    monkeypatch.setattr(models_mod, "_stream_keys",
+                        lambda *a: calls.append(a) or keys(*a))
+    m = IIDModel(TWO_POINT)
+    idx = np.arange(1, 2**16 + 1)
+    blocks = [v for v, _ in m.sample_blocks(idx, 3, 6, first=2**63)]
+    assert [len(v) for v in blocks] == [2, 2, 2]
+    assert calls == [(3, 2**63, 2**63 + 6)]
+    for r in range(6):
+        assert np.array_equal(blocks[r // 2][r % 2],
+                              sample_row(m, idx, 3, r=2**63 + r)[0])
+
+
 class TestTailVanishing:
     def test_zero_g(self):
         m = TailVanishingModel(FiniteDiscrete([(0.0, 1.0)]))

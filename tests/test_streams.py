@@ -5,7 +5,7 @@ p of numpy's own PCG64DXSM started from the state and increment that the
 import numpy as np
 import pytest
 
-from wllnlab.streams import _MERGE_GAP, Positions, _stream_state
+from wllnlab.streams import _MERGE_GAP, Positions, _stream_keys
 
 KEYS = [(0, 0), (7, 3), (2**64 - 1, 2**32 + 17), (7, 2**63 + 5)]
 
@@ -57,7 +57,21 @@ def test_states_are_distinct_and_documented():
     assert len(set(got)) == len(keys)
     assert len({state for state, _ in got}) == len(keys)
     for (s, r), (state, inc) in zip(keys, got):
-        assert _stream_state(s, r)["state"] == {"state": state, "inc": inc}
+        w4, w5, w6, w7 = _stream_keys(s, r, r + 1)[0].tolist()
+        assert (w4 << 64 | w5, w6 << 64 | w7 | 1) == (state, inc)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("r0", [0, 2**32 + 17, 2**63, 2**64 - 40])
+def test_vectorised_chain_is_the_scalar_chain(seed, r0):
+    # one uint64 array pass per call gives every row the state and
+    # increment of the documented chain, bit for bit
+    got = _stream_keys(seed, r0, r0 + 39)
+    assert got.shape == (39, 4) and got.dtype == np.uint64
+    for i, (w4, w5, w6, w7) in enumerate(got.tolist()):
+        assert (w4 << 64 | w5, w6 << 64 | w7 | 1) == \
+            documented_state(seed, r0 + i)
+    assert _stream_keys(seed, r0, r0).shape == (0, 4)
 
 
 G = _MERGE_GAP
