@@ -129,8 +129,8 @@ _NUMBER_LISTS = {"m_grid", "n_range", "n_grid", "feller_grid", "indices"}
 _CHECKS = (
     ("n_grid", lambda g: g and min(g) >= 1 and len(set(g)) == len(g),
      "a non-empty list of distinct levels >= 1"),
-    ("m_grid", lambda g: g and all(0 < M < math.inf for M in g),
-     "a non-empty list of finite levels > 0"),
+    ("m_grid", lambda g: g and all(0 < M <= tails_mod.MAX_LEVEL for M in g),
+     f"a non-empty list of levels in (0, {tails_mod.MAX_LEVEL:g}]"),
     ("feller_grid", lambda g: all(N >= 1 for N in g), "a list of levels >= 1"),
     ("n_range", lambda r: len(r) == 2 and 1 <= r[0] <= r[1],
      "[lo, hi] with 1 <= lo <= hi"),
@@ -140,8 +140,8 @@ _CHECKS = (
     ("compute_l2", lambda b: isinstance(b, bool), "true or false"),
     ("gap_probe", lambda b: isinstance(b, bool), "true or false"),
     ("patterns",
-     lambda ps: isinstance(ps, list) and all(p in PATTERNS for p in ps),
-     "a list of thinning patterns out of " + ", ".join(PATTERNS)),
+     lambda ps: isinstance(ps, list) and ps and all(p in PATTERNS for p in ps),
+     "a non-empty list of thinning patterns out of " + ", ".join(PATTERNS)),
     ("expect", lambda e: isinstance(e, dict), "an object of condition: status"),
     ("plan_path", lambda p: p is None or isinstance(p, str), "a string or null"),
 )

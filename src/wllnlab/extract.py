@@ -40,6 +40,10 @@ reductions.  ``verify_plan`` recomputes every recorded entry, in exact
 mode from the plan's rows in the scalar oracle's order of operations, bit
 for bit ``exact_centered_inner_product``, in sample mode from a bank of
 the plan's indices only.
+
+Sample mode certifies nothing: its 99% half-width is a normal
+approximation, 0 for a band no replication hits, and the recheck reads the
+search's own paths, so ``plan_check.json`` cannot catch a false entry.
 """
 
 from __future__ import annotations
@@ -572,12 +576,14 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
         eps_floor = 0.0 if mode == "exact" else 1e-2
     if not math.isfinite(eps_floor):
         raise ExtractConfigError("eps_floor must be finite")
+    if min_index < 1:
+        raise ExtractConfigError("min_index must be >= 1")
     if search_cap is None:
         search_cap = min(model.index_cap,
                          min_index - 1 + target_length + 2 * max(n_grid) + 64)
     if search_cap > model.index_cap:
         raise ExtractConfigError("search_cap exceeds the model's index_cap")
-    start = max(int(min_index), 1)
+    start = int(min_index)
     if search_cap < start:
         raise ExtractConfigError("empty search window: search_cap is below "
                                  "the first candidate index")

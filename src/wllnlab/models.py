@@ -32,6 +32,7 @@ from .distributions import (
     UnsupportedOracleError,
     convolve,
     example41_constant_c,
+    heavy_log_quantile,
 )
 from .streams import Positions, _stream_keys
 
@@ -403,16 +404,7 @@ class Example41Model(SequenceModel):
     def _realize(self, rho, u, u0):
         if self.has_factor:
             u = np.broadcast_to(u0[:, None], (len(u0), len(rho)))
-        # map u through each coordinate's quantile; the conditional law
-        # shared by all coordinates makes this one table lookup for the
-        # few coordinates off the zero atom
-        vals = np.zeros(u.shape)
-        nz = np.flatnonzero(u >= rho)
-        if nz.size:
-            r = rho[nz % len(rho)]
-            v = (u.ravel()[nz] - r) / (1.0 - r)
-            vals.ravel()[nz] = HeavyLogLaw(0.0, self.symmetric).quantile_array(v)
-        return vals, u0
+        return heavy_log_quantile(u, rho, self.symmetric), u0
 
     def weak_l2_centering(self, N):
         if not self.symmetric:

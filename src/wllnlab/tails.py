@@ -26,6 +26,8 @@ import numpy as np
 from .distributions import UnsupportedOracleError
 from .models import SequenceModel
 
+MAX_LEVEL = 1e150  # the oracles square M, which overflows past ~1.34e154
+
 
 @dataclass
 class Verdict:
@@ -79,8 +81,8 @@ class TailProfile:
 def build_tail_profile(model: SequenceModel, m_grid, n_range) -> TailProfile:
     m_grid = tuple(sorted(float(M) for M in m_grid))
     n_range = tuple(sorted(int(n) for n in n_range))
-    if not m_grid or m_grid[0] <= 0:
-        raise ValueError("the M grid must be non-empty and positive")
+    if not m_grid or not all(0 < M <= MAX_LEVEL for M in m_grid):
+        raise ValueError(f"the M grid must be non-empty, in (0, {MAX_LEVEL:g}]")
     if not n_range:
         raise ValueError("empty index window")
     tau, sigma, res = {}, {}, {}

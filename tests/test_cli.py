@@ -272,6 +272,14 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     ("tails", {"m_grid": [0, 2]}),
     ("tails", {"m_grid": [-4, 2]}),
     ("tails", {"m_grid": [1e400]}),
+    ("tails", {"m_grid": [2, 1e160],
+               "model": {"kind": "example41",
+                         "params": {"rho": {"family": "constant",
+                                            "value": 0.5}}}}),
+    ("tails", {"m_grid": [1e300], "model": IID_MODEL}),
+    ("extract", {"min_index": 0}),
+    ("extract", {"min_index": -5}),
+    ("hereditary", {"patterns": []}),
     ("tails", {"feller_grid": [0, 4]}),
     ("tails", {"n_range": [1, 2, 3]}),
     ("tails", {"expect": [1]}),
@@ -290,6 +298,9 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
         "extract-zero-level", "extract-negative-level",
         "extract-repeated-level", "verify-repeated-level", "extract-null-length",
         "tails-zero-level", "tails-negative-level", "tails-infinite-level",
+        "tails-heavy-log-level-overflows", "tails-finite-level-overflows",
+        "extract-zero-min-index", "extract-negative-min-index",
+        "hereditary-no-patterns",
         "tails-zero-feller-level", "tails-three-item-range",
         "tails-expect-not-an-object", "tails-expect-unknown-condition",
         "tails-expect-feller-without-grid", "hereditary-patterns-not-a-list",

@@ -74,7 +74,7 @@ PROBE = {
 KEYS = {
     "tails": {
         "m_grid": (st.lists(st.floats(0.5, 64.0), min_size=1, max_size=4),
-                   bad([0.0], [1e400])),
+                   bad([0.0], [1e400], [1e160])),
         "n_range": (st.tuples(st.integers(1, 4), st.integers(0, 4)).map(
             lambda t: [t[0], t[0] + t[1]]), bad([2, 1], [1, 2, 3])),
         "feller_grid": (st.lists(levels, max_size=3), bad([0])),
@@ -90,13 +90,14 @@ KEYS = {
         "mode": (st.sampled_from(["exact", "sample"]), bad("bogus")),
         "eps_floor": (st.floats(0.0, 0.5), bad()),
         "search_cap": (st.integers(1, 200), bad(0, 10**10)),
-        "min_index": (st.integers(1, 10), bad(10**30)),
+        "min_index": (st.integers(1, 10), bad(10**30, 0, -5)),
         "sample_R": (st.integers(100, 200), bad(50)),
     },
     "verify": {**PROBE, "compute_l2": (st.booleans(), bad("false")),
                "gap_probe": (st.booleans(), bad("false"))},
     "hereditary": {**PROBE, "patterns": (
-        st.lists(st.sampled_from(PATTERNS), max_size=4), bad(["every-5th"]))},
+        st.lists(st.sampled_from(PATTERNS), min_size=1, max_size=4),
+        bad(["every-5th"], []))},
 }
 for keys in KEYS.values():
     keys["model"] = (st.sampled_from(MODELS), st.sampled_from(BAD_MODELS))

@@ -19,9 +19,11 @@ from wllnlab.distributions import (
     HeavyLogLaw,
     Pareto1,
     UnsupportedOracleError,
-    _cond_table,
+    _HEAD_K,
+    _HEAD_QUANTILE,
     convolve,
     example41_constant_c,
+    heavy_log_quantile,
 )
 from wllnlab.verify import wilson_interval
 
@@ -222,10 +224,10 @@ class TestHeavyLogLaw:
 # the Euler-Maclaurin range
 SERIES_LEVELS = (10, 1000, 4095, 4096, 4097, 65536, 10**5, 10**6)
 FAR_LEVELS = (10**6, 10**7, 10**9, 10**12, 10**15)
-# the inverse-CDF table ends at k = 2^19; the walk it replaced stopped 10^7
-# terms further, at 10,524,289
-TABLE_END = 1 << 19
-OLD_WALK_CAP = TABLE_END + 10_000_001
+# an earlier sampler read an inverse-CDF table to k = 2^19 and walked
+# beyond it, stopping at 10,524,289
+OLD_TABLE_END = 1 << 19
+OLD_WALK_CAP = OLD_TABLE_END + 10_000_001
 
 
 def _h_mp(k):
@@ -325,31 +327,85 @@ class TestHeavyLogLawReferences:
         assert peak < 1 << 20
 
 
-def _far_acc_mp(cum_last, total, k):
-    """Conditional P(|X| <= k | X != 0), continued past the inverse-CDF
-    table from its last cumulative mass."""
-    return cum_last + mpmath.sumem(_h_mp, [TABLE_END + 1, k]) / total
+def _cond_cdf_mp(total, k):
+    """Conditional P(|X| <= k | X != 0) = 1 - T(k)/T(1)."""
+    return 1 - _mp_tail(k) / total
+
+
+def _quantile_at(symmetric, v):
+    # rho = 0: the conditional uniform is u itself
+    return float(HeavyLogLaw(0.0, symmetric).quantile_array(np.array([v]))[0])
+
+
+class TestHeadQuantile:
+    # the head table's boundaries, at its two ends and in between
+    KS = (2, 3, 4, 10, 100, 1000, 2047, 4000, 4095, _HEAD_K)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_boundaries_within_two_ulp_of_mpmath(self, series_total_mp,
+                                                 symmetric):
+        # v two ulps below the mpmath boundary after a value draws that
+        # value, two ulps above it draws the next
+        total = series_total_mp
+        with mpmath.workdps(30):
+            for k in self.KS:
+                lo = _cond_cdf_mp(total, k - 1)
+                hi = _cond_cdf_mp(total, k)
+                cuts = [(hi, float(k), float(k + 1))]
+                if symmetric:
+                    half = lo + _h_mp(mpmath.mpf(k)) / (2 * total)
+                    cuts = [(half, float(k), -float(k)),
+                            (hi, -float(k), float(k + 1))]
+                for cut, before, after in cuts:
+                    b = float(cut)
+                    below = np.nextafter(np.nextafter(b, 0.0), 0.0)
+                    above = np.nextafter(np.nextafter(b, 1.0), 1.0)
+                    assert _quantile_at(symmetric, below) == before
+                    assert _quantile_at(symmetric, above) == after
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_draw_allocates_no_table(self, symmetric):
+        u = np.random.default_rng(2).random(1000)
+        tracemalloc.start()
+        try:
+            HeavyLogLaw(0.5, symmetric).quantile_array(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_one_quantile_for_every_zero_mass(self):
+        # an array of zero masses along the last axis gives, column by
+        # column, the law of that column's zero mass
+        u = np.random.default_rng(4).random((200, 3))
+        rho = np.array([0.0, 0.5, 0.97])
+        for symmetric in (True, False):
+            got = heavy_log_quantile(u, rho, symmetric)
+            for col, r in enumerate(rho):
+                want = HeavyLogLaw(r, symmetric).quantile_array(u[:, col])
+                assert np.array_equal(got[:, col], want)
 
 
 class TestFarQuantile:
-    # |value| targets past the table, three of them beyond the old walk's cap
-    TARGETS = (TABLE_END + 1, 600_000, 10**6, 10**7, 2 * 10**7, 10**9, 10**12)
+    # |value| targets past the head table, from its first value on; three
+    # of them beyond the old walk's cap
+    TARGETS = (_HEAD_K + 1, 10**4, 10**5, OLD_TABLE_END + 1, 600_000, 10**6,
+               10**7, 2 * 10**7, 10**9, 10**12)
 
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("target", TARGETS)
     def test_bisection_brackets_v(self, series_total_mp, symmetric, target):
         total = series_total_mp
-        d = HeavyLogLaw(0.0, symmetric)
-        cum_last = mpmath.mpf(float(_cond_table(symmetric)[1][-1]))
         slack = 4 * 2.0 ** -53  # a few ulps of v < 1
         with mpmath.workdps(30):
-            lo = _far_acc_mp(cum_last, total, target - 1)
+            lo = _cond_cdf_mp(total, target - 1)
             step = _h_mp(mpmath.mpf(target)) / total
             for frac in (0.25, 0.75):
                 v = float(lo + frac * step)
-                got = float(d.quantile_array(np.array([v]))[0])
+                got = _quantile_at(symmetric, v)
                 k = int(abs(got))
-                hi_k = _far_acc_mp(cum_last, total, k)
+                assert k > _HEAD_K
+                hi_k = _cond_cdf_mp(total, k)
                 lo_k = hi_k - _h_mp(mpmath.mpf(k)) / total
                 if symmetric:
                     half = lo_k + _h_mp(mpmath.mpf(k)) / (2 * total)
@@ -364,10 +420,10 @@ class TestFarQuantile:
 
     def test_monotone_in_v(self):
         d = HeavyLogLaw(0.0, symmetric=False)
-        top = float(_cond_table(False)[1][-1])
+        top = _HEAD_QUANTILE[False][0][-1]  # F(_HEAD_K)
         v = np.sort(top + (1.0 - top) * np.random.default_rng(5).random(64))
         k = d.quantile_array(v)
-        assert np.all(np.diff(k) >= 0) and k[0] > TABLE_END
+        assert np.all(np.diff(k) >= 0) and k[0] > _HEAD_K
 
 
 def test_convolve():

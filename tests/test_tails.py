@@ -19,6 +19,7 @@ from wllnlab.models import (
     TailVanishingModel,
 )
 from wllnlab.tails import (
+    MAX_LEVEL,
     build_tail_profile,
     check_energy_vanishing,
     check_feller_necessary,
@@ -71,6 +72,12 @@ class TestFunctionals:
         with pytest.raises(ValueError):
             build_tail_profile(ex41(), [-1.0], [1])
 
+    def test_rejects_levels_past_max(self):
+        assert MAX_LEVEL == 1e150  # as documented
+        for M in (1e160, math.inf, math.nan):
+            with pytest.raises(ValueError, match="1e\\+150"):
+                build_tail_profile(ex41(), [2.0, M], [1])
+
 
 def feller_residuals(model, n, m_grid):
     """sigma_n(M) - [(2/M) int_0^M tau_n - tau_n(M)] for M in m_grid, as
@@ -99,6 +106,17 @@ class TestFellerResidual:
         for n in (1, 3, 9):
             for r in feller_residuals(model, n, M_GRID):
                 assert abs(r) <= 1e-9
+
+    @pytest.mark.parametrize("model", [
+        IIDModel(FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)])),
+        IIDModel(Pareto1()),
+        IIDModel(HeavyLogLaw(0.25, symmetric=False)),
+        ex41(0.5),
+    ], ids=["finite", "pareto1", "heavy_log", "example41"])
+    def test_residual_at_the_largest_level(self, model):
+        # each law family stays finite and exact up to the legal maximum
+        for r in feller_residuals(model, 1, (1e6, MAX_LEVEL)):
+            assert abs(r) <= 1e-12
 
 
 class TestProfile:
