@@ -51,8 +51,11 @@ class UsageError(Exception):
 
 def write_json(path: str, obj, compact: bool = False) -> None:
     # only dumps without indentation runs the C encoder; the bulky plan.json
-    # is written that way, every other artifact indented
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) if compact \
+    # is written that way, every other artifact indented.  The compact plan
+    # skips the cycle check: ExtractionPlan.to_json builds a fresh tree of
+    # lists, tuples and scalars, which cannot contain a cycle
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      check_circular=False) if compact \
         else json.dumps(obj, sort_keys=True, indent=2)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")

@@ -243,6 +243,9 @@ class Pareto1(Distribution):
 
 _HEAD_K = 4096
 
+# most breakpoints HeavyLogLaw.survival_breakpoints lists, an 8 MiB array
+_MAX_BREAKPOINTS = 1 << 20
+
 # Callers ask survival and trunc_moment for the same few levels many times
 # (``check_feller_necessary`` once per index up to each level, and
 # independent arrays once per coordinate; the gap probe reads one
@@ -445,6 +448,12 @@ class HeavyLogLaw(Distribution):
         return self._scale * (_tau(m) + _tail(m) * (M * M - float(m) ** 2)) / 2.0
 
     def survival_breakpoints(self, M: float) -> np.ndarray:
+        # every integer in [2, M) is one, so the list is refused past a cap
+        # before anything is allocated
+        if M - 2.0 > _MAX_BREAKPOINTS:
+            raise UnsupportedOracleError(
+                f"heavy-log survival has {math.ceil(M - 2.0):.3g} breakpoints "
+                f"below M = {M:g}, over the cap of 2^20 on a breakpoint walk")
         return np.arange(2.0, M, 1.0) if M > 2 else np.empty(0)
 
     def quantile_array(self, u: np.ndarray) -> np.ndarray:

@@ -242,21 +242,23 @@ class ExtractionPlan:
 
     def to_json(self) -> dict:
         """``achieved`` as rows in key order, the columns named by
-        ``achieved_fields``: [j, n, N, value] exact, [j, n, N, estimate,
-        half_width] sampled."""
+        ``achieved_fields``: (j, n, N, value) exact, (j, n, N, estimate,
+        half_width) sampled.  The rows are tuples zipped from one list per
+        column, which ``json`` writes as arrays; compare them with lists
+        only after a JSON round trip."""
         e = self.achieved
         fields = ["j", "n", "N"] + (["value"] if self.mode == "exact"
                                     else ["estimate", "half_width"])
         order = np.lexsort((e.N, e.n, e.j))
-        keys = np.stack((e.j, e.n, e.N), axis=1)[order].tolist()
+        columns = [col[order].tolist() for col in (e.j, e.n, e.N)] \
+            + e.values[order].T.tolist()
         steps = range(1, len(self.indices) + 1)
         return {
             "indices": list(self.indices),
             "n_grid": list(self.n_grid),
             "thresholds": dict(zip(map(str, steps),
                                    self.step_thresholds(steps).tolist())),
-            "achieved": list(map(list.__add__, keys,
-                                 e.values[order].tolist())),
+            "achieved": list(zip(*columns)),
             "achieved_fields": fields,
             "mode": self.mode,
             "seed": self.seed,

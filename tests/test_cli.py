@@ -37,6 +37,11 @@ IID_MODEL = {"kind": "iid",
              "params": {"dist": {"family": "finite",
                                  "atoms": [[1.0, 0.25], [5.0, 0.75]]}}}
 
+# two heavy-log laws, neither dominating the other's tail functional by name
+HEAVY_LOG_ARRAY = {"kind": "independent_array", "params": {"dists": [
+    {"family": "heavy_log", "rho": 0.5, "symmetric": True},
+    {"family": "heavy_log", "rho": 0.2, "symmetric": False}]}}
+
 
 def write_cfg(tmp_path, name, payload):
     p = tmp_path / name
@@ -238,12 +243,15 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
     ("verify", {"model": TAIL_MODEL, "seed": False, "n_grid": [4],
                 "reps": 10}),
     ("tails", {"model": TAIL_MODEL, "m_grid": [True, 2.0]}),
+    ("tails", {"model": HEAVY_LOG_ARRAY, "n_range": [1, 2],
+               "m_grid": [1e150]}),
 ], ids=["non-numeric-value", "infinite-value", "unsupported-oracle",
         "index-cap-below-grid", "tails-past-rho-table",
         "verify-past-rho-table", "index-cap-above-rho-table",
         "rho-above-one", "rho-below-zero", "zero-index-cap",
         "example41-symmetric-not-boolean", "heavy-log-symmetric-not-boolean",
-        "boolean-length", "boolean-seed", "boolean-in-level-list"])
+        "boolean-length", "boolean-seed", "boolean-in-level-list",
+        "heavy-log-array-walk-past-cap"])
 def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
@@ -552,6 +560,12 @@ def _bits(v):
     return float(v).hex()
 
 
+# SHA-256 of the sample-mode plan.json below: the two-column row layout
+# (estimate, half_width), which no demo plan has
+SAMPLE_PLAN_SHA256 = \
+    "e99243cb62712a9a99b3cc579ca43fa30e55e75b01e5387307d7990b605ea925"
+
+
 def test_plan_json_rows_round_trip(tmp_path):
     # the seed-7 counterexample demo's plan, from the demo's extract stage
     model = model_from_spec(cli._DEMOS["counterexample"]["model"])
@@ -576,6 +590,8 @@ def test_plan_json_rows_round_trip(tmp_path):
     sdir = tmp_path / "sample"
     sdir.mkdir()
     plan = cli._extract_stage(model_from_spec(TAIL_MODEL), cfg, str(sdir))[0]
+    assert hashlib.sha256((sdir / "plan.json").read_bytes()).hexdigest() \
+        == SAMPLE_PLAN_SHA256
     stored = json.loads((sdir / "plan.json").read_text())
     assert stored["achieved_fields"] == ["j", "n", "N", "estimate",
                                          "half_width"]

@@ -2,6 +2,7 @@
 near-orthogonal subsequence search, and the proof-side budget checks."""
 
 import functools
+import hashlib
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ from wllnlab.distributions import (
     UnsupportedOracleError,
     example41_constant_c,
 )
-from wllnlab.cli import _DEMOS
+from wllnlab.cli import _DEMOS, write_json
 from wllnlab.extract import (
     _BANK_REPLICATIONS,
     ExtractConfigError,
@@ -745,6 +746,25 @@ def test_search_matches_scalar_reference(name, length, grid, mode, kwargs):
     assert plan.to_json() == ref.to_json()
     assert list(plan.achieved) == list(ref.achieved)
     assert verify_plan(plan, m, D) == _reference_verify(plan, m, D)
+
+
+# SHA-256 of the compact plan.json of the independent-array-exact case.
+# Every demo plan records only 0.0, so this pins the float text of the
+# value column: 455 entries, all non-zero and 228 of them negative.
+_ARRAY_PLAN_SHA256 = \
+    "8a80f92758b6635fcb6bc6db3a959cb66f6bbeee9ed49ae0be78d06ae284c5a0"
+
+
+def test_independent_array_plan_json_pinned(tmp_path):
+    grid = (2, 8, 64)
+    m = model_from_spec(_REFERENCE_MODELS["independent-array"])
+    plan = greedy_extract(m, 48, grid, zero_corrector(grid), eps_floor=1e-3)
+    values = plan.achieved.values[:, 0]
+    assert (len(plan.achieved), np.count_nonzero(values),
+            np.count_nonzero(values < 0)) == (455, 455, 228)
+    path = tmp_path / "plan.json"
+    write_json(str(path), plan.to_json(), compact=True)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == _ARRAY_PLAN_SHA256
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])

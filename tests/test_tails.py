@@ -2,14 +2,17 @@
 three-valued condition checkers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import wllnlab.distributions as dist_mod
 from wllnlab.distributions import (
     FiniteDiscrete,
     HeavyLogLaw,
     Pareto1,
+    UnsupportedOracleError,
     example41_constant_c,
 )
 from wllnlab.models import (
@@ -173,6 +176,28 @@ def test_tau_sup_integral_heavy_log_array_walk(M):
     assert m.pointwise_sup_index([1, 2, 3, 4]) is None
     got = tau_sup_integral(m, [1, 2, 3, 4], M)
     assert got == pytest.approx(laws[1].tau_integral(M), rel=1e-12)
+
+
+def test_heavy_log_walk_refused_before_allocating():
+    # at M = 1e9 the walk would list about 1e9 breakpoints (8 GB)
+    m = IndependentArrayModel([HeavyLogLaw(0.5), HeavyLogLaw(0.2, False)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(UnsupportedOracleError, match="2\\^20"):
+            tau_sup_integral(m, [1, 2], 1e9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_heavy_log_walk_cap_boundary(monkeypatch):
+    # the breakpoints below M are the integers 2, ..., ceil(M) - 1
+    monkeypatch.setattr(dist_mod, "_MAX_BREAKPOINTS", 8)
+    law = HeavyLogLaw(0.5)
+    assert law.survival_breakpoints(10.0).tolist() == list(range(2, 10))
+    with pytest.raises(UnsupportedOracleError):
+        law.survival_breakpoints(10.5)
 
 
 class TestConditionChecks:
