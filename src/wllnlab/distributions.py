@@ -21,7 +21,8 @@ mass is summed directly, never as the series total minus a prefix, and
 series agree to below 3e-15 relative for M up to 1e15, and the Feller
 residual stays below 1e-15 there.  Sampling reads the same head table: the
 conditional CDF 1 - T(k)/T(1) for k <= 4096, within 7e-17 of mpmath, and a
-bisection on the tail beyond it, so a draw builds no table of its own.
+bisection on the tail beyond it, so a draw builds no table of its own; a
+guide table of 2^13 buckets finds most draws' place in the head.
 """
 
 from __future__ import annotations
@@ -35,6 +36,30 @@ from scipy.special import exp1, expi
 
 class UnsupportedOracleError(Exception):
     """The requested exact computation is not available for this law."""
+
+
+class Scratch:
+    """Work buffers of ``size`` entries that the inverse-CDF kernels reuse
+    from one call to the next, one per dtype (a bool mask, an intp index),
+    each made on first use and lent as a view of the shape asked for.  A
+    sampling loop makes one per call, so its chunks allocate no array of
+    their size."""
+
+    def __init__(self, size: int):
+        self.size, self._buffers = size, {}
+
+    def view(self, dtype, shape) -> np.ndarray:
+        buf = self._buffers.get(dtype)
+        if buf is None:
+            buf = self._buffers[dtype] = np.empty(self.size, dtype=dtype)
+        return buf[:math.prod(shape)].reshape(shape)
+
+
+def _buffers(u, out, scratch):
+    """``u`` as a float array, ``out`` and ``scratch``, each made when None."""
+    u = np.asarray(u, dtype=float)
+    return (u, np.empty(u.shape) if out is None else out,
+            Scratch(u.size) if scratch is None else scratch)
 
 
 class Distribution:
@@ -61,7 +86,11 @@ class Distribution:
     def tau_integral(self, M: float) -> float:
         raise NotImplementedError
 
-    def quantile_array(self, u: np.ndarray) -> np.ndarray:
+    def quantile_array(self, u: np.ndarray, out: np.ndarray | None = None,
+                       scratch: Scratch | None = None) -> np.ndarray:
+        """The law's values at the uniforms ``u``, written into ``out`` (a
+        C-contiguous float array of u's shape, allocated when None) and
+        returned; ``scratch`` lends the kernel its work buffers."""
         raise NotImplementedError
 
     # breakpoints of the survival step function on [0, M]; None means the
@@ -135,15 +164,22 @@ class FiniteDiscrete(Distribution):
     def survival_breakpoints(self, M: float) -> np.ndarray:
         return self._abs_vals[self._abs_vals < M]
 
-    def quantile_array(self, u: np.ndarray) -> np.ndarray:
+    def quantile_array(self, u, out=None, scratch=None):
         # the atom index is the count of cumulative masses below the last
         # that are <= u; one comparison pass per atom counts it about six
         # times faster than a binary search per value on the few-atom
-        # tables the models use, at a cost that grows with the atom count
-        idx = np.zeros(np.shape(u), dtype=np.min_scalar_type(len(self._cum)))
-        for c in self._cum[:-1]:
-            idx += u >= c
-        return self._values[idx]
+        # tables the models use, at a cost that grows with the atom count.
+        # ``take`` gathers from an intp index without a buffered copy; a
+        # fancy index or a narrower index type converts it first.  With one
+        # atom cum[0] is 1, above every u, and ``clip`` would keep index 0
+        u, out, scratch = _buffers(u, out, scratch)
+        idx = scratch.view(np.intp, u.shape)
+        np.greater_equal(u, self._cum[0], out=idx, casting="unsafe")
+        if len(self._cum) > 2:
+            mask = scratch.view(bool, u.shape)
+            for c in self._cum[1:-1]:
+                np.add(idx, np.greater_equal(u, c, out=mask), out=idx)
+        return np.take(self._values, idx, out=out, mode="clip")
 
     def tau_envelope(self):
         b = self.max_abs_value
@@ -200,8 +236,10 @@ class Pareto1(Distribution):
             return M * M / 2.0
         return s * s / 2.0 + s * (M - s)
 
-    def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        return self.scale / (1.0 - u)
+    def quantile_array(self, u, out=None, scratch=None):
+        u = np.asarray(u, dtype=float)
+        out = np.empty(u.shape) if out is None else out
+        return np.divide(self.scale, np.subtract(1.0, u, out=out), out=out)
 
     def tau_positive_limsup(self):
         return (
@@ -345,11 +383,20 @@ def example41_constant_c() -> float:
     return 0.5 / _SERIES_TOTAL
 
 
-def _head_quantile_table(symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(bounds, values) of the law given X != 0, which does not depend on
-    rho: v in [bounds[i-1], bounds[i]) takes values[i], the last standing
-    for |X| > _HEAD_K.  The CDF after |X| = k is F(k) = 1 - T(k)/T(1); the
-    symmetric law puts +k before -k, each with half the mass."""
+# the guide table's buckets [j, j + 1) / 2^_GUIDE_BITS of the conditional
+# uniform v: v * 2^_GUIDE_BITS is exact, so a bucket is read off v exactly
+_GUIDE_BITS = 13
+
+
+def _head_quantile_table(symmetric: bool):
+    """(bounds, values, guide) of the law given X != 0, which does not
+    depend on rho: v in [bounds[i-1], bounds[i]) takes values[i], the last
+    standing for |X| > _HEAD_K.  The CDF after |X| = k is F(k) = 1 - T(k)/T(1);
+    the symmetric law puts +k before -k, each with half the mass.
+
+    ``guide`` is the indexed search of Chen & Asau (1974): entry j is i
+    for every v in bucket j when no bound lies inside the bucket, and -1
+    when one does; a last -1 entry stands for v = 1."""
     t = np.array(_HEAD_T[1:])  # T(1), ..., T(_HEAD_K)
     k = np.arange(2.0, _HEAD_K + 1.0)
     bounds = 1.0 - t[1:] / _SERIES_TOTAL
@@ -357,7 +404,11 @@ def _head_quantile_table(symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
         half = 1.0 - (t[:-1] + t[1:]) / (2.0 * _SERIES_TOTAL)
         bounds = np.column_stack([half, bounds]).ravel()
         k = np.column_stack([k, -k]).ravel()
-    return bounds, np.append(k, np.nan)
+    edges = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
+    first = np.searchsorted(bounds, edges[:-1], side="right")
+    last = np.searchsorted(bounds, edges[1:], side="left")
+    guide = np.append(np.where(first == last, first, -1), -1)
+    return bounds, np.append(k, np.nan), guide
 
 
 _HEAD_QUANTILE = {s: _head_quantile_table(s) for s in (False, True)}
@@ -380,19 +431,28 @@ def _quantile_beyond_head(v: float, symmetric: bool) -> float:
     return k
 
 
-def heavy_log_quantile(u: np.ndarray, rho, symmetric: bool) -> np.ndarray:
+def heavy_log_quantile(u: np.ndarray, rho, symmetric: bool, out=None,
+                       scratch: Scratch | None = None) -> np.ndarray:
     """The heavy-log law with zero mass ``rho`` (a scalar, or one per entry
     of the last axis of ``u``) at the uniforms ``u``: u < rho is 0, and
-    v = (u - rho) / (1 - rho) is the uniform of the conditional law."""
-    u = np.asarray(u, dtype=float)
+    v = (u - rho) / (1 - rho) is the uniform of the conditional law.
+    ``out`` may be ``u`` itself; otherwise as in ``quantile_array``.
+
+    The head is read through a guide table of 2^13 buckets: about 98% of
+    the v fall in a bucket no bound enters and take its entry; the rest,
+    and v = 1, take the binary search."""
+    u, out, scratch = _buffers(u, out, scratch)
     rho = np.atleast_1d(rho)
-    out = np.zeros(u.shape)
-    nz = np.flatnonzero(u >= rho)
+    nz = np.flatnonzero(np.greater_equal(u, rho,
+                                         out=scratch.view(bool, u.shape)))
+    r = rho[nz % len(rho)]
+    v = (u.ravel()[nz] - r) / (1.0 - r)  # read before ``out`` is written
+    out.fill(0.0)
     if nz.size:
-        r = rho[nz % len(rho)]
-        v = (u.ravel()[nz] - r) / (1.0 - r)
-        bounds, values = _HEAD_QUANTILE[symmetric]
-        idx = np.searchsorted(bounds, v, side="right")
+        bounds, values, guide = _HEAD_QUANTILE[symmetric]
+        idx = guide[(v * (1 << _GUIDE_BITS)).astype(np.intp)]
+        near = np.flatnonzero(idx < 0)
+        idx[near] = np.searchsorted(bounds, v[near], side="right")
         picked = values[idx]
         for pos in np.flatnonzero(idx == len(bounds)):
             picked[pos] = _quantile_beyond_head(float(v[pos]), symmetric)
@@ -456,8 +516,8 @@ class HeavyLogLaw(Distribution):
                 f"below M = {M:g}, over the cap of 2^20 on a breakpoint walk")
         return np.arange(2.0, M, 1.0) if M > 2 else np.empty(0)
 
-    def quantile_array(self, u: np.ndarray) -> np.ndarray:
-        return heavy_log_quantile(u, self.rho, self.symmetric)
+    def quantile_array(self, u, out=None, scratch=None):
+        return heavy_log_quantile(u, self.rho, self.symmetric, out, scratch)
 
     def tau_envelope(self):
         s = self._scale

@@ -29,6 +29,7 @@ from .distributions import (
     FiniteDiscrete,
     HeavyLogLaw,
     Pareto1,
+    Scratch,
     UnsupportedOracleError,
     convolve,
     example41_constant_c,
@@ -37,8 +38,10 @@ from .distributions import (
 from .streams import Positions, _stream_keys
 
 
-# values per chunk of replications in ``sample_blocks``: about 1 MiB per
-# (B, n) array, whatever R and n are
+# values per chunk of replications in ``sample_blocks``: whatever R and n
+# are, each call holds a 1 MiB (B, n) array of uniforms and one of values,
+# both allocated once and refilled chunk after chunk, plus the kernels'
+# scratch (a 128 KiB mask and a 1 MiB index)
 _BLOCK_VALUES = 1 << 17
 
 
@@ -85,7 +88,12 @@ class SequenceModel:
         for models without a factor.  The uniform behind f_k on replication
         r is position k of stream (seed, r) and the factor's is position 0
         (see ``streams``), so sampling ``idx[s]`` gives the columns ``s`` of
-        sampling ``idx``, whichever replications are requested."""
+        sampling ``idx``, whichever replications are requested.
+
+        The call allocates its chunk buffers once and refills them for
+        every chunk: a yielded ``values`` is a view that is valid until the
+        next iteration, so a caller that keeps it copies it.  ``factors``
+        is a fresh array each chunk."""
         if not 0 <= first < first + R:
             raise ValueError("need replications 0 <= first < first + R")
         idx = self._checked_indices(indices)
@@ -95,21 +103,31 @@ class SequenceModel:
         per_index = self._per_index(idx)
         keys = _stream_keys(seed, first, first + R)
         step = max(1, _BLOCK_VALUES // len(idx))
+        rows = min(step, R)
+        u = np.empty((rows, positions.size))
+        values = np.empty((rows, len(idx)))
+        scratch = Scratch(values.size)
         for a in range(0, R, step):
-            u = positions.draw(keys[a:a + step])
+            b = min(step, R - a)
+            positions.draw(keys[a:a + b], out=u[:b])
             if self.has_factor:
-                yield self._realize(per_index, u[:, 1:], u[:, 0])
+                yield self._realize(per_index, u[:b, 1:], u[:b, 0],
+                                    values[:b], scratch)
             else:
-                yield self._realize(per_index, u, None)
+                yield self._realize(per_index, u[:b], None, values[:b],
+                                    scratch)
 
     def _per_index(self, idx: np.ndarray):
         """What ``_realize`` needs of the indices, computed once per call."""
         return idx
 
-    def _realize(self, per_index, u: np.ndarray, u0):
-        """(values, factors) from coordinate uniforms ``u`` (B, n; B by 0
-        without coordinate noise) and factor uniforms ``u0`` (B,; None
-        without a factor)."""
+    def _realize(self, per_index, u: np.ndarray, u0, out: np.ndarray,
+                 scratch: Scratch):
+        """(out, factors): the values written into ``out`` (B, n) from
+        coordinate uniforms ``u`` (B, n; B by 0 without coordinate noise)
+        and factor uniforms ``u0`` (B,; None without a factor), with the
+        kernels' work buffers from ``scratch``.  ``u`` and ``u0`` are views
+        of the uniform buffer, so ``factors`` must not be one."""
         raise NotImplementedError
 
     def _checked_indices(self, indices) -> np.ndarray:
@@ -218,8 +236,8 @@ class IIDModel(SequenceModel):
         self._check_index(n)
         return self.dist
 
-    def _realize(self, idx, u, u0):
-        return self.dist.quantile_array(u), None
+    def _realize(self, idx, u, u0, out, scratch):
+        return self.dist.quantile_array(u, out, scratch), None
 
     def weak_l2_centering(self, N):
         return self.dist.trunc_moment(float(N), 1)
@@ -239,11 +257,10 @@ class IndependentArrayModel(SequenceModel):
         self._check_index(n)
         return self.dists[n - 1]
 
-    def _realize(self, idx, u, u0):
-        vals = np.empty_like(u)
+    def _realize(self, idx, u, u0, out, scratch):
         for col, i in enumerate(idx):
-            vals[:, col] = self.dists[i - 1].quantile_array(u[:, col])
-        return vals, None
+            out[:, col] = self.dists[i - 1].quantile_array(u[:, col])
+        return out, None
 
     def weak_l2_centering(self, N):
         means = [d.trunc_moment(float(N), 1) for d in self.dists]
@@ -301,9 +318,15 @@ class TailVanishingModel(SequenceModel):
         self._check_index(n)
         return _TailRestricted(self.g_dist, n)
 
-    def _realize(self, idx, u, u0):
+    def _per_index(self, idx):
+        return idx.astype(float)  # what |g| is compared with
+
+    def _realize(self, idx, u, u0, out, scratch):
         g = self.g_dist.quantile_array(u0)
-        return np.where(np.abs(g)[:, None] > idx, g[:, None], 0.0), g
+        out.fill(0.0)
+        np.copyto(out, g[:, None], where=np.greater(
+            np.abs(g)[:, None], idx, out=scratch.view(bool, out.shape)))
+        return out, g
 
     def weak_l2_centering(self, N):
         # truncated moments vanish once the index passes the level, so the
@@ -401,10 +424,12 @@ class Example41Model(SequenceModel):
     def _per_index(self, idx):
         return self.rho_array(idx)
 
-    def _realize(self, rho, u, u0):
+    def _realize(self, rho, u, u0, out, scratch):
         if self.has_factor:
-            u = np.broadcast_to(u0[:, None], (len(u0), len(rho)))
-        return heavy_log_quantile(u, rho, self.symmetric), u0
+            # every coordinate reads the shared uniform, in place
+            np.copyto(out, u0[:, None])
+            u, u0 = out, u0.copy()
+        return heavy_log_quantile(u, rho, self.symmetric, out, scratch), u0
 
     def weak_l2_centering(self, N):
         if not self.symmetric:
@@ -516,11 +541,11 @@ class LatentShiftModel(SequenceModel):
         self._check_index(n)
         return self._marginal
 
-    def _realize(self, idx, u, u0):
+    def _realize(self, idx, u, u0, out, scratch):
         b = self.factor_dist.quantile_array(u0)
-        vals = self.noise_dist.quantile_array(u)
-        vals += b[:, None]
-        return vals, b
+        self.noise_dist.quantile_array(u, out, scratch)
+        out += b[:, None]
+        return out, b
 
     def conditional_trunc_moment(self, b: float, N: float, order: int) -> float:
         """E((b + eta)^order 1{|b + eta| <= N})."""

