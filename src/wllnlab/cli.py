@@ -49,14 +49,8 @@ class UsageError(Exception):
 # deterministic serialization
 # -------------------------------------------------------------------------
 
-def write_json(path: str, obj, compact: bool = False) -> None:
-    # only dumps without indentation runs the C encoder; the bulky plan.json
-    # is written that way, every other artifact indented.  The compact plan
-    # skips the cycle check: ExtractionPlan.to_json builds a fresh tree of
-    # lists, tuples and scalars, which cannot contain a cycle
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      check_circular=False) if compact \
-        else json.dumps(obj, sort_keys=True, indent=2)
+def write_json(path: str, obj) -> None:
+    text = json.dumps(obj, sort_keys=True, indent=2)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
 
@@ -130,8 +124,9 @@ _NUMBERS = {"seed": int, "target_length": int, "search_cap": int,
 _NUMBER_LISTS = {"m_grid", "n_range", "n_grid", "feller_grid", "indices"}
 # config keys, the condition a resolved value must meet, and its wording
 _CHECKS = (
-    ("n_grid", lambda g: g and min(g) >= 1 and len(set(g)) == len(g),
-     "a non-empty list of distinct levels >= 1"),
+    ("n_grid", lambda g: g and 1 <= min(g) <= max(g) < 2**63
+     and len(set(g)) == len(g),
+     "a non-empty list of distinct levels in [1, 2^63)"),
     ("m_grid", lambda g: g and all(0 < M <= tails_mod.MAX_LEVEL for M in g),
      f"a non-empty list of levels in (0, {tails_mod.MAX_LEVEL:g}]"),
     ("feller_grid", lambda g: all(N >= 1 for N in g), "a list of levels >= 1"),
@@ -298,7 +293,9 @@ def _extract_stage(model: SequenceModel, cfg: dict, out: str):
                           mode=cfg["mode"], eps_floor=cfg["eps_floor"],
                           search_cap=cfg["search_cap"], seed=cfg["seed"],
                           R=cfg["sample_R"], min_index=cfg["min_index"])
-    write_json(os.path.join(out, "plan.json"), plan.to_json(), compact=True)
+    with open(os.path.join(out, "plan.json"), "w", encoding="utf-8",
+              newline="") as fh:
+        plan.write_json(fh)
     write_json(os.path.join(out, "corrector.json"), D.to_json())
     check = verify_plan(plan, model, D)
     write_json(os.path.join(out, "plan_check.json"), _jsonable(check))

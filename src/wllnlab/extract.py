@@ -49,6 +49,8 @@ search's own paths, so ``plan_check.json`` cannot catch a false entry.
 from __future__ import annotations
 
 import functools
+import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -66,6 +68,12 @@ _BLOCK = 2048
 _FIRST_BLOCK = 8
 # slack of the proof-side bounds for rounding in the oracle sums
 _TOLERANCE = 1e-9
+# rows of a growing member of plan.json encoded at once
+_WRITE_ROWS = 1024
+# plan.json's encoder: sorted keys, no whitespace.  It encodes batches built
+# fresh from scalars, which hold no cycle, so it skips the cycle check
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           check_circular=False).encode
 
 
 def truncate_array(x: np.ndarray, N: float) -> np.ndarray:
@@ -200,25 +208,35 @@ class _SampleBank:
 # -------------------------------------------------------------------------
 
 class PlanEntries:
-    """The recorded inner products in insertion order, as parallel columns:
-    predecessor step ``j``, step ``n`` and level ``N`` (int64), and
-    ``values``, one row per entry: [value] in exact mode, [estimate,
-    half_width] in sample mode.  Iterating yields the keys (j, n, N)."""
+    """The recorded inner products in key order, sorted by (j, n, N), as
+    parallel columns: predecessor step ``j``, step ``n`` and level ``N``
+    (int64), and ``values``, one row per entry: [value] in exact mode,
+    [estimate, half_width] in sample mode.  Iterating yields the keys
+    (j, n, N)."""
 
     def __init__(self, j, n, N, values):
         self.j, self.n, self.N, self.values = j, n, N, values
 
     @classmethod
     def from_parts(cls, parts: list, width: int) -> "PlanEntries":
-        """One column per field from chunks (j, n, N, values) of the same
-        layout; ``width`` is the number of value fields.  Empties ``parts``,
-        so the chunks of each column are freed once it is joined."""
+        """The entries of chunks (j, n, N, values) of the same layout, put
+        in key order; ``width`` is the number of value fields.  The searches
+        give the chunks in step order and a predecessor's entries within a
+        step in level order, so a stable sort by j alone, a merge of a few
+        runs, finishes the order.  Empties ``parts``, so the chunks of each
+        column are freed once it is joined, and reorders one column at a
+        time."""
         if not parts:
             empty = np.empty(0, dtype=np.int64)
             return cls(empty, empty, empty, np.empty((0, width)))
         columns = [list(col) for col in zip(*parts)]
         parts.clear()
-        return cls(*(np.concatenate(columns.pop(0)) for _ in range(4)))
+        for c in range(4):
+            columns[c] = np.concatenate(columns[c])
+        order = np.argsort(columns[0], kind="stable")
+        for c in range(4):
+            columns[c] = columns[c][order]
+        return cls(*columns)
 
     def __len__(self) -> int:
         return len(self.j)
@@ -240,26 +258,33 @@ class ExtractionPlan:
     corrector_ref: str
     sample_R: int = 0
 
-    def to_json(self) -> dict:
-        """``achieved`` as rows in key order, the columns named by
-        ``achieved_fields``: (j, n, N, value) exact, (j, n, N, estimate,
-        half_width) sampled.  The rows are tuples zipped from one list per
-        column, which ``json`` writes as arrays; compare them with lists
-        only after a JSON round trip."""
-        e = self.achieved
-        fields = ["j", "n", "N"] + (["value"] if self.mode == "exact"
-                                    else ["estimate", "half_width"])
-        order = np.lexsort((e.N, e.n, e.j))
-        columns = [col[order].tolist() for col in (e.j, e.n, e.N)] \
-            + e.values[order].T.tolist()
-        steps = range(1, len(self.indices) + 1)
-        return {
-            "indices": list(self.indices),
-            "n_grid": list(self.n_grid),
-            "thresholds": dict(zip(map(str, steps),
-                                   self.step_thresholds(steps).tolist())),
-            "achieved": list(zip(*columns)),
-            "achieved_fields": fields,
+    def write_json(self, fh) -> None:
+        """Write ``plan.json`` to the text file ``fh``: the bytes of
+        ``json.dumps(tree, sort_keys=True, separators=(",", ":"))`` and a
+        newline, where ``achieved`` holds the entries as rows in key order,
+        their columns named by ``achieved_fields``: (j, n, N, value) exact,
+        (j, n, N, estimate, half_width) sampled.  The members that grow with
+        the plan (``achieved``, ``indices`` and ``thresholds``, whose keys
+        are the steps as strings, in string order) are encoded
+        ``_WRITE_ROWS`` rows at a time from slices of the plan's columns,
+        so writing holds one batch beside the plan at any length."""
+        e, length = self.achieved, len(self.indices)
+        steps = _string_order(length)
+
+        def rows(a, b):
+            return list(zip(*(col[a:b].tolist() for col in (e.j, e.n, e.N)),
+                            *e.values[a:b].T.tolist()))
+
+        def thresholds(a, b):
+            batch = list(itertools.islice(steps, b - a))
+            return dict(zip(map(str, batch),
+                            self.step_thresholds(batch).tolist()))
+
+        members = {
+            "achieved_fields": ["j", "n", "N"] + (
+                ["value"] if self.mode == "exact"
+                else ["estimate", "half_width"]),
+            "n_grid": self.n_grid,
             "mode": self.mode,
             "seed": self.seed,
             "eps_floor": self.eps_floor,
@@ -268,11 +293,43 @@ class ExtractionPlan:
             "corrector": self.corrector_ref,
             "sample_R": self.sample_R,
         }
+        # per growing member: its brackets, its row count, and rows a..b,
+        # asked for in order, as a list or an object
+        growing = {"achieved": ("[]", len(e), rows),
+                   "indices": ("[]", length, lambda a, b: self.indices[a:b]),
+                   "thresholds": ("{}", length, thresholds)}
+        for i, key in enumerate(sorted({**members, **growing})):
+            fh.write(("," if i else "{") + _encode(key) + ":")
+            if key in members:
+                fh.write(_encode(members[key]))
+                continue
+            brackets, count, batch = growing[key]
+            fh.write(brackets[0])
+            for a in range(0, count, _WRITE_ROWS):
+                fh.write(("," if a else "")
+                         + _encode(batch(a, a + _WRITE_ROWS))[1:-1])
+            fh.write(brackets[1])
+        fh.write("}\n")
 
     def step_thresholds(self, steps) -> np.ndarray:
         """eps_n of each step n in ``steps``, from the step rule."""
         eps = _schedule(tuple(self.n_grid), self.eps_floor)[0]
         return eps[np.minimum(steps, len(eps) - 1)]
+
+
+def _string_order(last: int):
+    """Steps 1, ..., last in the order of their decimal strings (at last =
+    200: 1, 10, 100, 101, ..., 109, 11, 110, ...): the walk of the decimal
+    prefix tree."""
+    n = 1
+    for _ in range(last):
+        yield n
+        if n * 10 <= last:
+            n *= 10
+        else:
+            while n % 10 == 9 or n == last:
+                n //= 10
+            n += 1
 
 
 def step_epsilon(n: int, eps_floor: float) -> float:
@@ -392,13 +449,12 @@ class _RowScan:
 
 
 def _entry_keys(step, leads, levels):
-    """(j, n, N) of an exact-mode step's entries: per level the lead's, then
-    at detail steps every predecessor level by level, each key once."""
-    keys = dict.fromkeys(zip(leads, levels))
+    """(j, n, N) of an exact-mode step's entries in key order: per level the
+    lead's, and at detail steps every predecessor at every level."""
+    keys = set(zip(leads, levels))
     if step <= _DETAIL_STEPS:
-        keys.update(dict.fromkeys((j, N) for N in levels
-                                  for j in range(1, step)))
-    j, N = np.array(list(keys), dtype=np.int64).reshape(-1, 2).T
+        keys.update((j, N) for N in levels for j in range(1, step))
+    j, N = np.array(sorted(keys), dtype=np.int64).reshape(-1, 2).T
     return j, np.full(len(j), step), N
 
 

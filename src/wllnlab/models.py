@@ -346,11 +346,11 @@ class TailVanishingModel(SequenceModel):
         g, rows = self.g_dist, np.empty((len(a), len(levels), 3))
         below = [g.trunc_moments(a, order) for order in (1, 2)]
         for col, N in enumerate(levels):
-            N = float(N)
+            x = float(N)
             for w, order in ((0, 1), (1, 2)):
                 # band_moment(a, N): zero unless a < N
                 rows[:, col, w] = np.where(
-                    a < N, g.trunc_moment(N, order) - below[w], 0.0)
+                    a < x, g.trunc_moment(x, order) - below[w], 0.0)
             rows[:, col, 2] = D.constant(int(N))
         return rows
 

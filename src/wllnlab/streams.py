@@ -66,6 +66,9 @@ class Positions:
             self._runs.append((a, b, int(pos[a]) - end, span,
                                None if span == b - a else rel))
             end = int(pos[a]) + span
+        # every row's state is set before it is drawn, so one generator
+        # serves every draw: building one seeds a SeedSequence, about 24 us
+        self._gen = np.random.Generator(np.random.PCG64DXSM(0))
 
     def uniforms(self, seed: int, r0: int, r1: int) -> np.ndarray:
         """(r1 - r0, size) doubles: row i holds the stream of replication
@@ -79,7 +82,7 @@ class Positions:
         ``out`` when given."""
         if out is None:
             out = np.empty((len(keys), self.size))
-        gen = np.random.Generator(np.random.PCG64DXSM(0))
+        gen = self._gen
         bitgen = gen.bit_generator
         for row, (w4, w5, w6, w7) in enumerate(keys.tolist()):
             bitgen.state = {"bit_generator": "PCG64DXSM", "has_uint32": 0,

@@ -148,6 +148,18 @@ def test_extract_success_and_failure(tmp_path):
     assert failure["best_violation"] > 0
 
 
+def test_extract_at_the_largest_level(tmp_path):
+    # 2^63 - 1 is a level; it is no double, so the corrector's table is
+    # read under the level itself, not under its rounded float
+    cfg = write_cfg(tmp_path, "c.json", {"model": TAIL_MODEL,
+                                         "target_length": 5,
+                                         "n_grid": [64, 2**63 - 1]})
+    out = tmp_path / "o"
+    assert main(["extract", "--config", cfg, "--out", str(out)]) == 0
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["n_grid"] == [64, 2**63 - 1] and len(plan["indices"]) == 5
+
+
 def test_sample_mode_at_a_deep_first_index(tmp_path):
     # the bank holds the rows of the search window, not of 1..search_cap
     cfg = write_cfg(tmp_path, "c.json",
@@ -275,6 +287,8 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     ("extract", {"n_grid": [0]}),
     ("extract", {"n_grid": [-4]}),
     ("extract", {"n_grid": [64, 64, 256]}),
+    ("extract", {"target_length": 5, "n_grid": [1e19]}),
+    ("extract", {"target_length": 5, "n_grid": [64, 2**63]}),
     ("verify", {"n_grid": [64, 256, 64]}),
     ("extract", {"target_length": None}),
     ("tails", {"m_grid": [0, 2]}),
@@ -304,7 +318,8 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
         "hereditary-decreasing-indices", "hereditary-negative-epsilon",
         "hereditary-no-pattern-long-enough", "extract-empty-grid",
         "extract-zero-level", "extract-negative-level",
-        "extract-repeated-level", "verify-repeated-level", "extract-null-length",
+        "extract-repeated-level", "extract-level-past-int64",
+        "extract-level-at-2^63", "verify-repeated-level", "extract-null-length",
         "tails-zero-level", "tails-negative-level", "tails-infinite-level",
         "tails-heavy-log-level-overflows", "tails-finite-level-overflows",
         "extract-zero-min-index", "extract-negative-min-index",

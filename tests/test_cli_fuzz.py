@@ -65,7 +65,7 @@ PROBE = {
     "indices": (indices, bad([3, 2, 1], [0, 1], [10**30])),
     "plan_path": (PLAN_PATHS, bad(1, 0)),
     "epsilon": (st.floats(0.05, 1.0), bad(0.0, -1.0)),
-    "n_grid": (grid, bad([0], [-4])),
+    "n_grid": (grid, bad([0], [-4], [2**63])),
     "reps": (st.integers(1, 200), bad(0)),
     "corrector": (st.sampled_from(["zero", "weak_l2", "iid", "independent"]),
                   bad("bogus")),
@@ -85,7 +85,7 @@ KEYS = {
     },
     "extract": {
         "target_length": (st.integers(1, 8), bad(0)),
-        "n_grid": (grid, bad([0], [])),
+        "n_grid": (grid, bad([0], [], [1e19])),
         "corrector": PROBE["corrector"],
         "mode": (st.sampled_from(["exact", "sample"]), bad("bogus")),
         "eps_floor": (st.floats(0.0, 0.5), bad()),

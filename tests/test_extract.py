@@ -3,6 +3,8 @@ near-orthogonal subsequence search, and the proof-side budget checks."""
 
 import functools
 import hashlib
+import io
+import json
 import math
 import tracemalloc
 
@@ -24,7 +26,7 @@ from wllnlab.distributions import (
     UnsupportedOracleError,
     example41_constant_c,
 )
-from wllnlab.cli import _DEMOS, write_json
+from wllnlab.cli import _DEMOS
 from wllnlab.extract import (
     _BANK_REPLICATIONS,
     ExtractConfigError,
@@ -282,9 +284,11 @@ class TestPlanChecks:
 
     def test_thresholds_recorded(self, tail_plan):
         _, _, plan = tail_plan
-        thresholds = {int(n): eps
-                      for n, eps in plan.to_json()["thresholds"].items()}
-        assert list(thresholds) == list(range(1, len(plan.indices) + 1))
+        stored = json.loads(_written(plan))["thresholds"]
+        # the steps as strings, in the string order of sorted keys
+        assert list(stored) == sorted(map(str, range(1, len(plan.indices)
+                                                     + 1)))
+        thresholds = {int(n): eps for n, eps in stored.items()}
         for n, eps in thresholds.items():
             assert eps == step_epsilon(n, plan.eps_floor)
         for (j, n, N), (v,) in zip(plan.achieved, plan.achieved.values):
@@ -511,7 +515,8 @@ class _ReferenceFastExact:
 
 def _entries(achieved: dict) -> PlanEntries:
     """The columns of a dict from keys (j, n, N) to a value or to
-    (estimate, half_width), in its order."""
+    (estimate, half_width), in key order."""
+    achieved = dict(sorted(achieved.items()))
     keys = np.array(list(achieved), dtype=np.int64).reshape(-1, 3)
     values = np.array(list(achieved.values()), dtype=float)
     return PlanEntries(*keys.T, values.reshape(len(keys), -1))
@@ -662,6 +667,40 @@ def _reference_verify(plan, model, D):
             "violations": violations, "ok": not violations}
 
 
+def _reference_plan_json(plan):
+    """plan.json's text as one ``json.dumps`` of the whole tree: rows in
+    key order, each step's threshold from ``step_epsilon``."""
+    e = plan.achieved
+    keys = list(zip(e.j.tolist(), e.n.tolist(), e.N.tolist()))
+    values = e.values.tolist()
+    steps = range(1, len(plan.indices) + 1)
+    tree = {
+        "indices": list(plan.indices),
+        "n_grid": list(plan.n_grid),
+        "thresholds": {str(n): step_epsilon(n, plan.eps_floor)
+                       for n in steps},
+        "achieved": [list(keys[i]) + values[i]
+                     for i in sorted(range(len(keys)), key=keys.__getitem__)],
+        "achieved_fields": ["j", "n", "N"] + (
+            ["value"] if plan.mode == "exact"
+            else ["estimate", "half_width"]),
+        "mode": plan.mode,
+        "seed": plan.seed,
+        "eps_floor": plan.eps_floor,
+        "search_cap": plan.search_cap,
+        "detail_steps": plan.detail_steps,
+        "corrector": plan.corrector_ref,
+        "sample_R": plan.sample_R,
+    }
+    return json.dumps(tree, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _written(plan) -> str:
+    buf = io.StringIO()
+    plan.write_json(buf)
+    return buf.getvalue()
+
+
 def _explicit_rho_comonotone():
     # zero masses between 1 - 1e-3 and 1 - 1e-9: covariances small enough
     # for a plan under a floor, and uneven enough that candidates fail
@@ -743,7 +782,7 @@ def test_search_matches_scalar_reference(name, length, grid, mode, kwargs):
         assert D.kind == "conditional"
     plan = greedy_extract(m, length, grid, D, mode=mode, **kwargs)
     assert len(plan.indices) == length
-    assert plan.to_json() == ref.to_json()
+    assert _written(plan) == _reference_plan_json(ref)
     assert list(plan.achieved) == list(ref.achieved)
     assert verify_plan(plan, m, D) == _reference_verify(plan, m, D)
 
@@ -763,8 +802,102 @@ def test_independent_array_plan_json_pinned(tmp_path):
     assert (len(plan.achieved), np.count_nonzero(values),
             np.count_nonzero(values < 0)) == (455, 455, 228)
     path = tmp_path / "plan.json"
-    write_json(str(path), plan.to_json(), compact=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        plan.write_json(fh)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == _ARRAY_PLAN_SHA256
+
+
+def _hand_plan(length, values):
+    """A plan of ``length`` steps whose entries hold ``values`` (one row
+    each, one column exact, two sampled) under keys drawn at random, some
+    repeated, in key order."""
+    rng = np.random.default_rng(length * 1000 + len(values))
+    j, n = rng.integers(1, length + 1, (2, len(values)))
+    N = rng.choice([2, 8, 64], len(values))
+    order = np.lexsort((N, n, j))
+    sampled = values.shape[1] == 2
+    return ExtractionPlan(tuple(range(3, 3 + 2 * length, 2)), (2, 8, 64),
+                          PlanEntries(j[order], n[order], N[order], values),
+                          "sample" if sampled else "exact", 7, 1e-3,
+                          4 * length, 16, "test", 400 if sampled else 0)
+
+
+class TestPlanJson:
+    """``ExtractionPlan.write_json`` writes what one ``json.dumps`` of the
+    whole tree writes, however its batches fall."""
+
+    def test_no_entries(self):
+        m = model_from_spec(_DEMOS["counterexample"]["model"])
+        grid = (64, 256)
+        plan = greedy_extract(m, 1, grid, zero_corrector(grid))
+        assert len(plan.achieved) == 0
+        text = _written(plan)
+        assert text == _reference_plan_json(plan)
+        assert '"achieved":[],' in text
+
+    @pytest.mark.parametrize("count", [0, 1, 8, 9])
+    @pytest.mark.parametrize("length", [1, 8, 9])
+    def test_batch_boundaries(self, monkeypatch, length, count):
+        # entry and step counts of none, one, a multiple of the batch and
+        # one more
+        monkeypatch.setattr(extract_mod, "_WRITE_ROWS", 4)
+        values = np.random.default_rng(count).standard_normal((count, 1))
+        plan = _hand_plan(length, values)
+        assert _written(plan) == _reference_plan_json(plan)
+
+    @pytest.mark.parametrize("batch", [1, 7, 1024])
+    def test_sample_rows(self, monkeypatch, batch):
+        # (estimate, half_width) rows, most of them non-zero
+        monkeypatch.setattr(extract_mod, "_WRITE_ROWS", batch)
+        grid = (2, 4, 8)
+        plan = greedy_extract(LATENT, 24, grid, corrector_weak_l2(LATENT, grid),
+                              mode="sample", seed=5, eps_floor=2.0)
+        assert np.count_nonzero(plan.achieved.values[:, 0]) > 40
+        assert _written(plan) == _reference_plan_json(plan)
+        values = np.random.default_rng(5).standard_normal((30, 2))
+        plan = _hand_plan(12, values)
+        assert _written(plan) == _reference_plan_json(plan)
+
+    def test_steps_past_100(self, monkeypatch):
+        # thresholds are keyed "1", "10", "100", "1000", "1001", ...
+        monkeypatch.setattr(extract_mod, "_WRITE_ROWS", 64)
+        m = model_from_spec(_DEMOS["counterexample"]["model"])
+        grid = (64, 256, 1024, 4096)
+        plan = greedy_extract(m, 1234, grid, corrector_weak_l2(m, grid))
+        text = _written(plan)
+        assert text == _reference_plan_json(plan)
+        keys = [k for k, _ in json.loads(
+            text, object_pairs_hook=lambda pairs: pairs)[-1][1]]
+        assert keys[:5] == ["1", "10", "100", "1000", "1001"]
+        assert keys == sorted(map(str, range(1, 1235)))
+
+    def test_non_finite_values(self):
+        values = np.array([[math.nan], [math.inf], [-math.inf], [-0.0],
+                           [5e-324], [1.7976931348623157e308], [0.1]])
+        plan = _hand_plan(5, values)
+        text = _written(plan)
+        assert text == _reference_plan_json(plan)
+        assert all(s in text for s in ("NaN", ",Infinity", "-Infinity",
+                                       "-0.0", "5e-324"))
+
+    def test_memory_does_not_grow_with_length(self, tmp_path):
+        # one batch beside the plan: the whole tree and its text took 5.8
+        # MiB at 4,096 steps and 16 MiB at 16,384
+        m = model_from_spec(_DEMOS["counterexample"]["model"])
+        grid = (64, 256, 1024, 4096)
+        D = corrector_weak_l2(m, grid)
+        for length in (4096, 16384):
+            plan = greedy_extract(m, length, grid, D)
+            assert len(plan.achieved) > 4 * length - 16
+            tracemalloc.start()
+            try:
+                with open(tmp_path / "plan.json", "w", encoding="utf-8",
+                          newline="") as fh:
+                    plan.write_json(fh)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20, (length, peak)
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
@@ -779,7 +912,7 @@ def test_search_matches_scalar_reference_at_small_blocks(
                                       tuple(sorted(kwargs.items())))
     monkeypatch.setattr(extract_mod, "_BLOCK", block)
     plan = greedy_extract(m, length, grid, D, mode=mode, **kwargs)
-    assert plan.to_json() == ref.to_json()
+    assert _written(plan) == _reference_plan_json(ref)
     assert list(plan.achieved) == list(ref.achieved)
     assert verify_plan(plan, m, D) == check
 
@@ -803,7 +936,7 @@ def _assert_search_matches_reference(model, length, grid, D, block,
             == (exc.step, exc.eps, exc.best_candidate, exc.best_violation)
         return exc
     assert isinstance(got, ExtractionPlan)
-    assert got.to_json() == ref.to_json()
+    assert _written(got) == _reference_plan_json(ref)
     assert list(got.achieved) == list(ref.achieved)
     return got
 
@@ -990,6 +1123,6 @@ def test_row_arithmetic_is_bitwise_the_scalar_oracle(model):
     fresh = _exact_values(plan, model, D)
     for oracle in (exact_centered_inner_product, _reference_inner_product):
         scalar = np.array([oracle(model, indices[j - 1], indices[n - 1], N, D)
-                           for j, n, N in pairs])
+                           for j, n, N in plan.achieved])
         assert np.array_equal(fresh.view(np.int64), scalar.view(np.int64))
     assert np.count_nonzero(fresh) > len(pairs) // 2
