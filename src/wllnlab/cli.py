@@ -148,6 +148,13 @@ _TAIL_CONDITIONS = ("weak_l1", "liminf", "limsup", "energy")
 _FELLER_CONDITIONS = ("feller_tail_sum", "feller_square_sum")
 
 
+def _json_number(v, kind) -> bool:
+    """Whether ``v`` may stand for a number of type ``kind``: an int key
+    takes JSON integers only, since int() would turn 1.5 or "1" into 1,
+    and no key takes a JSON boolean, although Python reads True as 1."""
+    return type(v) is int if kind is int else not isinstance(v, bool)
+
+
 def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
     """The command's defaults, updated from ``file_cfg`` (a config file or a
     manifest's config) and then from ``flags``, and checked."""
@@ -165,9 +172,8 @@ def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
             continue
         many = key in _NUMBER_LISTS
         try:
-            # int(True) is 1: a JSON boolean is not a number here
-            if many != isinstance(val, list) or any(
-                    isinstance(v, bool) for v in (val if many else [val])):
+            if many != isinstance(val, list) or not all(
+                    _json_number(v, kind) for v in (val if many else [val])):
                 raise TypeError
             cfg[key] = [kind(v) for v in val] if many else kind(val)
         except (TypeError, ValueError, OverflowError):
@@ -315,10 +321,11 @@ def _probe_inputs(cfg: dict):
     indices = cfg["indices"]
     if cfg["plan_path"]:
         plan = read_json_object(cfg["plan_path"], "plan")
-        try:
-            indices = [int(k) for k in plan["indices"]]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise UsageError(f"cannot read plan {cfg['plan_path']}: {exc}")
+        indices = plan.get("indices")
+        if not isinstance(indices, list) or not all(
+                _json_number(k, int) for k in indices):
+            raise UsageError(f"cannot read plan {cfg['plan_path']}: indices "
+                             "must be a list of integers")
     elif indices is None:  # checked first: the grid sets the range's length
         if max(cfg["n_grid"]) > model.index_cap:
             raise CapacityError(f"indices outside 1..{model.index_cap}")

@@ -12,12 +12,15 @@ A corrector series assigns to each level N a centering value D_N with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .distributions import Distribution, UnsupportedOracleError
+
+# how far a realized factor may sit from its atom: float round-off
+_ATOM_TOLERANCE = 1e-9
 
 if TYPE_CHECKING:   # annotations only: the exact centerings live on the models
     from .models import SequenceModel
@@ -29,6 +32,9 @@ class CorrectorSeries:
     kind: str  # "constant" | "conditional"
     values: dict  # N -> float, or N -> {factor_value: float}
     provenance: str
+    # levels -> what ``realized`` reads, built on its first call
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         self.n_grid = tuple(int(N) for N in self.n_grid)
@@ -48,9 +54,10 @@ class CorrectorSeries:
         table = self.values[N]
         if factor in table:
             return float(table[factor])
-        # factor realizations are exact atoms; tolerate float round-off
+        # factor realizations are exact atoms; tolerate float round-off (a
+        # NaN factor is near no atom)
         best = min(table, key=lambda b: abs(b - factor))
-        if abs(best - factor) > 1e-9:
+        if not abs(best - factor) <= _ATOM_TOLERANCE:
             raise KeyError(f"factor {factor} not in corrector table")
         return float(table[best])
 
@@ -65,16 +72,46 @@ class CorrectorSeries:
     def realized(self, levels, factors=None) -> np.ndarray:
         """D_N for N in ``levels`` on every path: shape (len(levels),) for
         the constant kinds, (len(factors), len(levels)) for the conditional
-        kind, looked up once per distinct factor value."""
+        kind.  Both read a table built by ``value`` on the first call for
+        ``levels``; the conditional kind takes each factor's nearest atom
+        with ``value``'s tolerance, and a factor near no atom, or on one
+        that a level's table lacks, raises ``KeyError``."""
+        levels = tuple(levels)
+        if levels not in self._tables:
+            self._tables[levels] = self._table(levels)
         if self.kind != "conditional":
-            return np.array([self.value(N) for N in levels])
+            return self._tables[levels]
         if factors is None:
             raise ValueError(
                 "conditional corrector needs a model exposing the factor")
-        atoms, which = np.unique(factors, return_inverse=True)
-        table = np.array([[self.value(N, factor=float(b)) for N in levels]
-                          for b in atoms])
-        return table[which.ravel()]
+        mid, atoms, table = self._tables[levels]
+        f = np.asarray(factors, dtype=float).ravel()
+        near = np.searchsorted(mid, f)
+        ok = np.abs(atoms[near] - f) <= _ATOM_TOLERANCE
+        if not ok.all():
+            raise KeyError(f"factor {f[~ok][0]} not in corrector table")
+        return table[near]
+
+    def _table(self, levels: tuple):
+        """(len(levels),) values; or, for the conditional kind, the
+        midpoints between the sorted atoms of every level's table, the
+        atoms (NaN where a level's table resolves no value) and their
+        (atoms, len(levels)) values."""
+        if self.kind != "conditional":
+            table = np.array([self.value(N) for N in levels])
+            table.flags.writeable = False
+            return table
+        atoms = np.array(sorted({float(b) for N in levels
+                                 for b in self.values[N]}))
+        table = np.full((len(atoms), len(levels)), np.nan)
+        for g, N in enumerate(levels):
+            for a, b in enumerate(atoms):
+                try:
+                    table[a, g] = self.value(N, factor=float(b))
+                except KeyError:
+                    pass
+        found = np.where(np.isnan(table).any(axis=1), np.nan, atoms)
+        return (atoms[1:] + atoms[:-1]) / 2, found, table
 
     def second_moment(self, N: int, factor_probs: dict | None = None) -> float:
         """E(D_N^2); conditional kind averages over the factor law."""

@@ -33,6 +33,9 @@ TABLE_MODEL = {"kind": "example41",
                "params": {"rho": {"family": "explicit",
                                   "values": [0.5, 0.6, 0.7]}}}
 
+IID_SIGNS = {"kind": "iid",
+             "params": {"dist": {"family": "finite",
+                                 "atoms": [[-1.0, 0.5], [1.0, 0.5]]}}}
 IID_MODEL = {"kind": "iid",
              "params": {"dist": {"family": "finite",
                                  "atoms": [[1.0, 0.25], [5.0, 0.75]]}}}
@@ -257,13 +260,17 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
     ("tails", {"model": TAIL_MODEL, "m_grid": [True, 2.0]}),
     ("tails", {"model": HEAVY_LOG_ARRAY, "n_range": [1, 2],
                "m_grid": [1e150]}),
+    ("verify", {"model": IID_SIGNS, "indices": [1.5, 2, 3, 4], "n_grid": [4],
+                "reps": 10}),
+    ("verify", {"model": IID_SIGNS, "n_grid": ["4"], "reps": 10}),
 ], ids=["non-numeric-value", "infinite-value", "unsupported-oracle",
         "index-cap-below-grid", "tails-past-rho-table",
         "verify-past-rho-table", "index-cap-above-rho-table",
         "rho-above-one", "rho-below-zero", "zero-index-cap",
         "example41-symmetric-not-boolean", "heavy-log-symmetric-not-boolean",
         "boolean-length", "boolean-seed", "boolean-in-level-list",
-        "heavy-log-array-walk-past-cap"])
+        "heavy-log-array-walk-past-cap", "fractional-index-in-config",
+        "string-level"])
 def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
@@ -416,11 +423,17 @@ def test_missing_plan_path_is_usage_error(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "no-such-plan.json" in err
 
 
-@pytest.mark.parametrize("plan", [{"n_grid": [16]}, {"indices": ["x"]}],
-                         ids=["no-indices", "non-numeric-index"])
+# int() would read 1.5 as 1, "1" as 1 and true as 1: an index is a JSON
+# integer
+@pytest.mark.parametrize("plan", [
+    {"n_grid": [16]}, {"indices": ["x"]},
+    {"indices": [1.5, 2.5, 3.9, 4.2, *range(5, 65)]},
+    {"indices": [True, *range(2, 65)]}, {"indices": ["1", *range(2, 65)]},
+], ids=["no-indices", "non-numeric-index", "fractional-index",
+        "boolean-index", "string-index"])
 def test_unreadable_plan_is_usage_error(tmp_path, capsys, plan):
     cfg = write_cfg(tmp_path, "c.json",
-                    {"model": TAIL_MODEL, "n_grid": [16], "reps": 10,
+                    {"model": IID_SIGNS, "n_grid": [16, 64], "reps": 50,
                      "plan_path": write_cfg(tmp_path, "plan.json", plan)})
     assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
     err = capsys.readouterr().err

@@ -66,6 +66,39 @@ class TestContract:
         with pytest.raises(KeyError):
             D.value(8, factor=0.5)
 
+    def test_nan_factor_is_near_no_atom(self):
+        # |atom - nan| > tol is False for every atom, so the tolerance test
+        # must be phrased as "within", which NaN never is
+        D = CorrectorSeries((4,), "conditional", {4: {-1.0: 0.5, 1.0: -0.5}},
+                            "test")
+        with pytest.raises(KeyError):
+            D.value(4, factor=math.nan)
+        with pytest.raises(KeyError):
+            D.realized((4,), [1.0, math.nan])
+        for factor in (0.5, math.inf, -math.inf):
+            with pytest.raises(KeyError):
+                D.realized((4,), [factor])
+
+    def test_realized_table_matches_value(self):
+        # the table lookup resolves each factor as ``value`` does, round-off
+        # included; a level without the factor's atom raises
+        D = CorrectorSeries((4, 8), "conditional",
+                            {4: {-1.0: 0.5, 1.0: -0.5, 3.0: 2.0},
+                             8: {-1.0: 1.5, 1.0: 2.5, 3.0: -7.0}}, "test")
+        factors = [-1.0, 1.0 + 1e-12, 3.0, 3.0 - 1e-10, -1.0 - 5e-10, 1.0]
+        expect = [[D.value(N, factor=b) for N in (4, 8)] for b in factors]
+        assert D.realized((4, 8), factors).tolist() == expect
+        assert D.realized((8,), factors).tolist() == [[e[1]] for e in expect]
+        with pytest.raises(KeyError):
+            D.realized((4, 8), [1.0 + 2e-9])
+        part = CorrectorSeries((4, 8), "conditional",
+                               {4: {-1.0: 0.5, 1.0: -0.5}, 8: {1.0: 2.0}},
+                               "test")
+        assert part.realized((4, 8), [1.0]).tolist() == [[-0.5, 2.0]]
+        assert part.realized((4,), [-1.0]).tolist() == [[0.5]]
+        with pytest.raises(KeyError):
+            part.realized((4, 8), [-1.0])
+
     def test_second_moment(self):
         D = corrector_weak_l2(LATENT, (8,))
         probs = dict(LATENT.factor_dist.atoms)

@@ -8,8 +8,14 @@ import sys
 import numpy as np
 import pytest
 
-from wllnlab.correctors import corrector_iid, corrector_weak_l2, zero_corrector
+from wllnlab.correctors import (
+    CorrectorSeries,
+    corrector_iid,
+    corrector_weak_l2,
+    zero_corrector,
+)
 from wllnlab.distributions import FiniteDiscrete, Pareto1
+from wllnlab.extract import truncate_array
 from wllnlab.models import (
     IIDModel,
     IndependentArrayModel,
@@ -25,6 +31,7 @@ from wllnlab.verify import (
     wilson_interval,
     wlln_probe,
 )
+from wllnlab.verify import _outside_sums, _partial_sums
 
 ZERO_MODEL = IIDModel(FiniteDiscrete([(0.0, 1.0)]))
 
@@ -243,11 +250,13 @@ class TestHereditary:
 # the dominating-index shortcut change nothing
 # -------------------------------------------------------------------------
 
-def demo_model(name):
+def demo_model(name, **params):
+    """The demo's model, with ``params`` replacing some of its parameters."""
     from wllnlab.cli import _DEMOS
     from wllnlab.models import model_from_spec
 
-    return model_from_spec(_DEMOS[name]["model"])
+    spec = _DEMOS[name]["model"]
+    return model_from_spec({**spec, "params": {**spec["params"], **params}})
 
 
 DEMO_STARTS = {"counterexample": 1, "example41": 10**12, "latent-shift": 1}
@@ -353,3 +362,92 @@ def test_union_bound_falls_back_without_a_dominating_index():
     gap = truncation_gap_probe(m, range(1, 65), (8, 32), 100, seed=0)
     assert m.pointwise_sup_index(range(1, 9)) is None
     assert gap.union_bound == {8: 0.0, 32: 0.0}
+
+
+# -------------------------------------------------------------------------
+# outside sums: read from the entries past the smallest level, they equal
+# the partial sums minus the masked truncated sums
+# -------------------------------------------------------------------------
+
+def _reference_outside_sums(vals, grid):
+    """S_N - T_N over the first N columns: the partial sums minus the sums
+    of f 1{|f| <= N}, one masked copy of the chunk per level."""
+    truncated = np.column_stack([truncate_array(vals[:, :N], N).sum(axis=1)
+                                 for N in grid])
+    return _partial_sums(vals, grid) - truncated
+
+
+OUTSIDE_GRID = (16, 64, 256)
+# integer-valued laws, whose sums are exact in any order; the last law has
+# atoms on the levels 16 and 256, which lie inside their bands
+INTEGER_LAWS = {
+    "example41": lambda: demo_model("example41"),
+    "example41-one-sided": lambda: demo_model("example41", symmetric=False),
+    "latent-shift": lambda: demo_model("latent-shift"),
+    "iid-100": lambda: IIDModel(FiniteDiscrete([(-100.0, 0.5),
+                                                (100.0, 0.5)])),
+    "iid-on-levels": lambda: IIDModel(FiniteDiscrete(
+        [(-256.0, 0.1), (-100.0, 0.1), (16.0, 0.1), (64.0, 0.1),
+         (300.0, 0.1), (0.0, 0.5)])),
+}
+
+
+def _chunks(model, start, width):
+    """64 replications of ``width`` columns: the first 256 as a view of the
+    wider chunk, and a chunk of exactly 256 columns."""
+    idx = np.arange(start, start + width)
+    wide = next(model.sample_blocks(idx, 3, 64))[0].copy()
+    exact = next(model.sample_blocks(idx[:256], 3, 64))[0].copy()
+    return wide[:, :256], exact
+
+
+def test_outside_sums_equal_the_masked_reference_bit_for_bit():
+    seen = dict.fromkeys(("negative", "row without", "on a level", "all past",
+                          "narrow view"), False)
+    for name, make in INTEGER_LAWS.items():
+        start = 10**12 if name.startswith("example41") else 1
+        for vals in _chunks(make(), start, 300):
+            got = _outside_sums(vals, OUTSIDE_GRID)
+            ref = _reference_outside_sums(vals, OUTSIDE_GRID)
+            assert got.tobytes() == ref.tobytes(), name
+            past = np.abs(vals) > OUTSIDE_GRID[0]
+            seen["negative"] |= bool((vals < -OUTSIDE_GRID[0]).any())
+            seen["row without"] |= bool((~past.any(axis=1)).any())
+            seen["on a level"] |= bool(np.isin(np.abs(vals),
+                                               OUTSIDE_GRID).any())
+            seen["all past"] |= bool(past.all())
+            seen["narrow view"] |= not vals.flags.c_contiguous
+    assert all(seen.values()), seen
+
+
+def test_outside_sums_on_pareto_values_within_round_off():
+    model = TailVanishingModel(Pareto1())
+    for vals in _chunks(model, 1, 300):
+        got = _outside_sums(vals, OUTSIDE_GRID)
+        ref = _reference_outside_sums(vals, OUTSIDE_GRID)
+        scale = np.column_stack([np.abs(vals[:, :N]).sum(axis=1)
+                                 for N in OUTSIDE_GRID])
+        assert (got != 0).any()
+        assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+
+def test_corrector_table_is_built_once_per_probe(monkeypatch):
+    # 13 chunks at R = 400 against 2 at R = 40: the lookups are the same
+    calls = []
+    value = CorrectorSeries.value
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return value(self, *args, **kwargs)
+
+    monkeypatch.setattr(CorrectorSeries, "value", counted)
+    grid = (64, 1024, 4096)
+
+    def lookups(R):
+        D = corrector_weak_l2(LATENT, grid)
+        calls.clear()
+        wlln_probe(LATENT, range(1, 4097), D, 0.5, grid, R, 1,
+                   compute_l2=True)
+        return len(calls)
+
+    assert 0 < lookups(40) == lookups(400)
