@@ -50,7 +50,8 @@ class UsageError(Exception):
 # -------------------------------------------------------------------------
 
 def write_json(path: str, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2)
+    # strict JSON: a NaN or an infinity is a ValueError, not a bare token
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text + "\n")
 
@@ -133,7 +134,8 @@ _CHECKS = (
     ("n_range", lambda r: len(r) == 2 and 1 <= r[0] <= r[1],
      "[lo, hi] with 1 <= lo <= hi"),
     ("reps", lambda R: R >= 1, ">= 1"),
-    ("eps_floor", lambda f: f is None or math.isfinite(f), "finite or null"),
+    ("epsilon", lambda e: e > 0, "> 0"),
+    ("pass_threshold", lambda p: 0 <= p <= 1, "in [0, 1]"),
     ("seed", lambda s: 0 <= s < 2**64, "an integer in [0, 2^64)"),
     ("compute_l2", lambda b: isinstance(b, bool), "true or false"),
     ("gap_probe", lambda b: isinstance(b, bool), "true or false"),
@@ -150,9 +152,13 @@ _FELLER_CONDITIONS = ("feller_tail_sum", "feller_square_sum")
 
 def _json_number(v, kind) -> bool:
     """Whether ``v`` may stand for a number of type ``kind``: an int key
-    takes JSON integers only, since int() would turn 1.5 or "1" into 1,
-    and no key takes a JSON boolean, although Python reads True as 1."""
-    return type(v) is int if kind is int else not isinstance(v, bool)
+    takes JSON integers only, since int() would turn 1.5 or "1" into 1; a
+    float key takes finite JSON numbers only, since float() would read
+    "0.5" or "nan", and json reads a bare NaN token and 1e999 as floats;
+    no key takes a JSON boolean, although Python reads True as 1."""
+    if kind is int:
+        return type(v) is int
+    return type(v) in (int, float) and math.isfinite(v)
 
 
 def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
@@ -177,8 +183,9 @@ def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
                 raise TypeError
             cfg[key] = [kind(v) for v in val] if many else kind(val)
         except (TypeError, ValueError, OverflowError):
-            raise UsageError(f"config key {key!r} must hold {kind.__name__} "
-                             f"values, not {val!r}")
+            what = "int" if kind is int else "finite number"
+            raise UsageError(f"config key {key!r} must hold {what} values, "
+                             f"not {val!r}")
     for key, ok, what in _CHECKS:
         if key in cfg and not ok(cfg[key]):
             raise UsageError(f"{key} must be {what}")

@@ -70,10 +70,11 @@ _FIRST_BLOCK = 8
 _TOLERANCE = 1e-9
 # rows of a growing member of plan.json encoded at once
 _WRITE_ROWS = 1024
-# plan.json's encoder: sorted keys, no whitespace.  It encodes batches built
-# fresh from scalars, which hold no cycle, so it skips the cycle check
+# plan.json's encoder: sorted keys, no whitespace, strict JSON (a NaN or an
+# infinity is a ValueError).  It encodes batches built fresh from scalars,
+# which hold no cycle, so it skips the cycle check
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                           check_circular=False).encode
+                           allow_nan=False, check_circular=False).encode
 
 
 def truncate_array(x: np.ndarray, N: float) -> np.ndarray:

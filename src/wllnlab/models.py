@@ -39,9 +39,10 @@ from .streams import Positions, _stream_keys
 
 
 # values per chunk of replications in ``sample_blocks``: whatever R and n
-# are, each call holds a 1 MiB (B, n) array of uniforms and one of values,
-# both allocated once and refilled chunk after chunk, plus the kernels'
-# scratch (a 128 KiB mask and a 1 MiB index)
+# are, each call holds two 1 MiB (B, n) slots, each drawn into and then
+# realized in place, chunk after chunk (models without coordinate noise
+# draw two (B,) factor columns and realize into one 1 MiB values array),
+# plus the kernels' scratch (a 128 KiB mask and a 1 MiB index)
 _BLOCK_VALUES = 1 << 17
 
 
@@ -90,44 +91,70 @@ class SequenceModel:
         (see ``streams``), so sampling ``idx[s]`` gives the columns ``s`` of
         sampling ``idx``, whichever replications are requested.
 
-        The call allocates its chunk buffers once and refills them for
-        every chunk: a yielded ``values`` is a view that is valid until the
-        next iteration, so a caller that keeps it copies it.  ``factors``
-        is a fresh array each chunk."""
+        The call allocates two buffer slots once.  While a chunk is
+        realized in place in one slot and reduced by the caller, the
+        draw-ahead thread draws the next chunk's uniforms into the other:
+        a yielded ``values`` is a view that is valid until the next
+        iteration, so a caller that keeps it copies it.  ``factors`` is a
+        fresh array each chunk.  Closing the generator waits for the draw
+        in flight."""
         if not 0 <= first < first + R:
             raise ValueError("need replications 0 <= first < first + R")
         idx = self._checked_indices(indices)
-        coords = idx if self.coordinate_noise else idx[:0]
-        positions = Positions(np.concatenate(([0], coords)) if self.has_factor
-                              else coords)
         per_index = self._per_index(idx)
         keys = _stream_keys(seed, first, first + R)
         step = max(1, _BLOCK_VALUES // len(idx))
         rows = min(step, R)
-        u = np.empty((rows, positions.size))
-        values = np.empty((rows, len(idx)))
-        scratch = Scratch(values.size)
-        for a in range(0, R, step):
-            b = min(step, R - a)
-            positions.draw(keys[a:a + b], out=u[:b])
-            if self.has_factor:
-                yield self._realize(per_index, u[:b, 1:], u[:b, 0],
-                                    values[:b], scratch)
-            else:
-                yield self._realize(per_index, u[:b], None, values[:b],
-                                    scratch)
+
+        def slots(*shape):
+            # two arrays, not one of twice the size: 1 MiB blocks reuse heap
+            # that earlier calls freed, where 2 MiB was mapped afresh (+0.5
+            # MiB peak RSS on the probes)
+            return [np.empty(shape), np.empty(shape)]
+
+        if self.coordinate_noise:
+            # a chunk is realized over its uniforms, in place
+            positions, u = Positions(idx), slots(rows, len(idx))
+            factor = slots(rows) if self.has_factor else None
+            values, u0 = u, factor
+        else:
+            # the factor is the one position drawn, so only its column has
+            # two slots, and every chunk is realized into one values buffer
+            positions, u, factor = Positions([0]), slots(rows, 1), None
+            values, u0 = [np.empty((rows, len(idx)))] * 2, [c[:, 0] for c in u]
+        scratch = Scratch(rows * len(idx))
+
+        def draw(j, call):
+            k = keys[j * step:(j + 1) * step]
+            return call(k, u[j % 2][:len(k)],
+                        None if factor is None else factor[j % 2][:len(k)])
+
+        chunks = -(-R // step)
+        draw(0, positions.draw)
+        pending = None
+        try:
+            for j in range(chunks):
+                if pending is not None:
+                    pending.result()
+                pending = (draw(j + 1, positions.draw_ahead)
+                           if j + 1 < chunks else None)
+                b, s = min(step, R - j * step), j % 2
+                yield self._realize(per_index, values[s][:b],
+                                    None if u0 is None else u0[s][:b], scratch)
+        finally:
+            if pending is not None:
+                pending.wait()
 
     def _per_index(self, idx: np.ndarray):
         """What ``_realize`` needs of the indices, computed once per call."""
         return idx
 
-    def _realize(self, per_index, u: np.ndarray, u0, out: np.ndarray,
-                 scratch: Scratch):
-        """(out, factors): the values written into ``out`` (B, n) from
-        coordinate uniforms ``u`` (B, n; B by 0 without coordinate noise)
-        and factor uniforms ``u0`` (B,; None without a factor), with the
-        kernels' work buffers from ``scratch``.  ``u`` and ``u0`` are views
-        of the uniform buffer, so ``factors`` must not be one."""
+    def _realize(self, per_index, out: np.ndarray, u0, scratch: Scratch):
+        """(out, factors): the values (B, n) written into ``out``, which
+        holds the coordinate uniforms on entry for models with coordinate
+        noise, from factor uniforms ``u0`` (B,; None without a factor) and
+        the kernels' work buffers from ``scratch``.  ``u0`` is a view of a
+        buffer slot, so ``factors`` must not be one."""
         raise NotImplementedError
 
     def _checked_indices(self, indices) -> np.ndarray:
@@ -236,8 +263,8 @@ class IIDModel(SequenceModel):
         self._check_index(n)
         return self.dist
 
-    def _realize(self, idx, u, u0, out, scratch):
-        return self.dist.quantile_array(u, out, scratch), None
+    def _realize(self, idx, out, u0, scratch):
+        return self.dist.quantile_array(out, out, scratch), None
 
     def weak_l2_centering(self, N):
         return self.dist.trunc_moment(float(N), 1)
@@ -257,9 +284,9 @@ class IndependentArrayModel(SequenceModel):
         self._check_index(n)
         return self.dists[n - 1]
 
-    def _realize(self, idx, u, u0, out, scratch):
+    def _realize(self, idx, out, u0, scratch):
         for col, i in enumerate(idx):
-            out[:, col] = self.dists[i - 1].quantile_array(u[:, col])
+            out[:, col] = self.dists[i - 1].quantile_array(out[:, col])
         return out, None
 
     def weak_l2_centering(self, N):
@@ -321,7 +348,7 @@ class TailVanishingModel(SequenceModel):
     def _per_index(self, idx):
         return idx.astype(float)  # what |g| is compared with
 
-    def _realize(self, idx, u, u0, out, scratch):
+    def _realize(self, idx, out, u0, scratch):
         g = self.g_dist.quantile_array(u0)
         out.fill(0.0)
         np.copyto(out, g[:, None], where=np.greater(
@@ -424,12 +451,12 @@ class Example41Model(SequenceModel):
     def _per_index(self, idx):
         return self.rho_array(idx)
 
-    def _realize(self, rho, u, u0, out, scratch):
+    def _realize(self, rho, out, u0, scratch):
         if self.has_factor:
-            # every coordinate reads the shared uniform, in place
+            # every coordinate reads the shared uniform
             np.copyto(out, u0[:, None])
-            u, u0 = out, u0.copy()
-        return heavy_log_quantile(u, rho, self.symmetric, out, scratch), u0
+            u0 = u0.copy()
+        return heavy_log_quantile(out, rho, self.symmetric, out, scratch), u0
 
     def weak_l2_centering(self, N):
         if not self.symmetric:
@@ -541,9 +568,9 @@ class LatentShiftModel(SequenceModel):
         self._check_index(n)
         return self._marginal
 
-    def _realize(self, idx, u, u0, out, scratch):
+    def _realize(self, idx, out, u0, scratch):
         b = self.factor_dist.quantile_array(u0)
-        self.noise_dist.quantile_array(u, out, scratch)
+        self.noise_dist.quantile_array(out, out, scratch)
         out += b[:, None]
         return out, b
 

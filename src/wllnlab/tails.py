@@ -119,8 +119,11 @@ def _envelope_verdict(env, values: dict, fallback: str) -> Verdict:
     if env is not None:
         desc, fn = env
         if all(v <= fn(M) + 1e-9 for M, v in values.items()):
-            return Verdict("holds-on-grid", desc,
-                           {"envelope_at_largest": fn(max(values)), **trend})
+            # null where the envelope gives no finite bound (M <= 1)
+            bound = fn(max(values))
+            return Verdict("holds-on-grid", desc, {
+                "envelope_at_largest": bound if math.isfinite(bound) else None,
+                **trend})
     return Verdict("inconclusive", fallback, trend)
 
 

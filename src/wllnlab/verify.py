@@ -18,14 +18,16 @@ Every probe runs through ``ProbePass``: one loop over
 ``SequenceModel.sample_blocks`` whose replications come in chunks of a
 fixed number of values, so memory stays fixed at any R and N, and each
 chunk is reduced with array operations only.  A chunk is a view of one
-buffer that the sampling call refills for the next chunk, so every
-accumulator reduces it before the loop asks for another; drawing a value
-costs 3-4.5 ns and its inverse CDF 1.2-2.6 ns on the demo laws.  The
-truncation gap's outside sums O_N = sum_{n<=N} f 1{|f| > N} are read from
-the entries past the smallest level only, a few per chunk on the demo
-laws: one pass finds them and each level filters those few.  On
-example41's 2 x 65,536 chunks the gap accumulator costs 1.8-2.5 ns per
-value, against 6.5-7.6 ns for one masked copy of the chunk per level.
+of the sampling call's two buffer slots, into which the chunk after next
+is drawn, so every accumulator reduces it before the loop asks for
+another; drawing a value costs 3-4.5 ns, on a thread that draws the next
+chunk while this one is reduced, and its inverse CDF 1.2-2.6 ns on the
+demo laws.  The truncation gap's outside sums
+O_N = sum_{n<=N} f 1{|f| > N} are read from the entries past the smallest
+level only, a few per chunk on the demo laws: one pass finds them and
+each level filters those few.  On example41's 2 x 65,536 chunks the gap
+accumulator costs 1.8-2.5 ns per value, against 6.5-7.6 ns for one
+masked copy of the chunk per level.
 The L2 terms take the truncated sums as S_N - O_N.  Realized correctors
 come from a table each series builds once per grid.  Probes queued on one pass
 read the same paths: each accumulator takes its first replications and

@@ -82,6 +82,19 @@ def test_empty_m_grid(tmp_path):
     assert main(["tails", "--config", cfg, "--out", str(tmp_path / "o")]) == 64
 
 
+def test_envelope_without_finite_bound_is_null(tmp_path):
+    # example41's envelope 2c(1 - rho)/log M has no finite value at M <= 1,
+    # and strict JSON has no Infinity token
+    cfg = write_cfg(tmp_path, "c.json", {"model": EXAMPLE41_MODEL,
+                                         "m_grid": [0.5, 1.0],
+                                         "n_range": [1, 2]})
+    out = tmp_path / "o"
+    assert main(["tails", "--config", cfg, "--out", str(out)]) == 0
+    verdict = json.loads((out / "verdicts.json").read_text())["weak_l1"]
+    assert verdict["status"] == "holds-on-grid"
+    assert verdict["data"]["envelope_at_largest"] is None
+
+
 def test_verify_zero_reps(tmp_path):
     cfg = write_cfg(tmp_path, "c.json", {"model": TAIL_MODEL})
     assert main(["verify", "--config", cfg, "--reps", "0",
@@ -263,6 +276,20 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
     ("verify", {"model": IID_SIGNS, "indices": [1.5, 2, 3, 4], "n_grid": [4],
                 "reps": 10}),
     ("verify", {"model": IID_SIGNS, "n_grid": ["4"], "reps": 10}),
+    # a float key takes finite JSON numbers only: float() would read these
+    ("verify", {"model": IID_SIGNS, "n_grid": [4], "reps": 10,
+                "epsilon": "0.5", "pass_threshold": "nan"}),
+    ("verify", {"model": IID_SIGNS, "n_grid": [4], "reps": 10,
+                "pass_threshold": "nan"}),
+    # json.dumps writes a bare NaN token, which json.load reads as a float
+    ("hereditary", {"model": IID_SIGNS, "n_grid": [4], "reps": 10,
+                    "pass_threshold": float("nan")}),
+    ("verify", {"model": IID_SIGNS, "n_grid": [4], "reps": 10,
+                "pass_threshold": 1.5}),
+    ("hereditary", {"model": IID_SIGNS, "n_grid": [4], "reps": 10,
+                    "pass_threshold": -0.1}),
+    ("verify", {"model": IID_SIGNS, "n_grid": [4], "reps": 10,
+                "epsilon": float("nan")}),
 ], ids=["non-numeric-value", "infinite-value", "unsupported-oracle",
         "index-cap-below-grid", "tails-past-rho-table",
         "verify-past-rho-table", "index-cap-above-rho-table",
@@ -270,7 +297,9 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
         "example41-symmetric-not-boolean", "heavy-log-symmetric-not-boolean",
         "boolean-length", "boolean-seed", "boolean-in-level-list",
         "heavy-log-array-walk-past-cap", "fractional-index-in-config",
-        "string-level"])
+        "string-level", "string-epsilon-and-nan-threshold",
+        "nan-string-threshold", "bare-nan-threshold", "threshold-above-one",
+        "negative-threshold", "bare-nan-epsilon"])
 def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64

@@ -1,6 +1,6 @@
 """Random command lines, config files and manifests: every run ends with a
-documented exit code, never an exception, and leaves the standard file
-descriptors open."""
+documented exit code, never an exception, writes strict JSON files only,
+and leaves the standard file descriptors open."""
 
 import contextlib
 import io
@@ -69,7 +69,7 @@ PROBE = {
     "reps": (st.integers(1, 200), bad(0)),
     "corrector": (st.sampled_from(["zero", "weak_l2", "iid", "independent"]),
                   bad("bogus")),
-    "pass_threshold": (st.floats(0.0, 1.0), bad()),
+    "pass_threshold": (st.floats(0.0, 1.0), bad(1.5, -0.1, "0.5", "nan")),
 }
 KEYS = {
     "tails": {
@@ -179,6 +179,24 @@ def boolean_number(argv, text) -> bool:
         for k, v in cfg.items() if k in NUMERIC)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON token {name}")
+
+
+def _strict_json_files(out: str) -> list:
+    """The JSON files the run wrote, each parsed as strict JSON, which has
+    no NaN or Infinity token; the names of those that fail."""
+    bad = []
+    for name in sorted(os.listdir(out)) if os.path.isdir(out) else []:
+        if name.endswith(".json"):
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                try:
+                    json.load(fh, parse_constant=_reject_constant)
+                except ValueError:
+                    bad.append(name)
+    return bad
+
+
 def _fds_open() -> bool:
     try:
         for fd in (0, 1, 2):
@@ -214,10 +232,12 @@ def test_cli_fuzz_exits_with_documented_codes(run):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(err):
                 rc = main(argv + ["--out", "out"])
+            bad_json = _strict_json_files("out")
         finally:
             os.chdir(cwd)
     assert _fds_open(), argv
     assert rc in EXIT_CODES, (argv, text, rc)
+    assert bad_json == [], (argv, text, bad_json)
     if boolean_number(argv, text):
         assert rc == 64, (argv, text, rc)
     if rc == 64:  # one error line, from argparse or from the run

@@ -1,7 +1,11 @@
-"""Source layout rules, checked on the syntax tree of the package."""
+"""Source layout rules, checked on the syntax tree of the package, and what
+importing the package does."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 from wllnlab import models
 
@@ -113,3 +117,16 @@ def test_tests_import_only_what_they_use():
     hits = [hit for path in sorted(tests.glob("*.py"))
             for hit in _unused_imports(path)]
     assert hits == []
+
+
+def test_import_starts_no_thread():
+    # the draw-ahead thread starts with the first chunk drawn ahead, and no
+    # executor module is imported for it, so importing costs no set-up
+    code = ("import sys, threading, wllnlab.cli\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+            "executors = ('concurrent.futures.thread', "
+            "'concurrent.futures.process', 'multiprocessing.pool')\n"
+            "assert not set(executors) & set(sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

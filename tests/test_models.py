@@ -2,10 +2,16 @@
 agreement between sampling and the closed forms, and the JSON spec loader."""
 
 import math
+import os
+import signal
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 
+import wllnlab.models as models_mod
 from wllnlab.distributions import FiniteDiscrete, HeavyLogLaw, Pareto1
 from wllnlab.models import (
     CapacityError,
@@ -17,6 +23,7 @@ from wllnlab.models import (
     dist_from_spec,
     model_from_spec,
 )
+from wllnlab.streams import Positions
 from wllnlab.verify import wilson_interval
 
 Z999 = 3.2905267314919255  # 99.9% two-sided normal quantile
@@ -105,7 +112,6 @@ def test_sample_blocks_rejects_bad_indices():
 def test_stream_keys_once_per_call(monkeypatch):
     # 2-row chunks, as at the probes' widths: the key chain of all six
     # replications is run once, and the chunks are what one call draws
-    import wllnlab.models as models_mod
     calls, keys = [], models_mod._stream_keys
     monkeypatch.setattr(models_mod, "_stream_keys",
                         lambda *a: calls.append(a) or keys(*a))
@@ -347,10 +353,8 @@ def chunk_models():
 
 
 def test_sample_blocks_chunk_the_replications(monkeypatch):
-    # chunks refill one buffer, so each block is copied as it comes; the
-    # factors are the caller's to keep
-    import wllnlab.models as models_mod
-
+    # chunks refill the call's buffers, so each block is copied as it
+    # comes; the factors are the caller's to keep
     idx = np.arange(1, 101)
     for name, model in chunk_models().items():
         whole, whole_f = next(model.sample_blocks(idx, 4, 37))
@@ -369,6 +373,140 @@ def test_sample_blocks_chunk_the_replications(monkeypatch):
             assert all(np.array_equal(f, c)
                        for f, c in zip(factors, copies)), name
             assert np.array_equal(np.concatenate(factors), whole_f), name
+
+
+def small_chunks(monkeypatch):
+    """Chunks of 3 replications of 100 indices, so R = 37 draws 13 of them,
+    12 on the draw-ahead thread."""
+    monkeypatch.setattr(models_mod, "_BLOCK_VALUES", 300)
+
+
+def chunks_of(model, seed, R=37):
+    return [(v.copy(), None if f is None else f.copy())
+            for v, f in model.sample_blocks(np.arange(1, 101), seed, R)]
+
+
+def same_chunks(a, b) -> bool:
+    return len(a) == len(b) and all(
+        np.array_equal(va, vb) and (fa is None) == (fb is None)
+        and (fa is None or np.array_equal(fa, fb))
+        for (va, fa), (vb, fb) in zip(a, b))
+
+
+def test_close_waits_for_the_draw_in_flight(monkeypatch):
+    small_chunks(monkeypatch)
+    draw, release, drawn = Positions.draw, threading.Event(), []
+
+    def held(self, keys, out=None, factor=None):
+        # the draw ahead is held until the timer releases it
+        if threading.current_thread() is not threading.main_thread():
+            release.wait(10)
+        draw(self, keys, out, factor)
+        drawn.append(len(keys))
+
+    model = IIDModel(TWO_POINT)
+    with monkeypatch.context() as patch:
+        patch.setattr(Positions, "draw", held)
+        gen = model.sample_blocks(np.arange(1, 101), 4, 37)
+        first = next(gen)[0].copy()
+        assert drawn == [3]  # chunk 0 inline; chunk 1 is held
+        timer = threading.Timer(0.1, release.set)
+        timer.start()
+        gen.close()
+        assert drawn == [3, 3]
+        timer.join(10)
+    assert np.array_equal(chunks_of(model, 4)[0][0], first)
+
+
+def test_draw_ahead_error_reaches_the_caller(monkeypatch):
+    small_chunks(monkeypatch)
+    draw, threads = Positions.draw, []
+
+    def failing(self, keys, out=None, factor=None):
+        threads.append(threading.current_thread())
+        if len(threads) == 3:
+            raise RuntimeError("draw failed")
+        return draw(self, keys, out, factor)
+
+    model = chunk_models()["latent_shift"]
+    want = chunks_of(model, 5)
+    with monkeypatch.context() as patch:
+        patch.setattr(Positions, "draw", failing)
+        gen = model.sample_blocks(np.arange(1, 101), 5, 37)
+        next(gen)
+        next(gen)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            next(gen)
+    assert threads[0] is threading.main_thread()
+    assert threads[2] is not threading.main_thread()
+    # the thread lives on and serves the next call
+    assert same_chunks(chunks_of(model, 5), want)
+
+
+def test_interleaved_calls_match_one_at_a_time(monkeypatch):
+    small_chunks(monkeypatch)
+    models = chunk_models()
+    pairs = [("latent_shift", "example41"), ("iid", "iid"),
+             ("tail_vanishing", "example41-comonotone")]
+    for a, b in pairs:
+        alone = chunks_of(models[a], 6), chunks_of(models[b], 7, R=31)
+        together = ([], [])
+        for (va, fa), (vb, fb) in zip(
+                models[a].sample_blocks(np.arange(1, 101), 6, 37),
+                models[b].sample_blocks(np.arange(1, 101), 7, 31)):
+            together[0].append((va.copy(), None if fa is None else fa.copy()))
+            together[1].append((vb.copy(), None if fb is None else fb.copy()))
+        assert same_chunks(together[0], alone[0][:len(together[0])]), a
+        assert same_chunks(together[1], alone[1]), b
+
+
+def test_concurrent_callers_share_the_thread(monkeypatch):
+    # more callers than cores, switching threads every few microseconds:
+    # each caller's chunks are its own, whatever the order the draw-ahead
+    # thread serves them in
+    small_chunks(monkeypatch)
+    models = chunk_models()
+    want = {name: chunks_of(m, 9) for name, m in models.items()}
+    got = {}
+
+    def run(name):
+        got[name] = [chunks_of(models[name], 9) for _ in range(3)]
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in models]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(same_chunks(c, want[name])
+               for name, runs in got.items() for c in runs)
+    assert got.keys() == want.keys()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_can_sample(monkeypatch):
+    # the parent's draw-ahead thread does not survive a fork; a queue that
+    # the child took for served would leave its first draw ahead waiting
+    small_chunks(monkeypatch)
+    model = chunk_models()["example41"]
+    want = chunks_of(model, 8)  # starts the thread in this process
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork + threads
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(30)  # a deadlocked child is killed, not waited on
+            code = 0 if same_chunks(chunks_of(model, 8), want) else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 def test_sparse_indices_cost_follows_their_count():

@@ -94,6 +94,21 @@ def test_merge_gap_splits_runs():
     assert len(Positions([5, G + 6])._runs) == 2
 
 
+@pytest.mark.parametrize("coords", [
+    [1, 2, 3], [5, G + 6], [G, G + 1], [G + 43, G + 44],
+    [3, 10**12, 10**12 + 1],
+], ids=["prefix", "two-runs", "first-at-merge-gap", "first-past-merge-gap",
+        "sparse"])
+def test_factor_is_position_zero_in_the_same_pass(coords):
+    want = Positions([0, *coords]).uniforms(9, 4, 8)
+    factor = np.empty(4)
+    got = Positions(coords).draw(_stream_keys(9, 4, 8), factor=factor)
+    assert np.array_equal(factor, want[:, 0])
+    assert np.array_equal(got, want[:, 1:])
+    with pytest.raises(ValueError):
+        Positions([0, *coords]).draw(_stream_keys(9, 4, 8), factor=factor)
+
+
 def test_rows_are_replications():
     pos = Positions([0, 5, 6, 700])
     for r0 in (4, 2**63 + 4):
