@@ -53,7 +53,6 @@ from .tails import (
     check_liminf_condition,
     check_limsup_condition,
     check_weak_l1,
-    tau_sup_integral,
 )
 from .verify import (
     ConvergenceReport,

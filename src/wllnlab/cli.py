@@ -117,48 +117,52 @@ _DEFAULTS = {
 }
 
 
-# numeric config keys and the type of the value, or of each list item
-_NUMBERS = {"seed": int, "target_length": int, "search_cap": int,
-            "min_index": int, "sample_R": int, "reps": int, "eps_floor": float,
-            "epsilon": float, "pass_threshold": float, "m_grid": float,
-            "n_range": int, "n_grid": int, "feller_grid": int, "indices": int}
-_NUMBER_LISTS = {"m_grid", "n_range", "n_grid", "feller_grid", "indices"}
-# config keys, the condition a resolved value must meet, and its wording
-_CHECKS = (
-    ("n_grid", lambda g: g and 1 <= min(g) <= max(g) < 2**63
-     and len(set(g)) == len(g),
-     "a non-empty list of distinct levels in [1, 2^63)"),
-    ("m_grid", lambda g: g and all(0 < M <= tails_mod.MAX_LEVEL for M in g),
-     f"a non-empty list of levels in (0, {tails_mod.MAX_LEVEL:g}]"),
-    ("feller_grid", lambda g: all(N >= 1 for N in g), "a list of levels >= 1"),
-    ("n_range", lambda r: len(r) == 2 and 1 <= r[0] <= r[1],
-     "[lo, hi] with 1 <= lo <= hi"),
-    ("reps", lambda R: R >= 1, ">= 1"),
-    ("epsilon", lambda e: e > 0, "> 0"),
-    ("pass_threshold", lambda p: 0 <= p <= 1, "in [0, 1]"),
-    ("seed", lambda s: 0 <= s < 2**64, "an integer in [0, 2^64)"),
-    ("compute_l2", lambda b: isinstance(b, bool), "true or false"),
-    ("gap_probe", lambda b: isinstance(b, bool), "true or false"),
-    ("patterns",
-     lambda ps: isinstance(ps, list) and ps and all(p in PATTERNS for p in ps),
-     "a non-empty list of thinning patterns out of " + ", ".join(PATTERNS)),
-    ("expect", lambda e: isinstance(e, dict), "an object of condition: status"),
-    ("plan_path", lambda p: p is None or isinstance(p, str), "a string or null"),
-)
-# the tail conditions ``tails`` checks, and the Feller pair a feller_grid adds
+# the conditions of tails, the Feller pair a feller_grid adds, verdict statuses
 _TAIL_CONDITIONS = ("weak_l1", "liminf", "limsup", "energy")
 _FELLER_CONDITIONS = ("feller_tail_sum", "feller_square_sum")
+_STATUSES = ("holds", "holds-on-grid", "fails", "inconclusive")
+# key -> (number or list item type or None, whether a list, condition, wording)
+_KEYS = {
+    "seed": (int, False, lambda s: 0 <= s < 2**64, "an integer in [0, 2^64)"),
+    "reps": (int, False, lambda R: R >= 1, ">= 1"),
+    "epsilon": (float, False, lambda e: e > 0, "> 0"),
+    "pass_threshold": (float, False, lambda p: 0 <= p <= 1, "in [0, 1]"),
+    **dict.fromkeys(("target_length", "search_cap", "min_index", "sample_R"),
+                    (int, False, None, "")),
+    "eps_floor": (float, False, None, ""), "indices": (int, True, None, ""),
+    "m_grid": (float, True,
+               lambda g: g and all(0 < M <= tails_mod.MAX_LEVEL for M in g),
+               f"a non-empty list of levels in (0, {tails_mod.MAX_LEVEL:g}]"),
+    "n_range": (int, True, lambda r: len(r) == 2 and 1 <= r[0] <= r[1],
+                "[lo, hi] with 1 <= lo <= hi"),
+    "n_grid": (int, True, lambda g: g and 1 <= min(g) <= max(g) < 2**63
+               and len(set(g)) == len(g),
+               "a non-empty list of distinct levels in [1, 2^63)"),
+    "feller_grid": (int, True, lambda g: all(N >= 1 for N in g),
+                    "a list of levels >= 1"),
+    **dict.fromkeys(("compute_l2", "gap_probe"), (
+        None, False, lambda b: isinstance(b, bool), "true or false")),
+    "patterns": (None, False, lambda ps: isinstance(ps, list) and ps and all(
+        p in PATTERNS for p in ps), "a non-empty list of thinning patterns "
+        "out of " + ", ".join(PATTERNS)),
+    "expect": (None, False, lambda e: isinstance(e, dict) and all(
+        s in _STATUSES for s in e.values()), "an object of condition: "
+        "status, each status one of " + ", ".join(_STATUSES)),
+    "plan_path": (None, False, lambda p: p is None or isinstance(p, str),
+                  "a string or null"),
+}
 
 
 def _json_number(v, kind) -> bool:
     """Whether ``v`` may stand for a number of type ``kind``: an int key
     takes JSON integers only, since int() would turn 1.5 or "1" into 1; a
     float key takes finite JSON numbers only, since float() would read
-    "0.5" or "nan", and json reads a bare NaN token and 1e999 as floats;
+    "0.5" or "nan", and json reads a bare NaN token and 1e999 as floats,
+    nor an integer past the largest float, which float() cannot convert;
     no key takes a JSON boolean, although Python reads True as 1."""
     if kind is int:
         return type(v) is int
-    return type(v) in (int, float) and math.isfinite(v)
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
@@ -171,23 +175,19 @@ def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
         if key not in cfg:
             raise UsageError(f"unknown config key {key!r} for {command}")
         cfg[key] = val
-    for key, kind in _NUMBERS.items():
+    for key, (kind, many, ok, what) in _KEYS.items():
         val = cfg.get(key)
         # a key may be null only where its default is
         if key not in cfg or (val is None and _DEFAULTS[command][key] is None):
             continue
-        many = key in _NUMBER_LISTS
-        try:
-            if many != isinstance(val, list) or not all(
-                    _json_number(v, kind) for v in (val if many else [val])):
-                raise TypeError
-            cfg[key] = [kind(v) for v in val] if many else kind(val)
-        except (TypeError, ValueError, OverflowError):
-            what = "int" if kind is int else "finite number"
-            raise UsageError(f"config key {key!r} must hold {what} values, "
-                             f"not {val!r}")
-    for key, ok, what in _CHECKS:
-        if key in cfg and not ok(cfg[key]):
+        if kind and (many != isinstance(val, list) or not all(
+                _json_number(v, kind) for v in (val if many else [val]))):
+            raise UsageError(f"config key {key!r} must hold "
+                             f"{'int' if kind is int else 'finite number'} "
+                             f"values, not {val!r}")
+        if kind:
+            cfg[key] = val = [kind(v) for v in val] if many else kind(val)
+        if ok and not ok(val):
             raise UsageError(f"{key} must be {what}")
     if cfg.get("compute_l2") and cfg["reps"] < 2:  # for its standard error
         raise UsageError("compute_l2 needs reps >= 2")
@@ -268,6 +268,10 @@ def _tails_stage(model: SequenceModel, cfg: dict, out: str,
     """tails.csv and verdicts.json (``conditions`` and, given a feller_grid,
     the Feller pair); returns the verdict block."""
     n_range = range(cfg["n_range"][0], cfg["n_range"][1] + 1)
+    if max([n_range[-1], *cfg["feller_grid"]]) > model.index_cap:
+        # named by the first index past the cap the stage would read
+        raise CapacityError(f"index {max(n_range[0], model.index_cap + 1)} "
+                            f"outside 1..{model.index_cap}")
     profile = tails_mod.build_tail_profile(model, cfg["m_grid"], n_range)
     write_csv(os.path.join(out, "tails.csv"),
               ("n", "M", "tau", "sigma", "feller_residual"), profile.rows())

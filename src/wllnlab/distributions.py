@@ -93,11 +93,6 @@ class Distribution:
         returned; ``scratch`` lends the kernel its work buffers."""
         raise NotImplementedError
 
-    # breakpoints of the survival step function on [0, M]; None means the
-    # survival is not a step function (continuous laws)
-    def survival_breakpoints(self, M: float) -> np.ndarray | None:
-        return None
-
     # optional analytic facts consumed by the condition checkers ---------
 
     def tau_envelope(self):
@@ -160,9 +155,6 @@ class FiniteDiscrete(Distribution):
         for lo, hi in zip(pts[:-1], pts[1:]):
             total += self.survival(lo) * (hi * hi - lo * lo) / 2.0
         return total
-
-    def survival_breakpoints(self, M: float) -> np.ndarray:
-        return self._abs_vals[self._abs_vals < M]
 
     def quantile_array(self, u, out=None, scratch=None):
         # the atom index is the count of cumulative masses below the last
@@ -280,9 +272,6 @@ class Pareto1(Distribution):
 # so its relative error stays at the rounding level of log x at every m.
 
 _HEAD_K = 4096
-
-# most breakpoints HeavyLogLaw.survival_breakpoints lists, an 8 MiB array
-_MAX_BREAKPOINTS = 1 << 20
 
 # Callers ask survival and trunc_moment for the same few levels many times
 # (``check_feller_necessary`` once per index up to each level, and
@@ -506,15 +495,6 @@ class HeavyLogLaw(Distribution):
             return 0.0
         m = int(math.floor(M))
         return self._scale * (_tau(m) + _tail(m) * (M * M - float(m) ** 2)) / 2.0
-
-    def survival_breakpoints(self, M: float) -> np.ndarray:
-        # every integer in [2, M) is one, so the list is refused past a cap
-        # before anything is allocated
-        if M - 2.0 > _MAX_BREAKPOINTS:
-            raise UnsupportedOracleError(
-                f"heavy-log survival has {math.ceil(M - 2.0):.3g} breakpoints "
-                f"below M = {M:g}, over the cap of 2^20 on a breakpoint walk")
-        return np.arange(2.0, M, 1.0) if M > 2 else np.empty(0)
 
     def quantile_array(self, u, out=None, scratch=None):
         return heavy_log_quantile(u, self.rho, self.symmetric, out, scratch)

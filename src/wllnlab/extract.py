@@ -762,7 +762,7 @@ class CrossProductBudget:
     ok: bool
 
 
-def _sigma_sup(model, indices, N: float) -> float:
+def _max_sigma(model, indices, N: float) -> float:
     return max(model.marginal_dist(int(i)).trunc_moment(N, 2) / N
                for i in indices)
 
@@ -781,7 +781,7 @@ def cross_product_budget(plan: ExtractionPlan, model: SequenceModel,
                 head += 2.0 * v
             else:
                 tail += 2.0 * v
-    sig = _sigma_sup(model, plan.indices[:N], float(N))
+    sig = _max_sigma(model, plan.indices[:N], float(N))
     head_bound = N * sig * math.log(N) * (1.0 + _TOLERANCE) + _TOLERANCE
     tail_bound = sum(2.0 * (n - 1) * step_epsilon(n, plan.eps_floor)
                      for n in range(2, N + 1) if n > split) + _TOLERANCE
@@ -795,9 +795,9 @@ class SumOfSquaresCheck:
     N: int
     lhs: float
     split_bound: float       # 2 sum E(f^t)^2 + 2 N E(D^2)
-    sigma_bound: float       # 4 N^2 sigma_sup(N)
+    sigma_bound: float       # 4 N^2 max_n sigma_n(N)
     corrector_second_moment: float
-    corrector_moment_bound: float  # N * sigma_sup(N)
+    corrector_moment_bound: float  # N * max_n sigma_n(N)
     ok: bool
 
 
@@ -809,7 +809,7 @@ def sum_of_squares_check(model: SequenceModel, D: CorrectorSeries, N: int,
     sum_sq = math.fsum(model.marginal_dist(i).trunc_moment(float(N), 2)
                        for i in window)
     d2 = D.second_moment(N, model.factor_law)
-    sig = _sigma_sup(model, window, float(N))
+    sig = _max_sigma(model, window, float(N))
     split_bound = 2.0 * sum_sq + 2.0 * N * d2
     sigma_bound = 4.0 * N * N * sig
     ok = (lhs <= split_bound + _TOLERANCE and lhs <= sigma_bound + _TOLERANCE

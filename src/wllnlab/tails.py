@@ -5,7 +5,7 @@ For a sequence model this module computes, on a grid of levels M:
 * ``tau_n(M)``   = M * P(|f_n| > M)
 * ``sigma_n(M)`` = (1/M) * E(f_n^2 1{|f_n| <= M})
 
-together with sup-aggregates over an index window, and certifies the exact
+together with sup_n tau_n(M) over an index window, and certifies the exact
 relation  sigma_n(M) = (2/M) int_0^M tau_n(t) dt - tau_n(M)  by piecewise
 integration (no step-size dependence).
 
@@ -21,9 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .distributions import UnsupportedOracleError
 from .models import SequenceModel
 
 MAX_LEVEL = 1e150  # the oracles square M, which overflows past ~1.34e154
@@ -36,30 +33,6 @@ class Verdict:
     data: dict = field(default_factory=dict)
 
 
-def tau_sup_integral(model: SequenceModel, n_range, M: float) -> float:
-    """Exact int_0^M sup_{n in n_range} tau_n(t) dt.
-
-    If the family is pointwise ordered the sup is one coordinate's tau and
-    its own exact integral applies; otherwise the survivals are step
-    functions and the integral is taken over the union of breakpoints.
-    """
-    idx = model.pointwise_sup_index(n_range)
-    if idx is not None:
-        return model.marginal_dist(idx).tau_integral(M)
-    dists = [model.marginal_dist(n) for n in n_range]
-    pieces = [d.survival_breakpoints(M) for d in dists]
-    if any(p is None for p in pieces):
-        raise UnsupportedOracleError(
-            "sup-integral needs a pointwise-ordered family or step survivals")
-    pts = np.unique(np.concatenate([np.array([0.0, M])] + list(pieces)))
-    pts = pts[(pts >= 0.0) & (pts <= M)]
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        s = max(d.survival(lo) for d in dists)
-        total += s * (hi * hi - lo * lo) / 2.0
-    return total
-
-
 @dataclass
 class TailProfile:
     m_grid: tuple
@@ -67,8 +40,6 @@ class TailProfile:
     tau: dict            # (n, M) -> tau_n(M)
     sigma: dict          # (n, M) -> sigma_n(M)
     tau_sup: dict        # M -> sup over n_range
-    sigma_sup: dict
-    tau_sup_int: dict    # M -> exact int_0^M sup tau
     feller_residual: dict  # (n, M) -> residual
 
     def rows(self):
@@ -95,10 +66,7 @@ def build_tail_profile(model: SequenceModel, m_grid, n_range) -> TailProfile:
             sigma[(n, M)] = s
             res[(n, M)] = s - ((2.0 / M) * dist.tau_integral(M) - t)
     tau_sup = {M: max(tau[(n, M)] for n in n_range) for M in m_grid}
-    sigma_sup = {M: max(sigma[(n, M)] for n in n_range) for M in m_grid}
-    sup_int = {M: tau_sup_integral(model, n_range, M) for M in m_grid}
-    return TailProfile(m_grid, n_range, tau, sigma, tau_sup, sigma_sup,
-                       sup_int, res)
+    return TailProfile(m_grid, n_range, tau, sigma, tau_sup, res)
 
 
 # -------------------------------------------------------------------------
@@ -207,9 +175,11 @@ def check_feller_necessary(model: SequenceModel, N_grid) -> tuple[Verdict, Verdi
     N_grid = sorted(int(N) for N in N_grid)
     s1, s2 = {}, {}
     for N in N_grid:
-        dists = [model.marginal_dist(n) for n in range(1, N + 1)]
-        s1[N] = math.fsum(d.survival(N) for d in dists)
-        s2[N] = math.fsum(d.trunc_moment(N, 2) for d in dists) / (N * N)
+        # each sum reads one law at a time, so memory stays flat in N
+        idx = range(1, N + 1)
+        s1[N] = math.fsum(model.marginal_dist(n).survival(N) for n in idx)
+        s2[N] = math.fsum(model.marginal_dist(n).trunc_moment(N, 2)
+                          for n in idx) / (N * N)
     verdicts = []
     for seq in (s1, s2):
         vals = [seq[N] for N in N_grid]

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 import tracemalloc
@@ -44,6 +45,11 @@ IID_MODEL = {"kind": "iid",
 HEAVY_LOG_ARRAY = {"kind": "independent_array", "params": {"dists": [
     {"family": "heavy_log", "rho": 0.5, "symmetric": True},
     {"family": "heavy_log", "rho": 0.2, "symmetric": False}]}}
+
+# an inverse-law tail beside a bounded law
+PARETO_FINITE_ARRAY = {"kind": "independent_array", "params": {"dists": [
+    {"family": "pareto1", "scale": 1.0},
+    {"family": "finite", "atoms": [[-2.0, 0.5], [3.0, 0.5]]}]}}
 
 
 def write_cfg(tmp_path, name, payload):
@@ -271,8 +277,6 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
     ("verify", {"model": TAIL_MODEL, "seed": False, "n_grid": [4],
                 "reps": 10}),
     ("tails", {"model": TAIL_MODEL, "m_grid": [True, 2.0]}),
-    ("tails", {"model": HEAVY_LOG_ARRAY, "n_range": [1, 2],
-               "m_grid": [1e150]}),
     ("verify", {"model": IID_SIGNS, "indices": [1.5, 2, 3, 4], "n_grid": [4],
                 "reps": 10}),
     ("verify", {"model": IID_SIGNS, "n_grid": ["4"], "reps": 10}),
@@ -290,16 +294,20 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
                     "pass_threshold": -0.1}),
     ("verify", {"model": IID_SIGNS, "n_grid": [4], "reps": 10,
                 "epsilon": float("nan")}),
+    # a status no verdict takes would only fail the expectation (exit 2)
+    ("tails", {"model": TAIL_MODEL, "n_range": [1, 4],
+               "expect": {"weak_l1": "hold"}}),
 ], ids=["non-numeric-value", "infinite-value", "unsupported-oracle",
         "index-cap-below-grid", "tails-past-rho-table",
         "verify-past-rho-table", "index-cap-above-rho-table",
         "rho-above-one", "rho-below-zero", "zero-index-cap",
         "example41-symmetric-not-boolean", "heavy-log-symmetric-not-boolean",
         "boolean-length", "boolean-seed", "boolean-in-level-list",
-        "heavy-log-array-walk-past-cap", "fractional-index-in-config",
+        "fractional-index-in-config",
         "string-level", "string-epsilon-and-nan-threshold",
         "nan-string-threshold", "bare-nan-threshold", "threshold-above-one",
-        "negative-threshold", "bare-nan-epsilon"])
+        "negative-threshold", "bare-nan-epsilon",
+        "tails-expect-unknown-status"])
 def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
@@ -393,6 +401,47 @@ def test_grid_past_index_cap_exits_before_building_indices(tmp_path, capsys,
     assert rc == 64
     assert capsys.readouterr().err == "error: indices outside 1..100\n"
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("keys", [
+    {"n_range": [1, 10**6]},
+    {"n_range": [1, 2], "feller_grid": [2, 10**6]},
+], ids=["index-range", "feller-level"])
+def test_tails_past_index_cap_exits_before_any_oracle_call(tmp_path, capsys,
+                                                          keys):
+    # the two-law array's cap is 2: the range is not built, and neither
+    # tails.csv nor a Feller sum is started
+    cfg = write_cfg(tmp_path, "c.json", {"model": HEAVY_LOG_ARRAY, **keys})
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        rc = main(["tails", "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 64
+    assert capsys.readouterr().err == "error: index 3 outside 1..2\n"
+    assert os.listdir(out) == ["manifest.json"]
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("model, m_grid", [
+    (HEAVY_LOG_ARRAY, [10, 1e6, 1e150]),
+    (PARETO_FINITE_ARRAY, [2, 3, 10, 1e6]),
+], ids=["heavy-log-array-to-max-level", "pareto1-and-finite-array"])
+def test_tails_on_any_independent_array(tmp_path, model, m_grid):
+    # no index dominates the others' tails, and the stage needs none
+    cfg = write_cfg(tmp_path, "c.json", {"model": model, "n_range": [1, 2],
+                                         "m_grid": m_grid})
+    out = tmp_path / "o"
+    assert main(["tails", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "tails.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2 * len(m_grid)
+    for row in rows:
+        assert all(math.isfinite(float(row[k]))
+                   for k in ("tau", "sigma", "feller_residual"))
+        assert abs(float(row["feller_residual"])) <= 1e-9
 
 
 def test_hereditary_runs_what_is_long_enough(tmp_path):

@@ -4,15 +4,12 @@ three-valued condition checkers."""
 import math
 import tracemalloc
 
-import numpy as np
 import pytest
 
-import wllnlab.distributions as dist_mod
 from wllnlab.distributions import (
     FiniteDiscrete,
     HeavyLogLaw,
     Pareto1,
-    UnsupportedOracleError,
     example41_constant_c,
 )
 from wllnlab.models import (
@@ -29,7 +26,6 @@ from wllnlab.tails import (
     check_liminf_condition,
     check_limsup_condition,
     check_weak_l1,
-    tau_sup_integral,
 )
 
 M_GRID = [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
@@ -125,18 +121,21 @@ class TestFellerResidual:
 class TestProfile:
     def test_invariant_bounds(self):
         profile = build_tail_profile(ex41_log(), M_GRID, range(1, 17))
-        for n in profile.n_range:
-            for M in profile.m_grid:
+        for M in profile.m_grid:
+            sigma_sup = max(profile.sigma[(n, M)] for n in profile.n_range)
+            for n in profile.n_range:
                 assert 0.0 <= profile.tau[(n, M)] <= profile.tau_sup[M] <= M
-                assert 0.0 <= profile.sigma[(n, M)] <= profile.sigma_sup[M] <= M
+                assert 0.0 <= profile.sigma[(n, M)] <= sigma_sup <= M
 
     def test_sigma_sup_integral_bound(self):
-        # sigma_sup(M) <= (2/M) * int_0^M tau_sup(t) dt
+        # sigma_n(M) <= (2/M) * int_0^M tau_n(t) dt for every n, so the sup
+        # over n is at most (2/M) * int_0^M sup_n tau_n(t) dt
         model = ex41_log()
         profile = build_tail_profile(model, M_GRID, range(1, 17))
-        for M in profile.m_grid:
-            assert profile.sigma_sup[M] <= \
-                (2.0 / M) * profile.tau_sup_int[M] + 1e-9
+        for n in profile.n_range:
+            for M in profile.m_grid:
+                assert profile.sigma[(n, M)] <= \
+                    (2.0 / M) * model.marginal_dist(n).tau_integral(M) + 1e-9
 
     def test_rows_format(self):
         profile = build_tail_profile(ex41(), [2.0, 4.0], range(1, 3))
@@ -149,55 +148,6 @@ class TestProfile:
             build_tail_profile(ex41(), [], range(1, 3))
         with pytest.raises(ValueError):
             build_tail_profile(ex41(), [2.0], [])
-
-
-def test_tau_sup_integral_union_of_breakpoints():
-    # family not pointwise ordered: brute-force the sup integral instead
-    dists = [FiniteDiscrete([(-1.0, 0.5), (1.0, 0.5)]),
-             FiniteDiscrete([(-3.0, 0.2), (0.0, 0.8)])]
-    m = IndependentArrayModel(dists)
-    M = 5.0
-    got = tau_sup_integral(m, [1, 2], M)
-    t = (np.arange(400_000) + 0.5) * (M / 400_000)
-    sup = np.maximum(np.array([dists[0].survival(x) for x in t]),
-                     np.array([dists[1].survival(x) for x in t]))
-    brute = float(np.sum(t * sup) * (M / 400_000))
-    assert got == pytest.approx(brute, abs=1e-3)
-
-
-@pytest.mark.parametrize("M", [10.0, 1e2, 1e3, 1e4])
-def test_tau_sup_integral_heavy_log_array_walk(M):
-    # each survival is (1 - rho) 2c T(floor t): the laws are pointwise
-    # ordered by rho, though the array names no dominating index, so the
-    # breakpoint walk must give the smallest rho's closed form
-    laws = [HeavyLogLaw(rho, symmetric=sym) for rho, sym in
-            ((0.5, True), (0.2, False), (0.7, True), (0.35, False))]
-    m = IndependentArrayModel(laws)
-    assert m.pointwise_sup_index([1, 2, 3, 4]) is None
-    got = tau_sup_integral(m, [1, 2, 3, 4], M)
-    assert got == pytest.approx(laws[1].tau_integral(M), rel=1e-12)
-
-
-def test_heavy_log_walk_refused_before_allocating():
-    # at M = 1e9 the walk would list about 1e9 breakpoints (8 GB)
-    m = IndependentArrayModel([HeavyLogLaw(0.5), HeavyLogLaw(0.2, False)])
-    tracemalloc.start()
-    try:
-        with pytest.raises(UnsupportedOracleError, match="2\\^20"):
-            tau_sup_integral(m, [1, 2], 1e9)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
-
-
-def test_heavy_log_walk_cap_boundary(monkeypatch):
-    # the breakpoints below M are the integers 2, ..., ceil(M) - 1
-    monkeypatch.setattr(dist_mod, "_MAX_BREAKPOINTS", 8)
-    law = HeavyLogLaw(0.5)
-    assert law.survival_breakpoints(10.0).tolist() == list(range(2, 10))
-    with pytest.raises(UnsupportedOracleError):
-        law.survival_breakpoints(10.5)
 
 
 class TestConditionChecks:
@@ -330,3 +280,17 @@ class TestFellerNecessary:
         first, second = check_feller_necessary(ex41(0.5), [64, 1024, 16384])
         assert first.status == "holds-on-grid"
         assert second.status == "holds-on-grid"
+
+    def test_sums_read_one_law_at_a_time(self):
+        # the counterexample builds one law per index, and a sum over
+        # N = 20,000 of them must not hold them all
+        tracemalloc.start()
+        try:
+            first, second = check_feller_necessary(
+                TailVanishingModel(Pareto1()), [20_000])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first.data["values"] == {20_000: 1.0}
+        assert second.data["values"] == {20_000: 0.499975}
+        assert peak < 1 << 18
