@@ -24,11 +24,7 @@ from .extract import (
     ExtractConfigError,
     ExtractionFailure,
     ExtractionPlan,
-    check_plan_subsequence,
-    cross_product_budget,
-    exact_centered_inner_product,
     greedy_extract,
-    sum_of_squares_check,
     truncate_array,
     verify_plan,
 )
@@ -61,7 +57,6 @@ from .verify import (
     ProbeInputError,
     ProbePass,
     hereditary_suite,
-    thin_indices,
     truncation_gap_probe,
     wilson_interval,
     wlln_probe,

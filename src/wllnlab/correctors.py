@@ -11,7 +11,6 @@ A corrector series assigns to each level N a centering value D_N with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -47,19 +46,16 @@ class CorrectorSeries:
                 raise ValueError(f"corrector magnitude {worst} exceeds level {N}")
 
     def value(self, N: int, factor: float | None = None) -> float:
+        """D_N; the conditional kind reads the table at the factor's exact
+        atom (``realized`` resolves sampled factors)."""
         if self.kind != "conditional":
             return float(self.values[N])
         if factor is None:
             raise ValueError("conditional corrector needs the factor value")
         table = self.values[N]
-        if factor in table:
-            return float(table[factor])
-        # factor realizations are exact atoms; tolerate float round-off (a
-        # NaN factor is near no atom)
-        best = min(table, key=lambda b: abs(b - factor))
-        if not abs(best - factor) <= _ATOM_TOLERANCE:
+        if factor not in table:
             raise KeyError(f"factor {factor} not in corrector table")
-        return float(table[best])
+        return float(table[factor])
 
     def constant(self, N: int) -> float:
         """D_N of a non-random series; a conditional series has none, and
@@ -73,9 +69,9 @@ class CorrectorSeries:
         """D_N for N in ``levels`` on every path: shape (len(levels),) for
         the constant kinds, (len(factors), len(levels)) for the conditional
         kind.  Both read a table built by ``value`` on the first call for
-        ``levels``; the conditional kind takes each factor's nearest atom
-        with ``value``'s tolerance, and a factor near no atom, or on one
-        that a level's table lacks, raises ``KeyError``."""
+        ``levels``; the conditional kind takes each factor's nearest atom,
+        tolerating float round-off, and a factor near no atom (NaN is near
+        none), or on one that a level's table lacks, raises ``KeyError``."""
         levels = tuple(levels)
         if levels not in self._tables:
             self._tables[levels] = self._table(levels)
@@ -113,15 +109,6 @@ class CorrectorSeries:
         found = np.where(np.isnan(table).any(axis=1), np.nan, atoms)
         return (atoms[1:] + atoms[:-1]) / 2, found, table
 
-    def second_moment(self, N: int, factor_probs: dict | None = None) -> float:
-        """E(D_N^2); conditional kind averages over the factor law."""
-        if self.kind != "conditional":
-            return float(self.values[N]) ** 2
-        if factor_probs is None:
-            raise ValueError("conditional corrector needs the factor law")
-        return math.fsum(p * self.values[N][b] ** 2
-                         for b, p in factor_probs.items())
-
     def is_zero(self) -> bool:
         if self.kind == "conditional":
             return all(v == 0.0 for N in self.n_grid
@@ -155,12 +142,9 @@ def corrector_independent(model: SequenceModel, n_grid) -> CorrectorSeries:
     """D_N = (1/N) sum_{n<=N} E(f_n 1{|f_n| <= N}) for independent
     coordinates."""
     values = {}
-    for N in n_grid:
-        N = int(N)
-        values[N] = math.fsum(
-            model.marginal_dist(n).trunc_moment(float(N), 1)
-            for n in range(1, N + 1)
-        ) / N
+    for N in map(int, n_grid):
+        values[N] = model.marginal_sum(
+            N, lambda dist: dist.trunc_moment(float(N), 1)) / N
     return CorrectorSeries(tuple(n_grid), "constant", values,
                            "independent-average-truncated-mean")
 

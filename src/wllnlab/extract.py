@@ -37,9 +37,9 @@ so far, so an estimate at step n is one product and two reductions over
 n - 1 cached rows.  The rows are C-contiguous (rows, R) and reduced along
 axis 1, so batched estimates are bit for bit one-row-at-a-time
 reductions.  ``verify_plan`` recomputes every recorded entry, in exact
-mode from the plan's rows in the scalar oracle's order of operations, bit
-for bit ``exact_centered_inner_product``, in sample mode from a bank of
-the plan's indices only.
+mode from the plan's rows, bit for bit the one-pair-at-a-time formulas
+of ``reference_inner_product`` in ``tests/scalar_reference.py``, in
+sample mode from a bank of the plan's indices only.
 
 Sample mode certifies nothing: its 99% half-width is a normal
 approximation, 0 for a band no replication hits, and the recheck reads the
@@ -66,8 +66,6 @@ _DETAIL_STEPS = 16
 _BLOCK = 2048
 # candidates the first block after a rejection scores; sizes then double
 _FIRST_BLOCK = 8
-# slack of the proof-side bounds for rounding in the oracle sums
-_TOLERANCE = 1e-9
 # rows of a growing member of plan.json encoded at once
 _WRITE_ROWS = 1024
 # plan.json's encoder: sorted keys, no whitespace, strict JSON (a NaN or an
@@ -100,19 +98,6 @@ class ExtractionFailure(Exception):
 class ExtractConfigError(ValueError):
     """An extraction setting outside its documented range; raised before
     any candidate is examined or any path sampled."""
-
-
-# -------------------------------------------------------------------------
-# exact centered inner products
-# -------------------------------------------------------------------------
-
-def exact_centered_inner_product(model: SequenceModel, j: int, k: int,
-                                 N: float, D: CorrectorSeries) -> float:
-    """E[(f_j^{[-N,N]} - D_N)(f_k^{[-N,N]} - D_N)] via the model's joint
-    oracle: a marginal moment on the diagonal, the pair oracle off it."""
-    if j == k:
-        return model.centered_square(j, N, D)
-    return model.pair_inner_product(min(j, k), max(j, k), N, D)
 
 
 # -------------------------------------------------------------------------
@@ -212,8 +197,7 @@ class PlanEntries:
     """The recorded inner products in key order, sorted by (j, n, N), as
     parallel columns: predecessor step ``j``, step ``n`` and level ``N``
     (int64), and ``values``, one row per entry: [value] in exact mode,
-    [estimate, half_width] in sample mode.  Iterating yields the keys
-    (j, n, N)."""
+    [estimate, half_width] in sample mode."""
 
     def __init__(self, j, n, N, values):
         self.j, self.n, self.N, self.values = j, n, N, values
@@ -241,9 +225,6 @@ class PlanEntries:
 
     def __len__(self) -> int:
         return len(self.j)
-
-    def __iter__(self):
-        return zip(self.j.tolist(), self.n.tolist(), self.N.tolist())
 
 
 @dataclass
@@ -666,25 +647,13 @@ def greedy_extract(model: SequenceModel, target_length: int, n_grid,
                           R if mode == "sample" else 0)
 
 
-def _violations(plan: ExtractionPlan, keep) -> list:
-    """The keys of the entries in the mask ``keep`` whose stored values
-    exceed their step's threshold: |value| in exact mode, |estimate| +
-    half_width in sample mode."""
-    e = plan.achieved
-    amounts = np.abs(e.values[:, 0])
-    if plan.mode != "exact":
-        amounts = amounts + e.values[:, 1]
-    bad = keep & (amounts > plan.step_thresholds(e.n))
-    return list(zip(e.j[bad].tolist(), e.n[bad].tolist(), e.N[bad].tolist()))
-
-
 def _pair_values(model: SequenceModel, D: CorrectorSeries, indices, n_grid,
                  j, n, N) -> np.ndarray:
     """Exact inner products of the entries (j, n, N) of a plan with these
     ``indices``: the moment rows of all indices in one call, then the
-    entries' pair arithmetic in blocks of ``_BLOCK * 32``, bit for bit what
-    the scalar oracle gives.  Without a row form, the pair oracle per
-    entry."""
+    entries' pair arithmetic in blocks of ``_BLOCK * 32``, bit for bit the
+    scalar pair formulas of ``tests/scalar_reference.py``.  Without a row
+    form, the pair oracle per entry."""
     rows = model.moment_rows(indices, n_grid, D)
     if rows is None:
         return np.array([model.pair_inner_product(indices[a - 1],
@@ -700,14 +669,6 @@ def _pair_values(model: SequenceModel, D: CorrectorSeries, indices, n_grid,
     return out
 
 
-def _exact_values(plan: ExtractionPlan, model: SequenceModel,
-                  D: CorrectorSeries) -> np.ndarray:
-    """Fresh exact values of the plan's entries, aligned with
-    ``plan.achieved``."""
-    e = plan.achieved
-    return _pair_values(model, D, plan.indices, plan.n_grid, e.j, e.n, e.N)
-
-
 def verify_plan(plan: ExtractionPlan, model: SequenceModel,
                 D: CorrectorSeries) -> dict:
     """Recompute every stored inner product from scratch and check the
@@ -717,8 +678,9 @@ def verify_plan(plan: ExtractionPlan, model: SequenceModel,
     level) over all the predecessors recorded there."""
     e, max_diff = plan.achieved, 0.0
     if plan.mode == "exact" and len(e):
-        max_diff = float(np.max(np.abs(_exact_values(plan, model, D)
-                                       - e.values[:, 0])))
+        fresh = _pair_values(model, D, plan.indices, plan.n_grid, e.j, e.n,
+                             e.N)
+        max_diff = float(np.max(np.abs(fresh - e.values[:, 0])))
     elif len(e):
         bank = _SampleBank(model, plan.indices, plan.sample_R, plan.seed, D)
         order = np.lexsort((e.N, e.n))
@@ -731,88 +693,13 @@ def verify_plan(plan: ExtractionPlan, model: SequenceModel,
                                    int(e.N[group[0]]))
             max_diff = max(max_diff, float(np.max(np.abs(
                 est[j - 1] - e.values[group, 0]))))
-    violations = _violations(plan, np.ones(len(e), dtype=bool))
+    # a stored entry breaks its step's threshold by |value| in exact mode,
+    # by |estimate| + half_width in sample mode
+    amounts = np.abs(e.values[:, 0])
+    if plan.mode != "exact":
+        amounts = amounts + e.values[:, 1]
+    bad = amounts > plan.step_thresholds(e.n)
+    violations = list(zip(e.j[bad].tolist(), e.n[bad].tolist(),
+                          e.N[bad].tolist()))
     return {"checked": len(e), "max_abs_diff": max_diff,
             "violations": violations, "ok": not violations}
-
-
-def check_plan_subsequence(plan: ExtractionPlan, keep_steps) -> dict:
-    """Hereditary closure at the plan level: the retained steps, checked
-    against the ORIGINAL step thresholds, still satisfy every recorded
-    constraint involving only retained steps."""
-    e, keep = plan.achieved, list(keep_steps)
-    mask = np.isin(e.j, keep) & np.isin(e.n, keep)
-    violations = _violations(plan, mask)
-    return {"checked": int(mask.sum()), "violations": violations,
-            "ok": not violations}
-
-
-# -------------------------------------------------------------------------
-# proof-side bookkeeping: cross products and sums of squares
-# -------------------------------------------------------------------------
-
-@dataclass
-class CrossProductBudget:
-    N: int
-    head_sum: float
-    tail_sum: float
-    total: float
-    head_bound: float
-    tail_bound: float
-    ok: bool
-
-
-def _max_sigma(model, indices, N: float) -> float:
-    return max(model.marginal_dist(int(i)).trunc_moment(N, 2) / N
-               for i in indices)
-
-
-def cross_product_budget(plan: ExtractionPlan, model: SequenceModel,
-                         D: CorrectorSeries, N: int) -> CrossProductBudget:
-    if len(plan.indices) < N:
-        raise ValueError("plan shorter than the requested level")
-    split = math.sqrt(math.log(N))
-    head = tail = 0.0
-    for n in range(2, N + 1):
-        for j in range(1, n):
-            v = abs(exact_centered_inner_product(
-                model, plan.indices[j - 1], plan.indices[n - 1], float(N), D))
-            if n <= split:
-                head += 2.0 * v
-            else:
-                tail += 2.0 * v
-    sig = _max_sigma(model, plan.indices[:N], float(N))
-    head_bound = N * sig * math.log(N) * (1.0 + _TOLERANCE) + _TOLERANCE
-    tail_bound = sum(2.0 * (n - 1) * step_epsilon(n, plan.eps_floor)
-                     for n in range(2, N + 1) if n > split) + _TOLERANCE
-    total = head + tail
-    ok = head <= head_bound and tail <= tail_bound
-    return CrossProductBudget(N, head, tail, total, head_bound, tail_bound, ok)
-
-
-@dataclass
-class SumOfSquaresCheck:
-    N: int
-    lhs: float
-    split_bound: float       # 2 sum E(f^t)^2 + 2 N E(D^2)
-    sigma_bound: float       # 4 N^2 max_n sigma_n(N)
-    corrector_second_moment: float
-    corrector_moment_bound: float  # N * max_n sigma_n(N)
-    ok: bool
-
-
-def sum_of_squares_check(model: SequenceModel, D: CorrectorSeries, N: int,
-                         index_window) -> SumOfSquaresCheck:
-    window = [int(i) for i in index_window]
-    lhs = math.fsum(
-        exact_centered_inner_product(model, i, i, float(N), D) for i in window)
-    sum_sq = math.fsum(model.marginal_dist(i).trunc_moment(float(N), 2)
-                       for i in window)
-    d2 = D.second_moment(N, model.factor_law)
-    sig = _max_sigma(model, window, float(N))
-    split_bound = 2.0 * sum_sq + 2.0 * N * d2
-    sigma_bound = 4.0 * N * N * sig
-    ok = (lhs <= split_bound + _TOLERANCE and lhs <= sigma_bound + _TOLERANCE
-          and d2 <= N * sig + _TOLERANCE)
-    return SumOfSquaresCheck(N, lhs, split_bound, sigma_bound, d2,
-                             N * sig, ok)

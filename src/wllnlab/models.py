@@ -77,6 +77,16 @@ class SequenceModel:
         raise UnsupportedOracleError(
             f"model kind {self.kind!r} unsupported for weak-L2 correctors")
 
+    def marginal_sum(self, N: int, term) -> float:
+        """sum_{n <= N} term(marginal_dist(n)), correctly rounded, reading
+        one law at a time.  Coordinates that share one law read it once, at
+        index N, which keeps the index cap: N * v is the correctly rounded
+        sum of N copies of v, as ``math.fsum``'s is, and + 0.0 turns a -0.0
+        into fsum's 0.0."""
+        if self.identically_distributed:
+            return N * term(self.marginal_dist(N)) + 0.0
+        return math.fsum(term(self.marginal_dist(n)) for n in range(1, N + 1))
+
     def _check_index(self, n: int) -> None:
         if not 1 <= n <= self.index_cap:
             raise CapacityError(f"index {n} outside 1..{self.index_cap}")
@@ -182,7 +192,8 @@ class SequenceModel:
     def moment_rows(self, indices, levels, D) -> np.ndarray | None:
         """The moments of f_i the pair oracle needs under the centering D,
         as a (len(indices), len(levels), width) array for increasing
-        ``indices``; None without a row form.  Without a path factor each
+        ``indices``; None without a row form, and then the model answers
+        ``pair_inner_product(j, k, N, D)``.  Without a path factor each
         coordinate reads its own uniform, so coordinates are independent
         and the one moment is E(f_i 1{|f_i| <= N}) - D_N."""
         idx = self._checked_indices(indices)
@@ -206,16 +217,6 @@ class SequenceModel:
     def lead_key(self, rows):
         """What the "max" and "min" lead slots compare, per row."""
         return np.abs(rows[..., 0])
-
-    def pair_inner_product(self, j: int, k: int, N: float, D) -> float:
-        """E[(f_j^{[N]} - D_N)(f_k^{[N]} - D_N)] for j < k."""
-        rows = self.moment_rows((j, k), (N,), D)
-        return float(self.row_inner_product(rows[0, 0], rows[1, 0]))
-
-    def centered_square(self, i: int, N: float, D) -> float:
-        """E[(f_i^{[N]} - D_N)^2], marginal under a non-random D."""
-        d, dist = D.constant(int(N)), self.marginal_dist(i)
-        return dist.trunc_moment(N, 2) - 2.0 * d * dist.trunc_moment(N, 1) + d * d
 
     # analytic facts for the condition checkers, each None where the model
     # has none; identically distributed models read them off their law
@@ -475,8 +476,11 @@ class Example41Model(SequenceModel):
         return super()._trunc_means(idx, levels)
 
     def pair_inner_product(self, j, k, N, D):
+        """E[(f_j^{[N]} - D_N)(f_k^{[N]} - D_N)] for j < k under the
+        comonotone coupling; the independent one answers ``moment_rows``."""
         if not self.has_factor:
-            return super().pair_inner_product(j, k, N, D)
+            raise UnsupportedOracleError(
+                "the independent coupling's pair moments come from moment rows")
         d = D.constant(int(N))
         mu_j = self.marginal_dist(j).trunc_moment(N, 1)
         mu_k = self.marginal_dist(k).trunc_moment(N, 1)
@@ -593,27 +597,19 @@ class LatentShiftModel(SequenceModel):
 
     def moment_rows(self, indices, levels, D):
         idx = self._checked_indices(indices)
-        value = [self._factor_average(N, D, False) for N in levels]
+        value = [self._factor_average(N, D) for N in levels]
         return np.broadcast_to(np.array(value, dtype=float)[:, None],
                                (len(idx), len(levels), 1))
 
     def row_inner_product(self, row_j, row_k):
         return row_k[..., 0]
 
-    def centered_square(self, i, N, D):
-        self._check_index(i)
-        return self._factor_average(N, D, True)
-
-    def _factor_average(self, N, D, diagonal: bool) -> float:
+    def _factor_average(self, N, D) -> float:
+        """E_B[(E(f 1{|f| <= N} | B) - D_N(B))^2], the pair value."""
         total = 0.0    # a running sum: sum() compensates on Python >= 3.12
         for b, p in self.factor_dist.atoms:
             d = D.value(int(N), factor=b)
-            m1 = self.conditional_trunc_moment(b, N, 1)
-            if diagonal:
-                m2 = self.conditional_trunc_moment(b, N, 2)
-                total += p * (m2 - 2.0 * d * m1 + d * d)
-            else:
-                total += p * (m1 - d) ** 2
+            total += p * (self.conditional_trunc_moment(b, N, 1) - d) ** 2
         return total
 
 

@@ -175,11 +175,9 @@ def check_feller_necessary(model: SequenceModel, N_grid) -> tuple[Verdict, Verdi
     N_grid = sorted(int(N) for N in N_grid)
     s1, s2 = {}, {}
     for N in N_grid:
-        # each sum reads one law at a time, so memory stays flat in N
-        idx = range(1, N + 1)
-        s1[N] = math.fsum(model.marginal_dist(n).survival(N) for n in idx)
-        s2[N] = math.fsum(model.marginal_dist(n).trunc_moment(N, 2)
-                          for n in idx) / (N * N)
+        s1[N] = model.marginal_sum(N, lambda dist: dist.survival(N))
+        s2[N] = model.marginal_sum(
+            N, lambda dist: dist.trunc_moment(N, 2)) / (N * N)
     verdicts = []
     for seq in (s1, s2):
         vals = [seq[N] for N in N_grid]

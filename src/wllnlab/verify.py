@@ -192,9 +192,11 @@ class _Exceedance:
             report.l2_hat = dict(zip(grid, np.mean(sq, axis=0).tolist()))
             report.l2_se = dict(zip(grid, (np.std(sq, axis=0, ddof=1)
                                            / math.sqrt(R)).tolist()))
+            # divided by eps twice: a float eps ** 2 raises past 1.34e154
+            # and is 0 below 1.5e-162, where the quotients give inf or 0
             report.markov_ok = all(
-                p_hat[N] <= report.l2_hat[N] / eps ** 2
-                + 3.0 * (_se(p_hat[N], R) + report.l2_se[N] / eps ** 2)
+                p_hat[N] <= report.l2_hat[N] / eps / eps
+                + 3.0 * (_se(p_hat[N], R) + report.l2_se[N] / eps / eps)
                 for N in grid)
         return report
 
@@ -274,11 +276,6 @@ def _thinning(n: int, pattern: str, seed: int):
     if pattern == "prefix-shift":
         return slice(1, None)
     raise ValueError(f"unknown pattern {pattern!r}")
-
-
-def thin_indices(indices, pattern: str, seed: int = 0) -> np.ndarray:
-    idx = np.asarray(indices, dtype=int)
-    return idx[_thinning(len(idx), pattern, seed)]
 
 
 @dataclass
@@ -431,7 +428,8 @@ def hereditary_suite(model: SequenceModel, indices, D: CorrectorSeries,
     """Runs the WLLN probe on derived subsequences with the SAME corrector
     series, indexed by the new position count.  Every pattern reads its
     columns from one base block per chunk of replications, so each report
-    equals ``wlln_probe`` on ``thin_indices(indices, pattern, seed)``.
+    equals ``wlln_probe`` on the indices ``_thinning(len(indices), pattern,
+    seed)`` keeps.
     A pattern too short for every grid point is skipped with a note; when
     every pattern is, nothing would be probed, and that is an input error."""
     return ProbePass(model, indices, seed).hereditary(

@@ -15,6 +15,7 @@ from wllnlab.cli import main, resolve_config, write_json
 from wllnlab.correctors import zero_corrector
 from wllnlab.models import SequenceModel, model_from_spec
 from wllnlab.verify import hereditary_suite, truncation_gap_probe, wlln_probe
+from scalar_reference import entry_keys
 
 TAIL_MODEL = {"kind": "tail_vanishing",
               "params": {"g": {"family": "pareto1", "scale": 1.0}}}
@@ -544,6 +545,25 @@ def test_verify_with_conditional_corrector(tmp_path):
     assert report["markov_ok"]
 
 
+def _strict_constant(token):
+    raise ValueError(f"bare {token} token")
+
+
+@pytest.mark.parametrize("epsilon", [2e154, 1e300, 1e-170, 5e-324])
+def test_l2_check_at_extreme_epsilon(tmp_path, epsilon):
+    # the Markov cross-check divides by epsilon squared, which a float power
+    # overflows past 1.34e154 and underflows to 0 below 1.5e-162
+    cfg = write_cfg(tmp_path, "v.json",
+                    {"model": IID_SIGNS, "epsilon": epsilon, "n_grid": [4],
+                     "reps": 5, "compute_l2": True})
+    out = tmp_path / "v"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) in (0, 4)
+    report = json.loads((out / "report.json").read_text(),
+                        parse_constant=_strict_constant)
+    assert report["epsilon"] == epsilon
+    assert isinstance(report["markov_ok"], bool)
+
+
 def test_hereditary_command(tmp_path):
     cfg = write_cfg(tmp_path, "h.json",
                     {"model": TAIL_MODEL, "epsilon": 0.25,
@@ -691,9 +711,10 @@ def test_plan_json_rows_round_trip(tmp_path, monkeypatch):
     assert stored["achieved_fields"] == ["j", "n", "N", "value"]
     rebuilt = {(j, n, N): v for j, n, N, v in stored["achieved"]}
     assert len(rebuilt) == len(plan.achieved) == 16796
-    assert list(rebuilt) == sorted(plan.achieved)
+    keys = entry_keys(plan.achieved)
+    assert list(rebuilt) == sorted(keys)
     assert {k: _bits(v) for k, v in rebuilt.items()} == \
-        {k: _bits(v) for k, (v,) in zip(plan.achieved, plan.achieved.values)}
+        {k: _bits(v) for k, (v,) in zip(keys, plan.achieved.values)}
 
     # sample mode: (estimate, half_width) per entry
     cfg = resolve_config("extract", {
@@ -709,8 +730,9 @@ def test_plan_json_rows_round_trip(tmp_path, monkeypatch):
                                          "half_width"]
     rebuilt = {(j, n, N): (_bits(e), _bits(h))
                for j, n, N, e, h in stored["achieved"]}
-    assert rebuilt and rebuilt == {k: (_bits(e), _bits(h)) for k, (e, h)
-                                   in zip(plan.achieved, plan.achieved.values)}
+    assert rebuilt and rebuilt == {
+        k: (_bits(e), _bits(h)) for k, (e, h)
+        in zip(entry_keys(plan.achieved), plan.achieved.values)}
 
     # verify reads the plan's indices from plan_path
     reports = []

@@ -19,6 +19,7 @@ from wllnlab.distributions import (
     example41_constant_c,
 )
 from wllnlab.models import (
+    CapacityError,
     Example41Model,
     IIDModel,
     IndependentArrayModel,
@@ -26,8 +27,16 @@ from wllnlab.models import (
     TailVanishingModel,
 )
 from wllnlab.distributions import Pareto1
+from scalar_reference import corrector_second_moment
 
 N_GRID = (2, 8, 32, 128)
+
+
+class _NegativeZeroMean(FiniteDiscrete):
+    """A symmetric law whose truncated mean is -0.0."""
+
+    def trunc_moment(self, M, order):
+        return -0.0 if order == 1 else super().trunc_moment(M, order)
 
 LATENT = LatentShiftModel(FiniteDiscrete([(-1.0, 0.5), (1.0, 0.5)]),
                           FiniteDiscrete([(-3.0, 0.5), (3.0, 0.5)]))
@@ -59,8 +68,9 @@ class TestContract:
     def test_conditional_value_lookup(self):
         D = corrector_weak_l2(LATENT, (8,))
         assert D.value(8, factor=1.0) == pytest.approx(1.0)
-        # atom realized with float round-off still resolves
-        assert D.value(8, factor=1.0 + 1e-12) == pytest.approx(1.0)
+        # an atom realized with float round-off still resolves
+        assert D.realized((8,), [1.0 + 1e-12]).tolist() == \
+            [[pytest.approx(1.0)]]
         with pytest.raises(ValueError):
             D.value(8)
         with pytest.raises(KeyError):
@@ -80,13 +90,14 @@ class TestContract:
                 D.realized((4,), [factor])
 
     def test_realized_table_matches_value(self):
-        # the table lookup resolves each factor as ``value`` does, round-off
-        # included; a level without the factor's atom raises
+        # the table lookup resolves each factor to the value at its nearest
+        # atom, round-off included; a level without the factor's atom raises
         D = CorrectorSeries((4, 8), "conditional",
                             {4: {-1.0: 0.5, 1.0: -0.5, 3.0: 2.0},
                              8: {-1.0: 1.5, 1.0: 2.5, 3.0: -7.0}}, "test")
         factors = [-1.0, 1.0 + 1e-12, 3.0, 3.0 - 1e-10, -1.0 - 5e-10, 1.0]
-        expect = [[D.value(N, factor=b) for N in (4, 8)] for b in factors]
+        atoms = [-1.0, 1.0, 3.0, 3.0, -1.0, 1.0]
+        expect = [[D.value(N, factor=b) for N in (4, 8)] for b in atoms]
         assert D.realized((4, 8), factors).tolist() == expect
         assert D.realized((8,), factors).tolist() == [[e[1]] for e in expect]
         with pytest.raises(KeyError):
@@ -102,9 +113,9 @@ class TestContract:
     def test_second_moment(self):
         D = corrector_weak_l2(LATENT, (8,))
         probs = dict(LATENT.factor_dist.atoms)
-        assert D.second_moment(8, probs) == pytest.approx(1.0)
+        assert corrector_second_moment(D, 8, probs) == pytest.approx(1.0)
         Z = zero_corrector((8,))
-        assert Z.second_moment(8) == 0.0
+        assert corrector_second_moment(Z, 8) == 0.0
 
 
 class TestClassicalFormulas:
@@ -129,6 +140,28 @@ class TestClassicalFormulas:
         m = IndependentArrayModel(dists)
         D = corrector_independent(m, (10,))
         assert D.values[10] == pytest.approx(3.5)
+
+    @pytest.mark.parametrize("model", [
+        IIDModel(HeavyLogLaw(0.25, symmetric=False)),
+        LATENT,
+        IIDModel(_NegativeZeroMean([(-1.0, 0.5), (1.0, 0.5)])),
+    ], ids=["iid-heavy-log", "latent-shift", "negative-zero-mean"])
+    def test_independent_reads_a_shared_law_once(self, monkeypatch, model):
+        # N copies of one value sum, correctly rounded, to N times it (and
+        # fsum turns -0.0 into 0.0): one read per level, bit for bit
+        grid, reads, law = (16, 1000, 10**5), [], model.marginal_dist
+        monkeypatch.setattr(model, "marginal_dist",
+                            lambda n: reads.append(n) or law(n))
+        D = corrector_independent(model, grid)
+        assert reads == list(grid)
+        for N in grid:
+            v = law(N).trunc_moment(float(N), 1)
+            assert D.values[N].hex() == (math.fsum([v] * N) / N).hex()
+
+    def test_independent_keeps_the_index_cap(self):
+        model = IIDModel(Pareto1(), index_cap=100)
+        with pytest.raises(CapacityError, match="index 101 outside 1..100"):
+            corrector_independent(model, (16, 101))
 
     def test_independent_reduces_to_iid(self):
         dist = FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])
@@ -170,7 +203,7 @@ class TestWeakL2:
         D = corrector_weak_l2(LATENT, (8, 32))
         for N in (8, 32):
             bound = LATENT.marginal_dist(1).trunc_moment(float(N), 2)
-            assert D.second_moment(N, probs) <= bound + 1e-9
+            assert corrector_second_moment(D, N, probs) <= bound + 1e-9
 
     def test_zero_when_energy_vanishes(self):
         # models whose truncated energies have liminf zero get D == 0

@@ -1,5 +1,6 @@
 """Truncation algebra, exact centered inner products, the greedy
-near-orthogonal subsequence search, and the proof-side budget checks."""
+near-orthogonal subsequence search, and the proof-side budget checks (on
+the scalar reference, ``scalar_reference.py``)."""
 
 import functools
 import hashlib
@@ -24,7 +25,6 @@ from wllnlab.distributions import (
     FiniteDiscrete,
     Pareto1,
     UnsupportedOracleError,
-    example41_constant_c,
 )
 from wllnlab.cli import _DEMOS
 from wllnlab.extract import (
@@ -34,14 +34,10 @@ from wllnlab.extract import (
     ExtractionPlan,
     PlanEntries,
     _SampleBank,
-    _exact_values,
+    _pair_values,
     admissible_levels,
-    check_plan_subsequence,
-    cross_product_budget,
-    exact_centered_inner_product,
     greedy_extract,
     step_epsilon,
-    sum_of_squares_check,
     truncate_array,
     verify_plan,
 )
@@ -50,9 +46,17 @@ from wllnlab.models import (
     IIDModel,
     IndependentArrayModel,
     LatentShiftModel,
-    SequenceModel,
     TailVanishingModel,
     model_from_spec,
+)
+from scalar_reference import (
+    check_plan_subsequence,
+    constant_value,
+    cross_product_budget,
+    entry_keys,
+    is_independent,
+    reference_inner_product,
+    sum_of_squares_check,
 )
 
 LATENT = LatentShiftModel(FiniteDiscrete([(-1.0, 0.5), (1.0, 0.5)]),
@@ -77,13 +81,18 @@ class TestTruncate:
                               [x if abs(x) <= 5.0 else 0.0 for x in xs])
 
 
+def _recheck_value(model, j, k, N, D) -> float:
+    """What ``verify_plan`` recomputes for the pair j < k at level N."""
+    one = np.array([1]), np.array([2]), np.array([N])
+    return float(_pair_values(model, D, (j, k), (N,), *one)[0])
+
+
 class TestExactInnerProducts:
     def test_independent_exact_correctors_vanish(self):
         dist = FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])
         m = IIDModel(dist)
         D = corrector_iid(dist, (8,))
-        assert exact_centered_inner_product(m, 1, 4, 8.0, D) == pytest.approx(
-            0.0, abs=1e-14)
+        assert _recheck_value(m, 1, 4, 8, D) == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal_is_variance(self):
         dist = FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])
@@ -91,34 +100,34 @@ class TestExactInnerProducts:
         D = corrector_iid(dist, (8,))
         mu = dist.trunc_moment(8.0, 1)
         var = dist.trunc_moment(8.0, 2) - mu * mu
-        got = exact_centered_inner_product(m, 3, 3, 8.0, D)
+        got = reference_inner_product(m, 3, 3, 8.0, D)
         assert got == pytest.approx(var, rel=1e-12)
         assert got >= 0.0
 
     def test_latent_shift_conditional_centering_vanishes(self):
         # law of total expectation: conditionally centered => orthogonal
         D = corrector_weak_l2(LATENT, (8,))
-        assert exact_centered_inner_product(LATENT, 2, 7, 8.0, D) == \
+        assert _recheck_value(LATENT, 2, 7, 8, D) == \
             pytest.approx(0.0, abs=1e-14)
 
     def test_latent_shift_zero_corrector_hand_value(self):
         # E[f_j f_k] = E[B^2] = 1 for j != k (noise independent, mean 0)
         D = zero_corrector((8,))
-        assert exact_centered_inner_product(LATENT, 2, 7, 8.0, D) == \
+        assert _recheck_value(LATENT, 2, 7, 8, D) == \
             pytest.approx(1.0, abs=1e-12)
 
     def test_tail_vanishing_band_product(self):
         # f_j^t f_k^t = g^2 1{max(j,k) < |g| <= N}
         m = TailVanishingModel(Pareto1())
         D = zero_corrector((16,))
-        got = exact_centered_inner_product(m, 3, 7, 16.0, D)
+        got = _recheck_value(m, 3, 7, 16, D)
         want = m.g_dist.band_moment(7.0, 16.0, 2)  # = 16 - 7
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_comonotone_vs_monte_carlo(self):
         m = Example41Model(lambda n: 0.3 + 0.01 * n, joint_law="comonotone")
         D = zero_corrector((8,))
-        exact = exact_centered_inner_product(m, 1, 5, 8.0, D)
+        exact = _recheck_value(m, 1, 5, 8, D)
         est, hw = _SampleBank(m, [1, 5], 4000, 9, D).estimate([1], 5, 8)
         assert abs(est[0] - exact) <= hw[0] + 1e-12
 
@@ -291,7 +300,8 @@ class TestPlanChecks:
         thresholds = {int(n): eps for n, eps in stored.items()}
         for n, eps in thresholds.items():
             assert eps == step_epsilon(n, plan.eps_floor)
-        for (j, n, N), (v,) in zip(plan.achieved, plan.achieved.values):
+        for (j, n, N), (v,) in zip(entry_keys(plan.achieved),
+                                   plan.achieved.values):
             assert abs(v) <= thresholds[n]
 
 
@@ -302,8 +312,8 @@ class TestBudgets:
         D = corrector_iid(dist, (8,))
         plan = greedy_extract(m, 8, (8,), D)
         budget = cross_product_budget(plan, m, D, 8)
-        assert budget.total == pytest.approx(0.0, abs=1e-12)
-        assert budget.ok
+        assert budget["total"] == pytest.approx(0.0, abs=1e-12)
+        assert budget["ok"]
 
     def test_tail_vanishing_matches_direct_double_sum(self):
         m = TailVanishingModel(Pareto1())
@@ -314,10 +324,10 @@ class TestBudgets:
         direct = 0.0
         for n in range(2, 17):
             for j in range(1, n):
-                direct += 2.0 * abs(exact_centered_inner_product(
+                direct += 2.0 * abs(reference_inner_product(
                     m, plan.indices[j - 1], plan.indices[n - 1], 16.0, D))
-        assert budget.total == pytest.approx(direct, abs=1e-9)
-        assert budget.ok
+        assert budget["total"] == pytest.approx(direct, abs=1e-9)
+        assert budget["ok"]
 
     def test_head_sum_matches_direct_double_sum(self):
         # n <= sqrt(log N) puts step 2 in the head from N = 55 on; the
@@ -330,40 +340,41 @@ class TestBudgets:
         head = tail = 0.0
         for n in range(2, 65):
             for j in range(1, n):
-                v = 2.0 * abs(exact_centered_inner_product(
+                v = 2.0 * abs(reference_inner_product(
                     m, plan.indices[j - 1], plan.indices[n - 1], 64.0, D))
                 if n <= math.sqrt(math.log(64)):
                     head += v
                 else:
                     tail += v
         assert head > 0.0
-        assert (budget.head_sum, budget.tail_sum) == (head, tail)
-        assert budget.ok
+        assert (budget["head_sum"], budget["tail_sum"]) == (head, tail)
+        assert budget["ok"]
 
     def test_sum_of_squares_zero_model(self):
         m = IIDModel(FiniteDiscrete([(0.0, 1.0)]))
         chk = sum_of_squares_check(m, zero_corrector((8,)), 8, range(1, 9))
-        assert chk.lhs == 0.0
-        assert chk.ok
+        assert chk["lhs"] == 0.0
+        assert chk["ok"]
 
     def test_sum_of_squares_example41(self):
         m = Example41Model(lambda n: 0.5)
         chk = sum_of_squares_check(m, zero_corrector((64,)), 64, range(1, 65))
-        assert chk.ok
-        assert chk.lhs <= chk.sigma_bound + 1e-9
+        assert chk["ok"]
+        assert chk["lhs"] <= chk["sigma_bound"] + 1e-9
 
     def test_sum_of_squares_latent_conditional(self):
         D = corrector_weak_l2(LATENT, (8,))
         chk = sum_of_squares_check(LATENT, D, 8, range(1, 9))
-        assert chk.ok
-        assert chk.corrector_second_moment <= chk.corrector_moment_bound + 1e-9
+        assert chk["ok"]
+        assert chk["corrector_second_moment"] <= \
+            chk["corrector_moment_bound"] + 1e-9
 
 
 def test_conditional_corrector_needs_latent_model():
     m = IIDModel(Pareto1())
     D = corrector_weak_l2(LATENT, (8,))
     with pytest.raises(UnsupportedOracleError):
-        exact_centered_inner_product(m, 1, 2, 8.0, D)
+        m.moment_rows((1, 2), (8,), D)
 
 
 def test_unknown_mode_rejected_before_any_work():
@@ -384,103 +395,13 @@ def test_repeated_level_rejected_before_any_work(mode):
 # -------------------------------------------------------------------------
 # scalar reference: the scan and the re-check one predecessor at a time,
 # against which the row-based search must agree bit for bit.  The exact
-# oracle is the per-model isinstance ladder and predecessor shortcuts the
-# package used before the joint moments moved onto the models, kept here
-# unchanged apart from names so the reference imports nothing from the scan
+# oracle is ``scalar_reference.reference_inner_product``; the predecessor
+# shortcuts are the ones the package used before the joint moments moved
+# onto the models, kept here unchanged apart from names so the reference
+# imports nothing from the scan
 # -------------------------------------------------------------------------
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-
-
-def _is_independent(model: SequenceModel) -> bool:
-    if isinstance(model, (IIDModel, IndependentArrayModel)):
-        return True
-    return isinstance(model, Example41Model) and model.joint_law == "independent"
-
-
-def _constant_value(D: CorrectorSeries, N: int) -> float:
-    if D.kind == "conditional":
-        raise UnsupportedOracleError(
-            "conditional correctors are only supported on latent-shift models")
-    return D.value(N)
-
-
-def _comonotone_intervals(model: Example41Model, i: int, N: float):
-    """u-intervals of the shared uniform mapping to nonzero values <= N."""
-    rho = model.rho(i)
-    two_c = 2.0 * example41_constant_c()
-    out = []
-    lo = rho
-    for k in range(2, int(math.floor(N)) + 1):
-        q = (1.0 - rho) * two_c / (k * k * math.log(k))
-        if model.symmetric:
-            out.append((lo, lo + q / 2.0, float(k)))
-            out.append((lo + q / 2.0, lo + q, float(-k)))
-        else:
-            out.append((lo, lo + q, float(k)))
-        lo += q
-    return out
-
-
-def _comonotone_product(model: Example41Model, j: int, k: int, N: float) -> float:
-    """E[f_j^t f_k^t] under the shared-uniform coupling, by exact overlap
-    integration of the two quantile partitions."""
-    a = _comonotone_intervals(model, j, N)
-    b = _comonotone_intervals(model, k, N)
-    total = 0.0
-    ia = ib = 0
-    while ia < len(a) and ib < len(b):
-        lo = max(a[ia][0], b[ib][0])
-        hi = min(a[ia][1], b[ib][1])
-        if hi > lo:
-            total += (hi - lo) * a[ia][2] * b[ib][2]
-        if a[ia][1] <= b[ib][1]:
-            ia += 1
-        else:
-            ib += 1
-    return total
-
-
-def _reference_inner_product(model: SequenceModel, j: int, k: int,
-                             N: float, D: CorrectorSeries) -> float:
-    """E[(f_j^{[-N,N]} - D_N)(f_k^{[-N,N]} - D_N)] via the model's joint
-    oracle."""
-    Nlev = int(N)
-    if isinstance(model, LatentShiftModel):
-        total = 0.0
-        for b, p in model.factor_dist.atoms:
-            d = D.value(Nlev, factor=b) if D.kind == "conditional" else D.value(Nlev)
-            m1 = model.conditional_trunc_moment(b, N, 1)
-            if j == k:
-                m2 = model.conditional_trunc_moment(b, N, 2)
-                total += p * (m2 - 2.0 * d * m1 + d * d)
-            else:
-                total += p * (m1 - d) ** 2
-        return total
-    d = _constant_value(D, Nlev)
-    if _is_independent(model):
-        mu_j = model.marginal_dist(j).trunc_moment(N, 1)
-        if j == k:
-            m2 = model.marginal_dist(j).trunc_moment(N, 2)
-            return m2 - 2.0 * d * mu_j + d * d
-        mu_k = model.marginal_dist(k).trunc_moment(N, 1)
-        return (mu_j - d) * (mu_k - d)
-    if isinstance(model, TailVanishingModel):
-        g = model.g_dist
-        cross = g.band_moment(float(max(j, k)), N, 2)
-        mu_j = g.band_moment(float(j), N, 1)
-        mu_k = g.band_moment(float(k), N, 1)
-        return cross - d * (mu_j + mu_k) + d * d
-    if isinstance(model, Example41Model):  # comonotone
-        mu_j = model.marginal_dist(j).trunc_moment(N, 1)
-        if j == k:
-            m2 = model.marginal_dist(j).trunc_moment(N, 2)
-            return m2 - 2.0 * d * mu_j + d * d
-        mu_k = model.marginal_dist(k).trunc_moment(N, 1)
-        cross = _comonotone_product(model, j, k, N)
-        return cross - d * (mu_j + mu_k) + d * d
-    raise UnsupportedOracleError(
-        f"model kind {model.kind!r} has no exact joint-moment oracle")
 
 
 class _ReferenceFastExact:
@@ -497,7 +418,7 @@ class _ReferenceFastExact:
         self.model = model
         self.D = D
         self.kind = ("latent" if isinstance(model, LatentShiftModel) else
-                     "independent" if _is_independent(model) else
+                     "independent" if is_independent(model) else
                      "tailvan" if isinstance(model, TailVanishingModel) else
                      "generic")
         self._max_centered: dict = {}   # N -> (max |mu_j - d|, j_step)
@@ -506,7 +427,7 @@ class _ReferenceFastExact:
         if self.kind != "independent":
             return
         for N in all_levels:
-            d = _constant_value(self.D, int(N))
+            d = constant_value(self.D, int(N))
             v = abs(self.model.marginal_dist(index).trunc_moment(float(N), 1) - d)
             cur = self._max_centered.get(N)
             if cur is None or v > cur[0]:
@@ -553,7 +474,7 @@ def _reference_estimate(bank, j, k, N, D):
 
 
 def _reference_max_over_predecessors(fast, pred_indices, pred_steps, k, N):
-    ip = _reference_inner_product
+    ip = reference_inner_product
     if fast.kind == "independent":
         jstar = fast._max_centered[N][1]
         idx = pred_indices[pred_steps.index(jstar)]
@@ -623,7 +544,7 @@ def _reference_greedy(model, target_length, n_grid, D, mode, eps_floor=None,
                     for N in levels:
                         for jstep, jidx in zip(pred_steps, indices):
                             records[(jstep, step, N)] = \
-                                _reference_inner_product(model, jidx, k, N, D)
+                                reference_inner_product(model, jidx, k, N, D)
                 achieved.update(records)
                 break
             if worst < best_violation:
@@ -648,13 +569,14 @@ def _reference_verify(plan, model, D):
     max_diff = 0.0
     violations = []
     stored_values = plan.achieved.values.tolist()
-    for (jstep, nstep, N), stored in zip(plan.achieved, stored_values):
+    for (jstep, nstep, N), stored in zip(entry_keys(plan.achieved),
+                                         stored_values):
         jidx = plan.indices[jstep - 1]
         kidx = plan.indices[nstep - 1]
         eps = step_epsilon(nstep, plan.eps_floor)
         if plan.mode == "exact":
             stored, = stored
-            fresh = _reference_inner_product(model, jidx, kidx, N, D)
+            fresh = reference_inner_product(model, jidx, kidx, N, D)
             max_diff = max(max_diff, abs(fresh - stored))
             if abs(stored) > eps:
                 violations.append((jstep, nstep, N))
@@ -670,9 +592,7 @@ def _reference_verify(plan, model, D):
 def _reference_plan_json(plan):
     """plan.json's text as one ``json.dumps`` of the whole tree: rows in
     key order, each step's threshold from ``step_epsilon``."""
-    e = plan.achieved
-    keys = list(zip(e.j.tolist(), e.n.tolist(), e.N.tolist()))
-    values = e.values.tolist()
+    keys, values = entry_keys(plan.achieved), plan.achieved.values.tolist()
     steps = range(1, len(plan.indices) + 1)
     tree = {
         "indices": list(plan.indices),
@@ -783,7 +703,7 @@ def test_search_matches_scalar_reference(name, length, grid, mode, kwargs):
     plan = greedy_extract(m, length, grid, D, mode=mode, **kwargs)
     assert len(plan.indices) == length
     assert _written(plan) == _reference_plan_json(ref)
-    assert list(plan.achieved) == list(ref.achieved)
+    assert entry_keys(plan.achieved) == entry_keys(ref.achieved)
     assert verify_plan(plan, m, D) == _reference_verify(plan, m, D)
 
 
@@ -917,7 +837,7 @@ def test_search_matches_scalar_reference_at_small_blocks(
     monkeypatch.setattr(extract_mod, "_BLOCK", block)
     plan = greedy_extract(m, length, grid, D, mode=mode, **kwargs)
     assert _written(plan) == _reference_plan_json(ref)
-    assert list(plan.achieved) == list(ref.achieved)
+    assert entry_keys(plan.achieved) == entry_keys(ref.achieved)
     assert verify_plan(plan, m, D) == check
 
 
@@ -941,7 +861,7 @@ def _assert_search_matches_reference(model, length, grid, D, block,
         return exc
     assert isinstance(got, ExtractionPlan)
     assert _written(got) == _reference_plan_json(ref)
-    assert list(got.achieved) == list(ref.achieved)
+    assert entry_keys(got.achieved) == entry_keys(ref.achieved)
     return got
 
 
@@ -993,7 +913,8 @@ def test_single_draw_lead_takes_the_latest_smallest_mean(block):
     plan = _assert_search_matches_reference(TailVanishingModel(g), 24, grid,
                                             D, block, eps_floor=0.3)
     assert plan.indices == tuple(range(1, 25))
-    assert [j for j, n, N in plan.achieved if n > 16 and N == 16] == [9] * 8
+    assert [j for j, n, N in entry_keys(plan.achieved)
+            if n > 16 and N == 16] == [9] * 8
 
 
 @pytest.mark.parametrize("block", [1, 3, 7, 2048])
@@ -1067,8 +988,8 @@ def test_sample_mode_entries_hold_exactly():
     D = zero_corrector(grid)
     plan = greedy_extract(m, 48, grid, D, mode="sample", R=400, seed=1)
     assert verify_plan(plan, m, D)["ok"]
-    false = [(j, n, N) for j, n, N in plan.achieved
-             if abs(_reference_inner_product(
+    false = [(j, n, N) for j, n, N in entry_keys(plan.achieved)
+             if abs(reference_inner_product(
                  m, plan.indices[j - 1], plan.indices[n - 1], N, D))
              > step_epsilon(n, plan.eps_floor)]
     assert false == []
@@ -1081,10 +1002,11 @@ def test_recheck_is_bitwise_the_scalar_oracle(name):
     grid = (64, 256, 1024, 4096)
     D = corrector_weak_l2(m, grid)
     plan = greedy_extract(m, 512, grid, D, min_index=_DEMOS[name]["min_index"])
-    fresh = _exact_values(plan, m, D)
-    scalar = np.array([exact_centered_inner_product(
+    e = plan.achieved
+    fresh = _pair_values(m, D, plan.indices, plan.n_grid, e.j, e.n, e.N)
+    scalar = np.array([reference_inner_product(
         m, plan.indices[j - 1], plan.indices[n - 1], N, D)
-        for j, n, N in plan.achieved])
+        for j, n, N in entry_keys(e)])
     assert len(fresh) == len(plan.achieved) > 512
     assert np.array_equal(fresh.view(np.int64), scalar.view(np.int64))
 
@@ -1101,7 +1023,7 @@ def test_single_draw_scan_finds_extremes_off_the_ends():
     D = CorrectorSeries(grid, "constant", {2: 0.0, 50: 0.0, 64: 3e-4}, "test")
     with pytest.raises(ExtractionFailure) as exc:
         greedy_extract(m, 4, grid, D)
-    middle = exact_centered_inner_product(m, 5, 61, 64, D)
+    middle = reference_inner_product(m, 5, 61, 64, D)
     assert exc.value.step == 4
     assert exc.value.best_candidate == 61
     assert exc.value.best_violation == abs(middle) > exc.value.eps
@@ -1114,8 +1036,7 @@ def test_single_draw_scan_finds_extremes_off_the_ends():
                            for n in range(1, 41)]),
 ], ids=["tail-vanishing", "example41-one-sided", "independent-array"])
 def test_row_arithmetic_is_bitwise_the_scalar_oracle(model):
-    # a nonzero centering, so every operation of the pair formula counts,
-    # against the scalar oracle and the reference ladder alike
+    # a nonzero centering, so every operation of the pair formula counts
     grid = (2, 8, 64)
     D = CorrectorSeries(grid, "constant", {2: 0.37, 8: -1.3, 64: 0.0625},
                         "test")
@@ -1124,9 +1045,10 @@ def test_row_arithmetic_is_bitwise_the_scalar_oracle(model):
              for j in range(1, n) for N in grid}
     plan = ExtractionPlan(indices, grid, _entries(pairs), "exact", 0, 0.0,
                           40, 0, D.provenance)
-    fresh = _exact_values(plan, model, D)
-    for oracle in (exact_centered_inner_product, _reference_inner_product):
-        scalar = np.array([oracle(model, indices[j - 1], indices[n - 1], N, D)
-                           for j, n, N in plan.achieved])
-        assert np.array_equal(fresh.view(np.int64), scalar.view(np.int64))
+    e = plan.achieved
+    fresh = _pair_values(model, D, indices, grid, e.j, e.n, e.N)
+    scalar = np.array([reference_inner_product(
+        model, indices[j - 1], indices[n - 1], N, D)
+        for j, n, N in entry_keys(e)])
+    assert np.array_equal(fresh.view(np.int64), scalar.view(np.int64))
     assert np.count_nonzero(fresh) > len(pairs) // 2

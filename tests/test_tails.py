@@ -13,9 +13,11 @@ from wllnlab.distributions import (
     example41_constant_c,
 )
 from wllnlab.models import (
+    CapacityError,
     Example41Model,
     IIDModel,
     IndependentArrayModel,
+    LatentShiftModel,
     TailVanishingModel,
 )
 from wllnlab.tails import (
@@ -294,3 +296,28 @@ class TestFellerNecessary:
         assert first.data["values"] == {20_000: 1.0}
         assert second.data["values"] == {20_000: 0.499975}
         assert peak < 1 << 18
+
+    @pytest.mark.parametrize("model", [
+        IIDModel(HeavyLogLaw(0.25, symmetric=False)),
+        LatentShiftModel(FiniteDiscrete([(-1.0, 0.5), (1.0, 0.5)]),
+                         FiniteDiscrete([(-3.0, 0.5), (3.0, 0.5)])),
+    ], ids=["iid-heavy-log", "latent-shift"])
+    def test_shared_law_is_read_once_per_level(self, monkeypatch, model):
+        # N copies of one value sum, correctly rounded, to N times it, so
+        # one read of the law per sum gives the N-term sums bit for bit
+        grid, reads, law = [16, 1000, 10**5], [], model.marginal_dist
+        monkeypatch.setattr(model, "marginal_dist",
+                            lambda n: reads.append(n) or law(n))
+        first, second = check_feller_necessary(model, grid)
+        assert reads == [N for N in grid for _ in range(2)]  # two sums
+        for N in grid:
+            dist = law(N)
+            assert first.data["values"][N].hex() == \
+                math.fsum([dist.survival(N)] * N).hex()
+            assert second.data["values"][N].hex() == \
+                (math.fsum([dist.trunc_moment(N, 2)] * N) / (N * N)).hex()
+
+    def test_shared_law_keeps_the_index_cap(self):
+        model = IIDModel(Pareto1(), index_cap=100)
+        with pytest.raises(CapacityError, match="index 101 outside 1..100"):
+            check_feller_necessary(model, [16, 101])

@@ -26,12 +26,11 @@ from wllnlab.verify import (
     PATTERNS,
     ProbeInputError,
     hereditary_suite,
-    thin_indices,
     truncation_gap_probe,
     wilson_interval,
     wlln_probe,
 )
-from wllnlab.verify import _outside_sums, _partial_sums
+from wllnlab.verify import _outside_sums, _partial_sums, _thinning
 
 ZERO_MODEL = IIDModel(FiniteDiscrete([(0.0, 1.0)]))
 
@@ -172,6 +171,12 @@ class TestTruncationGap:
     def test_requires_replications(self):
         with pytest.raises(ValueError):
             truncation_gap_probe(ZERO_MODEL, range(1, 9), (8,), 50, seed=0)
+
+
+def thin_indices(indices, pattern, seed=0):
+    """The indices that ``pattern`` keeps."""
+    idx = np.asarray(indices)
+    return idx[_thinning(len(idx), pattern, seed)]
 
 
 class TestThinning:
