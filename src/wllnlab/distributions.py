@@ -420,32 +420,40 @@ def _quantile_beyond_head(v: float, symmetric: bool) -> float:
     return k
 
 
-def heavy_log_quantile(u: np.ndarray, rho, symmetric: bool, out=None,
-                       scratch: Scratch | None = None) -> np.ndarray:
-    """The heavy-log law with zero mass ``rho`` (a scalar, or one per entry
-    of the last axis of ``u``) at the uniforms ``u``: u < rho is 0, and
+def heavy_log_entries(u: np.ndarray, rho, symmetric: bool,
+                      scratch: Scratch) -> tuple:
+    """(at, values): the flat positions in ``u`` of the uniforms u >= rho,
+    in order, and the heavy-log law's values there, where it is not 0.
+    ``rho`` is a scalar or one per entry of the last axis of ``u``;
     v = (u - rho) / (1 - rho) is the uniform of the conditional law.
-    ``out`` may be ``u`` itself; otherwise as in ``quantile_array``.
 
     The head is read through a guide table of 2^13 buckets: about 98% of
     the v fall in a bucket no bound enters and take its entry; the rest,
     and v = 1, take the binary search."""
-    u, out, scratch = _buffers(u, out, scratch)
     rho = np.atleast_1d(rho)
-    nz = np.flatnonzero(np.greater_equal(u, rho,
+    at = np.flatnonzero(np.greater_equal(u, rho,
                                          out=scratch.view(bool, u.shape)))
-    r = rho[nz % len(rho)]
-    v = (u.ravel()[nz] - r) / (1.0 - r)  # read before ``out`` is written
-    out.fill(0.0)
-    if nz.size:
-        bounds, values, guide = _HEAD_QUANTILE[symmetric]
-        idx = guide[(v * (1 << _GUIDE_BITS)).astype(np.intp)]
-        near = np.flatnonzero(idx < 0)
-        idx[near] = np.searchsorted(bounds, v[near], side="right")
-        picked = values[idx]
-        for pos in np.flatnonzero(idx == len(bounds)):
-            picked[pos] = _quantile_beyond_head(float(v[pos]), symmetric)
-        out.ravel()[nz] = picked
+    r = rho[at % len(rho)]
+    v = (u.ravel()[at] - r) / (1.0 - r)
+    bounds, values, guide = _HEAD_QUANTILE[symmetric]
+    idx = guide[(v * (1 << _GUIDE_BITS)).astype(np.intp)]
+    near = np.flatnonzero(idx < 0)
+    idx[near] = np.searchsorted(bounds, v[near], side="right")
+    picked = values[idx]
+    for pos in np.flatnonzero(idx == len(bounds)):
+        picked[pos] = _quantile_beyond_head(float(v[pos]), symmetric)
+    return at, picked
+
+
+def heavy_log_quantile(u: np.ndarray, rho, symmetric: bool, out=None,
+                       scratch: Scratch | None = None) -> np.ndarray:
+    """The heavy-log law with zero mass ``rho`` at the uniforms ``u``, as
+    in ``heavy_log_entries``, and 0 where u < rho.  ``out`` may be ``u``
+    itself; otherwise as in ``quantile_array``."""
+    u, out, scratch = _buffers(u, out, scratch)
+    at, picked = heavy_log_entries(u, rho, symmetric, scratch)
+    out.fill(0.0)  # after ``u`` is read
+    out.ravel()[at] = picked
     return out
 
 

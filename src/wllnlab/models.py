@@ -21,6 +21,7 @@ in the package can be audited against an oracle.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .distributions import (
     UnsupportedOracleError,
     convolve,
     example41_constant_c,
-    heavy_log_quantile,
+    heavy_log_entries,
 )
 from .streams import Positions, _stream_keys
 
@@ -42,12 +43,28 @@ from .streams import Positions, _stream_keys
 # are, each call holds two 1 MiB (B, n) slots, each drawn into and then
 # realized in place, chunk after chunk (models without coordinate noise
 # draw two (B,) factor columns and realize into one 1 MiB values array),
-# plus the kernels' scratch (a 128 KiB mask and a 1 MiB index)
+# plus the kernels' scratch (a 128 KiB mask and a 1 MiB index); a chunk
+# of ``Entries`` holds 24 bytes per non-zero value on top
 _BLOCK_VALUES = 1 << 17
 
 
 class CapacityError(Exception):
     """Requested index exceeds the model's index_cap."""
+
+
+@dataclass
+class Entries:
+    """A chunk of ``rows`` replications given by its non-zero entries, in
+    row-major order: ``val[i]`` sits in row ``row[i]`` and column
+    ``col[i]``, and every other entry of the chunk is zero."""
+
+    row: np.ndarray
+    col: np.ndarray
+    val: np.ndarray
+    rows: int
+
+    def __len__(self) -> int:
+        return self.rows
 
 
 class SequenceModel:
@@ -103,11 +120,24 @@ class SequenceModel:
 
         The call allocates two buffer slots once.  While a chunk is
         realized in place in one slot and reduced by the caller, the
-        draw-ahead thread draws the next chunk's uniforms into the other:
-        a yielded ``values`` is a view that is valid until the next
+        draw-ahead thread draws the next chunk's uniforms into the other
+        (a model without coordinate noise draws its factor column in the
+        loop): a yielded ``values`` is a view that is valid until the next
         iteration, so a caller that keeps it copies it.  ``factors`` is a
         fresh array each chunk.  Closing the generator waits for the draw
         in flight."""
+        return self._chunks(indices, seed, R, first, self._realize)
+
+    def probe_chunks(self, indices, seed: int, R: int):
+        """The chunks of ``sample_blocks(indices, seed, R)`` as the probes
+        read them: the same blocks, or for laws whose paths are mostly
+        zeros (the single draw and example41) the same values as
+        ``Entries``, which are made afresh each chunk."""
+        return self.sample_blocks(indices, seed, R)
+
+    def _chunks(self, indices, seed: int, R: int, first: int, realize):
+        """``sample_blocks``, each chunk made by ``realize`` (``_realize``
+        or ``_entries``)."""
         if not 0 <= first < first + R:
             raise ValueError("need replications 0 <= first < first + R")
         idx = self._checked_indices(indices)
@@ -134,23 +164,29 @@ class SequenceModel:
             values, u0 = [np.empty((rows, len(idx)))] * 2, [c[:, 0] for c in u]
         scratch = Scratch(rows * len(idx))
 
-        def draw(j, call):
+        def draw(j, ahead=False):
+            """Draws chunk j, on the draw-ahead thread when ``ahead`` and
+            the chunk has coordinate uniforms: a factor column alone is
+            drawn in less time than handing it over takes."""
             k = keys[j * step:(j + 1) * step]
-            return call(k, u[j % 2][:len(k)],
-                        None if factor is None else factor[j % 2][:len(k)])
+            args = (k, u[j % 2][:len(k)],
+                    None if factor is None else factor[j % 2][:len(k)])
+            if ahead and self.coordinate_noise:
+                return positions.draw_ahead(*args)
+            positions.draw(*args)
+            return None
 
         chunks = -(-R // step)
-        draw(0, positions.draw)
+        draw(0)
         pending = None
         try:
             for j in range(chunks):
                 if pending is not None:
                     pending.result()
-                pending = (draw(j + 1, positions.draw_ahead)
-                           if j + 1 < chunks else None)
+                pending = draw(j + 1, ahead=True) if j + 1 < chunks else None
                 b, s = min(step, R - j * step), j % 2
-                yield self._realize(per_index, values[s][:b],
-                                    None if u0 is None else u0[s][:b], scratch)
+                yield realize(per_index, values[s][:b],
+                              None if u0 is None else u0[s][:b], scratch)
         finally:
             if pending is not None:
                 pending.wait()
@@ -248,6 +284,26 @@ class SequenceModel:
         return None
 
 
+class _MostlyZeroPaths(SequenceModel):
+    """A model whose paths are mostly zeros: ``_entries`` realizes a chunk
+    as its non-zero entries, which the probes reduce, and a dense block is
+    those entries written over zeros."""
+
+    def probe_chunks(self, indices, seed, R):
+        return self._chunks(indices, seed, R, 0, self._entries)
+
+    def _realize(self, per_index, out, u0, scratch):
+        chunk, factors = self._entries(per_index, out, u0, scratch)
+        out.fill(0.0)
+        out[chunk.row, chunk.col] = chunk.val
+        return out, factors
+
+    def _entries(self, per_index, out, u0, scratch):
+        """(Entries, factors) of the chunk, with the arguments of
+        ``_realize``; ``out`` is free for the kernels to overwrite."""
+        raise NotImplementedError
+
+
 # -------------------------------------------------------------------------
 
 
@@ -324,7 +380,7 @@ class _TailRestricted(Distribution):
         return head + self.base.tau_integral(M) - self.base.tau_integral(n)
 
 
-class TailVanishingModel(SequenceModel):
+class TailVanishingModel(_MostlyZeroPaths):
     """f_n = g * 1{|g| > n} for one draw of g per path.
 
     Each marginal tail vanishes as n grows even when g itself is so heavy
@@ -349,12 +405,13 @@ class TailVanishingModel(SequenceModel):
     def _per_index(self, idx):
         return idx.astype(float)  # what |g| is compared with
 
-    def _realize(self, idx, out, u0, scratch):
+    def _entries(self, idx, out, u0, scratch):
+        # row r is g_r on the columns whose index is below |g_r|
         g = self.g_dist.quantile_array(u0)
-        out.fill(0.0)
-        np.copyto(out, g[:, None], where=np.greater(
-            np.abs(g)[:, None], idx, out=scratch.view(bool, out.shape)))
-        return out, g
+        count = np.searchsorted(idx, np.abs(g))
+        row = np.repeat(np.arange(len(g)), count)
+        col = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+        return Entries(row, col, np.repeat(g, count), len(g)), g
 
     def weak_l2_centering(self, N):
         # truncated moments vanish once the index passes the level, so the
@@ -410,7 +467,7 @@ class TailVanishingModel(SequenceModel):
 
 
 
-class Example41Model(SequenceModel):
+class Example41Model(_MostlyZeroPaths):
     """Heavy-tailed integer marginals with zero mass rho_n per index.
 
     ``joint_law`` is "independent" (coordinates independent) or "comonotone"
@@ -452,12 +509,14 @@ class Example41Model(SequenceModel):
     def _per_index(self, idx):
         return self.rho_array(idx)
 
-    def _realize(self, rho, out, u0, scratch):
+    def _entries(self, rho, out, u0, scratch):
         if self.has_factor:
             # every coordinate reads the shared uniform
             np.copyto(out, u0[:, None])
             u0 = u0.copy()
-        return heavy_log_quantile(out, rho, self.symmetric, out, scratch), u0
+        at, val = heavy_log_entries(out, rho, self.symmetric, scratch)
+        row, col = np.divmod(at, out.shape[1])
+        return Entries(row, col, val, len(out)), u0
 
     def weak_l2_centering(self, N):
         if not self.symmetric:

@@ -15,19 +15,36 @@ falsifiable finite-sample reading:
 Every replication r reads f_k from position k of its PCG64DXSM stream (see
 ``streams``), so f_k is a pure function of (seed, r, k).
 Every probe runs through ``ProbePass``: one loop over
-``SequenceModel.sample_blocks`` whose replications come in chunks of a
+``SequenceModel.probe_chunks`` whose replications come in chunks of a
 fixed number of values, so memory stays fixed at any R and N, and each
-chunk is reduced with array operations only.  A chunk is a view of one
-of the sampling call's two buffer slots, into which the chunk after next
-is drawn, so every accumulator reduces it before the loop asks for
-another; drawing a value costs 3-4.5 ns, on a thread that draws the next
-chunk while this one is reduced, and its inverse CDF 1.2-2.6 ns on the
-demo laws.  The truncation gap's outside sums
-O_N = sum_{n<=N} f 1{|f| > N} are read from the entries past the smallest
-level only, a few per chunk on the demo laws: one pass finds them and
-each level filters those few.  On example41's 2 x 65,536 chunks the gap
-accumulator costs 1.8-2.5 ns per value, against 6.5-7.6 ns for one
-masked copy of the chunk per level.
+chunk is reduced with array operations only.  For most laws a chunk is
+the ``sample_blocks`` block, a view of one of the sampling call's two
+buffer slots, into which the chunk after next is drawn, so every
+accumulator reduces it before the loop asks for another; drawing a value
+costs 3-4.5 ns, on a thread that draws the next chunk while this one is
+reduced, and its inverse CDF 1.2-2.6 ns on the demo laws.
+
+The single draw f_n = g 1{|g| > n} and example41, whose paths are
+mostly zeros, hand each chunk over as its non-zero entries (row, column,
+value), from the same draws: row r of the single draw is g_r on the
+columns whose index is below |g_r|, one searchsorted per row, and
+example41's entries are the uniforms at or past the zero mass.  Each
+accumulator reads them through a map from column to the segment between
+its grid points, built once per pass, so its partial sums are one
+bincount over row * (G + 1) + segment.  At R = 500 to N = 65,536 (in
+process, 2 vCPU) the single-draw probe went from 0.041-0.064 s to
+0.011-0.019 s, example41's from a median 0.198 s to 0.180 s, its gap
+probe 0.053 to 0.048 s and its hereditary suite 0.059 to 0.048 s.  A
+chunk of entries holds at most its 2^17 values, 24 bytes each; on the
+demo laws a probe still peaks below a dense chunk's budget.  The sample
+bank and every other caller of ``sample_blocks`` get dense blocks: those
+laws write their entries over zeros.
+
+The truncation gap's outside sums O_N = sum_{n<=N} f 1{|f| > N} are read
+from the entries past the smallest level only, a few per chunk on the
+demo laws: one pass finds them and each level filters those few.  On
+example41's 2 x 65,536 dense chunks the gap accumulator costs 1.8-2.5 ns
+per value, against 6.5-7.6 ns for one masked copy of the chunk per level.
 The L2 terms take the truncated sums as S_N - O_N.  Realized correctors
 come from a table each series builds once per grid.  Probes queued on one pass
 read the same paths: each accumulator takes its first replications and
@@ -45,7 +62,7 @@ import numpy as np
 
 from .correctors import CorrectorSeries
 from .extract import _Z99
-from .models import SequenceModel
+from .models import Entries, SequenceModel
 from .streams import Positions
 
 
@@ -136,32 +153,72 @@ def _probe_indices(indices, length: int = 0) -> np.ndarray:
     return idx
 
 
-def _partial_sums(vals: np.ndarray, grid) -> np.ndarray:
+def _partial_sums(vals, grid) -> np.ndarray:
     """(B, G) sums S_N of the first N columns, N in ``grid``: sums over the
-    segments between grid points, then running sums."""
-    return np.cumsum(np.add.reduceat(vals, (0,) + grid[:-1], axis=1), axis=1)
+    segments between grid points, then running sums.  Entries (see
+    ``_segments``) are summed by one bincount over row * (G + 1) + segment,
+    whose segment G is dropped."""
+    if isinstance(vals, Entries):
+        G = len(grid) + 1
+        segs = np.bincount(vals.row * G + vals.col, weights=vals.val,
+                           minlength=len(vals) * G).reshape(-1, G)[:, :-1]
+    else:
+        segs = np.add.reduceat(vals, (0,) + grid[:-1], axis=1)
+    return np.cumsum(segs, axis=1)
 
 
-def _outside_sums(vals: np.ndarray, grid) -> np.ndarray:
+def _outside_sums(vals, grid) -> np.ndarray:
     """(B, G) sums O_N of f 1{|f| > N} over the first N columns, N in
     ``grid``, read only from the entries with |f| > grid[0]: one pass finds
     them, and each level then filters and sums those few entries."""
-    B, W = vals.shape
-    past = (vals > grid[0]) | (vals < -grid[0])   # no float copy of |vals|
-    rows, cols = np.divmod(np.flatnonzero(past), W)
-    f = vals[rows, cols]
+    if isinstance(vals, Entries):
+        # an entry is in the first N columns when its segment is at most N's
+        past = (vals.val > grid[0]) | (vals.val < -grid[0])
+        rows, at, f = vals.row[past], vals.col[past], vals.val[past]
+        last = range(len(grid))
+    else:
+        past = (vals > grid[0]) | (vals < -grid[0])   # no float copy of |vals|
+        rows, at = np.divmod(np.flatnonzero(past), vals.shape[1])
+        f = vals[rows, at]
+        last = [N - 1 for N in grid]
     size = np.abs(f)
-    out = np.empty((B, len(grid)))
+    out = np.empty((len(vals), len(grid)))
     for g, N in enumerate(grid):
-        keep = (cols < N) & (size > N)
-        out[:, g] = np.bincount(rows[keep], weights=f[keep], minlength=B)
+        keep = (at <= last[g]) & (size > N)
+        out[:, g] = np.bincount(rows[keep], weights=f[keep],
+                                minlength=len(vals))
     return out
+
+
+def _segments(cols, width: int, grid) -> np.ndarray:
+    """The map that an accumulator reads entries through: for each column,
+    the segment g of its position p among ``cols`` (a slice or an index
+    array of ``range(width)``): the g with grid[g - 1] <= p < grid[g],
+    g = 0 for p < grid[0], and len(grid) for the columns off ``cols`` or
+    past the last grid point."""
+    kept = range(width)[cols] if isinstance(cols, slice) else cols
+    seg = np.full(width, len(grid), dtype=np.min_scalar_type(len(grid)))
+    for g, (lo, hi) in enumerate(zip((0,) + grid[:-1], grid)):
+        span = kept[lo:hi]
+        # a range is written through a slice, with no index array
+        seg[slice(span.start, span.stop, span.step)
+            if isinstance(span, range) else span] = g
+    return seg
+
+
+def _select(chunk: Entries, b: int, segments: np.ndarray) -> Entries:
+    """The entries of rows 0..b-1, each with its segment from ``segments``
+    in place of its column."""
+    end = np.searchsorted(chunk.row, b)   # the rows are in order
+    return Entries(chunk.row[:end], segments[chunk.col[:end]],
+                   chunk.val[:end], b)
 
 
 class _Exceedance:
     """Counts of |(1/N) S_N - D_N| > eps per grid point, and optionally the
     L2-criterion terms, accumulated one block of replications at a time;
-    ``vals`` has exactly ``n_grid[-1]`` columns."""
+    ``vals`` has exactly ``n_grid[-1]`` columns, or is entries that give
+    segments in place of columns (see ``_segments``)."""
 
     def __init__(self, D: CorrectorSeries, epsilon: float, n_grid,
                  compute_l2: bool = False):
@@ -392,14 +449,23 @@ class ProbePass:
         """Samples the paths once and returns the queued probes' reports."""
         if self._parts:
             R, r0 = max(rows for rows, _, _ in self._parts), 0
-            for vals, factors in self.model.sample_blocks(
+            maps = {}   # part -> its column segments, made on first use
+            for chunk, factors in self.model.probe_chunks(
                     self.idx[: self._width], self.seed, R):
-                for rows, cols, acc in self._parts:
-                    b = min(len(vals), rows - r0)
-                    if b > 0:
-                        acc.add(vals[:b, cols],
-                                None if factors is None else factors[:b])
-                r0 += len(vals)
+                for i, (rows, cols, acc) in enumerate(self._parts):
+                    b = min(len(chunk), rows - r0)
+                    if b <= 0:
+                        continue
+                    if isinstance(chunk, Entries):
+                        if i not in maps:
+                            maps[i] = _segments(cols, self._width, acc.n_grid)
+                        part = _select(chunk, b, maps[i])
+                    else:
+                        part = chunk[:b, cols]
+                    acc.add(part, None if factors is None else factors[:b])
+                r0 += len(chunk)
+                # entries are made afresh: let them go before the next chunk
+                chunk = part = None
         return [report() for report in self._reports]
 
 

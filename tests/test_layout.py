@@ -146,8 +146,9 @@ _COMONOTONE = {"kind": "example41", "joint_law": "comonotone",
 
 def _pipeline_runs(root: str) -> dict:
     """The exit code of each run into ``root``: the three demos, one small
-    run of each subcommand (exact, sample and comonotone extraction, a
-    failing extraction, ``tails`` with a ``feller_grid`` and ``--expect``,
+    run of each subcommand (exact, sample and comonotone extraction, sample
+    extraction on a single-draw law, a failing extraction, ``tails`` with a
+    ``feller_grid`` and ``--expect``,
     ``verify`` with ``compute_l2``, the gap probe and a plan's indices,
     ``hereditary``), and one call of each probe the benchmark calls."""
     def run(name, argv, cfg):
@@ -175,6 +176,12 @@ def _pipeline_runs(root: str) -> dict:
     run("extract-sample", ["extract", "--mode", "sample", "--grid", "2,4"],
         {"model": small, "target_length": 4, "search_cap": 32,
          "corrector": "weak_l2"})
+    # the sample bank reads dense blocks of a law the probes read by entries
+    run("extract-sample-single-draw", ["extract", "--mode", "sample",
+                                       "--grid", "2,4"],
+        {"model": {"kind": "tail_vanishing", "params": {"g": {
+            "family": "pareto1"}}},
+         "target_length": 4, "search_cap": 32, "corrector": "weak_l2"})
     run("extract-comonotone", ["extract", "--grid", "64,256"],
         {"model": _COMONOTONE, "target_length": 8,
          "eps_floor": 1e-7, "corrector": "weak_l2"})

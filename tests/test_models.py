@@ -1,6 +1,7 @@
 """Sequence-model behavior: seeded determinism, exact marginal oracles,
 agreement between sampling and the closed forms, and the JSON spec loader."""
 
+import hashlib
 import math
 import os
 import signal
@@ -15,6 +16,7 @@ import wllnlab.models as models_mod
 from wllnlab.distributions import FiniteDiscrete, HeavyLogLaw, Pareto1
 from wllnlab.models import (
     CapacityError,
+    Entries,
     Example41Model,
     IIDModel,
     IndependentArrayModel,
@@ -139,6 +141,23 @@ class TestTailVanishing:
         for n in range(1, 51):
             expected = g if abs(g) > n else 0.0
             assert values[n - 1] == expected
+
+    def test_entries_leave_out_ties(self):
+        # |g| = k gives f_k = 0: the entries sit exactly where |g| > k,
+        # in row-major order, also on index sets that do not start at 1
+        m = TailVanishingModel(FiniteDiscrete(
+            [(3.0, 0.2), (-5.0, 0.2), (7.5, 0.2), (600.0, 0.2), (0.0, 0.2)]))
+        for idx in (np.arange(1, 12), np.arange(3, 9), np.array([5, 7, 600])):
+            ties = 0
+            for chunk, g in m.probe_chunks(idx, 5, 300):
+                assert isinstance(chunk, Entries)
+                where = np.zeros((len(chunk), len(idx)), dtype=bool)
+                where[chunk.row, chunk.col] = True
+                assert np.array_equal(where, np.abs(g)[:, None] > idx)
+                assert np.array_equal(chunk.val, g[chunk.row])
+                assert (np.diff(chunk.row * len(idx) + chunk.col) > 0).all()
+                ties += np.count_nonzero(np.abs(g)[:, None] == idx)
+            assert ties > 0
 
     def test_truncated_moment_vanishes_past_level(self):
         m = TailVanishingModel(Pareto1())
@@ -535,3 +554,64 @@ def test_vectorised_rho_matches_scalar_rho():
         assert m.rho_array(idx) == pytest.approx([m.rho(int(n)) for n in idx],
                                                  rel=1e-15)
         assert m.pointwise_sup_index(idx) == min(idx, key=m.rho)
+
+
+# sha256 prefixes of sample_blocks output (replications 3..63 at seeds 0, 7
+# and 11, on a contiguous and a gapped index set), as the values were
+# before the mostly-zero laws' probe chunks came as entries: both
+# realizations read one set of draws
+SAMPLE_DIGESTS = {
+    "iid-finite": "663182e07ef8289d",
+    "iid-pareto1": "dd66f915687bb80c",
+    "iid-heavy-log": "c70edade163631d6",
+    "independent-array": "c75c751e2f398eae",
+    "tail-vanishing": "7a14edede7ab0f62",
+    "tail-vanishing-ties": "8c3a8fd120e77e23",
+    "example41": "9a84b199bb2cc312",
+    "example41-one-sided": "b8496abae01bf01e",
+    "example41-comonotone": "6696f654dc143079",
+    "latent-shift": "b8de2a4f722f2a11",
+}
+
+_SIGNS = {"family": "finite", "atoms": [[-1.0, 0.5], [1.0, 0.5]]}
+_HEAVY_LOG_RHO = {"family": "one-minus-one-over-log"}
+DIGEST_SPECS = {
+    "iid-finite": {"kind": "iid", "params": {"dist": {
+        "family": "finite", "atoms": [[-2.0, 0.5], [2.0, 0.5]]}}},
+    "iid-pareto1": {"kind": "iid", "params": {"dist": {"family": "pareto1"}}},
+    "iid-heavy-log": {"kind": "iid", "params": {"dist": {
+        "family": "heavy_log", "rho": 0.25, "symmetric": False}}},
+    "independent-array": {"kind": "independent_array", "params": {
+        "dists": [_SIGNS, {"family": "pareto1"}] * 3000}},
+    "tail-vanishing": {"kind": "tail_vanishing", "params": {"g": {
+        "family": "pareto1"}}},
+    "tail-vanishing-ties": {"kind": "tail_vanishing", "params": {"g": {
+        "family": "finite", "atoms": [[3.0, 0.3], [-5.0, 0.3], [7.5, 0.2],
+                                      [600.0, 0.2]]}}},
+    "example41": {"kind": "example41", "index_cap": 10**15,
+                  "params": {"rho": _HEAVY_LOG_RHO}},
+    "example41-one-sided": {"kind": "example41", "index_cap": 10**15,
+                            "params": {"rho": _HEAVY_LOG_RHO,
+                                       "symmetric": False}},
+    "example41-comonotone": {"kind": "example41", "joint_law": "comonotone",
+                             "index_cap": 10**15, "params": {"rho": {
+                                 "family": "constant", "value": 0.5}}},
+    "latent-shift": {"kind": "latent_shift", "params": {
+        "factor": _SIGNS, "noise": {"family": "finite",
+                                    "atoms": [[-3.0, 0.5], [3.0, 0.5]]}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_DIGESTS))
+def test_sample_blocks_values_are_pinned(name):
+    model = model_from_spec(DIGEST_SPECS[name])
+    start = 10**12 if name.startswith("example41") else 1
+    digest = hashlib.sha256()
+    for idx in (np.arange(start, start + 5000),
+                start - 1 + np.cumsum([1, 2, 600, 1, 800, 3, 1000, 2000])):
+        for seed in (0, 7, 11):
+            for values, factors in model.sample_blocks(idx, seed, 61, first=3):
+                digest.update(values.tobytes())
+                if factors is not None:
+                    digest.update(factors.tobytes())
+    assert digest.hexdigest()[:16] == SAMPLE_DIGESTS[name]

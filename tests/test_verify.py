@@ -17,6 +17,8 @@ from wllnlab.correctors import (
 from wllnlab.distributions import FiniteDiscrete, Pareto1
 from wllnlab.extract import truncate_array
 from wllnlab.models import (
+    Entries,
+    Example41Model,
     IIDModel,
     IndependentArrayModel,
     LatentShiftModel,
@@ -25,6 +27,7 @@ from wllnlab.models import (
 from wllnlab.verify import (
     PATTERNS,
     ProbeInputError,
+    ProbePass,
     hereditary_suite,
     truncation_gap_probe,
     wilson_interval,
@@ -456,3 +459,100 @@ def test_corrector_table_is_built_once_per_probe(monkeypatch):
         return len(calls)
 
     assert 0 < lookups(40) == lookups(400)
+
+
+# -------------------------------------------------------------------------
+# mostly-zero laws: the probes reduce their chunks' non-zero entries, with
+# the reports of the dense blocks those entries make
+# -------------------------------------------------------------------------
+
+class _Densified:
+    """``model`` with its probe chunks written out as dense blocks, so that
+    ``ProbePass`` reduces them on the dense path."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
+
+    def probe_chunks(self, indices, seed, R):
+        for chunk, factors in self.model.probe_chunks(indices, seed, R):
+            assert isinstance(chunk, Entries)
+            block = np.zeros((len(chunk), len(indices)))
+            block[chunk.row, chunk.col] = chunk.val
+            yield block, factors
+
+
+MOSTLY_ZERO_LAWS = {
+    "counterexample": lambda: demo_model("counterexample"),
+    "example41": lambda: demo_model("example41"),
+    "example41-one-sided": lambda: demo_model("example41", symmetric=False),
+    "example41-comonotone": lambda: Example41Model(
+        lambda n: 1.0 - 1.0 / math.log(n + 2), 10**15, "comonotone",
+        rho_vec=lambda idx: 1.0 - 1.0 / np.log(idx + 2.0)),
+}
+ENTRY_GRID = (16, 128, 1024, 4096)
+
+
+def _entry_index_sets(name):
+    """Contiguous indices and a plan-like set with gaps past 512."""
+    start = 1 if name == "counterexample" else 10**12
+    gaps = np.where(np.arange(ENTRY_GRID[-1]) % 64 == 5, 700, 1)
+    gaps[0] = 0
+    return np.arange(start, start + ENTRY_GRID[-1]), start + np.cumsum(gaps)
+
+
+def _entry_pass(model, idx, seed):
+    """Every probe on one pass: R = 301 is 9 chunks of 32 rows and 13, and
+    the side probes stop inside the fifth chunk."""
+    D = zero_corrector(ENTRY_GRID)
+    return ProbePass(model, idx, seed).wlln(
+        D, 0.25, ENTRY_GRID, 301, compute_l2=True).gap(
+        ENTRY_GRID, 150, 0.25).hereditary(
+        D, 0.25, ENTRY_GRID[:-1], 150, PATTERNS).run()
+
+
+@pytest.mark.parametrize("name", sorted(MOSTLY_ZERO_LAWS))
+def test_entries_give_the_dense_reports(name):
+    model = MOSTLY_ZERO_LAWS[name]()
+    for idx in _entry_index_sets(name):
+        for seed in (1, 2, 3):
+            dense = _entry_pass(_Densified(model), idx, seed)
+            entries = _entry_pass(model, idx, seed)
+            (wd, gd, hd), (we, ge, he) = dense, entries
+            assert (wd.p_hat, wd.ci, wd.verdict, wd.markov_ok) == \
+                (we.p_hat, we.ci, we.verdict, we.markov_ok)
+            assert gd.to_json() == ge.to_json()
+            assert hd.to_json() == he.to_json()
+            assert set(he.reports) == set(PATTERNS)
+            for N in ENTRY_GRID:
+                for a, b in ((wd.l2_hat[N], we.l2_hat[N]),
+                             (wd.l2_se[N], we.l2_se[N])):
+                    if name == "counterexample":
+                        # segment sums by bincount, not reduceat: the sums
+                        # of non-integers may differ in their last bits
+                        assert abs(a - b) <= 1e-12 * abs(a)
+                    else:
+                        assert a == b
+
+
+@pytest.mark.parametrize("name", ["counterexample", "example41"])
+def test_entries_stay_within_the_chunk_budget(name):
+    import tracemalloc
+
+    from wllnlab.models import _BLOCK_VALUES
+
+    grid = (64, 256, 1024, 4096, 16384, 65536)
+    model = demo_model(name)
+    idx = np.arange(DEMO_STARTS[name], DEMO_STARTS[name] + grid[-1])
+    D = corrector_weak_l2(model, grid)
+    tracemalloc.start()
+    try:
+        wlln_probe(model, idx, D, 0.25, grid, 500, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense chunk's budget: two slots of doubles, a bool mask and an intp
+    # index per value (3.125 MiB); the peaks are about 1.6 and 2.9 MiB
+    assert peak <= (2 * 8 + 1 + 8) * _BLOCK_VALUES, peak
