@@ -57,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correctors import CorrectorSeries
-from .models import SequenceModel
+from .models import Entries, SequenceModel
 
 _Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 # exact mode records every predecessor's inner product for the first steps
@@ -116,9 +116,9 @@ class _SampleBank:
     """R seeded paths of the increasing ``indices``, shared by every
     estimate under the centering D.
 
-    ``values`` has shape (R, len(indices)), as ``sample_blocks`` yields it:
-    column c holds f_{indices[c]} on every replication.  Per level N the
-    bank caches the centered rows f_j^{[-N,N]} - D_N of the indices it has
+    ``values`` (R, len(indices)) holds the chunks of ``sample_blocks``,
+    ``Entries`` written over zeros: column c holds f_{indices[c]} on every
+    replication.  Per level N the bank caches the centered rows f_j^{[-N,N]} - D_N of the indices it has
     scored against (the search's accepted indices in step order, the
     plan's in the recheck), each computed once, C-contiguous as (rows, R).
     An estimate multiplies a prefix of the rows by the candidate's
@@ -140,13 +140,16 @@ class _SampleBank:
                 f"(256 MiB): lower search_cap or sample_R")
         self.indices = np.asarray(indices, dtype=np.int64)
         self.R, self.D = int(R), D
-        self.values = np.empty((self.R, len(self.indices)))
+        self.values = np.zeros((self.R, len(self.indices)))
         factors, r0 = [], 0
-        for vals, f in model.sample_blocks(self.indices, seed, self.R,
-                                           first=_BANK_REPLICATIONS):
-            self.values[r0:r0 + len(vals)] = vals
+        for chunk, f in model.sample_blocks(self.indices, seed, self.R,
+                                            first=_BANK_REPLICATIONS):
+            if isinstance(chunk, Entries):
+                self.values[r0 + chunk.row, chunk.col] = chunk.val
+            else:
+                self.values[r0:r0 + len(chunk)] = chunk
             factors.append(f)
-            r0 += len(vals)
+            r0 += len(chunk)
         self.factors = None if factors[0] is None else np.concatenate(factors)
         # the columns of the indices scored against, in order, and per
         # level [their centered rows, how many are filled, D_N]

@@ -110,34 +110,25 @@ class SequenceModel:
 
     def sample_blocks(self, indices, seed: int, R: int, first: int = 0):
         """Realize (f_i)_{i in indices} on replications first, ...,
-        first + R - 1: yields ``(values, factors)`` per chunk of B
+        first + R - 1: yields ``(chunk, factors)`` per chunk of B
         replications (at most ``_BLOCK_VALUES`` values), in replication
-        order; ``values`` is (B, len(indices)) and ``factors`` (B,), or None
-        for models without a factor.  The uniform behind f_k on replication
-        r is position k of stream (seed, r) and the factor's is position 0
-        (see ``streams``), so sampling ``idx[s]`` gives the columns ``s`` of
-        sampling ``idx``, whichever replications are requested.
+        order.  ``chunk`` is a (B, len(indices)) block, or ``Entries`` for
+        the laws whose paths are mostly zeros (the single draw and
+        example41), which the probes reduce as they are and the sample bank
+        writes over zeros; ``factors`` is (B,), or None for models without
+        a factor.  The uniform behind f_k on replication r is position k of
+        stream (seed, r) and the factor's is position 0 (see ``streams``),
+        so sampling ``idx[s]`` gives the columns ``s`` of sampling ``idx``,
+        whichever replications are requested.
 
         The call allocates two buffer slots once.  While a chunk is
         realized in place in one slot and reduced by the caller, the
         draw-ahead thread draws the next chunk's uniforms into the other
         (a model without coordinate noise draws its factor column in the
-        loop): a yielded ``values`` is a view that is valid until the next
-        iteration, so a caller that keeps it copies it.  ``factors`` is a
-        fresh array each chunk.  Closing the generator waits for the draw
-        in flight."""
-        return self._chunks(indices, seed, R, first, self._realize)
-
-    def probe_chunks(self, indices, seed: int, R: int):
-        """The chunks of ``sample_blocks(indices, seed, R)`` as the probes
-        read them: the same blocks, or for laws whose paths are mostly
-        zeros (the single draw and example41) the same values as
-        ``Entries``, which are made afresh each chunk."""
-        return self.sample_blocks(indices, seed, R)
-
-    def _chunks(self, indices, seed: int, R: int, first: int, realize):
-        """``sample_blocks``, each chunk made by ``realize`` (``_realize``
-        or ``_entries``)."""
+        loop): a yielded block is a view that is valid until the next
+        iteration, so a caller that keeps it copies it.  ``Entries`` and
+        ``factors`` are fresh each chunk.  Closing the generator waits for
+        the draw in flight."""
         if not 0 <= first < first + R:
             raise ValueError("need replications 0 <= first < first + R")
         idx = self._checked_indices(indices)
@@ -185,8 +176,8 @@ class SequenceModel:
                     pending.result()
                 pending = draw(j + 1, ahead=True) if j + 1 < chunks else None
                 b, s = min(step, R - j * step), j % 2
-                yield realize(per_index, values[s][:b],
-                              None if u0 is None else u0[s][:b], scratch)
+                yield self._realize(per_index, values[s][:b],
+                                    None if u0 is None else u0[s][:b], scratch)
         finally:
             if pending is not None:
                 pending.wait()
@@ -196,10 +187,11 @@ class SequenceModel:
         return idx
 
     def _realize(self, per_index, out: np.ndarray, u0, scratch: Scratch):
-        """(out, factors): the values (B, n) written into ``out``, which
+        """(chunk, factors): the values (B, n) written into ``out``, or
+        ``Entries``, with ``out`` free for the kernels to overwrite.  ``out``
         holds the coordinate uniforms on entry for models with coordinate
-        noise, from factor uniforms ``u0`` (B,; None without a factor) and
-        the kernels' work buffers from ``scratch``.  ``u0`` is a view of a
+        noise, ``u0`` the factor uniforms (B,; None without a factor) and
+        ``scratch`` the kernels' work buffers.  ``u0`` is a view of a
         buffer slot, so ``factors`` must not be one."""
         raise NotImplementedError
 
@@ -284,26 +276,6 @@ class SequenceModel:
         return None
 
 
-class _MostlyZeroPaths(SequenceModel):
-    """A model whose paths are mostly zeros: ``_entries`` realizes a chunk
-    as its non-zero entries, which the probes reduce, and a dense block is
-    those entries written over zeros."""
-
-    def probe_chunks(self, indices, seed, R):
-        return self._chunks(indices, seed, R, 0, self._entries)
-
-    def _realize(self, per_index, out, u0, scratch):
-        chunk, factors = self._entries(per_index, out, u0, scratch)
-        out.fill(0.0)
-        out[chunk.row, chunk.col] = chunk.val
-        return out, factors
-
-    def _entries(self, per_index, out, u0, scratch):
-        """(Entries, factors) of the chunk, with the arguments of
-        ``_realize``; ``out`` is free for the kernels to overwrite."""
-        raise NotImplementedError
-
-
 # -------------------------------------------------------------------------
 
 
@@ -355,7 +327,6 @@ class IndependentArrayModel(SequenceModel):
         return tail[-1]
 
 
-
 class _TailRestricted(Distribution):
     """Law of G * 1{|G| > n}: the base law outside a central band, with the
     remaining mass collapsed onto zero."""
@@ -380,7 +351,7 @@ class _TailRestricted(Distribution):
         return head + self.base.tau_integral(M) - self.base.tau_integral(n)
 
 
-class TailVanishingModel(_MostlyZeroPaths):
+class TailVanishingModel(SequenceModel):
     """f_n = g * 1{|g| > n} for one draw of g per path.
 
     Each marginal tail vanishes as n grows even when g itself is so heavy
@@ -405,7 +376,7 @@ class TailVanishingModel(_MostlyZeroPaths):
     def _per_index(self, idx):
         return idx.astype(float)  # what |g| is compared with
 
-    def _entries(self, idx, out, u0, scratch):
+    def _realize(self, idx, out, u0, scratch):
         # row r is g_r on the columns whose index is below |g_r|
         g = self.g_dist.quantile_array(u0)
         count = np.searchsorted(idx, np.abs(g))
@@ -466,8 +437,7 @@ class TailVanishingModel(_MostlyZeroPaths):
         return f"E(f_n^2 1{{|f_n|<=M}}) = 0 exactly for n >= {math.ceil(M)}"
 
 
-
-class Example41Model(_MostlyZeroPaths):
+class Example41Model(SequenceModel):
     """Heavy-tailed integer marginals with zero mass rho_n per index.
 
     ``joint_law`` is "independent" (coordinates independent) or "comonotone"
@@ -509,7 +479,7 @@ class Example41Model(_MostlyZeroPaths):
     def _per_index(self, idx):
         return self.rho_array(idx)
 
-    def _entries(self, rho, out, u0, scratch):
+    def _realize(self, rho, out, u0, scratch):
         if self.has_factor:
             # every coordinate reads the shared uniform
             np.copyto(out, u0[:, None])
@@ -606,7 +576,6 @@ class Example41Model(_MostlyZeroPaths):
                 "indices with rho_n -> 1")
 
 
-
 class LatentShiftModel(SequenceModel):
     """f_n = B + eta_n: one latent factor B per path plus conditionally iid
     noise.  Conditionally on B the sequence is iid, so the natural centering
@@ -670,7 +639,6 @@ class LatentShiftModel(SequenceModel):
             d = D.value(int(N), factor=b)
             total += p * (self.conditional_trunc_moment(b, N, 1) - d) ** 2
         return total
-
 
 
 # -------------------------------------------------------------------------

@@ -13,44 +13,29 @@ falsifiable finite-sample reading:
 * ``inconclusive``          -- anything else
 
 Every replication r reads f_k from position k of its PCG64DXSM stream (see
-``streams``), so f_k is a pure function of (seed, r, k).
-Every probe runs through ``ProbePass``: one loop over
-``SequenceModel.probe_chunks`` whose replications come in chunks of a
-fixed number of values, so memory stays fixed at any R and N, and each
-chunk is reduced with array operations only.  For most laws a chunk is
-the ``sample_blocks`` block, a view of one of the sampling call's two
-buffer slots, into which the chunk after next is drawn, so every
-accumulator reduces it before the loop asks for another; drawing a value
-costs 3-4.5 ns, on a thread that draws the next chunk while this one is
-reduced, and its inverse CDF 1.2-2.6 ns on the demo laws.
+``streams``), so f_k is a pure function of (seed, r, k).  Every probe runs
+through ``ProbePass``: one loop over ``SequenceModel.sample_blocks``, whose
+chunks hold a fixed number of values, so memory stays fixed at any R and
+N, and are reduced with array operations only.  Probes queued on one pass
+read the same paths: each accumulator takes its first replications and its
+columns of every chunk, so the thinning patterns of the hereditary suite,
+the truncation gap and the full-sequence probe all read one draw of each
+path.
 
-The single draw f_n = g 1{|g| > n} and example41, whose paths are
-mostly zeros, hand each chunk over as its non-zero entries (row, column,
-value), from the same draws: row r of the single draw is g_r on the
-columns whose index is below |g_r|, one searchsorted per row, and
-example41's entries are the uniforms at or past the zero mass.  Each
-accumulator reads them through a map from column to the segment between
-its grid points, built once per pass, so its partial sums are one
-bincount over row * (G + 1) + segment.  At R = 500 to N = 65,536 (in
-process, 2 vCPU) the single-draw probe went from 0.041-0.064 s to
-0.011-0.019 s, example41's from a median 0.198 s to 0.180 s, its gap
-probe 0.053 to 0.048 s and its hereditary suite 0.059 to 0.048 s.  A
-chunk of entries holds at most its 2^17 values, 24 bytes each; on the
-demo laws a probe still peaks below a dense chunk's budget.  The sample
-bank and every other caller of ``sample_blocks`` get dense blocks: those
-laws write their entries over zeros.
-
-The truncation gap's outside sums O_N = sum_{n<=N} f 1{|f| > N} are read
-from the entries past the smallest level only, a few per chunk on the
-demo laws: one pass finds them and each level filters those few.  On
-example41's 2 x 65,536 dense chunks the gap accumulator costs 1.8-2.5 ns
-per value, against 6.5-7.6 ns for one masked copy of the chunk per level.
-The L2 terms take the truncated sums as S_N - O_N.  Realized correctors
-come from a table each series builds once per grid.  Probes queued on one pass
-read the same paths: each accumulator takes its first replications and
-its columns of every chunk, so the thinning patterns of the hereditary
-suite, the truncation gap and the full-sequence probe all read one draw
-of each path.
+A chunk comes in its law's own form.  A dense block is a view of one of
+the sampling call's two buffer slots, into which the chunk after next is
+drawn, so every accumulator reduces it before the loop asks for another.
+The single draw f_n = g 1{|g| > n} and example41, whose paths are mostly
+zeros, yield their non-zero entries (row, column, value), at most the
+chunk's 2^17 values of 24 bytes each, let go before the next chunk is
+made.  An accumulator reads entries through a map from column to the
+segment between its grid points, built once per pass, so its partial sums
+are one bincount over row * (G + 1) + segment.  The truncation gap's
+outside sums O_N = sum_{n<=N} f 1{|f| > N} are read from the entries past
+the smallest level only, a few per chunk on the demo laws: one pass finds
+them and each level filters those few.  The L2 terms take the truncated
+sums as S_N - O_N.  Realized correctors come from a table each series
+builds once per grid.
 """
 
 from __future__ import annotations
@@ -137,22 +122,6 @@ def _epsilon(epsilon) -> float:
     return float(epsilon)
 
 
-def _probe_indices(indices, length: int = 0) -> np.ndarray:
-    """The indices as an array, checked to be non-empty, strictly
-    increasing from 1, below 2^63 and at least ``length`` long."""
-    try:
-        idx = np.asarray(indices, dtype=np.int64)
-    except OverflowError:
-        raise ProbeInputError("indices must be below 2^63")
-    if not idx.size or np.any(np.diff(idx) <= 0) or idx[0] < 1:
-        raise ProbeInputError("indices must be non-empty, strictly "
-                              "increasing and >= 1")
-    if len(idx) < length:
-        raise ProbeInputError(
-            "index sequence shorter than the largest grid point")
-    return idx
-
-
 def _partial_sums(vals, grid) -> np.ndarray:
     """(B, G) sums S_N of the first N columns, N in ``grid``: sums over the
     segments between grid points, then running sums.  Entries (see
@@ -214,6 +183,42 @@ def _select(chunk: Entries, b: int, segments: np.ndarray) -> Entries:
                    chunk.val[:end], b)
 
 
+_L2_BLOCK = 256
+
+
+class _Moments:
+    """The count, the sum and the squared deviations per column of rows
+    added a chunk at a time, in memory fixed in the number of rows: each
+    block of ``_L2_BLOCK`` rows, fixed by row number whatever the chunks
+    are, is merged into the running values (Chan, Golub and LeVeque).  The
+    sum adds row after row, as ``np.mean`` adds the rows of an (R, G)
+    array (bit for bit when G > 1)."""
+
+    def __init__(self, width: int):
+        self.merged = (0, np.zeros(width), np.zeros(width))
+        self.block, self.filled = np.empty((_L2_BLOCK, width)), 0
+
+    def add(self, rows: np.ndarray) -> None:
+        while len(rows):
+            take = min(_L2_BLOCK - self.filled, len(rows))
+            self.block[self.filled:self.filled + take] = rows[:take]
+            self.filled, rows = self.filled + take, rows[take:]
+            if self.filled == _L2_BLOCK:
+                self.merged, self.filled = self.moments(), 0
+
+    def moments(self):
+        """(n, sum, M2) of the rows added so far."""
+        (n, total, m2), block = self.merged, self.block[:self.filled]
+        if not len(block):
+            return self.merged
+        b, mean = len(block), np.mean(block, axis=0)
+        delta = total / max(n, 1) - mean
+        return (n + b,
+                np.add.reduce(np.concatenate((total[None], block)), axis=0),
+                m2 + np.sum((block - mean) ** 2, axis=0)
+                + delta * delta * (n * b / (n + b)))
+
+
 class _Exceedance:
     """Counts of |(1/N) S_N - D_N| > eps per grid point, and optionally the
     L2-criterion terms, accumulated one block of replications at a time;
@@ -225,16 +230,16 @@ class _Exceedance:
         self.D, self.epsilon, self.n_grid = D, _epsilon(epsilon), n_grid
         self.levels = np.array(n_grid, dtype=float)
         self.exceed = np.zeros(len(n_grid), dtype=np.int64)
-        self.sq = [] if compute_l2 else None
+        self.l2 = _Moments(len(n_grid)) if compute_l2 else None
 
     def add(self, vals: np.ndarray, factors) -> None:
         d = self.D.realized(self.n_grid, factors)
         sums = _partial_sums(vals, self.n_grid)
         self.exceed += np.count_nonzero(
             np.abs(sums / self.levels - d) > self.epsilon, axis=0)
-        if self.sq is not None:
+        if self.l2 is not None:
             t = sums - _outside_sums(vals, self.n_grid) - self.levels * d
-            self.sq.append((t / self.levels) ** 2)
+            self.l2.add((t / self.levels) ** 2)
 
     def report(self, R: int, seed: int,
                pass_threshold: float) -> ConvergenceReport:
@@ -244,10 +249,10 @@ class _Exceedance:
         report = ConvergenceReport(
             grid, float(eps), R, p_hat, ci,
             _verdict(grid, p_hat, ci, pass_threshold), int(seed))
-        if self.sq is not None:
-            sq = np.concatenate(self.sq)
-            report.l2_hat = dict(zip(grid, np.mean(sq, axis=0).tolist()))
-            report.l2_se = dict(zip(grid, (np.std(sq, axis=0, ddof=1)
+        if self.l2 is not None:
+            _, total, m2 = self.l2.moments()
+            report.l2_hat = dict(zip(grid, (total / R).tolist()))
+            report.l2_se = dict(zip(grid, (np.sqrt(m2 / (R - 1))
                                            / math.sqrt(R)).tolist()))
             # divided by eps twice: a float eps ** 2 raises past 1.34e154
             # and is 0 below 1.5e-162, where the quotients give inf or 0
@@ -370,7 +375,17 @@ class ProbePass:
         self.idx, self._parts, self._reports, self._width = None, [], [], 0
 
     def _checked(self, length: int = 0) -> np.ndarray:
-        self.idx = _probe_indices(self.indices, length)
+        """The indices as the model checks them for sampling (past its cap
+        a ``CapacityError``), below 2^63 and at least ``length`` long."""
+        try:
+            self.idx = self.model._checked_indices(self.indices)
+        except OverflowError:
+            raise ProbeInputError("indices must be below 2^63") from None
+        except ValueError as exc:
+            raise ProbeInputError(str(exc)) from None
+        if len(self.idx) < length:
+            raise ProbeInputError(
+                "index sequence shorter than the largest grid point")
         return self.idx
 
     def _read(self, R: int, cols, acc) -> None:
@@ -450,7 +465,7 @@ class ProbePass:
         if self._parts:
             R, r0 = max(rows for rows, _, _ in self._parts), 0
             maps = {}   # part -> its column segments, made on first use
-            for chunk, factors in self.model.probe_chunks(
+            for chunk, factors in self.model.sample_blocks(
                     self.idx[: self._width], self.seed, R):
                 for i, (rows, cols, acc) in enumerate(self._parts):
                     b = min(len(chunk), rows - r0)

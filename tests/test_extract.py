@@ -49,6 +49,7 @@ from wllnlab.models import (
     TailVanishingModel,
     model_from_spec,
 )
+from dense import dense_blocks
 from scalar_reference import (
     check_plan_subsequence,
     constant_value,
@@ -454,7 +455,8 @@ def _reference_bank(model, horizon, R, seed):
     """(R, horizon) paths and their factor values, drawn as the search
     draws them."""
     idx = np.arange(1, horizon + 1, dtype=np.int64)
-    rows = [next(model.sample_blocks(idx, seed, 1, first=_BANK_REPLICATIONS + r))
+    rows = [next(dense_blocks(model, idx, seed, 1,
+                              first=_BANK_REPLICATIONS + r))
             for r in range(R)]
     return (np.concatenate([v for v, _ in rows]),
             [None if f is None else float(f[0]) for _, f in rows])

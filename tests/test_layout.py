@@ -176,7 +176,7 @@ def _pipeline_runs(root: str) -> dict:
     run("extract-sample", ["extract", "--mode", "sample", "--grid", "2,4"],
         {"model": small, "target_length": 4, "search_cap": 32,
          "corrector": "weak_l2"})
-    # the sample bank reads dense blocks of a law the probes read by entries
+    # the sample bank writes a mostly-zero law's entries over zeros
     run("extract-sample-single-draw", ["extract", "--mode", "sample",
                                        "--grid", "2,4"],
         {"model": {"kind": "tail_vanishing", "params": {"g": {

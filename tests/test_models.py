@@ -28,6 +28,8 @@ from wllnlab.models import (
 from wllnlab.streams import Positions
 from wllnlab.verify import wilson_interval
 
+from dense import dense_blocks
+
 Z999 = 3.2905267314919255  # 99.9% two-sided normal quantile
 
 TWO_POINT = FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)])
@@ -36,7 +38,7 @@ TWO_POINT = FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)])
 def sample_row(model, indices, seed, r=0):
     """Replication r on its own: its values and its factor (None without
     one)."""
-    values, factors = next(model.sample_blocks(indices, seed, 1, first=r))
+    values, factors = next(dense_blocks(model, indices, seed, 1, first=r))
     return values[0], None if factors is None else factors[0]
 
 
@@ -47,7 +49,7 @@ def sample_prefix(model, length, seed, r=0):
 def stacked_blocks(model, indices, seed, R):
     """Replications 0, ..., R - 1 as one (R, n) array and their factors."""
     # a yielded block is valid until the next iteration
-    blocks = [(v.copy(), f) for v, f in model.sample_blocks(indices, seed, R)]
+    blocks = [(v.copy(), f) for v, f in dense_blocks(model, indices, seed, R)]
     factors = (None if blocks[0][1] is None
                else np.concatenate([f for _, f in blocks]))
     return np.concatenate([v for v, _ in blocks]), factors
@@ -149,7 +151,7 @@ class TestTailVanishing:
             [(3.0, 0.2), (-5.0, 0.2), (7.5, 0.2), (600.0, 0.2), (0.0, 0.2)]))
         for idx in (np.arange(1, 12), np.arange(3, 9), np.array([5, 7, 600])):
             ties = 0
-            for chunk, g in m.probe_chunks(idx, 5, 300):
+            for chunk, g in m.sample_blocks(idx, 5, 300):
                 assert isinstance(chunk, Entries)
                 where = np.zeros((len(chunk), len(idx)), dtype=bool)
                 where[chunk.row, chunk.col] = True
@@ -353,7 +355,7 @@ def test_thinned_equals_sliced(name):
             thin, thin_f = sample_row(model, idx[sel], 21, r)
             assert np.array_equal(thin, full[sel])
             assert thin_f == full_f
-    values, factors = next(model.sample_blocks(idx, 21, 4, first=2))
+    values, factors = next(dense_blocks(model, idx, 21, 4, first=2))
     for i, r in enumerate(range(2, 6)):
         row, factor = sample_row(model, idx, 21, r)
         assert np.array_equal(values[i], row)
@@ -376,11 +378,11 @@ def test_sample_blocks_chunk_the_replications(monkeypatch):
     # comes; the factors are the caller's to keep
     idx = np.arange(1, 101)
     for name, model in chunk_models().items():
-        whole, whole_f = next(model.sample_blocks(idx, 4, 37))
+        whole, whole_f = next(dense_blocks(model, idx, 4, 37))
         with monkeypatch.context() as patch:
             patch.setattr(models_mod, "_BLOCK_VALUES", 300)
             blocks, factors, copies = [], [], []
-            for values, f in model.sample_blocks(idx, 4, 37):
+            for values, f in dense_blocks(model, idx, 4, 37):
                 blocks.append(values.copy())
                 factors.append(f)
                 copies.append(None if f is None else f.copy())
@@ -402,7 +404,7 @@ def small_chunks(monkeypatch):
 
 def chunks_of(model, seed, R=37):
     return [(v.copy(), None if f is None else f.copy())
-            for v, f in model.sample_blocks(np.arange(1, 101), seed, R)]
+            for v, f in dense_blocks(model, np.arange(1, 101), seed, R)]
 
 
 def same_chunks(a, b) -> bool:
@@ -471,8 +473,8 @@ def test_interleaved_calls_match_one_at_a_time(monkeypatch):
         alone = chunks_of(models[a], 6), chunks_of(models[b], 7, R=31)
         together = ([], [])
         for (va, fa), (vb, fb) in zip(
-                models[a].sample_blocks(np.arange(1, 101), 6, 37),
-                models[b].sample_blocks(np.arange(1, 101), 7, 31)):
+                dense_blocks(models[a], np.arange(1, 101), 6, 37),
+                dense_blocks(models[b], np.arange(1, 101), 7, 31)):
             together[0].append((va.copy(), None if fa is None else fa.copy()))
             together[1].append((vb.copy(), None if fb is None else fb.copy()))
         assert same_chunks(together[0], alone[0][:len(together[0])]), a
@@ -610,7 +612,8 @@ def test_sample_blocks_values_are_pinned(name):
     for idx in (np.arange(start, start + 5000),
                 start - 1 + np.cumsum([1, 2, 600, 1, 800, 3, 1000, 2000])):
         for seed in (0, 7, 11):
-            for values, factors in model.sample_blocks(idx, seed, 61, first=3):
+            for values, factors in dense_blocks(model, idx, seed, 61,
+                                                first=3):
                 digest.update(values.tobytes())
                 if factors is not None:
                     digest.update(factors.tobytes())

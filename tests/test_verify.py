@@ -17,6 +17,7 @@ from wllnlab.correctors import (
 from wllnlab.distributions import FiniteDiscrete, Pareto1
 from wllnlab.extract import truncate_array
 from wllnlab.models import (
+    CapacityError,
     Entries,
     Example41Model,
     IIDModel,
@@ -33,7 +34,15 @@ from wllnlab.verify import (
     wilson_interval,
     wlln_probe,
 )
-from wllnlab.verify import _outside_sums, _partial_sums, _thinning
+from wllnlab.verify import (
+    _Exceedance,
+    _Moments,
+    _outside_sums,
+    _partial_sums,
+    _thinning,
+)
+
+from dense import dense, dense_blocks
 
 ZERO_MODEL = IIDModel(FiniteDiscrete([(0.0, 1.0)]))
 
@@ -86,6 +95,26 @@ class TestWllnProbe:
         with pytest.raises(ProbeInputError, match="compute_l2"):
             wlln_probe(ZERO_MODEL, [1, 2, 3, 4], D, 0.5, (4,), 1, 0,
                        compute_l2=True)
+
+    def test_indices_are_checked_by_the_model_when_queued(self):
+        # one index rule, the model's: an index past its cap is refused
+        # when the probe is queued, before any path is sampled
+        m = IIDModel(FiniteDiscrete([(-1.0, 0.5), (1.0, 0.5)]), index_cap=100)
+        D = zero_corrector((8, 64))
+        paths = ProbePass(m, range(1, 201), 0)
+        with pytest.raises(CapacityError):
+            paths.wlln(D, 0.25, (8, 64), 10)
+        with pytest.raises(CapacityError):
+            paths.gap((8, 64), 100)
+        with pytest.raises(CapacityError):
+            paths.hereditary(D, 0.25, (8, 64), 10)
+        assert paths.run() == []
+        for bad, match in (([1, 3, 2], "increasing"), ([0, 1], ">= 1"),
+                           ([], "empty"), ([1, 2**63], "below 2\\^63"),
+                           ([1, 2], "shorter")):
+            with pytest.raises(ProbeInputError, match=match):
+                ProbePass(m, bad, 0).wlln(D, 0.25, (2, 4) if bad else (1,),
+                                          10)
 
     def test_conditional_corrector_realized_per_path(self):
         # noise averages have std 3/sqrt(N); N must be large for eps = 0.5
@@ -147,6 +176,84 @@ class TestL2Probe:
                        compute_l2=True)
         assert r.l2_hat[256] <= 0.05
         assert r.markov_ok
+
+    def test_moments_match_the_two_pass_formula(self):
+        # rows in chunks of many sizes, across blocks: the sum is np.mean's
+        # bit for bit when G > 1, the variance np.var(ddof=1)'s within
+        # 1e-12 on heavy-tailed rows far from 0, and neither depends on
+        # the chunks
+        rng = np.random.default_rng(5)
+        for G in (1, 2, 6):
+            rows = 1e3 + rng.pareto(1.0, size=(1000, G)) ** 2
+            var = np.var(rows, axis=0, ddof=1)
+            seen = set()
+            for sizes in ([1000], [1] * 1000, [2] * 500,
+                          [3, 300, 7, 256, 434], [255, 1, 256, 488]):
+                moments = _Moments(G)
+                for chunk in np.split(rows, np.cumsum(sizes)[:-1]):
+                    moments.add(chunk)
+                n, total, m2 = moments.moments()
+                assert n == 1000
+                if G > 1:
+                    assert np.array_equal(total / n, np.mean(rows, axis=0))
+                assert np.all(np.abs(total / n - np.mean(rows, axis=0))
+                              <= 1e-12 * np.mean(rows, axis=0))
+                assert np.all(np.abs(m2 / (n - 1) - var) <= 1e-12 * var)
+                seen.add((total.tobytes(), m2.tobytes()))
+            assert len(seen) == 1, G
+
+    @pytest.mark.parametrize("name", ["counterexample", "example41",
+                                      "latent-shift"])
+    def test_estimates_match_the_two_pass_formula(self, name):
+        # the terms from dense blocks of the same paths, truncated level by
+        # level, reduced over all R at once by np.mean and np.std(ddof=1)
+        model = demo_model(name)
+        grid = (16, 128, 1024)
+        idx = np.arange(DEMO_STARTS[name], DEMO_STARTS[name] + grid[-1])
+        D = corrector_weak_l2(model, grid)
+        R, levels = 601, np.array(grid, dtype=float)
+        report = wlln_probe(model, idx, D, 0.25, grid, R, 4, compute_l2=True)
+        terms = []
+        for vals, factors in dense_blocks(model, idx, 4, R):
+            kept = np.column_stack([truncate_array(vals[:, :N], N).sum(axis=1)
+                                    for N in grid])
+            d = D.realized(grid, factors)
+            terms.append(((kept - levels * d) / levels) ** 2)
+        sq = np.concatenate(terms)
+        se = np.std(sq, axis=0, ddof=1) / math.sqrt(R)
+        for N, hat, se in zip(grid, np.mean(sq, axis=0), se):
+            assert hat > 0 and se > 0
+            assert abs(report.l2_hat[N] - hat) <= 1e-12 * hat, N
+            assert abs(report.l2_se[N] - se) <= 1e-12 * se, N
+
+    def test_memory_does_not_grow_with_the_chunks(self, monkeypatch):
+        # 200 chunks of 2 replications: what the probe holds once a chunk
+        # is reduced does not grow with the chunks reduced before it
+        import tracemalloc
+
+        import wllnlab.models as models_mod
+
+        monkeypatch.setattr(models_mod, "_BLOCK_VALUES", 2 * 512)
+        grid = (8, 32, 64, 128, 256, 512)
+        D = corrector_weak_l2(LATENT, grid)
+        # the sizes go into a preallocated array, which does not grow
+        add, held, done = _Exceedance.add, np.zeros(200, dtype=np.int64), [0]
+
+        def traced(self, vals, factors):
+            add(self, vals, factors)
+            held[done[0]] = tracemalloc.get_traced_memory()[0]
+            done[0] += 1
+
+        monkeypatch.setattr(_Exceedance, "add", traced)
+        tracemalloc.start()
+        try:
+            wlln_probe(LATENT, range(1, 513), D, 0.5, grid, 400, 1,
+                       compute_l2=True)
+        finally:
+            tracemalloc.stop()
+        assert done == [200]
+        # a (2, 6) array of terms kept per chunk would add 20 KiB
+        assert held[100:].max() - held[10:100].max() < 2048, held
 
 
 class TestTruncationGap:
@@ -404,8 +511,8 @@ def _chunks(model, start, width):
     """64 replications of ``width`` columns: the first 256 as a view of the
     wider chunk, and a chunk of exactly 256 columns."""
     idx = np.arange(start, start + width)
-    wide = next(model.sample_blocks(idx, 3, 64))[0].copy()
-    exact = next(model.sample_blocks(idx[:256], 3, 64))[0].copy()
+    wide = next(dense_blocks(model, idx, 3, 64))[0].copy()
+    exact = next(dense_blocks(model, idx[:256], 3, 64))[0].copy()
     return wide[:, :256], exact
 
 
@@ -467,7 +574,7 @@ def test_corrector_table_is_built_once_per_probe(monkeypatch):
 # -------------------------------------------------------------------------
 
 class _Densified:
-    """``model`` with its probe chunks written out as dense blocks, so that
+    """``model`` with its chunks written out as dense blocks, so that
     ``ProbePass`` reduces them on the dense path."""
 
     def __init__(self, model):
@@ -476,12 +583,10 @@ class _Densified:
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def probe_chunks(self, indices, seed, R):
-        for chunk, factors in self.model.probe_chunks(indices, seed, R):
+    def sample_blocks(self, indices, seed, R):
+        for chunk, factors in self.model.sample_blocks(indices, seed, R):
             assert isinstance(chunk, Entries)
-            block = np.zeros((len(chunk), len(indices)))
-            block[chunk.row, chunk.col] = chunk.val
-            yield block, factors
+            yield dense(chunk, len(indices)), factors
 
 
 MOSTLY_ZERO_LAWS = {
