@@ -6,7 +6,6 @@ subsequence extraction -> Monte Carlo convergence verification.
 
 from .correctors import (
     CorrectorSeries,
-    corrector_iid,
     corrector_independent,
     corrector_weak_l2,
     zero_corrector,

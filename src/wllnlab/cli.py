@@ -226,14 +226,10 @@ def build_corrector(name: str, model: SequenceModel, n_grid) -> corr.CorrectorSe
         return corr.zero_corrector(n_grid)
     if name == "weak_l2":
         return corr.corrector_weak_l2(model, n_grid)
-    if name == "iid":
-        # identically distributed without a shared factor: iid
-        if not model.identically_distributed or model.factor_law is not None:
-            raise UsageError("corrector 'iid' needs an iid model")
-        return corr.corrector_iid(model.marginal_dist(1), n_grid)
     if name == "independent":
         return corr.corrector_independent(model, n_grid)
-    raise UsageError(f"unknown corrector {name!r}")
+    raise UsageError(f"unknown corrector {name!r}; choose from "
+                     f"{['independent', 'weak_l2', 'zero']}")
 
 
 def write_manifest(out: str, command: str, cfg: dict) -> None:

@@ -11,12 +11,13 @@ A corrector series assigns to each level N a centering value D_N with
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .distributions import Distribution, UnsupportedOracleError
+from .distributions import UnsupportedOracleError
 
 # how far a realized factor may sit from its atom: float round-off
 _ATOM_TOLERANCE = 1e-9
@@ -31,31 +32,40 @@ class CorrectorSeries:
     kind: str  # "constant" | "conditional"
     values: dict  # N -> float, or N -> {factor_value: float}
     provenance: str
-    # levels -> what ``realized`` reads, built on its first call
-    _tables: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
+    # D_N per (factor atom, level), read-only, NaN where a level lacks the
+    # atom; the constant kind is one row, at a nominal atom 0
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.n_grid = tuple(int(N) for N in self.n_grid)
-        for N in self.n_grid:
-            if self.kind == "conditional":
-                worst = max(abs(v) for v in self.values[N].values())
-            else:
-                worst = abs(self.values[N])
-            if worst > N:
-                raise ValueError(f"corrector magnitude {worst} exceeds level {N}")
+        self._column = {N: g for g, N in enumerate(self.n_grid)}
+        maps = [self.values[N] if self.kind == "conditional"
+                else {0.0: self.values[N]} for N in self.n_grid]
+        self._atoms = np.array(sorted({float(b) for m in maps for b in m}))
+        self._rows = {b: a for a, b in enumerate(self._atoms.tolist())}
+        self.table = np.full((len(self._rows), len(maps)), np.nan)
+        for g, m in enumerate(maps):
+            for b, v in m.items():
+                self.table[self._rows[float(b)], g] = v
+        self.table.flags.writeable = False
+        # a factor resolves to the atom whose midpoints enclose it
+        self._mid = (self._atoms[1:] + self._atoms[:-1]) / 2
+        worst = np.fmax.reduce(np.abs(self.table), initial=0.0)  # skips NaN
+        for N, w in zip(self.n_grid, worst):
+            if w > N:
+                raise ValueError(f"corrector magnitude {w} exceeds level {N}")
 
     def value(self, N: int, factor: float | None = None) -> float:
-        """D_N; the conditional kind reads the table at the factor's exact
-        atom (``realized`` resolves sampled factors)."""
+        """D_N at the factor's exact atom (``realized`` resolves samples)."""
         if self.kind != "conditional":
-            return float(self.values[N])
-        if factor is None:
+            factor = 0.0
+        elif factor is None:
             raise ValueError("conditional corrector needs the factor value")
-        table = self.values[N]
-        if factor not in table:
-            raise KeyError(f"factor {factor} not in corrector table")
-        return float(table[factor])
+        if factor in self._rows:
+            d = float(self.table[self._rows[factor], self._column[int(N)]])
+            if not math.isnan(d):
+                return d
+        raise KeyError(f"factor {factor} not in corrector table")
 
     def constant(self, N: int) -> float:
         """D_N of a non-random series; a conditional series has none, and
@@ -63,57 +73,31 @@ class CorrectorSeries:
         if self.kind == "conditional":
             raise UnsupportedOracleError(
                 "conditional correctors are only supported on latent-shift models")
-        return float(self.values[N])
+        return self.value(N)
 
     def realized(self, levels, factors=None) -> np.ndarray:
-        """D_N for N in ``levels`` on every path: shape (len(levels),) for
-        the constant kinds, (len(factors), len(levels)) for the conditional
-        kind.  Both read a table built by ``value`` on the first call for
-        ``levels``; the conditional kind takes each factor's nearest atom,
-        tolerating float round-off, and a factor near no atom (NaN is near
-        none), or on one that a level's table lacks, raises ``KeyError``."""
+        """D_N for N in ``levels`` on every path: (len(levels),) for the
+        constant kind, (len(factors), len(levels)) for the conditional kind,
+        which takes each factor's nearest atom within float round-off.  A
+        level off the grid, or a factor near no atom (NaN is near none) or
+        near one that a level's table lacks, raises ``KeyError``."""
         levels = tuple(levels)
-        if levels not in self._tables:
-            self._tables[levels] = self._table(levels)
+        table = self.table if levels == self.n_grid else self.table.take(
+            [self._column[int(N)] for N in levels], axis=1)
         if self.kind != "conditional":
-            return self._tables[levels]
+            return table[0]
         if factors is None:
-            raise ValueError(
-                "conditional corrector needs a model exposing the factor")
-        mid, atoms, table = self._tables[levels]
+            raise ValueError("conditional corrector needs the factor value")
         f = np.asarray(factors, dtype=float).ravel()
-        near = np.searchsorted(mid, f)
-        ok = np.abs(atoms[near] - f) <= _ATOM_TOLERANCE
+        near = np.searchsorted(self._mid, f)
+        found = np.where(np.isnan(table).any(axis=1), np.nan, self._atoms)
+        ok = np.abs(found[near] - f) <= _ATOM_TOLERANCE
         if not ok.all():
             raise KeyError(f"factor {f[~ok][0]} not in corrector table")
         return table[near]
 
-    def _table(self, levels: tuple):
-        """(len(levels),) values; or, for the conditional kind, the
-        midpoints between the sorted atoms of every level's table, the
-        atoms (NaN where a level's table resolves no value) and their
-        (atoms, len(levels)) values."""
-        if self.kind != "conditional":
-            table = np.array([self.value(N) for N in levels])
-            table.flags.writeable = False
-            return table
-        atoms = np.array(sorted({float(b) for N in levels
-                                 for b in self.values[N]}))
-        table = np.full((len(atoms), len(levels)), np.nan)
-        for g, N in enumerate(levels):
-            for a, b in enumerate(atoms):
-                try:
-                    table[a, g] = self.value(N, factor=float(b))
-                except KeyError:
-                    pass
-        found = np.where(np.isnan(table).any(axis=1), np.nan, atoms)
-        return (atoms[1:] + atoms[:-1]) / 2, found, table
-
     def is_zero(self) -> bool:
-        if self.kind == "conditional":
-            return all(v == 0.0 for N in self.n_grid
-                       for v in self.values[N].values())
-        return all(self.values[N] == 0.0 for N in self.n_grid)
+        return not np.nan_to_num(self.table).any()
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "provenance": self.provenance, "series": []}
@@ -130,12 +114,6 @@ class CorrectorSeries:
 def zero_corrector(n_grid) -> CorrectorSeries:
     return CorrectorSeries(tuple(n_grid), "constant",
                            {int(N): 0.0 for N in n_grid}, "zero")
-
-
-def corrector_iid(dist: Distribution, n_grid) -> CorrectorSeries:
-    """D_N = E(f 1{|f| <= N}) for identically distributed coordinates."""
-    values = {int(N): dist.trunc_moment(float(N), 1) for N in n_grid}
-    return CorrectorSeries(tuple(n_grid), "constant", values, "iid-truncated-mean")
 
 
 def corrector_independent(model: SequenceModel, n_grid) -> CorrectorSeries:

@@ -319,7 +319,7 @@ def _tau_em(x: float) -> float:
     return big_f - f / 2.0 + f1 / 12.0
 
 
-def _head_tables():
+def _head_sums():
     """T, A, B, G at m = 0.._HEAD_K, summed in extended precision (where the
     platform has it) and rounded once to float."""
     k = np.arange(2, _HEAD_K + 1, dtype=np.longdouble)
@@ -340,7 +340,7 @@ def _head_tables():
 
 
 # Python lists: one indexing step per oracle call, no numpy scalar boxing
-_HEAD_T, _HEAD_A, _HEAD_B, _HEAD_G = _head_tables()
+_HEAD_T, _HEAD_A, _HEAD_B, _HEAD_G = _head_sums()
 _SERIES_TOTAL = _HEAD_T[0]
 _OFFSET_A = _HEAD_A[_HEAD_K] - _energy_em(float(_HEAD_K))
 _OFFSET_B = _HEAD_B[_HEAD_K] - _mean_em(float(_HEAD_K))
@@ -424,17 +424,20 @@ def heavy_log_entries(u: np.ndarray, rho, symmetric: bool,
                       scratch: Scratch) -> tuple:
     """(at, values): the flat positions in ``u`` of the uniforms u >= rho,
     in order, and the heavy-log law's values there, where it is not 0.
-    ``rho`` is a scalar or one per entry of the last axis of ``u``;
+    ``rho`` is a scalar or one per column of ``u``, or of a (B, 1) ``u``
+    whose one uniform per row stands for every column;
     v = (u - rho) / (1 - rho) is the uniform of the conditional law.
 
     The head is read through a guide table of 2^13 buckets: about 98% of
     the v fall in a bucket no bound enters and take its entry; the rest,
     and v = 1, take the binary search."""
     rho = np.atleast_1d(rho)
-    at = np.flatnonzero(np.greater_equal(u, rho,
-                                         out=scratch.view(bool, u.shape)))
+    shape = u.shape[:-1] + rho.shape if u.shape[-1:] == (1,) else u.shape
+    mask = scratch.view(bool, shape)
+    at = np.flatnonzero(np.greater_equal(u, rho, out=mask))
     r = rho[at % len(rho)]
-    v = (u.ravel()[at] - r) / (1.0 - r)
+    v = (u.ravel()[at] if u.size == mask.size else u[at // len(rho), 0]) - r
+    v /= 1.0 - r
     bounds, values, guide = _HEAD_QUANTILE[symmetric]
     idx = guide[(v * (1 << _GUIDE_BITS)).astype(np.intp)]
     near = np.flatnonzero(idx < 0)

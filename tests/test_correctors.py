@@ -3,11 +3,11 @@ and the |D_N| <= N contract."""
 
 import math
 
+import numpy as np
 import pytest
 
 from wllnlab.correctors import (
     CorrectorSeries,
-    corrector_iid,
     corrector_independent,
     corrector_weak_l2,
     zero_corrector,
@@ -27,7 +27,7 @@ from wllnlab.models import (
     TailVanishingModel,
 )
 from wllnlab.distributions import Pareto1
-from scalar_reference import corrector_second_moment
+from scalar_reference import corrector_second_moment, iid_corrector
 
 N_GRID = (2, 8, 32, 128)
 
@@ -53,8 +53,8 @@ class TestContract:
     def test_every_emitted_series_respects_clamp(self):
         series = [
             zero_corrector(N_GRID),
-            corrector_iid(Pareto1(), N_GRID),
-            corrector_iid(HeavyLogLaw(0.25, symmetric=False), N_GRID),
+            iid_corrector(Pareto1(), N_GRID),
+            iid_corrector(HeavyLogLaw(0.25, symmetric=False), N_GRID),
             corrector_weak_l2(LATENT, N_GRID),
             corrector_weak_l2(TailVanishingModel(Pareto1()), N_GRID),
         ]
@@ -110,6 +110,24 @@ class TestContract:
         with pytest.raises(KeyError):
             part.realized((4, 8), [-1.0])
 
+    def test_one_table_built_at_construction(self):
+        # a row per atom of any level, NaN where a level lacks it; a constant
+        # series is one row; is_zero reads the known entries only
+        part = CorrectorSeries((4, 8), "conditional",
+                               {4: {-1.0: 0.0, 1.0: 0.0}, 8: {1.0: 0.0}},
+                               "test")
+        assert np.array_equal(part.table, [[0.0, np.nan], [0.0, 0.0]],
+                              equal_nan=True)
+        assert part.is_zero()
+        Z = zero_corrector((2, 8))
+        assert Z.table.shape == (1, 2) and Z.is_zero()
+        for D in (part, Z):
+            assert not D.table.flags.writeable
+        with pytest.raises(KeyError):
+            Z.realized((2, 16))
+        with pytest.raises(KeyError):
+            part.realized((16,), [1.0])
+
     def test_second_moment(self):
         D = corrector_weak_l2(LATENT, (8,))
         probs = dict(LATENT.factor_dist.atoms)
@@ -120,17 +138,17 @@ class TestContract:
 
 class TestClassicalFormulas:
     def test_iid_symmetric_zero(self):
-        D = corrector_iid(FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)]), N_GRID)
+        D = iid_corrector(FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)]), N_GRID)
         assert all(D.values[N] == 0.0 for N in N_GRID)
 
     def test_iid_point_mass_switch(self):
-        D = corrector_iid(FiniteDiscrete([(7.0, 1.0)]), (2, 8))
+        D = iid_corrector(FiniteDiscrete([(7.0, 1.0)]), (2, 8))
         assert D.values[2] == 0.0
         assert D.values[8] == 7.0
 
     def test_iid_heavy_one_sided_series(self):
         rho = 0.25
-        D = corrector_iid(HeavyLogLaw(rho, symmetric=False), (16,))
+        D = iid_corrector(HeavyLogLaw(rho, symmetric=False), (16,))
         want = (1 - rho) * 2 * example41_constant_c() * math.fsum(
             1.0 / (k * math.log(k)) for k in range(2, 17))
         assert D.values[16] == pytest.approx(want, rel=1e-10)
@@ -167,7 +185,7 @@ class TestClassicalFormulas:
         dist = FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])
         m = IndependentArrayModel([dist] * 16)
         a = corrector_independent(m, (4, 16))
-        b = corrector_iid(dist, (4, 16))
+        b = iid_corrector(dist, (4, 16))
         assert a.values == b.values
 
 
@@ -175,7 +193,7 @@ class TestWeakL2:
     def test_iid_matches_iid_formula(self):
         dist = FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])
         D = corrector_weak_l2(IIDModel(dist), N_GRID)
-        assert D.values == corrector_iid(dist, N_GRID).values
+        assert D.values == {N: dist.trunc_moment(float(N), 1) for N in N_GRID}
 
     def test_tail_vanishing_zero(self):
         D = corrector_weak_l2(TailVanishingModel(Pareto1()), N_GRID)
@@ -217,7 +235,7 @@ def test_serialization_shapes():
     js = D.to_json()
     assert js["kind"] == "conditional"
     assert js["series"][0]["table"] == [[-1.0, -1.0], [1.0, 1.0]]
-    Z = corrector_iid(Pareto1(), (4,))
+    Z = iid_corrector(Pareto1(), (4,))
     assert Z.to_json()["series"][0]["value"] == pytest.approx(math.log(4.0))
 
 
@@ -226,9 +244,8 @@ def _reference_weak_l2(model, n_grid) -> CorrectorSeries:
     structure pins them down."""
     n_grid = tuple(int(N) for N in n_grid)
     if isinstance(model, IIDModel):
-        series = corrector_iid(model.dist, n_grid)
-        series.provenance = "weak-l2/iid"
-        return series
+        values = {N: model.dist.trunc_moment(float(N), 1) for N in n_grid}
+        return CorrectorSeries(n_grid, "constant", values, "weak-l2/iid")
     if isinstance(model, TailVanishingModel):
         # truncated moments vanish once the index passes the level, so the
         # weak limit is zero at every level

@@ -17,7 +17,6 @@ import wllnlab.extract as extract_mod
 
 from wllnlab.correctors import (
     CorrectorSeries,
-    corrector_iid,
     corrector_weak_l2,
     zero_corrector,
 )
@@ -55,6 +54,7 @@ from scalar_reference import (
     constant_value,
     cross_product_budget,
     entry_keys,
+    iid_corrector,
     is_independent,
     reference_inner_product,
     sum_of_squares_check,
@@ -92,13 +92,13 @@ class TestExactInnerProducts:
     def test_independent_exact_correctors_vanish(self):
         dist = FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])
         m = IIDModel(dist)
-        D = corrector_iid(dist, (8,))
+        D = iid_corrector(dist, (8,))
         assert _recheck_value(m, 1, 4, 8, D) == pytest.approx(0.0, abs=1e-14)
 
     def test_diagonal_is_variance(self):
         dist = FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])
         m = IIDModel(dist)
-        D = corrector_iid(dist, (8,))
+        D = iid_corrector(dist, (8,))
         mu = dist.trunc_moment(8.0, 1)
         var = dist.trunc_moment(8.0, 2) - mu * mu
         got = reference_inner_product(m, 3, 3, 8.0, D)
@@ -162,7 +162,7 @@ class TestGreedyExtract:
     def test_independent_with_exact_correctors_takes_prefix(self):
         dist = FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])
         m = IIDModel(dist)
-        D = corrector_iid(dist, (2, 8))
+        D = iid_corrector(dist, (2, 8))
         plan = greedy_extract(m, 12, (2, 8), D)
         assert plan.indices == tuple(range(1, 13))
 
@@ -194,7 +194,7 @@ class TestGreedyExtract:
     def test_min_index_shifts_pool(self):
         dist = FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])
         m = IIDModel(dist)
-        D = corrector_iid(dist, (2,))
+        D = iid_corrector(dist, (2,))
         plan = greedy_extract(m, 5, (2,), D, min_index=100)
         assert plan.indices == tuple(range(100, 105))
 
@@ -310,7 +310,7 @@ class TestBudgets:
     def test_cross_products_zero_for_independent_exact(self):
         dist = FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])
         m = IIDModel(dist)
-        D = corrector_iid(dist, (8,))
+        D = iid_corrector(dist, (8,))
         plan = greedy_extract(m, 8, (8,), D)
         budget = cross_product_budget(plan, m, D, 8)
         assert budget["total"] == pytest.approx(0.0, abs=1e-12)

@@ -201,7 +201,7 @@ def _pipeline_runs(root: str) -> dict:
         {"model": _ONE_SIDED_HEAVY_LOG, "n_range": [1, 4],
          "feller_grid": [16, 64]})
     run("verify-l2", ["verify", "--grid", "4,16", "--reps", "50"],
-        {"model": _ONE_SIDED_HEAVY_LOG, "corrector": "iid",
+        {"model": _ONE_SIDED_HEAVY_LOG, "corrector": "weak_l2",
          "compute_l2": True, "gap_probe": True})
     # the benchmark's probe calls, on a constant zero mass
     model = models.model_from_spec({

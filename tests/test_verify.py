@@ -10,7 +10,6 @@ import pytest
 
 from wllnlab.correctors import (
     CorrectorSeries,
-    corrector_iid,
     corrector_weak_l2,
     zero_corrector,
 )
@@ -43,6 +42,7 @@ from wllnlab.verify import (
 )
 
 from dense import dense, dense_blocks
+from scalar_reference import iid_corrector
 
 ZERO_MODEL = IIDModel(FiniteDiscrete([(0.0, 1.0)]))
 
@@ -76,7 +76,7 @@ class TestWllnProbe:
 
     def test_monotone_epsilon(self):
         m = IIDModel(Pareto1())
-        D = corrector_iid(Pareto1(), (16, 64))
+        D = iid_corrector(Pareto1(), (16, 64))
         grid = (16, 64)
         a = wlln_probe(m, range(1, 65), D, 0.25, grid, 500, seed=4)
         b = wlln_probe(m, range(1, 65), D, 0.75, grid, 500, seed=4)
@@ -155,7 +155,7 @@ class TestL2Probe:
     def test_markov_consistency(self):
         dist = FiniteDiscrete([(-2.0, 0.5), (2.0, 0.5)])
         m = IIDModel(dist)
-        D = corrector_iid(dist, (16, 64))
+        D = iid_corrector(dist, (16, 64))
         r = wlln_probe(m, range(1, 65), D, 0.25, (16, 64), 800, seed=5,
                        compute_l2=True)
         assert r.markov_ok
@@ -547,15 +547,17 @@ def test_outside_sums_on_pareto_values_within_round_off():
 
 
 def test_corrector_table_is_built_once_per_probe(monkeypatch):
-    # 13 chunks at R = 400 against 2 at R = 40: the lookups are the same
+    # the series builds its table at construction: a probe reads it through
+    # ``realized`` once per chunk (13 chunks at R = 400, 2 at R = 40) and
+    # never looks a value up
     calls = []
-    value = CorrectorSeries.value
+    for name in ("value", "realized"):
+        def counted(self, *args, _name=name,
+                    _method=getattr(CorrectorSeries, name), **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return value(self, *args, **kwargs)
-
-    monkeypatch.setattr(CorrectorSeries, "value", counted)
+        monkeypatch.setattr(CorrectorSeries, name, counted)
     grid = (64, 1024, 4096)
 
     def lookups(R):
@@ -563,9 +565,10 @@ def test_corrector_table_is_built_once_per_probe(monkeypatch):
         calls.clear()
         wlln_probe(LATENT, range(1, 4097), D, 0.5, grid, R, 1,
                    compute_l2=True)
-        return len(calls)
+        return calls.count("value"), calls.count("realized")
 
-    assert 0 < lookups(40) == lookups(400)
+    assert lookups(40) == (0, 2)
+    assert lookups(400) == (0, 13)
 
 
 # -------------------------------------------------------------------------
@@ -642,11 +645,9 @@ def test_entries_give_the_dense_reports(name):
                         assert a == b
 
 
-@pytest.mark.parametrize("name", ["counterexample", "example41"])
-def test_entries_stay_within_the_chunk_budget(name):
+def _demo_probe_peak(name) -> int:
+    """The traced peak of the demo law's probe at R = 500 to N = 65,536."""
     import tracemalloc
-
-    from wllnlab.models import _BLOCK_VALUES
 
     grid = (64, 256, 1024, 4096, 16384, 65536)
     model = demo_model(name)
@@ -655,9 +656,23 @@ def test_entries_stay_within_the_chunk_budget(name):
     tracemalloc.start()
     try:
         wlln_probe(model, idx, D, 0.25, grid, 500, 1)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["counterexample", "example41"])
+def test_entries_stay_within_the_chunk_budget(name):
+    from wllnlab.models import _BLOCK_VALUES
+
+    peak = _demo_probe_peak(name)
     # a dense chunk's budget: two slots of doubles, a bool mask and an intp
     # index per value (3.125 MiB); the peaks are about 1.6 and 2.9 MiB
     assert peak <= (2 * 8 + 1 + 8) * _BLOCK_VALUES, peak
+
+
+def test_single_draw_probe_holds_no_values_block():
+    # the single draw realizes each chunk from its factor column, so no 1 MiB
+    # (B, n) values buffer is allocated: about 0.6 MiB, 1.6 with one
+    peak = _demo_probe_peak("counterexample")
+    assert peak < 1 << 20, peak
