@@ -227,6 +227,31 @@ def test_unknown_corrector_names_the_choices(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+@pytest.mark.parametrize("model, kind", [(IID_MODEL, "constant"),
+                                         (LATENT_MODEL, "conditional")],
+                         ids=["iid", "latent-shift"])
+def test_iid_corrector_needs_an_iid_model(tmp_path, capsys, model, kind):
+    # the iid centering E[X 1{|X| <= N}] is weak_l2's on an iid model only;
+    # latent shift is identically distributed but not independent, so its
+    # weak_l2 corrector is the conditional table. "iid" is refused on both.
+    payload = {"model": model, "target_length": 4, "n_grid": [2, 8]}
+    old = write_cfg(tmp_path, "old.json", {**payload, "corrector": "iid"})
+    assert main(["extract", "--config", old, "--out",
+                 str(tmp_path / "old")]) == 64
+    assert capsys.readouterr().err.startswith("error: unknown corrector 'iid'")
+    cfg = write_cfg(tmp_path, "c.json", {**payload, "corrector": "weak_l2"})
+    out = tmp_path / "o"
+    assert main(["extract", "--config", cfg, "--out", str(out)]) == 0
+    corrector = json.loads((out / "corrector.json").read_text())
+    assert corrector["kind"] == kind
+    if kind == "constant":
+        assert corrector["provenance"] == "weak-l2/iid"
+        # atoms 1 (mass 1/4) and 5 (mass 3/4): only 1 is kept at N = 2
+        assert [e["value"] for e in corrector["series"]] == [0.25, 4.0]
+    else:
+        assert corrector["provenance"] != "weak-l2/iid"
+
+
 @pytest.mark.parametrize("bad", [
     {"mode": "bogus"},
     {"mode": "sample", "sample_R": 50},
