@@ -11,7 +11,6 @@ A corrector series assigns to each level N a centering value D_N with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -42,11 +41,11 @@ class CorrectorSeries:
         maps = [self.values[N] if self.kind == "conditional"
                 else {0.0: self.values[N]} for N in self.n_grid]
         self._atoms = np.array(sorted({float(b) for m in maps for b in m}))
-        self._rows = {b: a for a, b in enumerate(self._atoms.tolist())}
-        self.table = np.full((len(self._rows), len(maps)), np.nan)
+        rows = {b: a for a, b in enumerate(self._atoms.tolist())}
+        self.table = np.full((len(rows), len(maps)), np.nan)
         for g, m in enumerate(maps):
             for b, v in m.items():
-                self.table[self._rows[float(b)], g] = v
+                self.table[rows[float(b)], g] = v
         self.table.flags.writeable = False
         # a factor resolves to the atom whose midpoints enclose it
         self._mid = (self._atoms[1:] + self._atoms[:-1]) / 2
@@ -55,39 +54,23 @@ class CorrectorSeries:
             if w > N:
                 raise ValueError(f"corrector magnitude {w} exceeds level {N}")
 
-    def value(self, N: int, factor: float | None = None) -> float:
-        """D_N at the factor's exact atom (``realized`` resolves samples)."""
-        if self.kind != "conditional":
-            factor = 0.0
-        elif factor is None:
-            raise ValueError("conditional corrector needs the factor value")
-        if factor in self._rows:
-            d = float(self.table[self._rows[factor], self._column[int(N)]])
-            if not math.isnan(d):
-                return d
-        raise KeyError(f"factor {factor} not in corrector table")
-
-    def constant(self, N: int) -> float:
-        """D_N of a non-random series; a conditional series has none, and
-        only the latent-shift oracles can take it."""
-        if self.kind == "conditional":
-            raise UnsupportedOracleError(
-                "conditional correctors are only supported on latent-shift models")
-        return self.value(N)
-
     def realized(self, levels, factors=None) -> np.ndarray:
-        """D_N for N in ``levels`` on every path: (len(levels),) for the
-        constant kind, (len(factors), len(levels)) for the conditional kind,
-        which takes each factor's nearest atom within float round-off.  A
-        level off the grid, or a factor near no atom (NaN is near none) or
-        near one that a level's table lacks, raises ``KeyError``."""
+        """D_N for N in ``levels`` on every path, or at every factor atom:
+        (len(levels),) for the constant kind, (len(factors), len(levels))
+        for the conditional kind, which takes each factor's nearest atom
+        within float round-off.  A level off the grid, or a factor near no
+        atom (NaN is near none) or near one that a level's table lacks,
+        raises ``KeyError``; a conditional series without factors has no
+        value, and only a model with a finite factor law can take it."""
         levels = tuple(levels)
         table = self.table if levels == self.n_grid else self.table.take(
             [self._column[int(N)] for N in levels], axis=1)
         if self.kind != "conditional":
             return table[0]
         if factors is None:
-            raise ValueError("conditional corrector needs the factor value")
+            raise UnsupportedOracleError(
+                "conditional correctors are only supported on models with a "
+                "finite factor law (latent shift)")
         f = np.asarray(factors, dtype=float).ravel()
         near = np.searchsorted(self._mid, f)
         found = np.where(np.isnan(table).any(axis=1), np.nan, self._atoms)

@@ -75,9 +75,12 @@ class SequenceModel:
     #: uniform at position k
     has_factor = False
     coordinate_noise = True
-    #: {factor value: probability} when the weak-L2 centering is a function
-    #: of the path factor, else None
-    factor_law: dict | None = None
+    #: ((z, P(z)), ...), the atoms of the path factor Z and their masses in
+    #: the factor law's order (a repeated atom is kept), when the
+    #: coordinates are independent given a Z with finitely many atoms and
+    #: the weak-L2 centering is a function of Z; None for a trivial Z (one
+    #: atom of mass 1 in the moment rows) or one with no finite atoms
+    factor_law: tuple | None = None
     #: how ``weak_l2_centering`` pins D_N down, recorded in ``corrector.json``
     weak_l2_provenance = ""
     #: whether every coordinate has the law ``marginal_dist(1)``, whose
@@ -221,26 +224,37 @@ class SequenceModel:
         """The moments of f_i the pair oracle needs under the centering D,
         as a (len(indices), len(levels), width) array for increasing
         ``indices``; None without a row form, and then the model answers
-        ``pair_inner_product(j, k, N, D)``.  Without a path factor each
-        coordinate reads its own uniform, so coordinates are independent
-        and the one moment is E(f_i 1{|f_i| <= N}) - D_N."""
+        ``pair_inner_product(j, k, N, D)``.  Coordinates independent given
+        a factor Z of finitely many atoms (``factor_law``; one atom of mass
+        1 without a factor) have one column per atom z:
+        m_i(z, N) - D_N(z), where m_i(z, N) = E(f_i 1{|f_i| <= N} | Z = z)."""
         idx = self._checked_indices(indices)
-        d = np.array([D.constant(int(N)) for N in levels])
-        return (self._trunc_means(idx, levels) - d)[..., None]
+        atoms = None if self.factor_law is None else \
+            [z for z, _ in self.factor_law]
+        # (levels, atoms), or (levels, 1) for a constant D
+        d = np.atleast_2d(D.realized(levels, atoms)).T
+        return self._trunc_means(idx, levels) - d
 
     def _trunc_means(self, idx: np.ndarray, levels) -> np.ndarray:
-        """E(f_i 1{|f_i| <= N}) for i in ``idx`` and N in ``levels``."""
+        """m_i(z, N) for i in ``idx``, N in ``levels`` and the factor's
+        atoms z, as a (len(idx), len(levels), atoms) array."""
         return np.array([[self.marginal_dist(i).trunc_moment(N, 1)
                           for N in levels] for i in idx.tolist()],
-                        dtype=float).reshape(len(idx), len(levels))
+                        dtype=float).reshape(len(idx), len(levels), 1)
 
     def row_inner_product(self, row_j, row_k):
         """The inner product for j < k from rows whose last axis holds the
         moments (broadcast elementwise over the others), in the operation
         order of the scalar oracle: any grouping of pairs gives its bits.
-        Here ip(j, k) = (mu_j - D_N)(mu_k - D_N): the largest |mu_j - D_N|
-        wins."""
-        return row_j[..., 0] * row_k[..., 0]
+        Here ip(j, k) = sum_z P(z) row_j[z] row_k[z], summed in atom order
+        from the first atom's term (0.0 + x would turn a -0.0 into 0.0);
+        without a factor the largest |m_j - D_N| wins."""
+        masses = (1.0,) if self.factor_law is None else \
+            [p for _, p in self.factor_law]
+        total = masses[0] * (row_j[..., 0] * row_k[..., 0])
+        for a in range(1, len(masses)):
+            total = total + masses[a] * (row_j[..., a] * row_k[..., a])
+        return total
 
     def lead_key(self, rows):
         """What the "max" and "min" lead slots compare, per row."""
@@ -401,13 +415,13 @@ class TailVanishingModel(SequenceModel):
         a = self._checked_indices(indices).astype(float)
         g, rows = self.g_dist, np.empty((len(a), len(levels), 3))
         below = [g.trunc_moments(a, order) for order in (1, 2)]
+        rows[:, :, 2] = D.realized(levels)
         for col, N in enumerate(levels):
             x = float(N)
             for w, order in ((0, 1), (1, 2)):
                 # band_moment(a, N): zero unless a < N
                 rows[:, col, w] = np.where(
                     a < x, g.trunc_moment(x, order) - below[w], 0.0)
-            rows[:, col, 2] = D.constant(int(N))
         return rows
 
     def row_inner_product(self, row_j, row_k):
@@ -499,7 +513,7 @@ class Example41Model(SequenceModel):
 
     def _trunc_means(self, idx, levels):
         if self.symmetric:
-            return np.zeros((len(idx), len(levels)))
+            return np.zeros((len(idx), len(levels), 1))
         return super()._trunc_means(idx, levels)
 
     def pair_inner_product(self, j, k, N, D):
@@ -511,7 +525,7 @@ class Example41Model(SequenceModel):
         if N > 1 << 16:  # its O(N) intervals take about 256 bytes per unit
             raise UnsupportedOracleError(
                 f"the comonotone pair oracle takes levels up to 65536, not {N}")
-        d = D.constant(int(N))
+        d = float(D.realized((int(N),))[0])
         mu_j = self.marginal_dist(j).trunc_moment(N, 1)
         mu_k = self.marginal_dist(k).trunc_moment(N, 1)
         return self._comonotone_product(j, k, N) - d * (mu_j + mu_k) + d * d
@@ -593,7 +607,7 @@ class LatentShiftModel(SequenceModel):
                  index_cap: int = 10**9):
         self.factor_dist = factor_dist
         self.noise_dist = noise_dist
-        self.factor_law = dict(factor_dist.atoms)
+        self.factor_law = factor_dist.atoms
         self.index_cap = int(index_cap)
         self._marginal = convolve(factor_dist, noise_dist)
 
@@ -618,28 +632,17 @@ class LatentShiftModel(SequenceModel):
 
     def weak_l2_centering(self, N):
         return {b: self.conditional_trunc_moment(b, float(N), 1)
-                for b in self.factor_law}
+                for b, _ in self.factor_law}
 
-    # given B the coordinates are iid, so every pair j != k has the same
-    # inner product: the row is that value, and the last step holds it
+    # given B the coordinates are iid, so every index has the same row and
+    # every pair j != k the same inner product: the last step holds it
     lead_slots = ("last",)
 
-    def moment_rows(self, indices, levels, D):
-        idx = self._checked_indices(indices)
-        value = [self._factor_average(N, D) for N in levels]
-        return np.broadcast_to(np.array(value, dtype=float)[:, None],
-                               (len(idx), len(levels), 1))
-
-    def row_inner_product(self, row_j, row_k):
-        return row_k[..., 0]
-
-    def _factor_average(self, N, D) -> float:
-        """E_B[(E(f 1{|f| <= N} | B) - D_N(B))^2], the pair value."""
-        total = 0.0    # a running sum: sum() compensates on Python >= 3.12
-        for b, p in self.factor_dist.atoms:
-            d = D.value(int(N), factor=b)
-            total += p * (self.conditional_trunc_moment(b, N, 1) - d) ** 2
-        return total
+    def _trunc_means(self, idx, levels):
+        means = [[self.conditional_trunc_moment(b, N, 1)
+                  for b, _ in self.factor_law] for N in levels]
+        return np.broadcast_to(np.array(means, dtype=float),
+                               (len(idx), len(levels), len(self.factor_law)))
 
 
 # -------------------------------------------------------------------------
@@ -711,9 +714,11 @@ def model_from_spec(spec: dict) -> SequenceModel:
     kind = spec.pop("kind", None)
     params = dict(spec.pop("params", {}))
     index_cap = spec.pop("index_cap", None)
-    # 0 must not read as the default cap
-    if index_cap is not None and (type(index_cap) is not int or index_cap < 1):
-        raise ValueError(f"index_cap must be an integer >= 1, not {index_cap!r}")
+    # 0 must not read as the default cap; indices are int64
+    if index_cap is not None and (type(index_cap) is not int
+                                  or not 1 <= index_cap < 2**63):
+        raise ValueError("index_cap must be an integer in [1, 2^63), "
+                         f"not {index_cap!r}")
     joint_law = spec.pop("joint_law", None)
     _reject_unknown(spec, "model spec")
 
@@ -724,7 +729,10 @@ def model_from_spec(spec: dict) -> SequenceModel:
     if kind == "independent_array":
         dists = [dist_from_spec(d) for d in params.pop("dists")]
         _reject_unknown(params, "independent_array params")
-        return IndependentArrayModel(dists)
+        if (index_cap or 0) > len(dists):
+            raise ValueError(f"index_cap {index_cap} exceeds the "
+                             f"{len(dists)} coordinate laws")
+        return IndependentArrayModel(dists[:index_cap])
     if kind == "tail_vanishing":
         g = dist_from_spec(params.pop("g"))
         _reject_unknown(params, "tail_vanishing params")

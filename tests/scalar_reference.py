@@ -48,7 +48,7 @@ def constant_value(D: CorrectorSeries, N: int) -> float:
     if D.kind == "conditional":
         raise UnsupportedOracleError(
             "conditional correctors are only supported on latent-shift models")
-    return D.value(N)
+    return D.values[N]
 
 
 def _comonotone_intervals(model: Example41Model, i: int, N: float):
@@ -95,7 +95,7 @@ def reference_inner_product(model: SequenceModel, j: int, k: int,
     if isinstance(model, LatentShiftModel):
         total = 0.0
         for b, p in model.factor_dist.atoms:
-            d = D.value(Nlev, factor=b) if D.kind == "conditional" else D.value(Nlev)
+            d = D.values[Nlev][b] if D.kind == "conditional" else D.values[Nlev]
             m1 = model.conditional_trunc_moment(b, N, 1)
             if j == k:
                 m2 = model.conditional_trunc_moment(b, N, 2)
@@ -152,11 +152,12 @@ def check_plan_subsequence(plan: ExtractionPlan, keep_steps) -> dict:
 
 
 def corrector_second_moment(D: CorrectorSeries, N: int,
-                            factor_law: dict | None = None) -> float:
-    """E(D_N^2): the conditional kind averages over the factor law."""
+                            factor_law: tuple | None = None) -> float:
+    """E(D_N^2): the conditional kind averages over the factor law's
+    (atom, mass) pairs."""
     if D.kind != "conditional":
         return float(D.values[N]) ** 2
-    return math.fsum(p * D.values[N][b] ** 2 for b, p in factor_law.items())
+    return math.fsum(p * D.values[N][b] ** 2 for b, p in factor_law)
 
 
 def _max_sigma(model: SequenceModel, indices, N: float) -> float:

@@ -286,6 +286,11 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
     ("verify", {"model": TABLE_MODEL, "indices": [1, 2, 3, 4], "n_grid": [4],
                 "reps": 10}),
     ("extract", {"model": {**TABLE_MODEL, "index_cap": 10}, "n_grid": [4]}),
+    ("extract", {"model": {**HEAVY_LOG_ARRAY, "index_cap": 3}, "n_grid": [4]}),
+    # indices are int64: a larger cap would overflow on the first index read
+    ("extract", {"model": {**IID_MODEL, "index_cap": 2**70},
+                 "min_index": 2**64, "n_grid": [4]}),
+    ("tails", {"model": {**TAIL_MODEL, "index_cap": 2**63}}),
     ("tails", {"model": {**EXAMPLE41_MODEL, "params": {
         "rho": {"family": "constant", "value": 1.5}}}}),
     ("tails", {"model": {**EXAMPLE41_MODEL, "params": {
@@ -322,6 +327,8 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
 ], ids=["non-numeric-value", "infinite-value", "unsupported-oracle",
         "index-cap-below-grid", "tails-past-rho-table",
         "verify-past-rho-table", "index-cap-above-rho-table",
+        "index-cap-above-array-laws", "index-cap-past-int64",
+        "index-cap-at-2^63",
         "rho-above-one", "rho-below-zero", "zero-index-cap",
         "example41-symmetric-not-boolean", "heavy-log-symmetric-not-boolean",
         "boolean-length", "boolean-seed", "boolean-in-level-list",

@@ -67,14 +67,16 @@ class TestContract:
 
     def test_conditional_value_lookup(self):
         D = corrector_weak_l2(LATENT, (8,))
-        assert D.value(8, factor=1.0) == pytest.approx(1.0)
+        assert D.realized((8,), [1.0]).tolist() == [[pytest.approx(1.0)]]
         # an atom realized with float round-off still resolves
         assert D.realized((8,), [1.0 + 1e-12]).tolist() == \
             [[pytest.approx(1.0)]]
-        with pytest.raises(ValueError):
-            D.value(8)
+        # without factors a conditional series has no value: only a model
+        # with a finite factor law takes one
+        with pytest.raises(UnsupportedOracleError):
+            D.realized((8,))
         with pytest.raises(KeyError):
-            D.value(8, factor=0.5)
+            D.realized((8,), [0.5])
 
     def test_nan_factor_is_near_no_atom(self):
         # |atom - nan| > tol is False for every atom, so the tolerance test
@@ -82,7 +84,7 @@ class TestContract:
         D = CorrectorSeries((4,), "conditional", {4: {-1.0: 0.5, 1.0: -0.5}},
                             "test")
         with pytest.raises(KeyError):
-            D.value(4, factor=math.nan)
+            D.realized((4,), [math.nan])
         with pytest.raises(KeyError):
             D.realized((4,), [1.0, math.nan])
         for factor in (0.5, math.inf, -math.inf):
@@ -90,14 +92,15 @@ class TestContract:
                 D.realized((4,), [factor])
 
     def test_realized_table_matches_value(self):
-        # the table lookup resolves each factor to the value at its nearest
-        # atom, round-off included; a level without the factor's atom raises
+        # the table lookup resolves each factor to the value given at its
+        # nearest atom, round-off included; a level without the factor's
+        # atom raises
         D = CorrectorSeries((4, 8), "conditional",
                             {4: {-1.0: 0.5, 1.0: -0.5, 3.0: 2.0},
                              8: {-1.0: 1.5, 1.0: 2.5, 3.0: -7.0}}, "test")
         factors = [-1.0, 1.0 + 1e-12, 3.0, 3.0 - 1e-10, -1.0 - 5e-10, 1.0]
         atoms = [-1.0, 1.0, 3.0, 3.0, -1.0, 1.0]
-        expect = [[D.value(N, factor=b) for N in (4, 8)] for b in atoms]
+        expect = [[D.values[N][b] for N in (4, 8)] for b in atoms]
         assert D.realized((4, 8), factors).tolist() == expect
         assert D.realized((8,), factors).tolist() == [[e[1]] for e in expect]
         with pytest.raises(KeyError):
@@ -130,8 +133,8 @@ class TestContract:
 
     def test_second_moment(self):
         D = corrector_weak_l2(LATENT, (8,))
-        probs = dict(LATENT.factor_dist.atoms)
-        assert corrector_second_moment(D, 8, probs) == pytest.approx(1.0)
+        assert corrector_second_moment(D, 8, LATENT.factor_law) == \
+            pytest.approx(1.0)
         Z = zero_corrector((8,))
         assert corrector_second_moment(Z, 8) == 0.0
 
@@ -217,11 +220,11 @@ class TestWeakL2:
 
     def test_conditional_second_moment_bound(self):
         # E(D_N^2) <= N * sigma_sup(N)
-        probs = dict(LATENT.factor_dist.atoms)
         D = corrector_weak_l2(LATENT, (8, 32))
         for N in (8, 32):
             bound = LATENT.marginal_dist(1).trunc_moment(float(N), 2)
-            assert corrector_second_moment(D, N, probs) <= bound + 1e-9
+            assert corrector_second_moment(D, N, LATENT.factor_law) <= \
+                bound + 1e-9
 
     def test_zero_when_energy_vanishes(self):
         # models whose truncated energies have liminf zero get D == 0

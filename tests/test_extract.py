@@ -17,6 +17,7 @@ import wllnlab.extract as extract_mod
 
 from wllnlab.correctors import (
     CorrectorSeries,
+    corrector_independent,
     corrector_weak_l2,
     zero_corrector,
 )
@@ -466,9 +467,9 @@ def _reference_estimate(bank, j, k, N, D):
     values, factors = bank
     R = values.shape[0]
     if D.kind != "conditional":
-        d = np.full(R, D.value(int(N)))
+        d = np.full(R, D.values[int(N)])
     else:
-        d = np.array([D.value(int(N), factor=f) for f in factors])
+        d = np.array([D.values[int(N)][f] for f in factors])
     prod = ((truncate_array(values[:, j - 1], N) - d)
             * (truncate_array(values[:, k - 1], N) - d))
     return (float(np.mean(prod)),
@@ -1054,3 +1055,42 @@ def test_row_arithmetic_is_bitwise_the_scalar_oracle(model):
         for j, n, N in entry_keys(e)])
     assert np.array_equal(fresh.view(np.int64), scalar.view(np.int64))
     assert np.count_nonzero(fresh) > len(pairs) // 2
+
+
+# noise whose atoms cross the low levels, so truncation binds
+_CROSSING_NOISE = FiniteDiscrete([(-3.0, 0.25), (1.0, 0.5), (6.0, 0.25)])
+
+
+@pytest.mark.parametrize("factor", [
+    [(1.0, 0.2), (-2.0, 0.3), (3.0, 0.5)],
+    [(1.0, 0.25), (-2.0, 0.5), (1.0, 0.25)],
+], ids=["three-atoms", "repeated-atom"])
+@pytest.mark.parametrize("centering", [
+    zero_corrector, corrector_independent, corrector_weak_l2,
+], ids=["zero", "independent", "weak-l2"])
+def test_latent_rows_follow_the_factor_law(factor, centering):
+    # the canonical (|v|, v) order of the atoms is not ascending, and a
+    # repeated atom keeps its mass: one column per atom of the factor law,
+    # in its order, bit for bit the scalar oracle's sum over the atoms
+    model = LatentShiftModel(FiniteDiscrete(factor), _CROSSING_NOISE)
+    grid, indices = (2, 3, 8), (1, 2, 5, 9)
+    D = centering(model, grid) if centering is not zero_corrector \
+        else zero_corrector(grid)
+    rows = model.moment_rows(indices, grid, D)
+    assert rows.shape == (len(indices), len(grid), len(factor))
+    for g, N in enumerate(grid):
+        for b, (z, _) in enumerate(model.factor_law):
+            want = model.conditional_trunc_moment(z, N, 1) - (
+                D.values[N][z] if D.kind == "conditional" else D.values[N])
+            assert rows[:, g, b].tolist() == [want] * len(indices)
+    pairs = [(j, n) for n in range(2, len(indices) + 1) for j in range(1, n)]
+    j, n = (np.repeat(np.array(c), len(grid)) for c in zip(*pairs))
+    N = np.tile(grid, len(pairs))
+    fresh = _pair_values(model, D, indices, grid, j, n, N)
+    scalar = np.array([reference_inner_product(
+        model, indices[a - 1], indices[c - 1], level, D)
+        for a, c, level in zip(j.tolist(), n.tolist(), N.tolist())])
+    assert np.array_equal(fresh.view(np.int64), scalar.view(np.int64))
+    # conditionally centered rows vanish; the others do not
+    assert (fresh == 0.0).all() if centering is corrector_weak_l2 \
+        else (fresh != 0.0).all()

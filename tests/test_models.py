@@ -222,7 +222,7 @@ class TestLatentShift:
         # N large enough that truncation never binds: map b -> b
         cmap = m.weak_l2_centering(10)
         assert cmap == {-1.0: pytest.approx(-1.0), 1.0: pytest.approx(1.0)}
-        assert m.factor_law == {-1.0: 0.5, 1.0: 0.5}
+        assert m.factor_law == ((-1.0, 0.5), (1.0, 0.5))
         # N below the essential infimum of |B + eta|: identically 0
         assert m.weak_l2_centering(1.5) == {-1.0: 0.0, 1.0: 0.0}
 
@@ -313,6 +313,26 @@ class TestModelSpecs:
                     {"family": "explicit", "values": []}):
             with pytest.raises(ValueError, match="rho"):
                 ex41(bad)
+
+
+def test_independent_array_cap_checked_when_parsed():
+    # like an explicit rho table: a smaller cap drops the laws past it, a
+    # larger one is refused
+    def array(**spec):
+        dists = [{"family": "finite", "atoms": [[float(v), 1.0]]}
+                 for v in [1] * 5 + [2] * 5]
+        return model_from_spec({"kind": "independent_array",
+                                "params": {"dists": dists}, **spec})
+
+    assert array().index_cap == 10
+    assert array().weak_l2_centering(4) == 2.0
+    capped = array(index_cap=5)
+    assert capped.index_cap == 5
+    assert capped.weak_l2_centering(4) == 1.0
+    with pytest.raises(CapacityError):
+        capped.marginal_dist(6)
+    with pytest.raises(ValueError, match="index_cap 20 exceeds the 10"):
+        array(index_cap=20)
 
 
 def test_independent_array_marginals():
