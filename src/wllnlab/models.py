@@ -21,6 +21,8 @@ in the package can be audited against an oracle.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +45,7 @@ from .streams import Positions, _stream_keys
 # are, each call holds two 1 MiB (B, n) slots, each drawn into and then
 # realized in place, chunk after chunk (models without coordinate noise
 # draw two (B,) factor columns only), plus the kernels' scratch (a 128 KiB
-# mask and a 1 MiB index); a chunk of ``Entries`` holds 24 bytes per
+# mask and a 1 MiB index); a chunk of ``Entries`` holds 16 bytes per
 # non-zero value on top
 _BLOCK_VALUES = 1 << 17
 
@@ -56,7 +58,8 @@ class CapacityError(Exception):
 class Entries:
     """A chunk of ``rows`` replications given by its non-zero entries, in
     row-major order: ``val[i]`` sits in row ``row[i]`` and column
-    ``col[i]``, and every other entry of the chunk is zero."""
+    ``col[i]`` (int32: a chunk holds at most max(``_BLOCK_VALUES``, n)
+    values), and every other entry of the chunk is zero."""
 
     row: np.ndarray
     col: np.ndarray
@@ -125,13 +128,17 @@ class SequenceModel:
         whichever replications are requested.
 
         The call allocates two buffer slots once.  While a chunk is
-        realized in place in one slot and reduced by the caller, the
-        draw-ahead thread draws the next chunk's uniforms into the other
-        (a model without coordinate noise draws its factor column in the
-        loop): a yielded block is a view that is valid until the next
-        iteration, so a caller that keeps it copies it.  ``Entries`` and
-        ``factors`` are fresh each chunk.  Closing the generator waits for
-        the draw in flight."""
+        realized in place in one slot and reduced by the caller, a daemon
+        thread of the call's own draws the next chunk's uniforms into the
+        other: chunk j + 1 goes into slot (j + 1) % 2, which the caller
+        handed back by asking for chunk j, once chunk j is drawn, and an
+        error in a draw is raised in the caller.  The thread starts with the first chunk drawn
+        ahead (chunk 0 is drawn inline, and a model without coordinate noise
+        draws its factor column in the loop, faster than a hand-over), and
+        ends with the generator: closing it waits for the draw in flight.
+        A yielded block is a view that is valid until the next iteration,
+        so a caller that keeps it copies it.  ``Entries`` and ``factors``
+        are fresh each chunk."""
         if not 0 <= first < first + R:
             raise ValueError("need replications 0 <= first < first + R")
         idx = self._checked_indices(indices)
@@ -157,33 +164,52 @@ class SequenceModel:
             u0 = [c[:, 0] for c in u]
         scratch = Scratch(rows * len(idx))
 
-        def draw(j, ahead=False):
-            """Draws chunk j, on the draw-ahead thread when ``ahead`` and
-            the chunk has coordinate uniforms: a factor column alone is
-            drawn in less time than handing it over takes."""
+        def chunk(j):
+            """``Positions.draw``'s arguments for chunk j, in slot j % 2."""
             k = keys[j * step:(j + 1) * step]
-            args = (k, u[j % 2][:len(k)],
+            return (k, u[j % 2][:len(k)],
                     None if factor is None else factor[j % 2][:len(k)])
-            if ahead and self.coordinate_noise:
-                return positions.draw_ahead(*args)
-            positions.draw(*args)
-            return None
+
+        def draw_ahead(free, done):
+            # takes chunks until None, sends back each error or None
+            for args in iter(free.get, None):
+                try:
+                    positions.draw(*args)
+                    done.put(None)
+                except BaseException as exc:  # raised in the caller
+                    done.put(exc)
 
         chunks = -(-R // step)
-        draw(0)
-        pending = None
+        positions.draw(*chunk(0))
+        thread = None
+        if self.coordinate_noise and chunks > 1:
+            free, done = queue.SimpleQueue(), queue.SimpleQueue()
+            thread = threading.Thread(target=draw_ahead, args=(free, done),
+                                      name="wllnlab-draw-ahead", daemon=True)
+            thread.start()
         try:
             for j in range(chunks):
-                if pending is not None:
-                    pending.result()
-                pending = draw(j + 1, ahead=True) if j + 1 < chunks else None
+                if thread is not None:
+                    if j:
+                        error = done.get()
+                        if error is not None:
+                            raise error
+                    # only once chunk j is in: handed over sooner, the thread
+                    # goes straight on into it with the GIL, row state alive
+                    if j + 1 < chunks:
+                        free.put(chunk(j + 1))   # the slot chunk j - 1 left
+                elif j:
+                    positions.draw(*chunk(j))
                 b, s = min(step, R - j * step), j % 2
                 yield self._realize(
                     per_index, u[s][:b] if self.coordinate_noise else None,
                     None if u0 is None else u0[s][:b], scratch)
         finally:
-            if pending is not None:
-                pending.wait()
+            if thread is not None:
+                free.put(None)
+                # not when the collector closes the generator on its thread
+                if thread is not threading.current_thread():
+                    thread.join()
 
     def _per_index(self, idx: np.ndarray):
         """What ``_realize`` needs of the indices, computed once per call."""
@@ -394,8 +420,10 @@ class TailVanishingModel(SequenceModel):
         # row r is g_r on the columns whose index is below |g_r|
         g = self.g_dist.quantile_array(u0)
         count = np.searchsorted(idx, np.abs(g))
-        row = np.repeat(np.arange(len(g)), count)
-        col = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+        row = np.repeat(np.arange(len(g), dtype=np.int32), count)
+        # an entry's column is its place in the chunk less its row's start
+        col = np.arange(len(row), dtype=np.int32)
+        col -= np.repeat((np.cumsum(count) - count).astype(np.int32), count)
         return Entries(row, col, np.repeat(g, count), len(g)), g
 
     def weak_l2_centering(self, N):
@@ -497,7 +525,7 @@ class Example41Model(SequenceModel):
         # the comonotone coupling's coordinates all read the shared uniform
         u = u0[:, None] if self.has_factor else out
         at, val = heavy_log_entries(u, rho, self.symmetric, scratch)
-        row, col = np.divmod(at, len(rho))
+        row, col = np.divmod(at.astype(np.int32), len(rho))
         return Entries(row, col, val, len(u)), None if u0 is None else u0.copy()
 
     def weak_l2_centering(self, N):

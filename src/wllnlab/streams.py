@@ -15,18 +15,14 @@ Python.  Setting a row's state costs about 6 us, an ``advance`` up to
 10^15 1.0-1.3 us and a value 3-4.5 ns (2 vCPU, numpy 2.4), so gaps up to
 ``_MERGE_GAP`` are drawn through.
 
-``Positions.draw_ahead`` hands a draw to one daemon thread, so a sampling
-loop draws the next chunk while it reduces the current one: numpy fills
-the values without the GIL, and the thread takes it once per row.  The
-thread starts on first use, not at import, and again in a forked child,
-which inherits the job queue but not the thread that served it.
+``Positions.draw`` fills the values without the GIL and takes it once per
+row, so a sampling loop may draw its next chunk on a thread of its own
+while it reduces the current one (see ``SequenceModel.sample_blocks``).
+A ``Positions`` draws on one thread at a time: its one generator holds
+the state of the row being drawn.
 """
 
 from __future__ import annotations
-
-import os
-import queue
-import threading
 
 import numpy as np
 
@@ -117,60 +113,3 @@ class Positions:
                 else:
                     out[row, a:b] = gen.random(span)[keep]
         return out
-
-    def draw_ahead(self, keys: np.ndarray, out: np.ndarray,
-                   factor: np.ndarray | None = None) -> _Pending:
-        """``draw(keys, out, factor)`` on the draw-ahead thread; the caller
-        leaves ``out`` and ``factor`` alone until it has waited for it."""
-        return _Pending(self.draw, keys, out, factor)
-
-
-# the draw-ahead thread's process id, job queue and thread id; a pid other
-# than ours means no thread serves the queue in this process.  Callers that
-# find none at once may each start one; each serves the jobs put on its
-# queue, and the last one started serves every later job
-_worker = (None, None, None)
-
-
-def _serve(jobs: queue.SimpleQueue) -> None:
-    while True:
-        jobs.get().run()
-
-
-class _Pending:
-    """A call queued to the draw-ahead thread: ``result`` waits for it and
-    re-raises what it raised, ``wait`` only waits."""
-
-    def __init__(self, call, *args):
-        global _worker
-        pid, jobs, _ = _worker
-        if pid != os.getpid():
-            jobs = queue.SimpleQueue()
-            thread = threading.Thread(target=_serve, args=(jobs,),
-                                      name="wllnlab-draw-ahead", daemon=True)
-            thread.start()
-            _worker = os.getpid(), jobs, thread.ident
-        self._call, self._args, self._error = call, args, None
-        self._done = threading.Lock()
-        self._done.acquire()
-        jobs.put(self)
-
-    def run(self) -> None:
-        try:
-            self._call(*self._args)
-        except BaseException as exc:  # handed to the waiting caller
-            self._error = exc
-        self._call = self._args = None
-        self._done.release()
-
-    def wait(self) -> None:
-        # a generator that the garbage collector finalizes on the thread
-        # itself, during another draw, must not wait for the queue behind it
-        if threading.get_ident() != _worker[2]:
-            with self._done:
-                pass
-
-    def result(self) -> None:
-        self.wait()
-        if self._error is not None:
-            raise self._error

@@ -128,6 +128,9 @@ def _partial_sums(vals, grid) -> np.ndarray:
     ``_segments``) are summed by one bincount over row * (G + 1) + segment,
     whose segment G is dropped."""
     if isinstance(vals, Entries):
+        # the int32 key stays below 2^31: row < B and segment <= len(grid)
+        # <= n, the chunk's width, and B = 1 or B * n <= _BLOCK_VALUES, so
+        # the key is below 2 * max(_BLOCK_VALUES, n) for any n < 2^30
         G = len(grid) + 1
         segs = np.bincount(vals.row * G + vals.col, weights=vals.val,
                            minlength=len(vals) * G).reshape(-1, G)[:, :-1]

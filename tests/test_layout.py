@@ -123,6 +123,53 @@ def test_import_starts_no_thread():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+_DEV_PIPELINE = """
+import numpy as np
+from wllnlab.cli import _DEMOS
+from wllnlab.correctors import corrector_weak_l2
+from wllnlab.models import model_from_spec
+from wllnlab.verify import wlln_probe
+
+grid = (64, 256, 1024, 4096)
+for demo in _DEMOS.values():
+    model = model_from_spec(demo["model"])
+    idx = np.arange(demo["min_index"], demo["min_index"] + grid[-1])
+    wlln_probe(model, idx, corrector_weak_l2(model, grid), demo["epsilon"],
+               grid, 100, 0)
+latent = model_from_spec(_DEMOS["latent-shift"]["model"])
+chunks = latent.sample_blocks(np.arange(1, grid[-1] + 1), 0, 100)
+next(chunks)
+chunks.close()
+"""
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_sampling_runs_clean_in_dev_mode():
+    # -X dev adds the runtime's debug checks and warnings (resources left
+    # open, threads, unawaited work), and -W error makes each one fail the
+    # run: one probe per demo law, and a call closed after its first chunk
+    run = _python("-X", "dev", "-W", "error", "-c", _DEV_PIPELINE)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
+def test_call_left_open_at_exit_does_not_hold_it_up():
+    # the generator is closed as the interpreter tears its globals down,
+    # and its draw-ahead thread ends with it
+    run = _python("-c", "import numpy as np\n"
+                  "from wllnlab.cli import _DEMOS\n"
+                  "from wllnlab.models import model_from_spec\n"
+                  "model = model_from_spec(_DEMOS['latent-shift']['model'])\n"
+                  "chunks = model.sample_blocks(np.arange(1, 4097), 0, 1000)\n"
+                  "next(chunks)\n")
+    assert (run.returncode, run.stderr) == (0, "")
+
+
 # -------------------------------------------------------------------------
 # every function of the package runs in the pipeline
 # -------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Sequence-model behavior: seeded determinism, exact marginal oracles,
 agreement between sampling and the closed forms, and the JSON spec loader."""
 
+import gc
 import hashlib
 import math
 import os
@@ -8,6 +9,7 @@ import signal
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -480,7 +482,7 @@ def test_draw_ahead_error_reaches_the_caller(monkeypatch):
             next(gen)
     assert threads[0] is threading.main_thread()
     assert threads[2] is not threading.main_thread()
-    # the thread lives on and serves the next call
+    # the failed call's thread has ended; the next call draws on its own
     assert same_chunks(chunks_of(model, 5), want)
 
 
@@ -503,8 +505,8 @@ def test_interleaved_calls_match_one_at_a_time(monkeypatch):
 
 def test_concurrent_callers_share_the_thread(monkeypatch):
     # more callers than cores, switching threads every few microseconds:
-    # each caller's chunks are its own, whatever the order the draw-ahead
-    # thread serves them in
+    # each call has a draw-ahead thread of its own, and each caller's
+    # chunks are its own, however the threads interleave
     small_chunks(monkeypatch)
     models = chunk_models()
     want = {name: chunks_of(m, 9) for name, m in models.items()}
@@ -531,11 +533,10 @@ def test_concurrent_callers_share_the_thread(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_child_can_sample(monkeypatch):
-    # the parent's draw-ahead thread does not survive a fork; a queue that
-    # the child took for served would leave its first draw ahead waiting
+    # no thread survives a fork; the child's calls start their own
     small_chunks(monkeypatch)
     model = chunk_models()["example41"]
-    want = chunks_of(model, 8)  # starts the thread in this process
+    want = chunks_of(model, 8)  # draws ahead in this process
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork + threads
         pid = os.fork()
@@ -548,6 +549,70 @@ def test_forked_child_can_sample(monkeypatch):
             os._exit(code)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def draw_ahead_threads() -> set:
+    return {t for t in threading.enumerate() if t.name == "wllnlab-draw-ahead"}
+
+
+def test_no_draw_ahead_thread_outlives_its_call(monkeypatch):
+    # a call exhausted, one closed after its first chunk and one dropped
+    # unclosed: each started a thread of its own, which ends with it
+    small_chunks(monkeypatch)
+    model = chunk_models()["latent_shift"]
+    started = []
+
+    def first_chunk():
+        before = draw_ahead_threads()
+        gen = model.sample_blocks(np.arange(1, 101), 4, 37)
+        next(gen)
+        started.append(draw_ahead_threads() - before)
+        return gen
+
+    for _ in first_chunk():
+        pass
+    first_chunk().close()
+    first_chunk()
+    threads = set().union(*started)
+    assert [len(new) for new in started] == [1, 1, 1]
+    for t in threads:
+        t.join(10)
+    assert not any(t.is_alive() for t in threads)
+    assert not draw_ahead_threads()
+
+
+def test_collected_generator_ends_its_own_thread(monkeypatch):
+    # a generator held only through a reference cycle is collected on its
+    # own draw-ahead thread, during a draw: closing it there must not wait
+    # for that thread, which ends once the draw returns
+    small_chunks(monkeypatch)
+    draw, ready, unraisable = Positions.draw, threading.Event(), []
+
+    def collecting(self, keys, out=None, factor=None):
+        if threading.current_thread() is not threading.main_thread():
+            ready.wait(10)
+            gc.collect()
+        return draw(self, keys, out, factor)
+
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    monkeypatch.setattr(Positions, "draw", collecting)
+    gc.disable()  # no collection on this thread
+    try:
+        before = draw_ahead_threads()
+        gen = IIDModel(TWO_POINT).sample_blocks(np.arange(1, 101), 4, 37)
+        next(gen)
+        (thread,) = draw_ahead_threads() - before
+        collected = weakref.ref(gen)
+        cycle = [gen]
+        cycle.append(cycle)
+        del gen, cycle
+        ready.set()
+        thread.join(10)
+    finally:
+        gc.enable()
+    assert not thread.is_alive()
+    assert collected() is None
+    assert unraisable == []
 
 
 def test_sparse_indices_cost_follows_their_count():
