@@ -28,10 +28,11 @@ guide table of 2^13 buckets finds most draws' place in the head.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
+from itertools import accumulate, groupby
 
 import numpy as np
-from scipy.special import exp1, expi
 
 
 class UnsupportedOracleError(Exception):
@@ -121,40 +122,50 @@ class FiniteDiscrete(Distribution):
         atoms.sort(key=lambda vp: (abs(vp[0]), vp[0]))
         self.atoms = tuple(atoms)
         self._values = np.array([v for v, _ in self.atoms])
-        self._probs = np.array([p for _, p in self.atoms])
-        self._cum = np.cumsum(self._probs)
+        self._cum = np.cumsum([p for _, p in self.atoms])
         self._cum[-1] = 1.0
-        # aggregate mass per distinct |value|
-        self._abs_vals = np.unique(np.abs(self._values))
-        mass = np.zeros_like(self._abs_vals)
-        idx = np.searchsorted(self._abs_vals, np.abs(self._values))
-        np.add.at(mass, idx, self._probs)
-        # survival just beyond each |value|: P(|X| > abs_vals[i])
-        tail = np.concatenate([np.cumsum(mass[::-1])[::-1][1:], [0.0]])
-        self._abs_tail = tail
+        # the oracles read Python lists: a bisection and a few float
+        # operations cost less than one numpy call on a few-atom array.
+        # Per atom: |value| and the terms p * v and p * v^2 of the moments
+        self._abs = [abs(v) for v, _ in self.atoms]
+        self._terms = {1: [p * v for v, p in self.atoms],
+                       2: [p * (v * v) for v, p in self.atoms]}
+        # per distinct |value| a, increasing: a and P(|X| > a), the masses
+        # of the larger |values| added from the largest down
+        self._levels, masses = [], []
+        for a, group in groupby(self.atoms, key=lambda vp: abs(vp[0])):
+            mass = 0.0
+            for _, p in group:
+                mass += p
+            self._levels.append(a)
+            masses.append(mass)
+        self._beyond = list(accumulate(masses[:0:-1]))[::-1] + [0.0]
         # largest |value| carrying mass
-        self.max_abs_value = float(self._abs_vals[-1])
+        self.max_abs_value = self._levels[-1]
 
     def survival(self, t: float) -> float:
         if t < 0:
             return 1.0
-        i = np.searchsorted(self._abs_vals, t, side="right")
-        if i == 0:
-            return 1.0
-        return float(self._abs_tail[i - 1])
+        i = bisect_right(self._levels, t)
+        return self._beyond[i - 1] if i else 1.0
 
     def trunc_moment(self, M: float, order: int) -> float:
-        keep = np.abs(self._values) <= M
-        return float(math.fsum(self._probs[keep] * self._values[keep] ** order))
+        terms = self._terms.get(order)
+        if terms is None:
+            raise UnsupportedOracleError(f"order {order}")
+        return math.fsum(terms[:bisect_right(self._abs, M)])
 
     def tau_integral(self, M: float) -> float:
+        # the survival is constant between consecutive |values|
         if M <= 0:
             return 0.0
-        pts = [0.0] + [float(a) for a in self._abs_vals if a < M] + [M]
-        total = 0.0
-        for lo, hi in zip(pts[:-1], pts[1:]):
-            total += self.survival(lo) * (hi * hi - lo * lo) / 2.0
-        return total
+        total, lo, s = 0.0, 0.0, self.survival(0.0)
+        for a, beyond in zip(self._levels, self._beyond):
+            if a >= M:
+                break
+            total += s * (a * a - lo * lo) / 2.0
+            lo, s = a, beyond
+        return total + s * (M * M - lo * lo) / 2.0
 
     def quantile_array(self, u, out=None, scratch=None):
         # the atom index is the count of cumulative masses below the last
@@ -273,12 +284,59 @@ class Pareto1(Distribution):
 
 _HEAD_K = 4096
 
+# Euler's constant, the float nearest it
+_EULER_GAMMA = 0.5772156649015329
+
+
+def _e1(u: float) -> float:
+    """E1(u) = int_u^oo e^-t / t dt for u >= 1, by the modified Lentz
+    evaluation of its continued fraction 1/(u + 1 - 1^2/(u + 3 - 2^2/(u + 5
+    - ...))) (Press et al., Numerical Recipes, sec. 6.3); 19 terms at most
+    from u = log 4096 on."""
+    b = u + 1.0
+    c, d = 1e300, 1.0 / b
+    h, i = d, 1
+    while True:
+        a = -float(i * i)
+        b += 2.0
+        d = 1.0 / (a * d + b)
+        c = b + a / c
+        step = c * d
+        h *= step
+        if abs(step - 1.0) <= 1e-16:
+            return h * math.exp(-u)
+        i += 1
+
+
+def _ei(u: float) -> float:
+    """Ei(u) = li(e^u) for u >= 1: below 40 the power series gamma + log u
+    + sum_k u^k / (k k!), whose terms are all positive; from 40 the
+    asymptotic series e^u / u * sum_k k! / u^k, cut before its smallest
+    term, which is below 1e-16 there."""
+    if u < 40.0:
+        total, term, k = 0.0, 1.0, 1
+        while True:
+            term *= u / k  # u^k / k!
+            add = term / k
+            total += add
+            if add <= 1e-17 * total:
+                return _EULER_GAMMA + math.log(u) + total
+            k += 1
+    total, term, k = 1.0, 1.0, 1
+    while True:
+        after = term * (k / u)  # k! / u^k
+        if after >= term or after < 1e-17:
+            return math.exp(u) / u * total
+        total += after
+        term, k = after, k + 1
+
+
 # Callers ask survival and trunc_moment for the same few levels many times
 # (``check_feller_necessary`` once per index up to each level, and
 # independent arrays once per coordinate; the gap probe reads one
-# dominating index on every demo model), and a scipy call on a scalar
-# costs more than a table read, so the closed forms behind them are
-# memoised, with a bounded cache.
+# dominating index on every demo model), and each closed form sums a
+# series in Python, so the closed forms behind them are memoised, with a
+# bounded cache.
 _em_cache = lru_cache(maxsize=1024)
 
 
@@ -287,14 +345,14 @@ def _tail_em(x: float) -> float:
     """T(x) for real x > _HEAD_K."""
     u = math.log(x)
     h = 1.0 / (x * x * u)
-    return float(exp1(u)) - h * (0.5 - (2.0 * u + 1.0) / (12.0 * x * u))
+    return _e1(u) - h * (0.5 - (2.0 * u + 1.0) / (12.0 * x * u))
 
 
 @_em_cache
 def _energy_em(x: float) -> float:
     """P_A(x): li(x) plus the Euler-Maclaurin end corrections of 1/log x."""
     u = math.log(x)
-    return float(expi(u)) + 0.5 / u - 1.0 / (12.0 * x * u * u)
+    return _ei(u) + 0.5 / u - 1.0 / (12.0 * x * u * u)
 
 
 @_em_cache
@@ -304,17 +362,18 @@ def _mean_em(x: float) -> float:
     return math.log(u) + 0.5 / (x * u) - (u + 1.0) / (12.0 * x * x * u * u)
 
 
+@_em_cache
 def _tau_em(x: float) -> float:
     """P_G(x): antiderivative of (2x + 1) T(x) plus its end corrections."""
     u = math.log(x)
-    e1 = float(exp1(u))
+    e1 = _e1(u)
     h = 1.0 / (x * x * u)
     h1 = -h * (2.0 * u + 1.0) / (x * u)
     h2 = h * (6.0 * u * u + 5.0 * u + 2.0) / (x * x * u * u)
     t = e1 - h / 2.0 - h1 / 12.0
     f = (2.0 * x + 1.0) * t
     f1 = 2.0 * t - (2.0 * x + 1.0) * (h + h1 / 2.0 + h2 / 12.0)
-    big_f = ((x * x + x + 1.0 / 3.0) * e1 + float(expi(u))
+    big_f = ((x * x + x + 1.0 / 3.0) * e1 + _ei(u)
              - (2.0 * x + 1.0) * h / 12.0)
     return big_f - f / 2.0 + f1 / 12.0
 

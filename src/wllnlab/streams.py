@@ -25,6 +25,9 @@ the state of the row being drawn.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads its random package on first use: imported with the package,
+# it is not paid for inside the first probe
+from numpy.random import PCG64DXSM, Generator
 
 # a re-position and its draw call cost about as much as drawing this many
 _MERGE_GAP = 512
@@ -74,7 +77,7 @@ class Positions:
             end = int(pos[a]) + span
         # every row's state is set before it is drawn, so one generator
         # serves every draw: building one seeds a SeedSequence, about 24 us
-        self._gen = np.random.Generator(np.random.PCG64DXSM(0))
+        self._gen = Generator(PCG64DXSM(0))
 
     def uniforms(self, seed: int, r0: int, r1: int) -> np.ndarray:
         """(r1 - r0, size) doubles: row i holds the stream of replication

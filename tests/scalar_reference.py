@@ -7,6 +7,10 @@ oracle the package used before the joint moments moved onto the models,
 kept here unchanged apart from names so that it imports nothing from the
 search.  The package's row arithmetic must give its values bit for bit.
 
+``NumpyFiniteOracles`` holds the numpy expressions that ``FiniteDiscrete``
+answered its oracles with before they moved onto Python floats; the
+package's oracles must give their values bit for bit.
+
 The proof bounds the corrected sum through a cross-product budget and a
 sum-of-squares split; ``cross_product_budget``, ``sum_of_squares_check``
 and ``check_plan_subsequence`` check them on a plan, one pair at a time.
@@ -127,6 +131,44 @@ def reference_inner_product(model: SequenceModel, j: int, k: int,
         return cross - d * (mu_j + mu_k) + d * d
     raise UnsupportedOracleError(
         f"model kind {model.kind!r} has no exact joint-moment oracle")
+
+
+class NumpyFiniteOracles:
+    """survival, trunc_moment and tau_integral of a ``FiniteDiscrete``,
+    from numpy arrays of its canonical-order atoms."""
+
+    def __init__(self, dist):
+        self._values = np.array([v for v, _ in dist.atoms])
+        self._probs = np.array([p for _, p in dist.atoms])
+        # aggregate mass per distinct |value|
+        self._abs_vals = np.unique(np.abs(self._values))
+        mass = np.zeros_like(self._abs_vals)
+        idx = np.searchsorted(self._abs_vals, np.abs(self._values))
+        np.add.at(mass, idx, self._probs)
+        # survival just beyond each |value|: P(|X| > abs_vals[i])
+        self._abs_tail = np.concatenate([np.cumsum(mass[::-1])[::-1][1:],
+                                         [0.0]])
+
+    def survival(self, t: float) -> float:
+        if t < 0:
+            return 1.0
+        i = np.searchsorted(self._abs_vals, t, side="right")
+        if i == 0:
+            return 1.0
+        return float(self._abs_tail[i - 1])
+
+    def trunc_moment(self, M: float, order: int) -> float:
+        keep = np.abs(self._values) <= M
+        return float(math.fsum(self._probs[keep] * self._values[keep] ** order))
+
+    def tau_integral(self, M: float) -> float:
+        if M <= 0:
+            return 0.0
+        pts = [0.0] + [float(a) for a in self._abs_vals if a < M] + [M]
+        total = 0.0
+        for lo, hi in zip(pts[:-1], pts[1:]):
+            total += self.survival(lo) * (hi * hi - lo * lo) / 2.0
+        return total
 
 
 def entry_keys(entries: PlanEntries) -> list:

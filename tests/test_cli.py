@@ -679,7 +679,7 @@ SEED7_DIGESTS = {
         "corrector.json":
             "251cd5d92aa378f2aae6f17840192fa225c9e066aa9ddf843745b648c22d34fb",
         "gap_report.json":
-            "e5de0d0ef52dcef2ea69cc77fd210914910dbc76fe2408366df074f4caa50143",
+            "521028a306a6ca6860829d3eb2e39163f2f38630b2e131f9988bd128cfb67ec1",
         "hereditary.json":
             "de6ddf07d70b9fb28582c28950fa7c207aae6ee385b396c8caca750ad187e820",
         "manifest.json":

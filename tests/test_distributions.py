@@ -12,8 +12,10 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import exp1
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scalar_reference import NumpyFiniteOracles
 from wllnlab.distributions import (
     FiniteDiscrete,
     HeavyLogLaw,
@@ -22,6 +24,8 @@ from wllnlab.distributions import (
     _GUIDE_BITS,
     _HEAD_K,
     _HEAD_QUANTILE,
+    _e1,
+    _ei,
     _quantile_beyond_head,
     convolve,
     example41_constant_c,
@@ -35,6 +39,8 @@ from wllnlab.verify import wilson_interval
 # partial sums to k = 10^7 (monotone from below).
 C_NORMALIZER = 0.8257341175495516
 SERIES_TOTAL = 0.6055217888826004
+# E1(log 1,000,001) from 40-digit mpmath, rounded once to float
+E1_AT_LOG_1000001 = 6.777236318395757e-08
 
 
 def riemann_survival_integral(dist, M, points=200_000):
@@ -109,6 +115,45 @@ class TestFiniteDiscrete:
             assert np.array_equal(d.quantile_array(u), d._values[ref])
 
 
+# atom values from a small pool, so that |values| repeat and tie across
+# signs, and from a wide range; masses are integer weights over their total
+_ATOM_VALUES = st.one_of(
+    st.sampled_from([-3.0, -1.5, -0.0, 0.0, 0.25, 1.5, 3.0, -1e6]),
+    st.floats(-1e6, 1e6, allow_nan=False))
+_WEIGHTED_ATOMS = st.lists(st.tuples(_ATOM_VALUES, st.integers(1, 1000)),
+                           min_size=1, max_size=12)
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+class TestFiniteOraclesAgainstNumpy:
+    @settings(max_examples=300, deadline=None)
+    @given(_WEIGHTED_ATOMS,
+           st.lists(st.floats(-2e6, 2e6, allow_nan=False), max_size=4))
+    def test_oracles_bit_for_bit(self, weighted, drawn):
+        total = sum(w for _, w in weighted)
+        d = FiniteDiscrete([(v, w / total) for v, w in weighted])
+        ref = NumpyFiniteOracles(d)
+        # levels on every |value|, one ulp either side, between neighbours,
+        # at and below 0, past the largest, and drawn
+        on = sorted({abs(v) for v, _ in d.atoms})
+        near = [math.nextafter(a, side) for a in on
+                for side in (-math.inf, math.inf)]
+        between = [(a + b) / 2.0 for a, b in zip(on, on[1:])]
+        for M in on + near + between + drawn + [0.0, -1.0, 2.0 * on[-1] + 1.0]:
+            assert _bits(d.survival(M)) == _bits(ref.survival(M)), M
+            for order in (1, 2):
+                assert _bits(d.trunc_moment(M, order)) \
+                    == _bits(ref.trunc_moment(M, order)), (M, order)
+            assert _bits(d.tau_integral(M)) == _bits(ref.tau_integral(M)), M
+
+    def test_other_orders_are_unsupported(self):
+        with pytest.raises(UnsupportedOracleError):
+            FiniteDiscrete([(1.0, 1.0)]).trunc_moment(2.0, 3)
+
+
 class TestPareto1:
     def test_survival(self):
         g = Pareto1()
@@ -155,7 +200,7 @@ class TestHeavyLogLaw:
         # independently: direct summation to 10^6 plus E1 remainder
         k = np.arange(2, 1_000_001, dtype=float)
         head = float(np.sum(1.0 / (k * k * np.log(k))))
-        total = head + float(exp1(math.log(1_000_001.0)))
+        total = head + E1_AT_LOG_1000001
         assert 2.0 * example41_constant_c() * total == pytest.approx(1.0, abs=1e-9)
         assert total == pytest.approx(SERIES_TOTAL, abs=1e-10)
 
@@ -253,6 +298,17 @@ def _mp_tail(m, direct=64):
 
 def _rel(got, want):
     return float(abs(mpmath.mpf(got) - want) / abs(want))
+
+
+def test_e1_and_ei_against_mpmath():
+    # the closed forms take u = log x from the head table's end, log 4096,
+    # to far past any grid; Ei changes series at u = 40
+    u = np.linspace(math.log(4096.0), math.log(1e150), 2000).tolist()
+    u += [math.nextafter(40.0, 0.0), 40.0]
+    with mpmath.workdps(40):
+        for fn, ref in ((_e1, mpmath.e1), (_ei, mpmath.ei)):
+            worst = max(_rel(fn(x), ref(mpmath.mpf(x))) for x in u)
+            assert worst <= 4e-15, (fn.__name__, worst)
 
 
 @pytest.fixture(scope="module")

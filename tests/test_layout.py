@@ -123,6 +123,17 @@ def test_import_starts_no_thread():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
+def test_import_loads_numpy_random_and_no_scipy():
+    # the heavy-log closed forms need no scipy, and numpy's lazily loaded
+    # random package comes with the import, not inside the first probe,
+    # whose traced memory would then hold its module objects
+    code = ("import sys, wllnlab.cli\n"
+            "assert 'scipy' not in sys.modules\n"
+            "assert 'numpy.random' in sys.modules\n")
+    run = _python("-c", code)
+    assert (run.returncode, run.stderr) == (0, "")
+
+
 _DEV_PIPELINE = """
 import numpy as np
 from wllnlab.cli import _DEMOS
