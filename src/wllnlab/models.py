@@ -376,6 +376,8 @@ class _TailRestricted(Distribution):
         self.n = int(n)
 
     def survival(self, t):
+        if t < 0:
+            return 1.0
         return self.base.survival(max(float(t), float(self.n)))
 
     def trunc_moment(self, M, order):
@@ -492,27 +494,27 @@ class Example41Model(SequenceModel):
 
     def __init__(self, rho, index_cap: int = 10**7,
                  joint_law: str = "independent", symmetric: bool = True,
-                 rho_sup_is_one: bool | None = None, rho_vec=None):
+                 rho_tends_to_one: bool | None = None):
         if joint_law not in ("independent", "comonotone"):
             raise ValueError(f"unknown joint_law {joint_law!r}")
-        self._rho = rho  # callable index -> rho_n in (0, 1)
-        # optional vectorised form: int64 index array -> rho array
-        self._rho_vec = rho_vec
+        # index, or int64 index array, -> rho_n in [0, 1]: the oracles and
+        # the sampler read this one function, so they read the same bits
+        self._rho = rho
         self.joint_law = joint_law
         self.has_factor = joint_law == "comonotone"
         self.coordinate_noise = not self.has_factor
         self.symmetric = bool(symmetric)
         self.index_cap = int(index_cap)
-        self.rho_sup_is_one = rho_sup_is_one
+        #: whether rho_n -> 1 as n -> oo (None: not known)
+        self.rho_tends_to_one = rho_tends_to_one
 
     def rho(self, n: int) -> float:
         return float(self._rho(n))
 
     def rho_array(self, idx) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
-        if self._rho_vec is not None:
-            return self._rho_vec(idx)
-        return np.array([self._rho(int(n)) for n in idx], dtype=float)
+        # a rho that ignores its index gives one value for every index
+        return np.broadcast_to(self._rho(idx), idx.shape)
 
     def marginal_dist(self, n):
         self._check_index(n)
@@ -604,19 +606,19 @@ class Example41Model(SequenceModel):
                 env)
 
     def tau_limit_envelope(self):
-        if self.rho_sup_is_one:
+        if self.rho_tends_to_one:
             def env(M):
                 return 0.0
 
-            return ("liminf_n tau_n(M) = 0 since 1 - rho_n -> 0 along a "
-                    "subsequence (sup_n rho_n = 1)", env)
+            return ("lim_n tau_n(M) = 0: tau_n(M) <= 2c(1-rho_n)/log M -> 0 "
+                    "as rho_n -> 1", env)
         return None
 
     def energy_liminf_witness(self, M):
-        if not self.rho_sup_is_one:
+        if not self.rho_tends_to_one:
             return None
-        return ("E(f_n^2 1{|f_n|<=M}) <= 2cM(1-rho_n)/log 2 -> 0 along "
-                "indices with rho_n -> 1")
+        return ("E(f_n^2 1{|f_n|<=M}) <= 2cM(1-rho_n)/log 2 -> 0 as "
+                "rho_n -> 1")
 
 
 class LatentShiftModel(SequenceModel):
@@ -638,6 +640,10 @@ class LatentShiftModel(SequenceModel):
         self.factor_law = factor_dist.atoms
         self.index_cap = int(index_cap)
         self._marginal = convolve(factor_dist, noise_dist)
+        # the law of b + eta, the coordinates' law given B = b, per atom b
+        self._given = {b: FiniteDiscrete([(b + e, p) for e, p in
+                                          noise_dist.atoms])
+                       for b, _ in self.factor_law}
 
     def marginal_dist(self, n):
         self._check_index(n)
@@ -650,13 +656,8 @@ class LatentShiftModel(SequenceModel):
         return out, b
 
     def conditional_trunc_moment(self, b: float, N: float, order: int) -> float:
-        """E((b + eta)^order 1{|b + eta| <= N})."""
-        total = 0.0
-        for e, p in self.noise_dist.atoms:
-            v = b + e
-            if abs(v) <= N:
-                total += p * v ** order
-        return total
+        """E((b + eta)^order 1{|b + eta| <= N}) for a factor atom b."""
+        return self._given[b].trunc_moment(N, order)
 
     def weak_l2_centering(self, N):
         return {b: self.conditional_trunc_moment(b, float(N), 1)
@@ -697,16 +698,13 @@ def dist_from_spec(spec: dict) -> Distribution:
 
 
 def _rho_from_spec(spec: dict):
-    """(scalar rho, vectorised rho, sup rho == 1, number of indices with a
-    rho or None for all).  The oracles use the scalar form; sampling uses
-    the vectorised one, whose numpy log may differ from libm's in the last
-    bit."""
+    """(rho, whether rho_n -> 1, number of indices with a rho or None for
+    all), where rho takes an index or an int64 index array."""
     spec = dict(spec)
     family = spec.pop("family", None)
     if family == "one-minus-one-over-log":
         _reject_unknown(spec, "rho spec")
-        return (lambda n: 1.0 - 1.0 / math.log(n + 2)), \
-            (lambda idx: 1.0 - 1.0 / np.log(idx + 2.0)), True, None
+        return (lambda n: 1.0 - 1.0 / np.log(n + 2.0)), True, None
     if family == "constant":
         values = [float(spec.pop("value"))]
     elif family == "explicit":
@@ -718,11 +716,9 @@ def _rho_from_spec(spec: dict):
         raise ValueError(f"rho needs values in [0, 1], not {values}")
     if family == "constant":
         value = values[0]
-        return (lambda n: value), (lambda idx: np.full(len(idx), value)), \
-            False, None
+        return (lambda n: value), value == 1.0, None
     table = np.array(values)
-    return (lambda n: values[n - 1]), (lambda idx: table[idx - 1]), None, \
-        len(values)
+    return (lambda n: table[n - 1]), None, len(values)
 
 
 def _symmetric(spec: dict) -> bool:
@@ -766,15 +762,15 @@ def model_from_spec(spec: dict) -> SequenceModel:
         _reject_unknown(params, "tail_vanishing params")
         return TailVanishingModel(g, index_cap or 10**9)
     if kind == "example41":
-        rho_fn, rho_vec, sup_one, rho_cap = _rho_from_spec(params.pop("rho"))
+        rho, to_one, rho_cap = _rho_from_spec(params.pop("rho"))
         symmetric = _symmetric(params)
         _reject_unknown(params, "example41 params")
         if rho_cap and (index_cap or 0) > rho_cap:
             raise ValueError(f"index_cap {index_cap} exceeds the "
                              f"{rho_cap} explicit rho values")
-        return Example41Model(rho_fn, index_cap or rho_cap or 10**7,
+        return Example41Model(rho, index_cap or rho_cap or 10**7,
                               joint_law or "independent", symmetric,
-                              rho_sup_is_one=sup_one, rho_vec=rho_vec)
+                              rho_tends_to_one=to_one)
     if kind == "latent_shift":
         factor = dist_from_spec(params.pop("factor"))
         noise = dist_from_spec(params.pop("noise"))

@@ -136,8 +136,9 @@ def check_energy_vanishing(model: SequenceModel, m_grid, n_range) -> Verdict:
     n_range = sorted(int(n) for n in n_range)
     per_m = {}
     statuses = []
+    dists = {n: model.marginal_dist(n) for n in n_range}
     for M in m_grid:
-        energies = {n: model.marginal_dist(n).trunc_moment(M, 2) for n in n_range}
+        energies = {n: dist.trunc_moment(M, 2) for n, dist in dists.items()}
         witness = model.energy_liminf_witness(M)
         order = sorted(n_range, key=lambda n: energies[n])
         small = order[: min(8, len(order))]

@@ -9,7 +9,11 @@ falsifiable finite-sample reading:
   threshold and no statistically significant increase across the grid
 * ``violation``             -- a later grid point's lower confidence bound
   exceeds an earlier point's upper bound AND the final exceedance is above
-  the pass threshold
+  the pass threshold; or, on two or more grid points, every lower bound is
+  above the pass threshold AND the exceedance does not fall: the final
+  estimate is at least the first and no later interval lies wholly below
+  an earlier one.  The law fails when the exceedance does not tend to 0,
+  and one near 1 at the first grid point cannot rise
 * ``inconclusive``          -- anything else
 
 Every replication r reads f_k from position k of its PCG64DXSM stream (see
@@ -27,7 +31,7 @@ the sampling call's two buffer slots, into which the chunk after next is
 drawn, so every accumulator reduces it before the loop asks for another.
 The single draw f_n = g 1{|g| > n} and example41, whose paths are mostly
 zeros, yield their non-zero entries (row, column, value), at most the
-chunk's 2^17 values of 24 bytes each, let go before the next chunk is
+chunk's 2^17 values of 16 bytes each, let go before the next chunk is
 made.  An accumulator reads entries through a map from column to the
 segment between its grid points, built once per pass, so its partial sums
 are one bincount over row * (G + 1) + segment.  The truncation gap's
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -92,12 +97,17 @@ class ConvergenceReport:
 
 def _verdict(n_grid, p_hat, ci, pass_threshold):
     grid = list(n_grid)
-    increase = any(
-        ci[grid[b]][0] > ci[grid[a]][1]
-        for a in range(len(grid)) for b in range(a + 1, len(grid))
-    )
+    cis = [ci[N] for N in grid]
+    pairs = list(combinations(cis, 2))
+    increase = any(later[0] > earlier[1] for earlier, later in pairs)
+    decrease = any(later[1] < earlier[0] for earlier, later in pairs)
     final_bad = p_hat[grid[-1]] > pass_threshold
-    if increase and final_bad:
+    # high and not falling: one that starts near the threshold, or falls
+    # however slowly, may still tend to 0
+    saturated = (len(grid) > 1 and p_hat[grid[-1]] >= p_hat[grid[0]]
+                 and all(lo > pass_threshold for lo, _ in cis)
+                 and not decrease)
+    if (increase and final_bad) or saturated:
         return "violation"
     if not increase and not final_bad:
         return "consistent-with-wlln"

@@ -71,8 +71,8 @@ def counterexample_pipeline():
 
 @pytest.fixture(scope="module")
 def example41_pipeline():
-    model = Example41Model(lambda n: 1.0 - 1.0 / math.log(n + 2),
-                           index_cap=10**15, rho_sup_is_one=True)
+    model = Example41Model(lambda n: 1.0 - 1.0 / np.log(n + 2.0),
+                           index_cap=10**15, rho_tends_to_one=True)
     D = corrector_weak_l2(model, N_GRID)
     plan = greedy_extract(model, max(N_GRID), N_GRID, D, seed=SEED,
                           min_index=10**12)

@@ -695,7 +695,7 @@ SEED7_DIGESTS = {
         "tails.csv":
             "bacbfeb231a2a7a96758e230cd68b7677056fc50f9d7b5137c243881585f92f2",
         "verdicts.json":
-            "94ac08eb50fc5d3f3124dfdb56aec8380d7b11b9bfd9a599e382c37dc5c055ec",
+            "fd5de28e5510cbf42ef5cbcd614ab9c8e43948d95013d995b3201ec041f28f40",
     },
     "latent-shift": {
         "corrector.json":

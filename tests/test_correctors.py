@@ -229,7 +229,7 @@ class TestWeakL2:
     def test_zero_when_energy_vanishes(self):
         # models whose truncated energies have liminf zero get D == 0
         for model in (TailVanishingModel(Pareto1()),
-                      Example41Model(lambda n: 1.0 - 1.0 / math.log(n + 2))):
+                      Example41Model(lambda n: 1.0 - 1.0 / np.log(n + 2.0))):
             assert corrector_weak_l2(model, N_GRID).is_zero()
 
 
@@ -299,7 +299,7 @@ ALTERNATING = IndependentArrayModel(
     IIDModel(FiniteDiscrete([(1.0, 0.25), (5.0, 0.75)])),
     IIDModel(HeavyLogLaw(0.25, symmetric=False)),
     TailVanishingModel(Pareto1()),
-    Example41Model(lambda n: 1.0 - 1.0 / math.log(n + 2)),
+    Example41Model(lambda n: 1.0 - 1.0 / np.log(n + 2.0)),
     LATENT,
     STABILIZING,
 ], ids=["iid", "iid-one-sided-heavy", "tail-vanishing", "example41-symmetric",

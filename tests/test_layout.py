@@ -348,8 +348,9 @@ def test_every_function_runs_in_the_pipeline(tmp_path):
     assert proc.returncode == 0, proc.stderr
     got = json.loads(result.read_text())
     codes = got["codes"]
-    # the failing extraction exits 3; at 100 replications the latent-shift
-    # demo does not yet flag its zero corrector (exit 4)
-    assert codes.pop("extract-fails") == 3 and codes.pop("latent-shift") == 4
+    # the failing extraction exits 3; every other run exits 0, the
+    # latent-shift demo too, whose zero corrector's exceedance is already
+    # near 1 at the first grid point
+    assert codes.pop("extract-fails") == 3
     assert set(codes.values()) == {0}, codes
     assert got["unreached"] == []

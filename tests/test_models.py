@@ -176,13 +176,26 @@ class TestTailVanishing:
         assert m.marginal_dist(2).survival(8.0) == pytest.approx(0.125)
 
 
+@pytest.mark.parametrize("law", [
+    FiniteDiscrete([(-2.0, 0.3), (0.0, 0.2), (5.0, 0.5)]),
+    Pareto1(),
+    HeavyLogLaw(0.4),
+    TailVanishingModel(FiniteDiscrete([(1.0, 0.8), (10.0, 0.2)]))
+    .marginal_dist(5),
+], ids=["finite", "pareto1", "heavy_log", "single_draw"])
+def test_survival_below_zero_is_one(law):
+    # |f| >= 0 > t always, though the single draw is 0 with mass 0.8 here
+    for t in (-math.inf, -1.0, -1e-300):
+        assert law.survival(t) == 1.0
+
+
 class TestExample41:
     def test_rho_one_all_zero(self):
         m = Example41Model(lambda n: 1.0)
         assert np.array_equal(sample_prefix(m, 20, 0)[0], np.zeros(20))
 
     def test_marginal_matches_rho(self):
-        m = Example41Model(lambda n: 1.0 - 1.0 / math.log(n + 2))
+        m = Example41Model(lambda n: 1.0 - 1.0 / np.log(n + 2.0))
         d = m.marginal_dist(100)
         assert isinstance(d, HeavyLogLaw)
         assert d.rho == pytest.approx(1.0 - 1.0 / math.log(102))
@@ -195,7 +208,7 @@ class TestExample41:
         assert factor is not None
 
     def test_deep_index_sampling(self):
-        m = Example41Model(lambda n: 1.0 - 1.0 / math.log(n + 2),
+        m = Example41Model(lambda n: 1.0 - 1.0 / np.log(n + 2.0),
                            index_cap=10**15)
         idx = np.array([10**12, 10**12 + 1, 10**12 + 2])
         R = 20_000
@@ -227,6 +240,25 @@ class TestLatentShift:
         assert m.factor_law == ((-1.0, 0.5), (1.0, 0.5))
         # N below the essential infimum of |B + eta|: identically 0
         assert m.weak_l2_centering(1.5) == {-1.0: 0.0, 1.0: 0.0}
+
+    @pytest.mark.parametrize("factor, noise", [
+        ([(-1.0, 0.5), (1.0, 0.5)], [(-3.0, 0.5), (3.0, 0.5)]),
+        ([(-0.7, 0.2), (0.4, 0.3), (2.5, 0.5)],
+         [(-1.3, 0.15), (0.0, 0.6), (3.1, 0.25)]),
+    ], ids=["demo", "uneven"])
+    def test_conditional_moments_average_to_the_marginal(self, factor, noise):
+        # sum_z P(z) E(f^order 1{|f| <= N} | Z = z) is the marginal's
+        # truncated moment, at levels on, between and past the atoms
+        m = LatentShiftModel(FiniteDiscrete(factor), FiniteDiscrete(noise))
+        law = m.marginal_dist(1)
+        levels = sorted({0.0, 0.1, 10.0, *(abs(v) for v, _ in law.atoms),
+                         *(abs(v) + 0.05 for v, _ in law.atoms)})
+        for N in levels:
+            for order in (1, 2):
+                mixed = math.fsum(p * m.conditional_trunc_moment(z, N, order)
+                                  for z, p in m.factor_law)
+                assert mixed == pytest.approx(law.trunc_moment(N, order),
+                                              rel=0, abs=1e-14), (N, order)
 
     def test_iid_conditional_is_constant(self):
         m = IIDModel(FiniteDiscrete([(3.0, 1.0)]))
@@ -288,16 +320,22 @@ class TestModelSpecs:
                              "params": {"rho": {"family": "constant",
                                                 "value": 0.25}}})
         assert m.rho(17) == 0.25
+        assert m.rho_tends_to_one is False
+        m = model_from_spec({"kind": "example41",
+                             "params": {"rho": {"family": "constant",
+                                                "value": 1.0}}})
+        assert m.rho_tends_to_one is True
         m = model_from_spec({"kind": "example41",
                              "params": {"rho":
                                         {"family": "one-minus-one-over-log"}}})
         assert m.rho(3) == pytest.approx(1.0 - 1.0 / math.log(5))
-        assert m.rho_sup_is_one
+        assert m.rho_tends_to_one
         m = model_from_spec({"kind": "example41",
                              "params": {"rho": {"family": "explicit",
                                                 "values": [0.1, 0.9]}},
                              "index_cap": 2})
         assert m.rho(2) == 0.9
+        assert m.rho_tends_to_one is None
 
     def test_rho_specs_checked_when_parsed(self):
         def ex41(rho, **spec):
@@ -632,15 +670,19 @@ def test_sparse_indices_cost_follows_their_count():
 
 
 def test_vectorised_rho_matches_scalar_rho():
-    for rho in ({"family": "constant", "value": 0.25},
-                {"family": "one-minus-one-over-log"},
-                {"family": "explicit", "values": [0.1, 0.9, 0.4]}):
+    # the oracles read rho at one index and the sampler at an index array,
+    # through one function, so bit for bit; libm's log and numpy's part at
+    # index 19,141 of the log family
+    deep = np.r_[1:40_001, 10**12:10**12 + 3, 10**15 - 1]
+    for rho, idx in (({"family": "constant", "value": 0.25}, [1, 2, 3]),
+                     ({"family": "one-minus-one-over-log"}, deep),
+                     ({"family": "explicit", "values": [0.1, 0.9, 0.4]},
+                      [1, 2, 3])):
         m = model_from_spec({"kind": "example41", "params": {"rho": rho},
-                             "index_cap": 3})
-        idx = np.array([1, 2, 3])
-        assert m.rho_array(idx) == pytest.approx([m.rho(int(n)) for n in idx],
-                                                 rel=1e-15)
-        assert m.pointwise_sup_index(idx) == min(idx, key=m.rho)
+                             "index_cap": int(max(idx))})
+        idx = np.array(idx)
+        assert m.rho_array(idx).tolist() == [m.rho(n) for n in idx.tolist()]
+        assert m.pointwise_sup_index(idx) == min(idx.tolist(), key=m.rho)
 
 
 # sha256 prefixes of sample_blocks output (replications 3..63 at seeds 0, 7

@@ -4,6 +4,7 @@ three-valued condition checkers."""
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from wllnlab.distributions import (
@@ -38,8 +39,8 @@ def ex41(rho=0.5, **kw):
 
 
 def ex41_log():
-    return Example41Model(lambda n: 1.0 - 1.0 / math.log(n + 2),
-                          rho_sup_is_one=True)
+    return Example41Model(lambda n: 1.0 - 1.0 / np.log(n + 2.0),
+                          rho_tends_to_one=True)
 
 
 class TestFunctionals:

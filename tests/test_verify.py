@@ -39,6 +39,7 @@ from wllnlab.verify import (
     _outside_sums,
     _partial_sums,
     _thinning,
+    _verdict,
 )
 
 from dense import dense, dense_blocks
@@ -136,6 +137,30 @@ class TestWllnProbe:
             lo, hi = r.ci[64]
             assert lo <= exact <= hi, seed
             assert r.verdict == "violation", seed
+
+    @pytest.mark.parametrize("counts, want", [
+        # the latent-shift demo's zero corrector at R = 100: 0.89, then 1.0.
+        # The intervals [0.784, 0.947] and [0.938, 1.0] overlap, so no rise
+        # is significant, but every one lies wholly above 0.05
+        ((89, 100, 100, 100), "violation"),
+        ((100, 100, 100, 100), "violation"),
+        # a significant fall keeps a high final exceedance inconclusive,
+        ((100, 90, 80, 60), "inconclusive"),
+        # and so does a fall that is not significant
+        ((27, 20, 18, 15), "inconclusive"),
+        # the first interval reaches below the threshold
+        ((6, 4, 5, 12), "inconclusive"),
+        # one grid point shows no trend
+        ((30,), "inconclusive"),
+        # above the threshold, but not significantly
+        ((0, 2, 5, 6), "inconclusive"),
+        ((0, 1, 2, 3), "consistent-with-wlln"),
+    ])
+    def test_saturated_exceedance_is_a_violation(self, counts, want):
+        grid, R = (64, 256, 1024, 4096)[:len(counts)], 100
+        p_hat = {N: c / R for N, c in zip(grid, counts)}
+        ci = {N: wilson_interval(c, R) for N, c in zip(grid, counts)}
+        assert _verdict(grid, p_hat, ci, 0.05) == want
 
     def test_report_bytes_reproducible(self):
         args = (LATENT, range(1, 33), corrector_weak_l2(LATENT, (32,)),
@@ -620,8 +645,7 @@ MOSTLY_ZERO_LAWS = {
     "example41": lambda: demo_model("example41"),
     "example41-one-sided": lambda: demo_model("example41", symmetric=False),
     "example41-comonotone": lambda: Example41Model(
-        lambda n: 1.0 - 1.0 / math.log(n + 2), 10**15, "comonotone",
-        rho_vec=lambda idx: 1.0 - 1.0 / np.log(idx + 2.0)),
+        lambda n: 1.0 - 1.0 / np.log(n + 2.0), 10**15, "comonotone"),
 }
 ENTRY_GRID = (16, 128, 1024, 4096)
 
