@@ -156,10 +156,11 @@ _KEYS = {
 def _json_number(v, kind) -> bool:
     """Whether ``v`` may stand for a number of type ``kind``: an int key
     takes JSON integers only, since int() would turn 1.5 or "1" into 1; a
-    float key takes finite JSON numbers only, since float() would read
-    "0.5" or "nan", and json reads a bare NaN token and 1e999 as floats,
-    nor an integer past the largest float, which float() cannot convert;
-    no key takes a JSON boolean, although Python reads True as 1."""
+    float key takes finite numbers only, since float() would read "0.5" or
+    "nan", and a flag's float() reads "nan" and "1e999" (a file's reader
+    refuses them), nor an integer past the largest float, which float()
+    cannot convert; no key takes a JSON boolean, although Python reads True
+    as 1."""
     if kind is int:
         return type(v) is int
     return type(v) in (int, float) and abs(v) <= sys.float_info.max
@@ -200,11 +201,22 @@ def resolve_config(command: str, file_cfg: dict, flags: dict) -> dict:
     return cfg
 
 
+def _finite_float(text: str) -> float:
+    """A JSON number or constant token as a float, refusing NaN, the
+    infinities and 1e999, which json would read as floats."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def read_json_object(path: str, what: str) -> dict:
-    """The JSON object in the ``what`` file (config, manifest, plan)."""
+    """The JSON object in the ``what`` file (config, manifest, plan), in
+    strict JSON, as ``write_json`` writes it: every float in it finite."""
     try:
         with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = json.load(fh, parse_float=_finite_float,
+                            parse_constant=_finite_float)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read {what} {path}: {exc}")
     if not isinstance(obj, dict):
@@ -217,7 +229,8 @@ def _require_model(cfg: dict) -> SequenceModel:
         raise UsageError("a model spec is required (config key 'model')")
     try:
         return model_from_spec(cfg["model"])
-    except (ValueError, KeyError, TypeError) as exc:
+    # OverflowError: an integer past the largest float where a law wants one
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise UsageError(f"malformed model spec: {exc}")
 
 

@@ -19,9 +19,9 @@ Euler-Maclaurin closed forms in E1(log x), li(x) and log log x; the tail
 mass is summed directly, never as the series total minus a prefix, and
 ``tau_integral`` is built from the survival alone.  Against mpmath the
 series agree to below 3e-15 relative for M up to 1e15, and the Feller
-residual stays below 1e-15 there.  Sampling reads the same head table: the
-conditional CDF 1 - T(k)/T(1) for k <= 4096, within 7e-17 of mpmath, and a
-bisection on the tail beyond it, so a draw builds no table of its own; a
+residual stays below 1e-15 there.  Sampling and the comonotone pair oracle
+read the same head table, the conditional CDF 1 - T(k)/T(1) for k <= 4096
+(within 7e-17 of mpmath), and the tail beyond it, which a draw bisects; a
 guide table of 2^13 buckets finds most draws' place in the head.
 """
 
@@ -112,7 +112,9 @@ class FiniteDiscrete(Distribution):
         atoms = [(float(v), float(p)) for v, p in atoms if p != 0.0]
         if not atoms:
             raise ValueError("need at least one atom with positive mass")
-        for _, p in atoms:
+        for v, p in atoms:
+            if not math.isfinite(v) or not math.isfinite(p):
+                raise ValueError(f"atom ({v!r}, {p!r}) is not finite")
             if p < 0.0:
                 raise ValueError("negative probability")
         total = math.fsum(p for _, p in atoms)
@@ -202,8 +204,9 @@ class Pareto1(Distribution):
     """
 
     def __init__(self, scale: float = 1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < scale < math.inf:
+            raise ValueError(
+                f"scale must be positive and finite, not {scale!r}")
         self.scale = float(scale)
 
     def survival(self, t: float) -> float:
@@ -473,10 +476,26 @@ def _quantile_beyond_head(v: float, symmetric: bool) -> float:
             hi = mid
         else:
             lo = mid
-    k = float(hi)
-    if symmetric and _tail(lo) - need >= 0.5 / (k * k * math.log(k)):
-        return -k
-    return k
+    # the head table's split: +k takes the first half of its mass
+    if symmetric and _tail(lo) - need >= (_tail(lo) - _tail(hi)) / 2.0:
+        return -float(hi)
+    return float(hi)
+
+
+@lru_cache(maxsize=16)
+def heavy_log_partition(N: int, symmetric: bool) -> tuple:
+    """(points, values) of the law given X != 0 in y = 1 - v, v its
+    conditional uniform: y in (points[i], points[i + 1]] takes values[i],
+    |values| <= N.  Value m takes (S(m), S(m - 1)], S(m) = T(m)/T(1), split
+    at the head table's midpoint under the symmetric law, -m below."""
+    points = np.array([_tail(m) for m in range(N, 0, -1)]) / _SERIES_TOTAL
+    values = np.arange(N, 1.0, -1.0)
+    if symmetric:
+        s, points = points, np.empty(2 * N - 1)
+        points[0::2], points[1::2] = s, (s[:-1] + s[1:]) / 2.0
+        values = np.stack((-values, values), axis=1).ravel()
+    points.flags.writeable = values.flags.writeable = False  # cached
+    return points, values
 
 
 def heavy_log_entries(u: np.ndarray, rho, symmetric: bool,

@@ -37,6 +37,7 @@ from .distributions import (
     convolve,
     example41_constant_c,
     heavy_log_entries,
+    heavy_log_partition,
 )
 from .streams import Positions, _stream_keys
 
@@ -560,37 +561,19 @@ class Example41Model(SequenceModel):
         mu_k = self.marginal_dist(k).trunc_moment(N, 1)
         return self._comonotone_product(j, k, N) - d * (mu_j + mu_k) + d * d
 
-    def _comonotone_partition(self, i: int, den: np.ndarray):
-        """(points, values): the shared uniform maps [points[t],
-        points[t + 1]) to values[t], the nonzero values up to the level of
-        ``den``, the denominators k^2 log k for k = 2, 3, ..."""
-        rho = self.rho(i)
-        q = (1.0 - rho) * (2.0 * example41_constant_c()) / den
-        # the interval ends as a running sum: np.cumsum adds in order
-        lo = np.cumsum(np.concatenate(([rho], q)))
-        k = np.arange(2.0, len(den) + 2.0)
-        if not self.symmetric:
-            return lo, k
-        points = np.empty(2 * len(q) + 1)
-        points[0::2], points[1::2] = lo, lo[:-1] + q / 2.0
-        return points, np.stack((k, -k), axis=1).ravel()
-
     def _comonotone_product(self, j: int, k: int, N: float) -> float:
         """E[f_j^t f_k^t] under the shared-uniform coupling, by exact overlap
-        integration of the two quantile partitions, summed in u order."""
-        n = range(2, int(math.floor(N)) + 1)
-        den = np.square(np.array(n, dtype=float)) * np.fromiter(
-            map(math.log, n), float, len(n))
-        (pa, va), (pb, vb) = (self._comonotone_partition(i, den)
-                              for i in (j, k))
+        integration in y = 1 - u, where index i takes the heavy-log
+        partition scaled by 1 - rho_i; summed in y order."""
+        p, v = heavy_log_partition(int(N), self.symmetric)
+        pa, pb = ((1.0 - self.rho(i)) * p for i in (j, k))
         # every overlap of positive length is a gap between consecutive
         # distinct breakpoints inside both partitions
         x = np.unique(np.concatenate((pa, pb)))
+        x = x[(x >= max(pa[0], pb[0])) & (x <= min(pa[-1], pb[-1]))]
         lo, hi = x[:-1], x[1:]
-        keep = (lo >= max(pa[0], pb[0])) & (hi <= min(pa[-1], pb[-1]))
-        lo, hi = lo[keep], hi[keep]
-        terms = ((hi - lo) * va[np.searchsorted(pa, lo, side="right") - 1]
-                 * vb[np.searchsorted(pb, lo, side="right") - 1])
+        terms = ((hi - lo) * v[np.searchsorted(pa, lo, side="right") - 1]
+                 * v[np.searchsorted(pb, lo, side="right") - 1])
         return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
     def pointwise_sup_index(self, n_range):
@@ -743,7 +726,8 @@ def model_from_spec(spec: dict) -> SequenceModel:
                                   or not 1 <= index_cap < 2**63):
         raise ValueError("index_cap must be an integer in [1, 2^63), "
                          f"not {index_cap!r}")
-    joint_law = spec.pop("joint_law", None)
+    # only example41 has a choice of joint law
+    joint_law = spec.pop("joint_law", None) if kind == "example41" else None
     _reject_unknown(spec, "model spec")
 
     if kind == "iid":

@@ -4,8 +4,12 @@ checks built on it.
 ``reference_inner_product`` is the exact centered inner product of one pair
 (or one index, on the diagonal) from a per-model ``isinstance`` ladder: the
 oracle the package used before the joint moments moved onto the models,
-kept here unchanged apart from names so that it imports nothing from the
-search.  The package's row arithmetic must give its values bit for bit.
+kept here apart from names so that it imports nothing from the search.
+The package's row arithmetic must give its values bit for bit.  Its
+comonotone branch is the one-pair form of the package's integral in
+y = 1 - u: ``comonotone_intervals`` and ``overlap_integral`` take floats or
+mpmath numbers alike, so the same integral also serves as a 50-digit
+check.
 
 ``NumpyFiniteOracles`` holds the numpy expressions that ``FiniteDiscrete``
 answered its oracles with before they moved onto Python floats; the
@@ -21,7 +25,7 @@ import math
 import numpy as np
 
 from wllnlab.correctors import CorrectorSeries, corrector_weak_l2
-from wllnlab.distributions import UnsupportedOracleError, example41_constant_c
+from wllnlab.distributions import _SERIES_TOTAL, UnsupportedOracleError, _tail
 from wllnlab.extract import ExtractionPlan, PlanEntries, step_epsilon
 from wllnlab.models import (
     Example41Model,
@@ -55,29 +59,28 @@ def constant_value(D: CorrectorSeries, N: int) -> float:
     return D.values[N]
 
 
-def _comonotone_intervals(model: Example41Model, i: int, N: float):
-    """u-intervals of the shared uniform mapping to nonzero values <= N."""
-    rho = model.rho(i)
-    two_c = 2.0 * example41_constant_c()
+def comonotone_intervals(rho, survival, symmetric: bool):
+    """y-intervals (lo, hi, value), y = 1 - u ascending, on which the shared
+    uniform gives one index of zero mass ``rho`` a nonzero value up to the
+    level N: value m takes (1 - rho) (S[m], S[m - 1]] for S[m] = T(m)/T(1)
+    given at m = 1..N, and the symmetric law puts -m below the midpoint
+    and +m above it.  Takes floats or mpmath numbers alike."""
+    scale = 1 - rho
     out = []
-    lo = rho
-    for k in range(2, int(math.floor(N)) + 1):
-        q = (1.0 - rho) * two_c / (k * k * math.log(k))
-        if model.symmetric:
-            out.append((lo, lo + q / 2.0, float(k)))
-            out.append((lo + q / 2.0, lo + q, float(-k)))
+    for m in range(len(survival) - 1, 1, -1):
+        lo, hi = survival[m], survival[m - 1]
+        if symmetric:
+            mid = (lo + hi) / 2
+            out += [(scale * lo, scale * mid, -m),
+                    (scale * mid, scale * hi, m)]
         else:
-            out.append((lo, lo + q, float(k)))
-        lo += q
+            out.append((scale * lo, scale * hi, m))
     return out
 
 
-def _comonotone_product(model: Example41Model, j: int, k: int, N: float) -> float:
-    """E[f_j^t f_k^t] under the shared-uniform coupling, by exact overlap
-    integration of the two quantile partitions."""
-    a = _comonotone_intervals(model, j, N)
-    b = _comonotone_intervals(model, k, N)
-    total = 0.0
+def overlap_integral(a, b):
+    """int f_a f_b dy for two interval lists in y order, summed in y order."""
+    total = 0
     ia = ib = 0
     while ia < len(a) and ib < len(b):
         lo = max(a[ia][0], b[ib][0])
@@ -89,6 +92,15 @@ def _comonotone_product(model: Example41Model, j: int, k: int, N: float) -> floa
         else:
             ib += 1
     return total
+
+
+def _comonotone_product(model: Example41Model, j: int, k: int, N: float) -> float:
+    """E[f_j^t f_k^t] under the shared-uniform coupling, by exact overlap
+    integration of the two partitions of y = 1 - u."""
+    survival = [_tail(m) / _SERIES_TOTAL for m in range(int(N) + 1)]
+    a, b = (comonotone_intervals(model.rho(i), survival, model.symmetric)
+            for i in (j, k))
+    return float(overlap_integral(a, b))
 
 
 def reference_inner_product(model: SequenceModel, j: int, k: int,

@@ -312,7 +312,7 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
                 "epsilon": "0.5", "pass_threshold": "nan"}),
     ("verify", {"model": IID_SIGNS, "n_grid": [4], "reps": 10,
                 "pass_threshold": "nan"}),
-    # json.dumps writes a bare NaN token, which json.load reads as a float
+    # json.dumps writes a bare NaN token, which the config reader refuses
     ("hereditary", {"model": IID_SIGNS, "n_grid": [4], "reps": 10,
                     "pass_threshold": float("nan")}),
     ("verify", {"model": IID_SIGNS, "n_grid": [4], "reps": 10,
@@ -324,6 +324,11 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
     # a status no verdict takes would only fail the expectation (exit 2)
     ("tails", {"model": TAIL_MODEL, "n_range": [1, 4],
                "expect": {"weak_l1": "hold"}}),
+    # only example41 has a choice of joint law
+    ("tails", {"model": {**IID_SIGNS, "joint_law": "comonotone"}}),
+    # a law's float() cannot convert it
+    ("tails", {"model": {"kind": "iid", "params": {"dist": {
+        "family": "pareto1", "scale": 10**400}}}}),
 ], ids=["non-numeric-value", "infinite-value", "unsupported-oracle",
         "index-cap-below-grid", "tails-past-rho-table",
         "verify-past-rho-table", "index-cap-above-rho-table",
@@ -336,7 +341,8 @@ def test_extract_bad_config_is_usage_error(tmp_path, capsys, bad):
         "string-level", "string-epsilon-and-nan-threshold",
         "nan-string-threshold", "bare-nan-threshold", "threshold-above-one",
         "negative-threshold", "bare-nan-epsilon",
-        "tails-expect-unknown-status"])
+        "tails-expect-unknown-status", "joint-law-outside-example41",
+        "integer-past-the-largest-float-in-model"])
 def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, "c.json", payload)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
@@ -551,6 +557,34 @@ def test_missing_plan_path_is_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.count("\n") == 1 and "no-such-plan.json" in err
+
+
+# json.load would read NaN and the infinities as floats and 1e999 as an
+# infinity, which the strict write_json refuses once a manifest echoes them
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999",
+                                   "-1e999"])
+@pytest.mark.parametrize("source", ["config", "manifest", "plan"])
+def test_non_finite_json_numbers_are_usage_errors(tmp_path, capsys, source,
+                                                  token):
+    scale = '{"model": {"kind": "iid", "params": {"dist": {"family": ' \
+        '"pareto1", "scale": %s}}}}' % token
+    path = tmp_path / f"{source}.json"
+    if source == "config":
+        path.write_text(scale)
+        argv = ["tails", "--grid", "2,4", "--config", str(path)]
+    elif source == "manifest":
+        path.write_text('{"command": "tails", "config": %s}' % scale)
+        argv = ["rerun", "--manifest", str(path)]
+    else:
+        path.write_text('{"indices": [1, 2, %s]}' % token)
+        argv = ["verify", "--config", write_cfg(tmp_path, "c.json", {
+            "model": IID_SIGNS, "n_grid": [4], "reps": 50,
+            "plan_path": str(path)})]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 64
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: cannot read {source} {path}: ")
 
 
 # int() would read 1.5 as 1, "1" as 1 and true as 1: an index is a JSON

@@ -96,6 +96,15 @@ class TestFiniteDiscrete:
         with pytest.raises(ValueError):
             FiniteDiscrete([(1.0, -0.5), (2.0, 1.5)])
 
+    @pytest.mark.parametrize("atoms", [
+        [(1.0, math.nan)], [(math.inf, 1.0)], [(math.nan, 1.0)],
+        [(-math.inf, 0.5), (1.0, 0.5)], [(1.0, 0.5), (2.0, math.inf)]])
+    def test_rejects_non_finite_atoms(self, atoms):
+        # a NaN total mass passes the test against 1, and an infinite
+        # value has no moments
+        with pytest.raises(ValueError, match="not finite"):
+            FiniteDiscrete(atoms)
+
     def test_quantile_roundtrip(self):
         d = FiniteDiscrete([(-1.0, 0.2), (0.0, 0.3), (4.0, 0.5)])
         rng = np.random.default_rng(0)
@@ -155,6 +164,11 @@ class TestFiniteOraclesAgainstNumpy:
 
 
 class TestPareto1:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_scale_outside_positive_floats(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            Pareto1(scale)
+
     def test_survival(self):
         g = Pareto1()
         assert g.survival(0.5) == 1.0

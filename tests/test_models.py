@@ -1,6 +1,7 @@
 """Sequence-model behavior: seeded determinism, exact marginal oracles,
 agreement between sampling and the closed forms, and the JSON spec loader."""
 
+import functools
 import gc
 import hashlib
 import math
@@ -11,6 +12,7 @@ import threading
 import warnings
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from wllnlab.streams import Positions
 from wllnlab.verify import wilson_interval
 
 from dense import dense_blocks
+from scalar_reference import comonotone_intervals, overlap_integral
 
 Z999 = 3.2905267314919255  # 99.9% two-sided normal quantile
 
@@ -219,6 +222,55 @@ class TestExample41:
         assert lo <= p_any <= hi
 
 
+def _comonotone(symmetric):
+    return Example41Model(lambda n: 1.0 - 1.0 / np.log(n + 2.0), 10**15,
+                          "comonotone", symmetric)
+
+
+@functools.lru_cache(maxsize=None)
+def _survival_mp(N):
+    """S(m) = T(m)/T(1) for m = 0..N at 50 digits: T(N) by mpmath.sumem,
+    the rest by adding the terms 1/(k^2 log k) on to it."""
+    with mpmath.workdps(50):
+        t = [mpmath.sumem(lambda k: 1 / (k * k * mpmath.log(k)),
+                          [N + 1, mpmath.inf])]
+        for k in range(N, 1, -1):
+            t.append(t[-1] + 1 / (k * k * mpmath.log(mpmath.mpf(k))))
+        return [t[-1] / t[-1]] + [x / t[-1] for x in reversed(t)]
+
+
+class TestComonotonePairOracle:
+    """The pair oracle integrates the partition of y = 1 - u that the
+    sampler and the survival oracle read, T(m)/T(1)."""
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("N", [64, 1024, 4096, 20_000])
+    @pytest.mark.parametrize("i", [2, 1000, 10**12])
+    def test_diagonal_is_the_truncated_energy(self, i, N, symmetric):
+        m = _comonotone(symmetric)
+        want = m.marginal_dist(i).trunc_moment(N, 2)
+        assert m._comonotone_product(i, i, N) == pytest.approx(
+            want, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("j, k, N", [(2, 3, 1024), (10, 4000, 1024),
+                                         (10**12, 10**12 + 5000, 1024),
+                                         (2, 3, 4096)])
+    def test_pairs_against_50_digits(self, j, k, N, symmetric):
+        # the same integral over the exact breakpoints; the error is taken
+        # relative to sqrt(E f_j^2 E f_k^2), the size of the terms summed,
+        # since the symmetric law's +m and -m cancel to far below it
+        m = _comonotone(symmetric)
+        with mpmath.workdps(50):
+            want = overlap_integral(*(comonotone_intervals(
+                mpmath.mpf(m.rho(i)), _survival_mp(N), symmetric)
+                for i in (j, k)))
+            err = abs(m._comonotone_product(j, k, N) - want)
+        scale = math.sqrt(m.marginal_dist(j).trunc_moment(N, 2)
+                          * m.marginal_dist(k).trunc_moment(N, 2))
+        assert float(err) <= 1e-11 * scale
+
+
 class TestLatentShift:
     def test_structure(self):
         m = make_models()["latent_shift"]
@@ -298,6 +350,14 @@ class TestModelSpecs:
             model_from_spec({"kind": "iid",
                              "params": {"dist": {"family": "pareto1",
                                                  "shape": 2}}})
+
+    @pytest.mark.parametrize("kind, params", [
+        ("iid", {"dist": {"family": "pareto1"}}),
+        ("tail_vanishing", {"g": {"family": "pareto1"}})])
+    def test_joint_law_only_for_example41(self, kind, params):
+        with pytest.raises(ValueError, match="unknown fields.*joint_law"):
+            model_from_spec({"kind": kind, "joint_law": "comonotone",
+                             "params": params})
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
