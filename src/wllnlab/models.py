@@ -20,6 +20,7 @@ in the package can be audited against an oracle.
 
 from __future__ import annotations
 
+import json
 import math
 import queue
 import threading
@@ -354,9 +355,20 @@ class IndependentArrayModel(SequenceModel):
         self._check_index(n)
         return self.dists[n - 1]
 
-    def _realize(self, idx, out, u0, scratch):
-        for col, i in enumerate(idx):
-            out[:, col] = self.dists[i - 1].quantile_array(out[:, col])
+    def _per_index(self, idx):
+        """(law, its columns) per distinct law object, in order of first
+        column: the columns of a law are realized in one call."""
+        cols = {}
+        for col, i in enumerate(idx.tolist()):
+            cols.setdefault(self.dists[i - 1], []).append(col)
+        return [(dist, c[0] if len(c) == 1 else np.array(c))
+                for dist, c in cols.items()]
+
+    def _realize(self, laws, out, u0, scratch):
+        if len(laws) == 1:      # every column has one law: in place, as iid
+            return laws[0][0].quantile_array(out, out, scratch), None
+        for dist, cols in laws:
+            out[:, cols] = dist.quantile_array(out[:, cols], scratch=scratch)
         return out, None
 
     def weak_l2_centering(self, N):
@@ -411,6 +423,14 @@ class TailVanishingModel(SequenceModel):
     def __init__(self, g_dist: Distribution, index_cap: int = 10**9):
         self.g_dist = g_dist
         self.index_cap = int(index_cap)
+        # f_j f_k = g^2 1{|g| > max(j, k)}: a pair's cross moment is the
+        # second band moment of its later index, and ip(j, k) is affine in
+        # the band mean mu_j, so it peaks at the earliest largest or the
+        # latest smallest mu_j.  For g of one sign mu_j is monotone in j, and
+        # the first and the last step attain both extremes; otherwise they
+        # go first, so the others win only a strictly larger |ip|
+        self.lead_slots = ("first", "last") if g_dist.sign != "unknown" \
+            else ("first", "last", "max", "min")
 
     def marginal_dist(self, n):
         self._check_index(n)
@@ -434,24 +454,18 @@ class TailVanishingModel(SequenceModel):
         # weak limit is zero at every level
         return 0.0
 
-    # f_j f_k = g^2 1{|g| > max(j, k)}: a pair's cross moment is the second
-    # band moment of its later index, and ip(j, k) is affine in the band
-    # mean mu_j, so it peaks at the earliest largest or the latest smallest
-    # mu_j.  The first and the last step go first: for g of one sign mu_j is
-    # monotone in j and they attain both extremes, so the others never win
-    # a tie
-    lead_slots = ("first", "last", "max", "min")
-
     def moment_rows(self, indices, levels, D):
         a = self._checked_indices(indices).astype(float)
-        g, rows = self.g_dist, np.empty((len(a), len(levels), 3))
-        below = [g.trunc_moments(a, order) for order in (1, 2)]
+        g, rows = self.g_dist, np.zeros((len(a), len(levels), 3))
         rows[:, :, 2] = D.realized(levels)
+        # band_moment(a, N) is zero unless a < N: the indices from the
+        # largest level on keep zero band moments at every level
+        a = a[:np.searchsorted(a, max(levels))]
+        below = [g.trunc_moments(a, order) for order in (1, 2)]
         for col, N in enumerate(levels):
             x = float(N)
             for w, order in ((0, 1), (1, 2)):
-                # band_moment(a, N): zero unless a < N
-                rows[:, col, w] = np.where(
+                rows[:len(a), col, w] = np.where(
                     a < x, g.trunc_moment(x, order) - below[w], 0.0)
         return rows
 
@@ -735,7 +749,13 @@ def model_from_spec(spec: dict) -> SequenceModel:
         _reject_unknown(params, "iid params")
         return IIDModel(dist, index_cap or 10**9)
     if kind == "independent_array":
-        dists = [dist_from_spec(d) for d in params.pop("dists")]
+        # equal specs give one law object, whose columns are sampled at once
+        laws, dists = {}, []
+        for d in params.pop("dists"):
+            key = json.dumps(d, sort_keys=True)
+            if key not in laws:
+                laws[key] = dist_from_spec(d)
+            dists.append(laws[key])
         _reject_unknown(params, "independent_array params")
         if (index_cap or 0) > len(dists):
             raise ValueError(f"index_cap {index_cap} exceeds the "

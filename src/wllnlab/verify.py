@@ -115,8 +115,9 @@ def _verdict(n_grid, p_hat, ci, pass_threshold):
 
 
 class ProbeInputError(ValueError):
-    """A probe argument outside its documented range; raised before any
-    path is sampled."""
+    """A probe argument outside its documented range, raised before any
+    path is sampled; or values whose sums overflow a double, raised as the
+    paths are read."""
 
 
 def _grid(n_grid) -> tuple:
@@ -130,6 +131,18 @@ def _epsilon(epsilon) -> float:
     if not epsilon > 0:
         raise ProbeInputError("epsilon must be positive")
     return float(epsilon)
+
+
+def _finite(sums, grid, what: str) -> np.ndarray:
+    """The (B, G) ``sums``, N in ``grid``, refused at the first N where one
+    is not finite: an overflowing sum, or inf - inf, would compare as no
+    exceedance.  ``ProbePass.run`` reads the paths with numpy's overflow
+    warnings off, so numpy does not warn of what this refuses."""
+    if not np.isfinite(sums).all():
+        bad = ~np.isfinite(sums).all(axis=0)
+        raise ProbeInputError(f"{what} at N = {grid[int(np.argmax(bad))]} "
+                              "overflow a double")
+    return sums
 
 
 def _partial_sums(vals, grid) -> np.ndarray:
@@ -147,7 +160,7 @@ def _partial_sums(vals, grid) -> np.ndarray:
                            minlength=len(vals) * G).reshape(-1, G)[:, :-1]
     else:
         segs = np.add.reduceat(vals, (0,) + grid[:-1], axis=1)
-    return np.cumsum(segs, axis=1)
+    return _finite(np.cumsum(segs, axis=1), grid, "the partial sums")
 
 
 def _outside_sums(vals, grid) -> np.ndarray:
@@ -170,7 +183,7 @@ def _outside_sums(vals, grid) -> np.ndarray:
         keep = (at <= last[g]) & (size > N)
         out[:, g] = np.bincount(rows[keep], weights=f[keep],
                                 minlength=len(vals))
-    return out
+    return _finite(out, grid, "the sums outside the band")
 
 
 def _segments(cols, width: int, grid) -> np.ndarray:
@@ -253,7 +266,8 @@ class _Exceedance:
             np.abs(sums / self.levels - d) > self.epsilon, axis=0)
         if self.l2 is not None:
             t = sums - _outside_sums(vals, self.n_grid) - self.levels * d
-            self.l2.add((t / self.levels) ** 2)
+            self.l2.add(_finite((t / self.levels) ** 2, self.n_grid,
+                                "the squared L2 terms"))
 
     def report(self, R: int, seed: int,
                pass_threshold: float) -> ConvergenceReport:
@@ -265,6 +279,7 @@ class _Exceedance:
             _verdict(grid, p_hat, ci, pass_threshold), int(seed))
         if self.l2 is not None:
             _, total, m2 = self.l2.moments()
+            _finite(np.stack((total, m2)), grid, "the L2 moments")
             report.l2_hat = dict(zip(grid, (total / R).tolist()))
             report.l2_se = dict(zip(grid, (np.sqrt(m2 / (R - 1))
                                            / math.sqrt(R)).tolist()))
@@ -380,7 +395,9 @@ class ProbePass:
     reports in the order the probes were queued.  f_k is a pure function of
     (seed, r, k), so each report equals the one a pass of its own gives.
     A probe's inputs are checked when it is queued, before any path is
-    sampled.
+    sampled; values whose sums overflow a double can only be found as the
+    paths are read, and are refused then, at the first grid point they
+    reach.
     """
 
     def __init__(self, model: SequenceModel, indices, seed: int):
@@ -474,6 +491,7 @@ class ProbePass:
         self._reports.append(report)
         return self
 
+    @np.errstate(over="ignore", invalid="ignore")
     def run(self) -> list:
         """Samples the paths once and returns the queued probes' reports."""
         if self._parts:

@@ -42,6 +42,10 @@ IID_MODEL = {"kind": "iid",
              "params": {"dist": {"family": "finite",
                                  "atoms": [[1.0, 0.25], [5.0, 0.75]]}}}
 
+# every value 1e307: partial sums overflow a double from N = 18 on
+HUGE_MODEL = {"kind": "iid",
+              "params": {"dist": {"family": "finite", "atoms": [[1e307, 1.0]]}}}
+
 # two heavy-log laws, neither dominating the other's tail functional by name
 HEAVY_LOG_ARRAY = {"kind": "independent_array", "params": {"dists": [
     {"family": "heavy_log", "rho": 0.5, "symmetric": True},
@@ -391,6 +395,8 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
     ("verify", {"seed": -1}),
     ("verify", {"gap_probe": "false"}),
     ("verify", {"compute_l2": True, "reps": 1}),
+    ("verify", {"model": HUGE_MODEL, "n_grid": [64, 256]}),
+    ("hereditary", {"model": HUGE_MODEL, "n_grid": [64, 256]}),
 ], ids=["verify-indices-too-short", "verify-negative-epsilon",
         "verify-zero-epsilon", "verify-zero-level", "verify-decreasing-indices",
         "verify-gap-probe-negative-epsilon", "hereditary-zero-level",
@@ -407,7 +413,8 @@ def test_usage_errors_exit_64(tmp_path, capsys, command, payload):
         "tails-expect-not-an-object", "tails-expect-unknown-condition",
         "tails-expect-feller-without-grid", "hereditary-patterns-not-a-list",
         "hereditary-unknown-pattern", "verify-negative-seed",
-        "verify-flag-not-boolean", "verify-l2-one-rep"])
+        "verify-flag-not-boolean", "verify-l2-one-rep",
+        "verify-sums-overflow", "hereditary-sums-overflow"])
 def test_probe_and_grid_inputs_are_usage_errors(tmp_path, capsys, command,
                                                 payload):
     runs = {"reps": 10} if command in ("verify", "hereditary") else {}

@@ -23,6 +23,7 @@ from wllnlab.correctors import (
 )
 from wllnlab.distributions import (
     FiniteDiscrete,
+    HeavyLogLaw,
     Pareto1,
     UnsupportedOracleError,
 )
@@ -888,6 +889,64 @@ def test_single_draw_search_matches_reference(atoms, centering, eps_floor,
     D = CorrectorSeries(grid, "constant", dict(zip(grid, centering)), "test")
     _assert_search_matches_reference(TailVanishingModel(g), 24, grid, D,
                                      block, eps_floor=eps_floor)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sign=st.sampled_from([1.0, -1.0]),
+       atoms=st.lists(st.tuples(st.integers(1, 70), st.integers(1, 40)),
+                      min_size=1, max_size=4, unique_by=lambda a: a[0]),
+       centering=st.lists(st.sampled_from([0.0, 1e-3, -2e-3, 0.01]),
+                          min_size=3, max_size=3),
+       eps_floor=st.sampled_from([0.0, 1e-4, 1e-2]), block=_BLOCKS)
+def test_one_signed_single_draw_search_matches_reference(sign, atoms,
+                                                         centering, eps_floor,
+                                                         block):
+    # g >= 0 or g <= 0: the band mean mu_j is monotone in j, so the scan
+    # scores the first and the last step only, where the reference scores
+    # all four slots
+    mass = [(sign * v, w / 1000.0) for v, w in atoms]
+    g = FiniteDiscrete(mass + [(0.0, 1.0 - math.fsum(p for _, p in mass))])
+    model = TailVanishingModel(g)
+    assert model.lead_slots == ("first", "last")
+    grid = (2, 16, 64)
+    D = CorrectorSeries(grid, "constant", dict(zip(grid, centering)), "test")
+    _assert_search_matches_reference(model, 24, grid, D, block,
+                                     eps_floor=eps_floor)
+
+
+_FOUR_SLOTS = ("first", "last", "max", "min")
+
+
+@pytest.mark.parametrize("g, slots", [
+    (Pareto1(2.5), ("first", "last")),
+    (HeavyLogLaw(0.3, symmetric=False), ("first", "last")),
+    (HeavyLogLaw(0.3, symmetric=True), _FOUR_SLOTS),
+    (FiniteDiscrete([(0.0, 0.5), (3.0, 0.25), (7.0, 0.25)]),
+     ("first", "last")),
+    (FiniteDiscrete([(-7.0, 0.25), (-3.0, 0.25), (0.0, 0.5)]),
+     ("first", "last")),
+    (FiniteDiscrete([(-3.0, 0.25), (0.0, 0.5), (7.0, 0.25)]), _FOUR_SLOTS),
+], ids=["pareto1", "heavy-log-one-sided", "heavy-log-symmetric",
+        "finite-nonnegative", "finite-nonpositive", "finite-two-signed"])
+def test_single_draw_lead_slots_follow_the_sign_of_g(g, slots):
+    assert TailVanishingModel(g).lead_slots == slots
+
+
+def test_single_draw_rows_past_the_largest_level_are_zero():
+    # indices from the largest level on have empty bands at every level:
+    # their band columns are +0.0, and every row is bit for bit the band
+    # moments
+    g = FiniteDiscrete([(-5.0, 0.25), (0.0, 0.25), (20.0, 0.3), (70.0, 0.2)])
+    grid = (2, 16, 64)
+    D = CorrectorSeries(grid, "constant", {2: 0.5, 16: -1.0, 64: 0.25},
+                        "test")
+    indices = (1, 5, 15, 16, 17, 63, 64, 65, 200)
+    rows = TailVanishingModel(g).moment_rows(indices, grid, D)
+    want = [[[g.band_moment(float(i), float(N), 1),
+              g.band_moment(float(i), float(N), 2), D.values[N]]
+             for N in grid] for i in indices]
+    assert np.array_equal(rows.view(np.int64), np.array(want).view(np.int64))
+    assert not rows[6:, :, :2].view(np.int64).any()
 
 
 @settings(max_examples=30, deadline=None)

@@ -32,7 +32,7 @@ from wllnlab.models import (
 from wllnlab.streams import Positions
 from wllnlab.verify import wilson_interval
 
-from dense import dense_blocks
+from dense import column_reference, dense_blocks
 from scalar_reference import comonotone_intervals, overlap_integral
 
 Z999 = 3.2905267314919255  # 99.9% two-sided normal quantile
@@ -444,6 +444,27 @@ def test_independent_array_marginals():
     values, _ = sample_prefix(m, 8, 0)
     assert np.all(values[0::2] == 0.0)
     assert set(np.abs(values[1::2])) == {2.0}
+
+
+def test_independent_array_realizes_one_law_at_a_time(monkeypatch):
+    # equal specs share one law object, and the block equals the one
+    # realized column by column, each from its own law, over several chunks
+    # and a selection where some laws keep one column and others many
+    specs = [{"family": "finite", "atoms": [[-2.0, 0.5], [2.0, 0.5]]},
+             {"family": "pareto1", "scale": 1.5},
+             {"family": "heavy_log", "rho": 0.25, "symmetric": False}]
+    distinct = [{"family": "finite", "atoms": [[float(v), 0.5], [-1.0, 0.5]]}
+                for v in range(40)]
+    dists = [specs[i % 3] for i in range(80)] + distinct
+    m = model_from_spec({"kind": "independent_array",
+                         "params": {"dists": dists}})
+    assert len({id(d) for d in m.dists}) == 3 + len(distinct)
+    assert m.dists[0] is m.dists[3] and m.dists[0] is not m.dists[1]
+    monkeypatch.setattr(models_mod, "_BLOCK_VALUES", 500)
+    for idx in (np.arange(1, 121), np.array([2, 4, 5, 7, 80, 81, 90, 120]),
+                np.array([7, 10, 13])):
+        block, _ = stacked_blocks(m, idx, 9, 23)
+        assert np.array_equal(block, column_reference(m, idx, 9, 23))
 
 
 # -------------------------------------------------------------------------

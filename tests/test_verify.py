@@ -4,6 +4,7 @@ cross-check, the truncation-gap bound, and hereditary thinning."""
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -723,3 +724,66 @@ def test_single_draw_probe_holds_no_values_block():
     # (B, n) values buffer is allocated: about 0.6 MiB, 1.6 with one
     peak = _demo_probe_peak("counterexample")
     assert peak < 1 << 20, peak
+
+
+class TestOverflow:
+    """Sums that overflow a double are refused where they are made, at the
+    first grid point they reach, with no numpy warning: an infinite sum, or
+    inf - inf = NaN, would otherwise compare as no exceedance."""
+
+    GRID = (64, 256)
+    # two signs of 1e308: the sum of two equal ones is already infinite
+    SIGNS = IIDModel(FiniteDiscrete([(-1e308, 0.5), (1e308, 0.5)]))
+
+    def probe(self, run, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ProbeInputError, match=match):
+                run()
+
+    def test_wlln_probe(self):
+        D = zero_corrector(self.GRID)
+        self.probe(lambda: wlln_probe(self.SIGNS, range(1, 257), D, 0.25,
+                                      self.GRID, 200, 0),
+                   "partial sums at N = 64 overflow")
+        # 1e306 a value: S_64 is finite, S_256 is not
+        m = IIDModel(FiniteDiscrete([(1e306, 1.0)]))
+        self.probe(lambda: wlln_probe(m, range(1, 257), D, 0.25, self.GRID,
+                                      10, 0),
+                   "partial sums at N = 256 overflow")
+
+    def test_entries(self):
+        # the single draw's entries: g = 1e307 sits in every column
+        m = TailVanishingModel(FiniteDiscrete([(0.0, 0.5), (1e307, 0.5)]))
+        D = zero_corrector(self.GRID)
+        self.probe(lambda: wlln_probe(m, range(1, 257), D, 0.25, self.GRID,
+                                      50, 0),
+                   "partial sums at N = 64 overflow")
+        self.probe(lambda: truncation_gap_probe(m, range(1, 257), self.GRID,
+                                                100, 0),
+                   "outside the band at N = 64 overflow")
+
+    def test_gap_probe(self):
+        self.probe(lambda: truncation_gap_probe(self.SIGNS, range(1, 257),
+                                                self.GRID, 200, 0),
+                   "outside the band at N = 64 overflow")
+
+    def test_hereditary(self):
+        D = zero_corrector(self.GRID)
+        self.probe(lambda: hereditary_suite(self.SIGNS, range(1, 1025), D,
+                                            0.25, self.GRID, 200, 0),
+                   "partial sums at N = 64 overflow")
+
+    def test_l2_terms(self):
+        D = zero_corrector(self.GRID)
+        # finite sums whose squared means overflow
+        m = IIDModel(FiniteDiscrete([(-1e200, 0.5), (1e200, 0.5)]))
+        self.probe(lambda: wlln_probe(m, range(1, 257), D, 0.25, self.GRID,
+                                      200, 0, compute_l2=True),
+                   "squared L2 terms at N = 64 overflow")
+        # finite squares, 1e308 each, whose sum over 200 replications
+        # overflows
+        m = IIDModel(FiniteDiscrete([(1e154, 1.0)]))
+        self.probe(lambda: wlln_probe(m, range(1, 257), D, 0.25, self.GRID,
+                                      200, 0, compute_l2=True),
+                   "L2 moments at N = 64 overflow")
