@@ -66,9 +66,8 @@ def _buffers(u, out, scratch):
 class Distribution:
     """Base class; subclasses provide exact oracles and inverse-CDF sampling."""
 
-    #: "nonnegative" or "nonpositive" when every value the law takes has
-    #: that sign, "unknown" when it is not known to have one
-    sign = "unknown"
+    #: whether every value the law takes is known to share one sign
+    one_signed = False
 
     def survival(self, t: float) -> float:
         raise NotImplementedError
@@ -148,8 +147,8 @@ class FiniteDiscrete(Distribution):
         self._beyond = list(accumulate(masses[:0:-1]))[::-1] + [0.0]
         # largest |value| carrying mass
         self.max_abs_value = self._levels[-1]
-        self.sign = ("nonnegative" if self._values.min() >= 0.0 else
-                     "nonpositive" if self._values.max() <= 0.0 else "unknown")
+        self.one_signed = bool(self._values.min() >= 0.0
+                               or self._values.max() <= 0.0)
 
     def survival(self, t: float) -> float:
         if t < 0:
@@ -214,7 +213,7 @@ class Pareto1(Distribution):
             raise ValueError(
                 f"scale must be positive and finite, not {scale!r}")
         self.scale = float(scale)
-        self.sign = "nonnegative"
+        self.one_signed = True
 
     def survival(self, t: float) -> float:
         if t <= self.scale:
@@ -562,7 +561,7 @@ class HeavyLogLaw(Distribution):
             raise ValueError("rho must lie in [0, 1]")
         self.rho = float(rho)
         self.symmetric = bool(symmetric)
-        self.sign = "unknown" if self.symmetric else "nonnegative"
+        self.one_signed = not self.symmetric
 
     @property
     def _scale(self) -> float:

@@ -356,19 +356,25 @@ class IndependentArrayModel(SequenceModel):
         return self.dists[n - 1]
 
     def _per_index(self, idx):
-        """(law, its columns) per distinct law object, in order of first
-        column: the columns of a law are realized in one call."""
+        """The columns grouped by law object, laws in order of first column,
+        and each law's run (law, lo, hi) of that order: a block is realized
+        transposed, so a law's columns are contiguous rows, sampled in one
+        call."""
         cols = {}
         for col, i in enumerate(idx.tolist()):
             cols.setdefault(self.dists[i - 1], []).append(col)
-        return [(dist, c[0] if len(c) == 1 else np.array(c))
-                for dist, c in cols.items()]
+        order, runs = [], []
+        for dist, c in cols.items():
+            runs.append((dist, len(order), len(order) + len(c)))
+            order += c
+        return np.array(order), runs
 
-    def _realize(self, laws, out, u0, scratch):
-        if len(laws) == 1:      # every column has one law: in place, as iid
-            return laws[0][0].quantile_array(out, out, scratch), None
-        for dist, cols in laws:
-            out[:, cols] = dist.quantile_array(out[:, cols], scratch=scratch)
+    def _realize(self, per_index, out, u0, scratch):
+        order, runs = per_index
+        work = out.T[order]     # (n, B), C-contiguous
+        for dist, lo, hi in runs:
+            dist.quantile_array(work[lo:hi], work[lo:hi], scratch)
+        out.T[order] = work
         return out, None
 
     def weak_l2_centering(self, N):
@@ -429,7 +435,7 @@ class TailVanishingModel(SequenceModel):
         # latest smallest mu_j.  For g of one sign mu_j is monotone in j, and
         # the first and the last step attain both extremes; otherwise they
         # go first, so the others win only a strictly larger |ip|
-        self.lead_slots = ("first", "last") if g_dist.sign != "unknown" \
+        self.lead_slots = ("first", "last") if g_dist.one_signed \
             else ("first", "last", "max", "min")
 
     def marginal_dist(self, n):

@@ -163,12 +163,11 @@ def _partial_sums(vals, grid) -> np.ndarray:
     return _finite(np.cumsum(segs, axis=1), grid, "the partial sums")
 
 
-def _outside_sums(vals, grid) -> np.ndarray:
-    """(B, G) sums O_N of f 1{|f| > N} over the first N columns, N in
-    ``grid``, read only from the entries with |f| > grid[0]: one pass finds
-    them, and each level then filters and sums those few entries."""
+def _past(vals, grid) -> tuple:
+    """The entries with |f| > grid[0], found in one pass: their rows,
+    positions, values and the mask that found them, with the last position
+    in the first N columns per level (an entry's segment is at most N's)."""
     if isinstance(vals, Entries):
-        # an entry is in the first N columns when its segment is at most N's
         past = (vals.val > grid[0]) | (vals.val < -grid[0])
         rows, at, f = vals.row[past], vals.col[past], vals.val[past]
         last = range(len(grid))
@@ -177,13 +176,44 @@ def _outside_sums(vals, grid) -> np.ndarray:
         rows, at = np.divmod(np.flatnonzero(past), vals.shape[1])
         f = vals[rows, at]
         last = [N - 1 for N in grid]
+    return rows, at, f, last, past
+
+
+def _level_sums(past, B: int, grid, outside: bool) -> np.ndarray:
+    """(B, G) sums over the first N columns, N in ``grid``, of the entries
+    ``past`` grid[0] (see ``_past``) with |f| > N (``outside``) or with
+    |f| <= N."""
+    rows, at, f, last, _ = past
     size = np.abs(f)
-    out = np.empty((len(vals), len(grid)))
+    out = np.empty((B, len(grid)))
     for g, N in enumerate(grid):
-        keep = (at <= last[g]) & (size > N)
-        out[:, g] = np.bincount(rows[keep], weights=f[keep],
-                                minlength=len(vals))
-    return _finite(out, grid, "the sums outside the band")
+        keep = (at <= last[g]) & ((size > N) if outside else (size <= N))
+        out[:, g] = np.bincount(rows[keep], weights=f[keep], minlength=B)
+    return out
+
+
+def _outside_sums(vals, grid) -> np.ndarray:
+    """(B, G) sums O_N of f 1{|f| > N} over the first N columns, N in
+    ``grid``, read only from the entries with |f| > grid[0]: one pass finds
+    them, and each level then filters and sums those few entries."""
+    return _finite(_level_sums(_past(vals, grid), len(vals), grid, True),
+                   grid, "the sums outside the band")
+
+
+def _inside_sums(vals, grid) -> np.ndarray:
+    """(B, G) sums of f 1{|f| <= N} over the first N columns, N in
+    ``grid``: the partial sums of the values with |f| <= grid[0], plus per
+    level the entries past grid[0] with |f| <= N.  No summand exceeds N in
+    size, where S_N - O_N would carry the rounding error of the largest
+    values f takes."""
+    past = _past(vals, grid)
+    if isinstance(vals, Entries):
+        small = Entries(vals.row, vals.col, np.where(past[-1], 0.0, vals.val),
+                        vals.rows)
+    else:
+        small = np.where(past[-1], 0.0, vals)
+    return (_partial_sums(small, grid)
+            + _level_sums(past, len(vals), grid, False))
 
 
 def _segments(cols, width: int, grid) -> np.ndarray:
@@ -265,9 +295,8 @@ class _Exceedance:
         self.exceed += np.count_nonzero(
             np.abs(sums / self.levels - d) > self.epsilon, axis=0)
         if self.l2 is not None:
-            t = sums - _outside_sums(vals, self.n_grid) - self.levels * d
-            self.l2.add(_finite((t / self.levels) ** 2, self.n_grid,
-                                "the squared L2 terms"))
+            t = _inside_sums(vals, self.n_grid) - self.levels * d
+            self.l2.add((t / self.levels) ** 2)
 
     def report(self, R: int, seed: int,
                pass_threshold: float) -> ConvergenceReport:
@@ -279,7 +308,6 @@ class _Exceedance:
             _verdict(grid, p_hat, ci, pass_threshold), int(seed))
         if self.l2 is not None:
             _, total, m2 = self.l2.moments()
-            _finite(np.stack((total, m2)), grid, "the L2 moments")
             report.l2_hat = dict(zip(grid, (total / R).tolist()))
             report.l2_se = dict(zip(grid, (np.sqrt(m2 / (R - 1))
                                            / math.sqrt(R)).tolist()))

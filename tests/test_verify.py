@@ -775,15 +775,26 @@ class TestOverflow:
                    "partial sums at N = 64 overflow")
 
     def test_l2_terms(self):
+        # the L2 terms sum f 1{|f| <= N} directly: values far past N leave
+        # no rounding error of their size (S_N - O_N squared to inf here)
         D = zero_corrector(self.GRID)
-        # finite sums whose squared means overflow
-        m = IIDModel(FiniteDiscrete([(-1e200, 0.5), (1e200, 0.5)]))
-        self.probe(lambda: wlln_probe(m, range(1, 257), D, 0.25, self.GRID,
-                                      200, 0, compute_l2=True),
-                   "squared L2 terms at N = 64 overflow")
-        # finite squares, 1e308 each, whose sum over 200 replications
-        # overflows
-        m = IIDModel(FiniteDiscrete([(1e154, 1.0)]))
-        self.probe(lambda: wlln_probe(m, range(1, 257), D, 0.25, self.GRID,
-                                      200, 0, compute_l2=True),
-                   "L2 moments at N = 64 overflow")
+        big = IIDModel(FiniteDiscrete([(-1e200, 0.5), (1e200, 0.5)]))
+        report = self.l2(big, D)
+        assert report.l2_hat == {64: 0.0, 256: 0.0}
+        assert report.l2_se == {64: 0.0, 256: 0.0}
+        mixed = IIDModel(FiniteDiscrete([(-1e200, 0.25), (1.0, 0.5),
+                                         (1e200, 0.25)]))
+        report, levels = self.l2(mixed, D), np.array(self.GRID, dtype=float)
+        kept = np.concatenate([
+            np.column_stack([truncate_array(vals[:, :N], N).sum(axis=1)
+                             for N in self.GRID])
+            for vals, _ in dense_blocks(mixed, np.arange(1, 257), 0, 200)])
+        for N, hat in zip(self.GRID, np.mean((kept / levels) ** 2, axis=0)):
+            assert 0.2 < hat < 0.3
+            assert abs(report.l2_hat[N] - hat) <= 1e-12 * hat, N
+
+    def l2(self, model, D):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return wlln_probe(model, range(1, 257), D, 0.25, self.GRID, 200,
+                              0, compute_l2=True)
